@@ -10,8 +10,7 @@ Two evaluation pathways share one exact arithmetic core:
 """
 
 from .phase_ring import ExactAmplitude, EighthRootPhase, eighth_root, i_power
-from .gf2 import (AffineSpace, BitMatrix, BitVector, affine_intersection,
-                  affine_membership, dual_basis, gauss_eliminate)
+from .gf2 import AffineSpace
 from .pauli import PauliOperator, PauliProjector, commute, pauli_on_basis, random_pauli
 from .stabilizer import (StabilizerState, apply_pauli_state, exponential_sum,
                          extend, inner_product, measure_pauli,

@@ -7,9 +7,10 @@ the accumulators outside the hot loop.  The logic mirrors
 ``gauss.expect_block`` term for term and the test suite checks bit-identical
 agreement between the two paths.
 
-With numba available the kernels are compiled via @njit(cache=True); setting
-``TMAGIC_NO_NUMBA=1`` keeps the same functions as plain Python (the
-reference path in ``gauss`` is then used for bulk dispatch as well).
+numba is optional (the ``jit`` extra).  When it is installed the kernels are
+compiled via @njit(cache=True); without it, or with ``TMAGIC_NO_NUMBA=1``,
+the same functions stay plain Python (the reference path in ``gauss`` is
+then used for bulk dispatch as well).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ if not _DISABLED:
     try:
         from numba import njit as _njit
         _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is the optional ``jit`` extra
         _HAVE_NUMBA = False
 else:
     _HAVE_NUMBA = False

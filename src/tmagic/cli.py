@@ -162,7 +162,7 @@ def cmd_census(args) -> int:
     if backend == "auto":
         backend = "jit" if gk.kernels_enabled() else "pure"
     if backend == "jit" and not gk.kernels_enabled():
-        raise SystemExit("numba kernels unavailable (TMAGIC_NO_NUMBA set?)")
+        raise SystemExit("numba kernels unavailable (numba not installed, or TMAGIC_NO_NUMBA set)")
     total = 4 ** k if args.mode == "exhaustive" else args.samples
     workers = max(1, args.workers)
     bounds = [(total * w // workers, total * (w + 1) // workers)

@@ -1,28 +1,27 @@
-"""Bit-packed vectors, matrices and affine spaces over Z/2Z.
+"""Bit-packed linear algebra and affine spaces over Z/2Z.
 
 Vectors are stored as Python ints with coordinate ``i`` in bit ``i`` (LSB).
 ``to_str``/``from_str`` render coordinate 0 as the leftmost character, which
 is the order used by the decomposition file format and the dense oracle's
 amplitude indexing (see :func:`revbits`).
+
+All elimination goes through one routine, :func:`_eliminate`: each column is
+reduced against a table indexed by leading (highest) bit that holds a
+reduced column and the mask of input columns it sums.  A column that
+reduces to zero yields a relation among the inputs.  :func:`solve_columns`,
+:func:`rank_of` and :meth:`AffineSpace.create` are thin readings of that
+table, and every operation on a column is one XOR of two Python ints, so a
+system of m columns of length n costs O(m * rank) word-parallel steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-
-def popcount(x: int) -> int:
-    return x.bit_count()
+from typing import Iterable, Optional, Sequence
 
 
 def parity(x: int) -> int:
     return x.bit_count() & 1
-
-
-def dot(a: int, b: int) -> int:
-    """GF(2) inner product of two bit-packed vectors."""
-    return (a & b).bit_count() & 1
 
 
 def revbits(x: int, n: int) -> int:
@@ -48,152 +47,68 @@ def from_str(s: str) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class BitVector:
-    """Length-n vector over GF(2); bits beyond n are zero."""
+def _eliminate(columns: Sequence[int], n: int
+               ) -> tuple[list[int], list[int], list[int]]:
+    """Pivot-indexed Gaussian elimination of bit-packed columns below bit n.
 
-    n: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", self.bits & ((1 << self.n) - 1))
-
-    @staticmethod
-    def from_coords(coords: Iterable[int], n: int) -> "BitVector":
-        bits = 0
-        for i in coords:
-            bits |= 1 << i
-        return BitVector(n, bits)
-
-    def get(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        return BitVector(self.n, self.bits ^ other.bits)
-
-    def dot(self, other: "BitVector") -> int:
-        return dot(self.bits, other.bits)
-
-    def weight(self) -> int:
-        return popcount(self.bits)
-
-    def __str__(self) -> str:
-        return to_str(self.bits, self.n)
-
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """r x c matrix over GF(2), row-packed (row entry j in bit j)."""
-
-    rows: int
-    cols: int
-    data: tuple[int, ...]
-
-    @staticmethod
-    def from_rows(rows: Iterable[int], cols: int) -> "BitMatrix":
-        data = tuple(r & ((1 << cols) - 1) for r in rows)
-        return BitMatrix(len(data), cols, data)
-
-    @staticmethod
-    def identity(n: int) -> "BitMatrix":
-        return BitMatrix(n, n, tuple(1 << i for i in range(n)))
-
-    def row(self, i: int) -> int:
-        return self.data[i]
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
-    def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.cols):
-            v = 0
-            for i in range(self.rows):
-                v |= ((self.data[i] >> j) & 1) << i
-            cols.append(v)
-        return BitMatrix(self.cols, self.rows, tuple(cols))
-
-    def mul_vec(self, v: int) -> int:
-        """Matrix times column vector (vector packed with entry i in bit i)."""
-        out = 0
-        for i in range(self.rows):
-            out |= dot(self.data[i], v) << i
-        return out
-
-
-def gauss_eliminate(m: BitMatrix) -> tuple[int, BitMatrix, list[int]]:
-    """Row-reduce over GF(2); returns (rank, row_ops, pivot columns).
-
-    ``row_ops`` is the invertible transform R with R @ M in reduced row
-    echelon form.  The input matrix is not modified.
+    Columns are taken last to first and each is reduced against the pivot
+    table while its leading bit is a pivot.  Returns the table as two lists
+    indexed by leading bit, ``vecs[p]`` (a reduced column with leading bit
+    p, or 0) and ``masks[p]`` (the input columns it sums), and, for every
+    column j that depends on the columns after it, the relation mask (bit j
+    plus the later pivot columns that sum to column j), in ascending j.
+    Those relations are the canonical null-space basis: the one whose free
+    coordinates are unit vectors.
     """
-    work = list(m.data)
-    ops = [1 << i for i in range(m.rows)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(m.cols):
-        sel = None
-        for i in range(r, m.rows):
-            if (work[i] >> col) & 1:
-                sel = i
+    full = (1 << n) - 1
+    vecs = [0] * n
+    masks = [0] * n
+    relations: list[int] = []
+    for j in range(len(columns) - 1, -1, -1):
+        v = columns[j] & full
+        mask = 1 << j
+        while v:
+            top = v.bit_length() - 1
+            w = vecs[top]
+            if not w:
+                vecs[top] = v
+                masks[top] = mask
                 break
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        ops[r], ops[sel] = ops[sel], ops[r]
-        for i in range(m.rows):
-            if i != r and ((work[i] >> col) & 1):
-                work[i] ^= work[r]
-                ops[i] ^= ops[r]
-        pivots.append(col)
-        r += 1
-        if r == m.rows:
-            break
-    return r, BitMatrix(m.rows, m.rows, tuple(ops)), pivots
+            v ^= w
+            mask ^= masks[top]
+        else:
+            relations.append(mask)
+    relations.reverse()
+    return vecs, masks, relations
 
 
 def rank_of(vectors: Iterable[int]) -> int:
     """Rank of a collection of bit-packed vectors."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+    vectors = list(vectors)
+    n = max(vectors, default=0).bit_length()
+    return n - _eliminate(vectors, n)[0].count(0)
 
 
-def _echelon_columns(columns: list[int]) -> tuple[list[int], list[int]]:
-    """Column echelon form; returns (reduced columns, pivot bit positions).
+def solve_columns(columns: list[int], rhs: int, n: int
+                  ) -> Optional[tuple[int, list[int]]]:
+    """Solve sum_j u_j * columns[j] = rhs over GF(2) (coordinates below n).
 
-    Pivot of each column is its highest set bit; columns come out sorted by
-    descending pivot and fully reduced against each other.
+    Returns (particular u, nullspace basis of u-space) or None when the
+    system is inconsistent.  Solution vectors pack entry j in bit j.  The
+    particular solution is zero on the free coordinates, so both outputs
+    depend only on the system, not on the elimination order.
     """
-    cols: list[int] = []
-    for v in columns:
-        for c in cols:
-            if v and c.bit_length() == v.bit_length():
-                v ^= c
-        # re-reduce until stable against all pivots
-        changed = True
-        while changed and v:
-            changed = False
-            for c in cols:
-                if c.bit_length() == v.bit_length():
-                    v ^= c
-                    changed = True
-        if v:
-            cols.append(v)
-            cols.sort(key=lambda c: -c.bit_length())
-    # back-substitute so each pivot bit appears in exactly one column
-    for i, c in enumerate(cols):
-        p = c.bit_length() - 1
-        for j in range(len(cols)):
-            if j != i and ((cols[j] >> p) & 1):
-                cols[j] ^= c
-    cols.sort(key=lambda c: -c.bit_length())
-    return cols, [c.bit_length() - 1 for c in cols]
+    vecs, masks, null = _eliminate(columns, n)
+    v = rhs & ((1 << n) - 1)
+    particular = 0
+    while v:
+        top = v.bit_length() - 1
+        w = vecs[top]
+        if not w:
+            return None
+        v ^= w
+        particular ^= masks[top]
+    return particular, null
 
 
 @dataclass(frozen=True)
@@ -201,8 +116,9 @@ class AffineSpace:
     """{G u + h} with G an n x m full-column-rank basis, stored canonically.
 
     ``basis`` holds the m independent direction vectors (bit-packed columns)
-    in column echelon form; ``shift`` has its pivot coordinates reduced to 0,
-    so equality of affine spaces is structural equality.
+    in reduced column echelon form, pivot = highest bit, sorted by descending
+    pivot; ``shift`` has its pivot coordinates reduced to 0, so equality of
+    affine spaces is structural equality.
     """
 
     n: int
@@ -211,12 +127,18 @@ class AffineSpace:
 
     @staticmethod
     def create(n: int, columns: Iterable[int], shift: int) -> "AffineSpace":
-        cols, pivots = _echelon_columns([c & ((1 << n) - 1) for c in columns])
-        h = shift & ((1 << n) - 1)
-        for c, p in zip(cols, pivots):
-            if (h >> p) & 1:
-                h ^= c
-        return AffineSpace(n, tuple(cols), h)
+        vecs = _eliminate(list(columns), n)[0]
+        tops = [p for p in range(n - 1, -1, -1) if vecs[p]]
+
+        def clear(v: int) -> int:
+            # highest pivot first: a pivot column only touches bits below it
+            for p in tops:
+                if (v >> p) & 1:
+                    v ^= vecs[p]
+            return v
+
+        basis = tuple((1 << p) | clear(vecs[p] ^ (1 << p)) for p in tops)
+        return AffineSpace(n, basis, clear(shift & ((1 << n) - 1)))
 
     @staticmethod
     def full(n: int) -> "AffineSpace":
@@ -253,127 +175,3 @@ class AffineSpace:
 
     def contains(self, x: int) -> bool:
         return self.member_witness(x) is not None
-
-
-def affine_membership(space: AffineSpace, x: BitVector) -> Optional[BitVector]:
-    """Witness u with G u + h = x, or None if x is outside the space."""
-    if x.n != space.n:
-        raise ValueError("ambient dimension mismatch")
-    u = space.member_witness(x.bits)
-    return None if u is None else BitVector(space.dim, u)
-
-
-def affine_intersection(a: AffineSpace, b: AffineSpace) -> Optional[AffineSpace]:
-    """Intersection as a canonical AffineSpace, or None when empty."""
-    if a.n != b.n:
-        raise ValueError("ambient dimension mismatch")
-    sol = solve_columns(list(a.basis) + list(b.basis), a.shift ^ b.shift, a.n)
-    if sol is None:
-        return None
-    particular, null_basis = sol
-    ma = len(a.basis)
-
-    def a_point(uv: int) -> int:
-        x = 0
-        for j in range(ma):
-            if (uv >> j) & 1:
-                x ^= a.basis[j]
-        return x
-
-    x0 = a_point(particular) ^ a.shift
-    dirs = [a_point(w) for w in null_basis]
-    return AffineSpace.create(a.n, [d for d in dirs if d], x0)
-
-
-def dual_basis(space: AffineSpace) -> BitMatrix:
-    """(n - m) independent vectors xi with xi . g = 0 for every basis g."""
-    xis = nullspace(list(space.basis), space.n)
-    return BitMatrix.from_rows(xis, space.n)
-
-
-def nullspace(rows: list[int], n: int) -> list[int]:
-    """Basis of {x : row . x = 0 for all rows} over GF(2)."""
-    work = []
-    for r in rows:
-        for w in work:
-            if r and w.bit_length() == r.bit_length():
-                r ^= w
-        changed = True
-        while changed and r:
-            changed = False
-            for w in work:
-                if w.bit_length() == r.bit_length():
-                    r ^= w
-                    changed = True
-        if r:
-            work.append(r)
-            work.sort(key=lambda v: -v.bit_length())
-    pivots = {w.bit_length() - 1 for w in work}
-    free = [i for i in range(n) if i not in pivots]
-    out = []
-    for f in free:
-        x = 1 << f
-        # back-substitute pivots: choose pivot bits so that every row is orthogonal
-        for w in sorted(work, key=lambda v: v.bit_length()):
-            p = w.bit_length() - 1
-            if dot(w, x):
-                x ^= 1 << p
-        out.append(x)
-    return out
-
-
-def solve_columns(columns: list[int], rhs: int, n: int
-                  ) -> Optional[tuple[int, list[int]]]:
-    """Solve sum_j u_j * columns[j] = rhs over GF(2).
-
-    Returns (particular u, nullspace basis of u-space) or None when the
-    system is inconsistent.  Solution vectors pack entry j in bit j.
-    """
-    m = len(columns)
-    # row i of the system: bits j of coefficient matrix + rhs bit
-    rows = []
-    for i in range(n):
-        coeff = 0
-        for j in range(m):
-            coeff |= ((columns[j] >> i) & 1) << j
-        rows.append((coeff, (rhs >> i) & 1))
-    # eliminate
-    pivots: list[tuple[int, int]] = []  # (pivot var, row index into reduced)
-    reduced: list[tuple[int, int]] = []
-    for coeff, b in rows:
-        for rc, rb in reduced:
-            if coeff and rc.bit_length() == coeff.bit_length():
-                coeff ^= rc
-                b ^= rb
-        changed = True
-        while changed and coeff:
-            changed = False
-            for rc, rb in reduced:
-                if rc.bit_length() == coeff.bit_length():
-                    coeff ^= rc
-                    b ^= rb
-                    changed = True
-        if coeff:
-            reduced.append((coeff, b))
-            reduced.sort(key=lambda t: -t[0].bit_length())
-        elif b:
-            return None
-    # back substitution for a particular solution
-    particular = 0
-    for rc, rb in sorted(reduced, key=lambda t: t[0].bit_length()):
-        p = rc.bit_length() - 1
-        val = rb ^ dot(rc & ~(1 << p), particular)
-        if val:
-            particular |= 1 << p
-    pivot_bits = {rc.bit_length() - 1 for rc, _ in reduced}
-    null = []
-    for f in range(m):
-        if f in pivot_bits:
-            continue
-        x = 1 << f
-        for rc, _ in sorted(reduced, key=lambda t: t[0].bit_length()):
-            p = rc.bit_length() - 1
-            if dot(rc, x):
-                x ^= 1 << p
-        null.append(x)
-    return particular, null

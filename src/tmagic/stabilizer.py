@@ -12,6 +12,12 @@ in the mod-8 picture).
 All D entries stay even and all cross terms stay in {0, 4}: those are the
 only phases the kernel updates can produce, and the restriction is what
 keeps the exponential-sum elimination at O(m^3).
+
+The ``_Form`` helpers update whole bit-packed rows of B, O(m) word operations
+per substitution or rank-one phase.  ``inner_product`` finds the common
+support with one GF(2) elimination and pulls both forms back to it by the
+congruence B' = L^T B~ L (``_Form.pull_back``), as in the InnerProduct /
+ExponentialSum construction of Bravyi et al., Quantum 3, 181 (2019).
 """
 
 from __future__ import annotations
@@ -38,9 +44,13 @@ class StabilizerState:
 
     def __post_init__(self) -> None:
         m = len(self.basis)
-        assert len(self.bmat) == m and len(self.dvec) == m
-        assert all(d % 2 == 0 for d in self.dvec)
-        assert all(((self.bmat[a] >> a) & 1) == 0 for a in range(m))
+        if len(self.bmat) != m or len(self.dvec) != m:
+            raise ValueError(f"bmat and dvec need one entry per basis column "
+                             f"({m}), got {len(self.bmat)} and {len(self.dvec)}")
+        if any(d % 2 for d in self.dvec):
+            raise ValueError(f"dvec entries must be even, got {self.dvec}")
+        if any((row >> a) & 1 for a, row in enumerate(self.bmat)):
+            raise ValueError(f"bmat must have a zero diagonal, got {self.bmat}")
 
     @property
     def m(self) -> int:
@@ -108,51 +118,71 @@ def _bits(mask: int) -> list[int]:
 # mutable working copy of the phase data
 # ---------------------------------------------------------------------------
 
+@dataclass
 class _Form:
-    """Mutable (basis, shift, B, D, c) bundle shared by the kernel routines."""
+    """Mutable (basis, shift, B, D, c) bundle shared by the kernel routines.
 
-    def __init__(self, s: StabilizerState):
-        self.n = s.n
-        self.basis = list(s.basis)
-        self.shift = s.shift
-        self.b = list(s.bmat)
-        self.d = list(s.dvec)
-        self.c = s.c
+    Every phase update here works on whole bit-packed rows of B: a
+    substitution or a rank-one phase touches O(m) rows, never O(m^2) bits.
+    """
+
+    n: int
+    basis: list[int]
+    shift: int
+    b: list[int]
+    d: list[int]
+    c: int
+
+    @staticmethod
+    def of(s: StabilizerState) -> "_Form":
+        return _Form(s.n, list(s.basis), s.shift, list(s.bmat), list(s.dvec),
+                     s.c)
 
     def freeze(self, scale: ExactAmplitude) -> StabilizerState:
         return StabilizerState(self.n, tuple(self.basis), self.shift,
                                tuple(self.b), tuple(self.d), self.c % 8, scale)
 
-    def transvect(self, p: int, q: int) -> None:
-        """Substitute old u_p = new u_p xor u_q in the phase form."""
-        bpq = (self.b[p] >> q) & 1
-        self.d[q] = (self.d[q] + self.d[p] + 4 * bpq) % 8
-        if (self.d[p] >> 1) & 1:
-            self.b[p] ^= 1 << q
-            self.b[q] ^= 1 << p
-        rest = self.b[p] & ~((1 << p) | (1 << q))
-        self.b[q] ^= rest
-        for z in _bits(rest):
-            self.b[z] ^= 1 << q
+    def substitute(self, p: int, mask: int) -> None:
+        """Substitute old u_p = new u_p xor (xor of the u_x, x in mask).
+
+        mask must not contain p.  The linear term d_p u_p becomes
+        d_p * xor(u_p, u_x...), and each cross term 4 u_p u_z becomes
+        4 (u_p + sum_x u_x) u_z mod 8, which couples every x in mask to
+        every z coupled to p (a square u_z u_z is the linear term u_z).
+        """
+        b, d = self.b, self.d
+        rp, dp = b[p], d[p]
+        for x in _bits(mask):
+            b[x] ^= rp
+        for z in _bits(rp):
+            b[z] ^= mask
+        for z in _bits(mask & rp):
+            d[z] = (d[z] + 4) % 8
+        d[p] = 0
+        self.add_phase_xor(dp, mask | (1 << p))
 
     def add_phase_xor(self, t: int, mask: int) -> None:
-        """Add t * (xor of the variables in mask) to phi; t must be even."""
-        assert t % 2 == 0
+        """Add t * (xor of the variables in mask) to phi; t must be even.
+
+        xor(x_1..x_k) = sum x_i - 2 sum_{i<j} x_i x_j (mod 4), so every d in
+        mask gains t and, when t = 2 mod 4, every pair in mask couples.
+        """
+        if t % 2:
+            raise ValueError(f"add_phase_xor needs an even phase t, got {t}")
         idxs = _bits(mask)
+        d = self.d
         for a in idxs:
-            self.d[a] = (self.d[a] + t) % 8
+            d[a] = (d[a] + t) % 8
         if (t >> 1) & 1:
-            for i, a in enumerate(idxs):
-                for b2 in idxs[i + 1:]:
-                    self.b[a] ^= 1 << b2
-                    self.b[b2] ^= 1 << a
+            b = self.b
+            for a in idxs:
+                b[a] ^= mask ^ (1 << a)
 
     def fix_var(self, p: int, eps: int) -> None:
         """Pin u_p = eps, fold its phase into the rest, delete column p."""
         if eps:
             self.c = (self.c + self.d[p]) % 8
-            for z in _bits(self.b[p]):
-                self.d[z] = (self.d[z] + 4) % 8
+            self.add_phase_xor(4, self.b[p])
             self.shift ^= self.basis[p]
         del self.d[p]
         del self.basis[p]
@@ -160,64 +190,94 @@ class _Form:
         del self.b[p]
         self.b = [(r & keep_low) | ((r >> (p + 1)) << p) for r in self.b]
 
+    def pull_back(self, s: StabilizerState, base: int, lt: list[int],
+                  sign: int) -> None:
+        """Add sign * phi_s(u) with u = base xor L w to this form over w.
+
+        ``lt[k]`` is row k of L^T: the variables u_a that w_k feeds.  This
+        is the congruence B' = L^T B~ L, where B~ is B plus a diagonal entry
+        for every d_a = 2 mod 4 (the pair terms of d_a * xor(...)).  The
+        linear data gains L^T t with t_a = sign d_a (-1)^base_a + 4 (B base)_a,
+        plus 4 diag(L^T B_upper L) from the squares u_k u_k = u_k, and the
+        constant gains sign * phi_s(base).
+        """
+        bmat, dvec = s.bmat, s.dvec
+        rows = [0] * s.m  # rows of L: the w_k feeding u_a
+        fed = 0           # the u_a fed by some w_k; the rest are constants
+        for k, v in enumerate(lt):
+            fed |= v
+            for a in _bits(v):
+                rows[a] |= 1 << k
+        odd = four = 0  # masks of a with bit 1 / bit 2 of t_a set
+        diag = 0        # diag(L^T B_upper L) as a mask over w
+        btl = [0] * s.m  # rows of B~ L
+        for a in _bits(fed):
+            t = sign * dvec[a] * (1 - 2 * ((base >> a) & 1))
+            t += 4 * (bmat[a] & base).bit_count()
+            odd |= ((t >> 1) & 1) << a
+            four |= ((t >> 2) & 1) << a
+            upper = bmat[a] & fed & -(2 << a)
+            ul = _xor_rows(rows, upper)
+            diag ^= rows[a] & ul
+            btl[a] = (ul ^ _xor_rows(rows, (bmat[a] & fed) ^ upper)
+                      ^ (rows[a] if (t >> 1) & 1 else 0))
+        self.c = (self.c + sign * s.phase_exponent(base)) % 8
+        b, d = self.b, self.d
+        for k, v in enumerate(lt):
+            b[k] ^= _xor_rows(btl, v) & ~(1 << k)
+            d[k] = (d[k] + 2 * (v & odd).bit_count()
+                    + 4 * ((v & four).bit_count() + ((diag >> k) & 1))) % 8
+
+
+def _xor_rows(rows: list[int], mask: int) -> int:
+    """XOR of rows[i] over the set bits i of mask: mask times a GF(2) matrix."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
 
 # ---------------------------------------------------------------------------
 # EXPONENTIALSUM
 # ---------------------------------------------------------------------------
 
 def exponential_sum(s: StabilizerState) -> ExactAmplitude:
-    """scale * sum_u zeta^{phi(u)} via O(m^3) quadratic-form elimination.
+    """scale * sum_u zeta^{phi(u)} via O(m^2) word-parallel elimination.
 
+    Each step takes the lowest live variable a.  Uncoupled, it sums to
+    1 + i^{d_a/2}.  Coupled, a substitution leaves a coupled to one
+    partner v only; if d_a = 0 mod 4 summing u_a pins u_v and both go,
+    otherwise u_a sums to (1 + i^{d_a/2}) times a phase on u_v.
     Result is always 0 or 2^{j/2} times an eighth root of unity, times scale.
     """
     acc = s.scale * eighth_root(s.c)
-    # quarter-phase picture: sigma = (phi - c)/2 with d4 over Z_4, b over GF(2)
-    d4 = [d // 2 for d in s.dvec]
-    b = list(s.bmat)
-    active = _bits((1 << s.m) - 1)
-    act_mask = (1 << s.m) - 1
-
-    while active:
-        a = active[0]
-        nmask = b[a] & act_mask & ~(1 << a)
+    f = _Form.of(s)
+    d, b = f.d, f.b
+    live = (1 << s.m) - 1
+    while live:
+        a = (live & -live).bit_length() - 1
+        nmask = b[a] & live
         if nmask == 0:
-            if d4[a] == 2:
+            if d[a] == 4:
                 return ZERO
-            acc = acc * _one_plus_ipow(d4[a])
-            active.pop(0)
-            act_mask ^= 1 << a
+            acc = acc * _one_plus_ipow(d[a] // 2)
+            live ^= 1 << a
             continue
-        bv = (nmask & -nmask).bit_length() - 1
-        for x in _bits(nmask & ~(1 << bv)):
-            _transvect4(d4, b, bv, x)
-        if d4[a] % 2 == 0:
+        v = (nmask & -nmask).bit_length() - 1
+        f.substitute(v, nmask ^ (1 << v))
+        if d[a] % 4 == 0:
             acc = acc.scale_int(2)
-            if d4[a] == 2:  # u_bv pinned to 1
-                acc = acc * i_power(d4[bv])
-                for z in _bits(b[bv] & act_mask & ~(1 << a) & ~(1 << bv)):
-                    d4[z] = (d4[z] + 2) % 4
-            active.remove(a)
-            active.remove(bv)
-            act_mask ^= (1 << a) | (1 << bv)
+            if d[a] == 4:  # u_v pinned to 1
+                acc = acc * i_power(d[v] // 2)
+                f.add_phase_xor(4, b[v] & live & ~((1 << a) | (1 << v)))
+            live ^= (1 << a) | (1 << v)
         else:
-            acc = acc * _one_plus_ipow(d4[a])
-            d4[bv] = (d4[bv] + 4 - d4[a]) % 4
-            active.pop(0)
-            act_mask ^= 1 << a
+            acc = acc * _one_plus_ipow(d[a] // 2)
+            d[v] = (d[v] - d[a]) % 8
+            live ^= 1 << a
     return acc
-
-
-def _transvect4(d4: list[int], b: list[int], p: int, q: int) -> None:
-    """The _Form.transvect update in the quarter-phase picture."""
-    bpq = (b[p] >> q) & 1
-    d4[q] = (d4[q] + d4[p] + 2 * bpq) % 4
-    if d4[p] & 1:
-        b[p] ^= 1 << q
-        b[q] ^= 1 << p
-    rest = b[p] & ~((1 << p) | (1 << q))
-    b[q] ^= rest
-    for z in _bits(rest):
-        b[z] ^= 1 << q
 
 
 def _one_plus_ipow(k: int) -> ExactAmplitude:
@@ -252,11 +312,11 @@ def _shrink_param(s: StabilizerState, umask: int, bit: int
 
 
 def _shrink_vars(s: StabilizerState, t: list[int], eps: int) -> StabilizerState:
-    f = _Form(s)
+    f = _Form.of(s)
     p = t[-1]
     for j in t[:-1]:
         f.basis[j] ^= f.basis[p]
-        f.transvect(p, j)
+    f.substitute(p, sum(1 << j for j in t[:-1]))
     f.fix_var(p, eps)
     return f.freeze(s.scale)
 
@@ -275,7 +335,11 @@ def extend(s: StabilizerState, direction: int) -> StabilizerState:
 # ---------------------------------------------------------------------------
 
 def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
-    """Exact <a|b> via the common affine support and one exponential sum."""
+    """Exact <a|b> via the common affine support and one exponential sum.
+
+    The support intersection is {(u_a, u_b) = part xor N w}; both phase
+    forms are pulled back to w and summed as one form on r = dim N vars.
+    """
     if sa.n != sb.n:
         raise ValueError("qubit count mismatch")
     sol = solve_columns(list(sa.basis) + list(sb.basis),
@@ -283,85 +347,20 @@ def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
     if sol is None:
         return ZERO
     part, null = sol
-    ma = len(sa.basis)
+    ma = sa.m
+    low = (1 << ma) - 1
     r = len(null)
-
-    def wmask_rows(offset: int, count: int) -> list[int]:
-        # rows[a] = bit-mask of the w-parameters feeding state variable a
-        return [sum(((null[k] >> (offset + a)) & 1) << k for k in range(r))
-                for a in range(count)]
-
-    acc = _Pullback(r)
-    acc.add_form(sb, part >> ma, wmask_rows(ma, sb.m), conjugate=False)
-    acc.add_form(sa, part & ((1 << ma) - 1), wmask_rows(0, sa.m), conjugate=True)
-    inter = StabilizerState(max(r, 1), tuple(1 << i for i in range(r)), 0,
-                            tuple(acc.b), tuple(acc.d), acc.c % 8, ONE)
-    return sa.scale.conj() * sb.scale * exponential_sum(inter)
-
-
-class _Pullback:
-    """Accumulates a Z_8 even form on r variables from affine substitutions."""
-
-    def __init__(self, r: int):
-        self.r = r
-        self.c = 0
-        self.d = [0] * r
-        self.b = [0] * r
-
-    def _add_xor(self, t: int, mask: int) -> None:
-        t %= 8
-        if t == 0 or mask == 0:
-            return
-        idxs = _bits(mask)
-        for a in idxs:
-            self.d[a] = (self.d[a] + t) % 8
-        if (t >> 1) & 1:
-            for i, a in enumerate(idxs):
-                for b2 in idxs[i + 1:]:
-                    self.b[a] ^= 1 << b2
-                    self.b[b2] ^= 1 << a
-
-    def add_form(self, s: StabilizerState, base: int, rows: list[int],
-                 conjugate: bool) -> None:
-        """Add s's phase form composed with u_a = base_a xor (rows[a] . w).
-
-        ``conjugate`` negates the form (bra side).
-        """
-        sgn = -1 if conjugate else 1
-        self.c = (self.c + sgn * s.c) % 8
-        for a in range(s.m):
-            t = (sgn * s.dvec[a]) % 8
-            la = rows[a]
-            if (base >> a) & 1:
-                self.c = (self.c + t) % 8
-                t = (-t) % 8
-            self._add_xor(t, la)
-        for a in range(s.m):
-            for b2 in _bits(s.bmat[a] >> (a + 1)):
-                b2 += a + 1
-                la, lb = rows[a], rows[b2]
-                ba, bb = (base >> a) & 1, (base >> b2) & 1
-                # 4 * (ba xor La(w)) * (bb xor Lb(w)); the sign of 4 is moot mod 8
-                if ba and bb:
-                    self.c = (self.c + 4) % 8
-                if ba:
-                    self._add_xor(4, lb)
-                if bb:
-                    self._add_xor(4, la)
-                for i in _bits(la):
-                    for j in _bits(lb):
-                        if i == j:
-                            self.d[i] = (self.d[i] + 4) % 8
-                        else:
-                            self.b[i] ^= 1 << j
-                            self.b[j] ^= 1 << i
+    f = _Form(r, [1 << k for k in range(r)], 0, [0] * r, [0] * r, 0)
+    f.pull_back(sb, part >> ma, [w >> ma for w in null], 1)
+    f.pull_back(sa, part & low, [w & low for w in null], -1)
+    return sa.scale.conj() * sb.scale * exponential_sum(f.freeze(ONE))
 
 
 def apply_pauli_state(s: StabilizerState, p: PauliOperator) -> StabilizerState:
     """P|s> exactly: coset shift plus linear phase updates."""
     if p.n != s.n:
         raise ValueError("qubit count mismatch")
-    f = _Form(s)
+    f = _Form.of(s)
     zm = p.z_mask
     for j in range(s.m):
         if parity(zm & s.basis[j]):
@@ -394,7 +393,7 @@ def measure_pauli(s: StabilizerState, p: PauliOperator, sign: int
     sol = solve_columns(list(s.basis), delta, s.n)
     if sol is None:
         # support shifts off itself: extend by the flip direction
-        f = _Form(s)
+        f = _Form.of(s)
         f.basis.append(delta)
         newrow = 0
         m = s.m
@@ -409,19 +408,17 @@ def measure_pauli(s: StabilizerState, p: PauliOperator, sign: int
 
     delta_u = sol[0]
     # phase ratio r(u) = zeta^{rho0} * (-1)^{mu(u)} between sign*P|s> and |s>
-    rho0 = base_exp + 4 * parity(zm & (s.shift ^ delta))
+    rho0 = (base_exp + 4 * parity(zm & (s.shift ^ delta))
+            + s.phase_exponent(delta_u) - s.c) % 8
     mu = 0
     for a in range(s.m):
         bit = parity(zm & s.basis[a]) ^ parity(s.bmat[a] & delta_u)
         if (delta_u >> a) & 1:
             bit ^= (s.dvec[a] >> 1) & 1
         mu |= bit << a
-    for a in _bits(delta_u):
-        rho0 += s.dvec[a]
-    for a in _bits(delta_u):
-        rho0 += 4 * ((s.bmat[a] >> (a + 1)) & (delta_u >> (a + 1))).bit_count()
-    rho0 %= 8
-    assert rho0 % 2 == 0
+    if rho0 % 2:
+        raise ValueError(f"odd phase ratio exponent {rho0}: the state's dvec "
+                         "must be even")
 
     if mu == 0:
         if rho0 == 0:
@@ -434,7 +431,7 @@ def measure_pauli(s: StabilizerState, p: PauliOperator, sign: int
         return out, s.norm_sq() * half
     # rho0 in {2, 6}: quarter-phase rotation across the mu character
     rho = rho0 // 2  # 1 or 3
-    f = _Form(s)
+    f = _Form.of(s)
     f.add_phase_xor((2 * (4 - rho)) % 8, mu)
     out = f.freeze(s.scale * _one_plus_ipow(rho) * half)
     return out, s.norm_sq() * half

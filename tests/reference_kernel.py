@@ -1,0 +1,191 @@
+"""Loop-based reference versions of the stabilizer inner-product kernel.
+
+These are the straightforward implementations that the bit-packed kernel in
+``tmagic.gf2`` / ``tmagic.stabilizer`` replaced: a transpose-then-row-reduce
+GF(2) solver, a pullback that visits every bit pair of every coupling, and
+the quarter-phase exponential sum on plain lists.  They are slow (O(n^4) and
+worse) but easy to audit, and the differential tests require the fast
+kernel to agree with them by exact ring equality.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from tmagic.gf2 import parity
+from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, i_power
+from tmagic.stabilizer import StabilizerState
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def solve_columns(columns: list[int], rhs: int, n: int
+                  ) -> Optional[tuple[int, list[int]]]:
+    """sum_j u_j columns[j] = rhs: (particular u, null basis) or None."""
+    m = len(columns)
+    rows = []
+    for i in range(n):
+        coeff = 0
+        for j in range(m):
+            coeff |= ((columns[j] >> i) & 1) << j
+        rows.append((coeff, (rhs >> i) & 1))
+    reduced: list[tuple[int, int]] = []
+    for coeff, b in rows:
+        changed = True
+        while changed and coeff:
+            changed = False
+            for rc, rb in reduced:
+                if rc.bit_length() == coeff.bit_length():
+                    coeff ^= rc
+                    b ^= rb
+                    changed = True
+        if coeff:
+            reduced.append((coeff, b))
+            reduced.sort(key=lambda t: -t[0].bit_length())
+        elif b:
+            return None
+    ascending = sorted(reduced, key=lambda t: t[0].bit_length())
+    particular = 0
+    for rc, rb in ascending:
+        p = rc.bit_length() - 1
+        if rb ^ parity(rc & ~(1 << p) & particular):
+            particular |= 1 << p
+    pivot_bits = {rc.bit_length() - 1 for rc, _ in reduced}
+    null = []
+    for f in range(m):
+        if f in pivot_bits:
+            continue
+        x = 1 << f
+        for rc, _ in ascending:
+            if parity(rc & x):
+                x ^= 1 << (rc.bit_length() - 1)
+        null.append(x)
+    return particular, null
+
+
+class _Pullback:
+    """A Z_8 even form on r variables built one affine substitution at a time."""
+
+    def __init__(self, r: int):
+        self.c = 0
+        self.d = [0] * r
+        self.b = [0] * r
+
+    def _add_xor(self, t: int, mask: int) -> None:
+        t %= 8
+        idxs = _bits(mask)
+        for a in idxs:
+            self.d[a] = (self.d[a] + t) % 8
+        if (t >> 1) & 1:
+            for i, a in enumerate(idxs):
+                for b2 in idxs[i + 1:]:
+                    self.b[a] ^= 1 << b2
+                    self.b[b2] ^= 1 << a
+
+    def add_form(self, s: StabilizerState, base: int, rows: list[int],
+                 sign: int) -> None:
+        """Add sign * phi_s composed with u_a = base_a xor (rows[a] . w)."""
+        self.c = (self.c + sign * s.c) % 8
+        for a in range(s.m):
+            t = (sign * s.dvec[a]) % 8
+            if (base >> a) & 1:
+                self.c = (self.c + t) % 8
+                t = -t
+            self._add_xor(t, rows[a])
+        for a in range(s.m):
+            for b2 in _bits(s.bmat[a] >> (a + 1)):
+                b2 += a + 1
+                la, lb = rows[a], rows[b2]
+                ba, bb = (base >> a) & 1, (base >> b2) & 1
+                if ba and bb:
+                    self.c = (self.c + 4) % 8
+                if ba:
+                    self._add_xor(4, lb)
+                if bb:
+                    self._add_xor(4, la)
+                for i in _bits(la):
+                    for j in _bits(lb):
+                        if i == j:
+                            self.d[i] = (self.d[i] + 4) % 8
+                        else:
+                            self.b[i] ^= 1 << j
+                            self.b[j] ^= 1 << i
+
+
+def _one_plus_ipow(k: int) -> ExactAmplitude:
+    return {0: ExactAmplitude(2), 1: ExactAmplitude(1, 0, 1, 0, 0),
+            2: ZERO, 3: ExactAmplitude(1, 0, -1, 0, 0)}[k % 4]
+
+
+def _transvect4(d4: list[int], b: list[int], p: int, q: int) -> None:
+    """Substitute old u_p = new u_p xor u_q in the quarter-phase form."""
+    bpq = (b[p] >> q) & 1
+    d4[q] = (d4[q] + d4[p] + 2 * bpq) % 4
+    if d4[p] & 1:
+        b[p] ^= 1 << q
+        b[q] ^= 1 << p
+    rest = b[p] & ~((1 << p) | (1 << q))
+    b[q] ^= rest
+    for z in _bits(rest):
+        b[z] ^= 1 << q
+
+
+def exponential_sum(s: StabilizerState) -> ExactAmplitude:
+    """scale * sum_u zeta^{phi(u)}, eliminating one or two variables a step."""
+    acc = s.scale * eighth_root(s.c)
+    d4 = [d // 2 for d in s.dvec]
+    b = list(s.bmat)
+    active = list(range(s.m))
+    act_mask = (1 << s.m) - 1
+    while active:
+        a = active[0]
+        nmask = b[a] & act_mask & ~(1 << a)
+        if nmask == 0:
+            if d4[a] == 2:
+                return ZERO
+            acc = acc * _one_plus_ipow(d4[a])
+            active.pop(0)
+            act_mask ^= 1 << a
+            continue
+        bv = (nmask & -nmask).bit_length() - 1
+        for x in _bits(nmask & ~(1 << bv)):
+            _transvect4(d4, b, bv, x)
+        if d4[a] % 2 == 0:
+            acc = acc.scale_int(2)
+            if d4[a] == 2:
+                acc = acc * i_power(d4[bv])
+                for z in _bits(b[bv] & act_mask & ~(1 << a) & ~(1 << bv)):
+                    d4[z] = (d4[z] + 2) % 4
+            active.remove(a)
+            active.remove(bv)
+            act_mask ^= (1 << a) | (1 << bv)
+        else:
+            acc = acc * _one_plus_ipow(d4[a])
+            d4[bv] = (d4[bv] + 4 - d4[a]) % 4
+            active.pop(0)
+            act_mask ^= 1 << a
+    return acc
+
+
+def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
+    """<a|b> through the reference solver, pullback and exponential sum."""
+    sol = solve_columns(list(sa.basis) + list(sb.basis),
+                        sa.shift ^ sb.shift, sa.n)
+    if sol is None:
+        return ZERO
+    part, null = sol
+    ma = sa.m
+    r = len(null)
+
+    def rows(offset: int, count: int) -> list[int]:
+        return [sum(((null[k] >> (offset + a)) & 1) << k for k in range(r))
+                for a in range(count)]
+
+    acc = _Pullback(r)
+    acc.add_form(sb, part >> ma, rows(ma, sb.m), 1)
+    acc.add_form(sa, part & ((1 << ma) - 1), rows(0, sa.m), -1)
+    inter = StabilizerState(max(r, 1), tuple(1 << i for i in range(r)), 0,
+                            tuple(acc.b), tuple(acc.d), acc.c, ONE)
+    return sa.scale.conj() * sb.scale * exponential_sum(inter)

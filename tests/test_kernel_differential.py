@@ -1,0 +1,118 @@
+"""The bit-packed kernel against its loop-based reference and the oracle.
+
+``reference_kernel`` keeps the straightforward GF(2) solver, bit-pair
+pullback and exponential sum; the fast kernel must agree with it by exact
+ring equality, and with the exact dense oracle on small random states.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import tmagic
+from tmagic.catalog import t12_decomposition
+from tmagic.pauli import random_pauli
+from tmagic.phase_ring import ZERO
+from tmagic.stabilizer import (apply_pauli_state, inner_product,
+                               random_stabilizer_state, shrink)
+
+import reference_kernel
+
+
+class TestAgainstReference:
+    def test_random_pairs_n1_to_24(self):
+        rng = np.random.default_rng(2024)
+        for n in range(1, 25):
+            for _ in range(40 if n <= 12 else 6):
+                a = random_stabilizer_state(n, rng)
+                b = random_stabilizer_state(n, rng)
+                assert inner_product(a, b) == reference_kernel.inner_product(a, b)
+
+    def test_every_t12_catalog_pair_after_a_pauli(self):
+        rng = np.random.default_rng(2025)
+        terms = [s for _, s in t12_decomposition().terms]
+        kets = [apply_pauli_state(s, random_pauli(12, rng)) for s in terms]
+        for a in terms:
+            for b in kets:
+                assert inner_product(a, b) == reference_kernel.inner_product(a, b)
+
+    def test_low_dimensional_pairs(self):
+        # shrunk states give small supports, empty intersections and r = 0
+        rng = np.random.default_rng(2026)
+        checked = 0
+        while checked < 300:
+            n = int(rng.integers(1, 10))
+            a = _shrunk_state(n, rng, int(rng.integers(0, n + 1)))
+            b = _shrunk_state(n, rng, int(rng.integers(0, n + 1)))
+            if a is None or b is None:
+                continue
+            assert inner_product(a, b) == reference_kernel.inner_product(a, b)
+            checked += 1
+
+
+def _shrunk_state(n, rng, cuts):
+    s = random_stabilizer_state(n, rng)
+    for _ in range(cuts):
+        s = shrink(s, int(rng.integers(1, 1 << n)), int(rng.integers(0, 2)))
+        if s is None:
+            return None
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 8), st.integers(0, 8))
+def test_inner_product_matches_exact_dense(n, seed, cuts_a, cuts_b):
+    rng = np.random.default_rng(seed)
+    a = _shrunk_state(n, rng, min(cuts_a, n))
+    b = _shrunk_state(n, rng, min(cuts_b, n))
+    if a is None or b is None:
+        return
+    want = ZERO
+    for x, y in zip(a.to_dense_exact(), b.to_dense_exact()):
+        want = want + x.conj() * y
+    assert inner_product(a, b) == want
+
+
+def test_invariant_checks_survive_optimized_mode():
+    """The state and kernel invariants raise ValueError under python -O."""
+    code = """
+from tmagic.phase_ring import ONE
+from tmagic.pauli import PauliOperator
+from tmagic.stabilizer import StabilizerState, _Form, measure_pauli
+print("debug", __debug__)
+def check(label, fn):
+    try:
+        fn()
+    except ValueError as exc:
+        print(label, "ValueError", exc)
+    else:
+        print(label, "accepted")
+check("odd-dvec", lambda: StabilizerState(2, (1,), 0, (0,), (3,), 0, ONE))
+check("short-bmat", lambda: StabilizerState(2, (1,), 0, (), (0,), 0, ONE))
+check("bmat-diagonal", lambda: StabilizerState(2, (1,), 0, (1,), (0,), 0, ONE))
+check("odd-phase", lambda: _Form.of(StabilizerState.plus_state(2)).add_phase_xor(3, 1))
+s = StabilizerState(1, (1,), 0, (0,), (0,), 0, ONE)
+object.__setattr__(s, "dvec", (3,))  # corrupt a valid state after checks
+check("odd-ratio", lambda: measure_pauli(s, PauliOperator.from_str("X"), 1))
+"""
+    src = str(Path(tmagic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "debug False"
+    got = dict(line.split(" ", 1) for line in lines[1:])
+    assert set(got) == {"odd-dvec", "short-bmat", "bmat-diagonal",
+                        "odd-phase", "odd-ratio"}
+    for label, result in got.items():
+        assert result.startswith("ValueError"), (label, result)
+    assert "dvec" in got["odd-dvec"]
+    assert "bmat" in got["short-bmat"] and "bmat" in got["bmat-diagonal"]
+    assert "even" in got["odd-phase"]
+    assert "dvec" in got["odd-ratio"]
