@@ -9,9 +9,9 @@ Two evaluation pathways share one exact arithmetic core:
   expectations with per-evaluation unique-sum accounting.
 """
 
-from .phase_ring import ExactAmplitude, EighthRootPhase, eighth_root, i_power
+from .phase_ring import ExactAmplitude, eighth_root, i_power
 from .gf2 import AffineSpace
-from .pauli import PauliOperator, PauliProjector, commute, pauli_on_basis, random_pauli
+from .pauli import PauliOperator, PauliProjector, commute, random_pauli
 from .stabilizer import (StabilizerState, apply_pauli_state, exponential_sum,
                          extend, inner_product, measure_pauli,
                          random_stabilizer_state, shrink,
@@ -24,9 +24,8 @@ from .catalog import (MagicDecomposition, block_cover, block_decomposition,
 from .dense import (dense_magic_state, dense_magic_state_exact,
                     dense_pauli_expect, dense_projector_expect)
 from .gauss import (GaussSumReport, GaussSumTerm, WORST_CASE_UNIQUE,
-                    expect_block, expect_block_k1, expect_block_k2,
-                    expect_block_k3, expect_block_k6, expect_block_k12,
-                    expect_single_pauli, gauss_sum_eval, rank_census)
+                    expect_block, expect_single_pauli, gauss_sum_eval,
+                    rank_census)
 from .strong_sim import (SimulationResult, SimulationTask, exact_expectation,
                          exact_pauli_expectation, run_task, sample_count,
                          sampled_expectation)

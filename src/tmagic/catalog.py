@@ -312,35 +312,72 @@ def write_catalog_file(dec: MagicDecomposition, path: str,
 
 
 def read_catalog_file(path: str) -> MagicDecomposition:
+    """Read a ``write_catalog_file`` export.
+
+    Malformed input raises ``ValueError`` naming the file and the line: a
+    missing, misnamed or unparsable field, a file that ends early or runs on
+    past its last term, a ``J`` entry that is not 0 or 4 (mod 8), or a
+    ``G``/``h``/``J``/``D`` length that does not match ``n`` and ``m``.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
                  if ln.strip() and not ln.lstrip().startswith("#")]
-    header = dict(kv.split("=") for kv in lines[0].split())
-    k, nterms = int(header["k"]), int(header["terms"])
-    pos = 1
-    terms = []
-    for _ in range(nterms):
-        coeff = _amp_parse(lines[pos].split("=", 1)[1]); pos += 1
-        nm = dict(kv.split("=") for kv in lines[pos].split()); pos += 1
-        n, m = int(nm["n"]), int(nm["m"])
-        gtxt = lines[pos].split("=", 1)[1].split(); pos += 1
-        basis = tuple(from_str(s) for s in gtxt)
-        shift = from_str(lines[pos].split("=", 1)[1]); pos += 1
-        jtxt = lines[pos].split("=", 1)[1]; pos += 1
-        jvals = [int(v) for v in jtxt.split(",")] if jtxt else []
-        bmat = [0] * m
-        it = iter(jvals)
-        for a in range(m):
-            for b in range(a + 1, m):
-                if next(it) % 8 == 4:
-                    bmat[a] |= 1 << b
-                    bmat[b] |= 1 << a
-        dtxt = lines[pos].split("=", 1)[1]; pos += 1
-        dvec = tuple(int(v) for v in dtxt.split(",")) if dtxt else ()
-        c = int(lines[pos].split("=", 1)[1]); pos += 1
-        scale = _amp_parse(lines[pos].split("=", 1)[1]); pos += 1
-        if len(basis) != m:
-            raise ValueError("basis column count does not match m")
-        terms.append((coeff, StabilizerState(n, basis, shift, tuple(bmat),
-                                             dvec, c, scale)))
+    pos = 0
+    line_no = 0  # number of the line read last, for error messages
+
+    def fields(*keys: str) -> list[str]:
+        """Values of the next line, which must read ``key=value ...``."""
+        nonlocal pos, line_no
+        if pos == len(lines):
+            raise ValueError(f"file ends before {keys[0]}=")
+        line_no, text = lines[pos]
+        pos += 1
+        parts = [f.partition("=") for f in (text.split() if len(keys) > 1 else [text])]
+        if [(name, sep) for name, sep, _ in parts] != [(key, "=") for key in keys]:
+            want = " ".join(f"{key}=..." for key in keys)
+            raise ValueError(f"expected {want}, got {text!r}")
+        return [value for _, _, value in parts]
+
+    def int_list(key: str, count: int) -> list[int]:
+        (text,) = fields(key)
+        values = [int(v) for v in text.split(",")] if text else []
+        if len(values) != count:
+            raise ValueError(f"{key}= holds {len(values)} values, expected {count}")
+        return values
+
+    def bits(text: str, n: int) -> int:
+        if len(text) != n:
+            raise ValueError(f"bit string {text!r} has length {len(text)}, expected n={n}")
+        return from_str(text)
+
+    try:
+        k, nterms = (int(v) for v in fields("k", "terms"))
+        terms = []
+        for _ in range(nterms):
+            coeff = _amp_parse(*fields("coeff"))
+            n, m = (int(v) for v in fields("n", "m"))
+            basis = tuple(bits(col, n) for col in fields("G")[0].split())
+            if len(basis) != m:
+                raise ValueError(f"G= holds {len(basis)} columns, expected m={m}")
+            shift = bits(*fields("h"), n)
+            jvals = int_list("J", m * (m - 1) // 2)
+            if any(v % 4 for v in jvals):
+                raise ValueError(f"J= entries must be 0 or 4 (mod 8), got {jvals}")
+            bmat = [0] * m
+            it = iter(jvals)
+            for a in range(m):
+                for b in range(a + 1, m):
+                    if next(it) % 8 == 4:
+                        bmat[a] |= 1 << b
+                        bmat[b] |= 1 << a
+            dvec = tuple(int_list("D", m))
+            c = int(*fields("c"))
+            scale = _amp_parse(*fields("global"))
+            terms.append((coeff, StabilizerState(n, basis, shift, tuple(bmat),
+                                                 dvec, c, scale)))
+        if pos < len(lines):
+            line_no = lines[pos][0]
+            raise ValueError(f"unexpected line after the last of {nterms} terms")
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {line_no}: {exc}") from None
     return MagicDecomposition(k, tuple(terms))

@@ -20,8 +20,9 @@ import numpy as np
 from . import _gauss_kernels as gk
 from .catalog import (CATALOG_TERM_COUNTS, block_cover, block_decomposition,
                       catalog_entry, read_catalog_file, write_catalog_file)
-from .gauss import (SUPPORTED_BLOCKS, WORST_CASE_UNIQUE, expect_block,
-                    expect_single_pauli, letters_to_pauli)
+from .gauss import (SUPPORTED_BLOCKS, WORST_CASE_UNIQUE, census_letters,
+                    expect_block, expect_single_pauli, letters_to_pauli,
+                    unique_sum_counts)
 from .pauli import PauliOperator, PauliProjector
 from .strong_sim import SimulationTask, exact_pauli_expectation, run_task
 
@@ -76,6 +77,8 @@ def _write_csv(path: Optional[str], header: list[str], rows: list[list]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_expect(args) -> int:
+    if args.t < 1:
+        raise SystemExit(f"--t must be a T-count of at least 1, got {args.t}")
     policy = _parse_policy(args.policy)
     record: dict = {"command": "expect", "t": args.t, "mode": args.mode,
                     "seed": args.seed}
@@ -97,6 +100,9 @@ def cmd_expect(args) -> int:
         if not args.pauli:
             raise SystemExit("need --pauli or --projector")
         p = PauliOperator.from_str(args.pauli)
+        if p.omega_exp % 2:
+            raise SystemExit(f"--pauli {args.pauli!r} is not Hermitian: "
+                             "its phase must be +1 or -1")
         if p.n < args.t:
             raise SystemExit(f"Pauli acts on {p.n} qubits but t={args.t}")
         magic = PauliOperator(args.t, p.beta & ((1 << args.t) - 1),
@@ -139,17 +145,8 @@ def cmd_expect(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _census_chunk(task: tuple) -> list[int]:
-    k, mode, samples, seed, backend, lo, hi = task
-    if mode == "exhaustive":
-        letters = gk.exhaustive_letters(k)[lo:hi]
-    else:
-        letters = gk.sample_letters(k, samples, seed)[lo:hi]
-    if backend == "pure":
-        return [expect_block(k, letters_to_pauli(row)).unique_nonzero_sums
-                for row in letters]
-    counts = np.zeros(letters.shape[0], dtype=np.int64)
-    gk._census_counts(letters, k, counts)
-    return [int(c) for c in counts]
+    k, mode, samples, seed, lo, hi = task
+    return unique_sum_counts(k, census_letters(k, mode, samples, seed)[lo:hi])
 
 
 def cmd_census(args) -> int:
@@ -158,16 +155,11 @@ def cmd_census(args) -> int:
         raise SystemExit(f"census supports block sizes {SUPPORTED_BLOCKS}")
     if args.mode == "exhaustive" and k > 6:
         raise SystemExit("exhaustive census is limited to k <= 6; use --mode sampled")
-    backend = args.backend
-    if backend == "auto":
-        backend = "jit" if gk.kernels_enabled() else "pure"
-    if backend == "jit" and not gk.kernels_enabled():
-        raise SystemExit("numba kernels unavailable (numba not installed, or TMAGIC_NO_NUMBA set)")
     total = 4 ** k if args.mode == "exhaustive" else args.samples
     workers = max(1, args.workers)
     bounds = [(total * w // workers, total * (w + 1) // workers)
               for w in range(workers)]
-    tasks = [(k, args.mode, args.samples, args.seed, backend, lo, hi)
+    tasks = [(k, args.mode, args.samples, args.seed, lo, hi)
              for lo, hi in bounds if hi > lo]
     start = time.perf_counter()
     if workers == 1:
@@ -187,7 +179,7 @@ def cmd_census(args) -> int:
     print(json.dumps({"command": "census", "k": k, "mode": args.mode,
                       "max_unique": max(hist), "total": total,
                       "seed": args.seed}, sort_keys=True))
-    print(f"[time] {elapsed:.3f}s backend={backend}", file=sys.stderr)
+    print(f"[time] {elapsed:.3f}s", file=sys.stderr)
     return 0
 
 
@@ -202,17 +194,10 @@ def _fit_exponent(ts: Sequence[int], work: Sequence[int]) -> float:
     return float(slope)
 
 
-def _bench_gauss_once(t: int, policy: tuple[int, ...], seed: int,
-                      backend: str) -> float:
+def _bench_gauss_once(t: int, policy: tuple[int, ...], seed: int) -> float:
     letters = gk.sample_letters(t, 1, seed)[0]
     start = time.perf_counter()
-    if backend == "pure":
-        expect_single_pauli(t, letters_to_pauli(letters), policy)
-    else:
-        offset = 0
-        for k in block_cover(t, policy):
-            gk.eval_expectation_acc(letters[offset:offset + k], k)
-            offset += k
+    expect_single_pauli(t, letters_to_pauli(letters), policy)
     return time.perf_counter() - start
 
 
@@ -221,9 +206,6 @@ def cmd_bench(args) -> int:
     ts = [int(v) for v in args.t.replace(",", " ").split()]
     if args.reps < 3:
         raise SystemExit("need at least 3 repetitions")
-    backends = ["jit", "pure"] if args.compare_backends else [args.backend]
-    backends = ["jit" if b == "auto" and gk.kernels_enabled() else
-                ("pure" if b == "auto" else b) for b in backends]
     rows = []
     times_note = []
     work_by_t = {}
@@ -238,32 +220,28 @@ def cmd_bench(args) -> int:
             for k in blocks:
                 work *= _CHI[k]
         work_by_t[t] = work
-        for backend in backends:
-            med = None
-            if args.mode == "gauss":
-                samples = [_bench_gauss_once(t, policy, args.seed + r, backend)
-                           for r in range(args.reps)]
-                med = float(np.median(samples))
-            else:
-                samples = []
-                for r in range(args.reps):
-                    rng = np.random.default_rng(np.random.SeedSequence([args.seed, r]))
-                    p = letters_to_pauli(rng.integers(0, 4, size=t))
-                    task = SimulationTask(
-                        t=t, n=t, projector=PauliProjector.single(p, 1),
-                        mode=args.mode, epsilon=args.epsilon, p_f=args.pf,
-                        seed=args.seed + r, policy=policy,
-                        samples_override=args.samples)
-                    res = run_task(task)
-                    samples.append(res.wall_time)
-                med = float(np.median(samples))
-            row = [t, "+".join(str(b) for b in blocks), args.mode, backend,
-                   args.reps, work, args.seed]
-            if args.timing:
-                row.append(f"{med:.6g}")
-            rows.append(row)
-            times_note.append(f"t={t} backend={backend} median={med:.6g}s")
-    header = ["t", "blocks", "mode", "backend", "reps", "work", "seed"]
+        if args.mode == "gauss":
+            samples = [_bench_gauss_once(t, policy, args.seed + r)
+                       for r in range(args.reps)]
+        else:
+            samples = []
+            for r in range(args.reps):
+                rng = np.random.default_rng(np.random.SeedSequence([args.seed, r]))
+                p = letters_to_pauli(rng.integers(0, 4, size=t))
+                task = SimulationTask(
+                    t=t, n=t, projector=PauliProjector.single(p, 1),
+                    mode=args.mode, epsilon=args.epsilon, p_f=args.pf,
+                    seed=args.seed + r, policy=policy,
+                    samples_override=args.samples)
+                samples.append(run_task(task).wall_time)
+        med = float(np.median(samples))
+        row = [t, "+".join(str(b) for b in blocks), args.mode, args.reps, work,
+               args.seed]
+        if args.timing:
+            row.append(f"{med:.6g}")
+        rows.append(row)
+        times_note.append(f"t={t} median={med:.6g}s")
+    header = ["t", "blocks", "mode", "reps", "work", "seed"]
     if args.timing:
         header.append("median_wall_time")
     text = _write_csv(args.out, header, rows)
@@ -345,13 +323,9 @@ def _verify_merges(report) -> None:
 
 def _verify_gauss(report, k: int, samples: int, seed: int) -> None:
     from .dense import dense_magic_state, dense_pauli_expect
-    from .gauss import _all_paulis
     vec = dense_magic_state(k)
-    if k <= 6:
-        paulis = list(_all_paulis(k))
-    else:
-        rows = gk.sample_letters(k, samples, seed)
-        paulis = [letters_to_pauli(r) for r in rows]
+    mode = "exhaustive" if k <= 6 else "sampled"
+    paulis = [letters_to_pauli(r) for r in census_letters(k, mode, samples, seed)]
     bad = 0
     worst = 0
     for p in paulis:
@@ -447,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--samples", type=int, default=100_000)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--workers", type=int, default=1)
-    pc.add_argument("--backend", choices=("auto", "jit", "pure"), default="auto")
     pc.add_argument("--out", default=None)
     pc.set_defaults(fn=cmd_census)
 
@@ -460,9 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--epsilon", type=float, default=0.1)
     pb.add_argument("--pf", type=float, default=0.05)
     pb.add_argument("--samples", type=int, default=None)
-    pb.add_argument("--backend", choices=("auto", "jit", "pure"), default="auto")
-    pb.add_argument("--compare-backends", action="store_true",
-                    help="benchmark the numba kernels against the pure path")
     pb.add_argument("--timing", action="store_true",
                     help="include wall-time medians in the CSV")
     pb.add_argument("--out", default=None)

@@ -12,20 +12,18 @@ Pauli cannot entangle tensored blocks.
 Kronecker-delta arguments and sum ranges are evaluated modulo two: a range
 [lo, hi] means {lo} when lo = hi (mod 2) and {0, 1} otherwise.  Every
 evaluator here is validated against the dense oracle in the test suite.
-
-Set ``TMAGIC_NO_NUMBA=1`` to force the pure-Python evaluation path; by
-default bulk evaluation (census, benchmarks) runs through the compiled
-kernels in ``_gauss_kernels``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import _gauss_kernels as gk
 from .pauli import PauliOperator
 from .phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, i_power
 
@@ -301,26 +299,6 @@ def expect_block(k: int, p: PauliOperator) -> GaussSumReport:
     return GaussSumReport.from_terms(k, terms)
 
 
-def expect_block_k1(p: PauliOperator) -> GaussSumReport:
-    return expect_block(1, p)
-
-
-def expect_block_k2(p: PauliOperator) -> GaussSumReport:
-    return expect_block(2, p)
-
-
-def expect_block_k3(p: PauliOperator) -> GaussSumReport:
-    return expect_block(3, p)
-
-
-def expect_block_k6(p: PauliOperator) -> GaussSumReport:
-    return expect_block(6, p)
-
-
-def expect_block_k12(p: PauliOperator) -> GaussSumReport:
-    return expect_block(12, p)
-
-
 def _terms_k1(p: PauliOperator) -> list[GaussSumTerm]:
     (_, b, g, d) = p.site_bits(0)
     if (g + d) % 2 == 0:
@@ -398,9 +376,21 @@ def expect_single_pauli(t: int, p: PauliOperator,
     return GaussSumReport(expectation, unique, tuple(all_terms), exact)
 
 
+def census_letters(k: int, mode: str, samples: int, seed: int) -> np.ndarray:
+    """Letter rows of a census: all 4^k Paulis, or ``samples`` seeded draws."""
+    if mode == "exhaustive":
+        return gk.exhaustive_letters(k)
+    return gk.sample_letters(k, samples, seed)
+
+
+def unique_sum_counts(k: int, rows: Iterable[Sequence[int]]) -> list[int]:
+    """Unique non-zero Gauss sums of ``expect_block`` for each letter row."""
+    return [expect_block(k, letters_to_pauli(row)).unique_nonzero_sums
+            for row in rows]
+
+
 def rank_census(k: int, mode: str = "exhaustive", samples: int = 100_000,
-                seed: int = 0, use_kernels: Optional[bool] = None
-                ) -> tuple[int, dict[int, int]]:
+                seed: int = 0) -> tuple[int, dict[int, int]]:
     """Worst case and histogram of unique non-zero Gauss sums over Paulis.
 
     ``mode='exhaustive'`` sweeps all 4^k Paulis (k <= 6 only);
@@ -412,22 +402,7 @@ def rank_census(k: int, mode: str = "exhaustive", samples: int = 100_000,
         raise ValueError("exhaustive census is limited to block sizes <= 6")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown census mode {mode!r}")
-
-    from . import _gauss_kernels as gk
-    if use_kernels is None:
-        use_kernels = gk.kernels_enabled()
-    if use_kernels:
-        return gk.census(k, mode, samples, seed)
-
-    histogram: dict[int, int] = {}
-    if mode == "exhaustive":
-        paulis: Iterable[PauliOperator] = _all_paulis(k)
-    else:
-        rows = gk.sample_letters(k, samples, seed)
-        paulis = (letters_to_pauli(row) for row in rows)
-    for p in paulis:
-        u = expect_block(k, p).unique_nonzero_sums
-        histogram[u] = histogram.get(u, 0) + 1
+    histogram = Counter(unique_sum_counts(k, census_letters(k, mode, samples, seed)))
     return max(histogram), dict(sorted(histogram.items()))
 
 
@@ -443,13 +418,6 @@ def letters_to_pauli(letters: Sequence[int]) -> PauliOperator:
         elif v == 3:
             delta |= 1 << q
     return PauliOperator(len(letters), beta, gamma, delta, 0)
-
-
-def pauli_to_letters(p: PauliOperator) -> np.ndarray:
-    out = np.zeros(p.n, dtype=np.int64)
-    for q in range(p.n):
-        out[q] = {"I": 0, "Z": 1, "X": 2, "Y": 3}[p.letter(q)]
-    return out
 
 
 def _all_paulis(k: int) -> Iterable[PauliOperator]:

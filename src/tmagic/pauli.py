@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phase_ring import EighthRootPhase
 from .gf2 import parity
 
 _PHASE_TOKENS = {"+1": 0, "1": 0, "+i": 1, "i": 1, "-1": 2, "-i": 3}
@@ -110,13 +109,6 @@ def random_pauli(n: int, rng: np.random.Generator) -> PauliOperator:
         elif v == 3:
             delta |= 1 << q
     return PauliOperator(n, beta, gamma, delta, 0)
-
-
-def pauli_on_basis(p: PauliOperator, x: int) -> tuple[int, EighthRootPhase]:
-    """P|x> = phase * |y> on bit-packed computational basis labels."""
-    y = x ^ p.x_mask
-    k = 2 * p.omega_exp + 2 * (p.delta.bit_count() % 4) + 4 * parity(x & p.z_mask)
-    return y, EighthRootPhase(k)
 
 
 def commute(p: PauliOperator, q: PauliOperator) -> bool:

@@ -135,28 +135,6 @@ SQRT2 = ExactAmplitude(0, 1, 0, 0, 0)
 INV_SQRT2 = ExactAmplitude(1, 0, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class EighthRootPhase:
-    """exp(i*pi*k/4) for k mod 8; multiplication adds exponents mod 8."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", self.k % 8)
-
-    def __mul__(self, other: "EighthRootPhase") -> "EighthRootPhase":
-        return EighthRootPhase(self.k + other.k)
-
-    def __pow__(self, n: int) -> "EighthRootPhase":
-        return EighthRootPhase(self.k * n)
-
-    def conj(self) -> "EighthRootPhase":
-        return EighthRootPhase(-self.k)
-
-    def to_amplitude(self) -> ExactAmplitude:
-        return eighth_root(self.k)
-
-
 def eighth_root(k: int) -> ExactAmplitude:
     """exp(i*pi*k/4) as an ExactAmplitude."""
     k %= 8

@@ -68,9 +68,6 @@ class StabilizerState:
                                (0,) * n, (0,) * n, 0,
                                ExactAmplitude(1, 0, 0, 0, n))
 
-    def space(self) -> AffineSpace:
-        return AffineSpace.create(self.n, self.basis, self.shift)
-
     def phase_exponent(self, u: int) -> int:
         """phi(u) mod 8 for a bit-packed parameter vector u."""
         e = self.c

@@ -105,14 +105,14 @@ def test_criterion_4_gauss_oracle_equivalence():
             if abs(got - dense_pauli_expect(vec, p).real) > 1e-9:
                 bad += 1
         mismatches[k] = bad
-    # k = 12: 1e5 random Paulis through the bulk path
+    # k = 12: 1e5 random Paulis
     vec = dense_magic_state(12)
     rows = gk.sample_letters(12, 100_000, seed=77)
     bad = 0
     for row in rows:
-        acc, _ = gk.eval_expectation_acc(row, 12)
-        got = gk.acc_to_exact(acc, 12).real_float()
-        want = dense_pauli_expect(vec, letters_to_pauli(row)).real
+        p = letters_to_pauli(row)
+        got = expect_block(12, p).expectation
+        want = dense_pauli_expect(vec, p).real
         if abs(got - want) > 1e-9:
             bad += 1
     mismatches[12] = bad

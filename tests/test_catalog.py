@@ -172,3 +172,37 @@ class TestFileFormat:
     def test_expected_term_counts_table(self):
         for k, want in CATALOG_TERM_COUNTS.items():
             assert len(catalog_entry(k)) == want
+
+
+class TestFileErrors:
+    """A malformed catalog file is rejected with its line number."""
+
+    @staticmethod
+    def _t3_lines(tmp_path):
+        path = tmp_path / "t3.txt"
+        write_catalog_file(t3_decomposition(), str(path), notes=["test export"])
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("entry", ["2", "6"])
+    def test_rejects_j_entry_not_zero_or_four(self, tmp_path, entry):
+        path, lines = self._t3_lines(tmp_path)
+        no = lines.index("J=4,4,4") + 1
+        lines[no - 1] = f"J=4,{entry},4"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"line {no}: J= entries must be 0 or 4"):
+            read_catalog_file(str(path))
+
+    def test_rejects_too_few_j_values(self, tmp_path):
+        path, lines = self._t3_lines(tmp_path)
+        no = lines.index("J=4,4,4") + 1
+        lines[no - 1] = "J=4,4"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"line {no}: J= holds 2 values, expected 3"):
+            read_catalog_file(str(path))
+
+    def test_rejects_truncated_file(self, tmp_path):
+        path, lines = self._t3_lines(tmp_path)
+        no = lines.index("J=4,4,4")  # cut after the h= line of the last term
+        path.write_text("\n".join(lines[:no]) + "\n")
+        with pytest.raises(ValueError, match=rf"line {no}: file ends before J="):
+            read_catalog_file(str(path))

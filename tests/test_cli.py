@@ -52,6 +52,31 @@ class TestExpect:
         assert rec["value"] == 0.0
 
 
+class TestExpectRejectsBadInput:
+    """Bad expect arguments end in a one-line message, not a traceback."""
+
+    @staticmethod
+    def _rejected(args, message):
+        proc = run_cli(["expect", *args], check=False)
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == [message]
+
+    @pytest.mark.parametrize("mode", ["gauss", "exact", "sampled"])
+    def test_non_hermitian_pauli(self, mode):
+        self._rejected(["--t", "1", "--pauli", "i:X", "--mode", mode],
+                       "--pauli 'i:X' is not Hermitian: its phase must be +1 or -1")
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_zero_t_count(self, mode):
+        self._rejected(["--t", "0", "--pauli", "X", "--mode", mode],
+                       "--t must be a T-count of at least 1, got 0")
+
+    def test_zero_t_count_projector(self):
+        self._rejected(["--t", "0", "--projector", "+Z", "--mode", "exact"],
+                       "--t must be a T-count of at least 1, got 0")
+
+
 class TestCensus:
     def test_exhaustive_k3(self, capsys):
         main(["census", "--k", "3", "--mode", "exhaustive"])

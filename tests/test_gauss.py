@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from tmagic.dense import dense_magic_state, dense_pauli_expect
+from tmagic._gauss_kernels import sample_letters
+from tmagic.dense import (dense_magic_state, dense_magic_state_exact,
+                          dense_pauli_expect)
+from tmagic.gf2 import revbits
 from tmagic.gauss import (WORST_CASE_UNIQUE, _all_paulis, _Block3,
                           _enumerate_group, _group_blocks, expect_block,
                           expect_single_pauli, gauss_sum_eval,
                           letters_to_pauli, rank_census)
 from tmagic.pauli import PauliOperator, random_pauli
-from tmagic.phase_ring import ExactAmplitude, ONE, ZERO
+from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, i_power
 
 
 class TestGaussSumEval:
@@ -51,6 +54,20 @@ def _oracle(k, p):
     return dense_pauli_expect(dense_magic_state(k), p).real
 
 
+def _exact_oracle(amps, p):
+    """<T^k| P |T^k> in ring arithmetic from the exact dense amplitudes.
+
+    P|x> = i^(omega + #Y) (-1)^|x & z| |x ^ x_mask> in the dense index
+    convention of ``dense.apply_pauli``.
+    """
+    xm, zm = revbits(p.x_mask, p.n), revbits(p.z_mask, p.n)
+    total = ZERO
+    for x, amp in enumerate(amps):
+        k = p.omega_exp + p.delta.bit_count() + 2 * (x & zm).bit_count()
+        total = total + amps[x ^ xm].conj() * i_power(k) * amp
+    return total
+
+
 class TestBlockEvaluators:
     def test_k1_examples(self):
         assert expect_block(1, PauliOperator.from_str("I")).expectation == 1
@@ -77,6 +94,17 @@ class TestBlockEvaluators:
             rep = expect_block(k, p)
             assert rep.expectation == pytest.approx(
                 dense_pauli_expect(vec, p).real, abs=1e-12), str(p)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 12])
+    def test_exact_ring_oracle(self, k):
+        # ring equality of the exact value, exhaustive through k = 6
+        amps = dense_magic_state_exact(k)
+        if k <= 6:
+            paulis = list(_all_paulis(k))
+        else:
+            paulis = [letters_to_pauli(row) for row in sample_letters(k, 100, 0)]
+        for p in paulis:
+            assert expect_block(k, p).exact == _exact_oracle(amps, p), str(p)
 
     def test_k6_exhaustive_oracle_and_max(self):
         vec = dense_magic_state(6)
@@ -262,8 +290,15 @@ class TestCensus:
         with pytest.raises(ValueError):
             rank_census(12, "exhaustive")
 
-    def test_backend_agreement(self):
-        for k in (3, 6):
-            a = rank_census(k, "sampled", samples=500, seed=9, use_kernels=True)
-            b = rank_census(k, "sampled", samples=500, seed=9, use_kernels=False)
-            assert a == b
+    def test_exhaustive_histograms(self):
+        # the full histograms of every exhaustive census, not just the maxima
+        assert rank_census(1, "exhaustive") == (2, {2: 4})
+        assert rank_census(2, "exhaustive") == (2, {0: 2, 1: 4, 2: 10})
+        assert rank_census(3, "exhaustive") == (3, {0: 14, 1: 8, 2: 30, 3: 12})
+        assert rank_census(6, "exhaustive") == (
+            7, {0: 1596, 1: 64, 2: 544, 3: 192, 4: 1028, 6: 528, 7: 144})
+
+    def test_sample_letters_deterministic(self):
+        a = sample_letters(12, 100, 5)
+        b = sample_letters(12, 100, 5)
+        assert np.array_equal(a, b)

@@ -5,9 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from tmagic.gf2 import revbits
-from tmagic.pauli import (PauliOperator, PauliProjector, commute,
-                          pauli_on_basis, random_pauli)
+from tmagic.dense import apply_pauli
+from tmagic.pauli import PauliOperator, PauliProjector, commute, random_pauli
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -23,31 +22,33 @@ def kron_matrix(p: PauliOperator) -> np.ndarray:
     return (1j) ** p.omega_exp * m
 
 
+def basis_vector(n: int, index: int) -> np.ndarray:
+    """|index> in the dense convention (qubit 0 is the most significant bit)."""
+    e = np.zeros(1 << n, dtype=complex)
+    e[index] = 1
+    return e
+
+
 def matrix_from_basis_action(p: PauliOperator) -> np.ndarray:
-    n = p.n
-    m = np.zeros((1 << n, 1 << n), dtype=complex)
-    for x in range(1 << n):
-        y, phase = pauli_on_basis(p, x)
-        m[revbits(y, n), revbits(x, n)] = phase.to_amplitude().to_float()
-    return m
+    """Column x is P|x>, as the dense oracle applies it."""
+    return np.column_stack([apply_pauli(basis_vector(p.n, x), p)
+                            for x in range(1 << p.n)])
 
 
 class TestPauliOnBasis:
     def test_x_flips(self):
-        y, ph = pauli_on_basis(PauliOperator.from_str("X"), 0)
-        assert y == 1 and ph.to_amplitude().to_float() == 1
+        out = apply_pauli(basis_vector(1, 0), PauliOperator.from_str("X"))
+        assert np.array_equal(out, basis_vector(1, 1))
 
     def test_z_eigenphase(self):
-        y, ph = pauli_on_basis(PauliOperator.from_str("Z"), 1)
-        assert y == 1 and ph.to_amplitude().to_float() == -1
+        out = apply_pauli(basis_vector(1, 1), PauliOperator.from_str("Z"))
+        assert np.array_equal(out, -basis_vector(1, 1))
 
     def test_yz_on_01(self):
         # Y x Z acting on |01>: phase i * (-1) = -i, lands on |11>
         p = PauliOperator.from_str("YZ")
-        x = 0b10  # qubit0=0, qubit1=1
-        y, ph = pauli_on_basis(p, x)
-        assert y == 0b11
-        assert ph.to_amplitude().to_float() == pytest.approx(-1j)
+        out = apply_pauli(basis_vector(2, 0b01), p)  # qubit0=0, qubit1=1
+        assert np.array_equal(out, -1j * basis_vector(2, 0b11))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dense_matrix_equals_kronecker(self, n):
@@ -61,11 +62,13 @@ class TestPauliOnBasis:
             n = int(rng.integers(1, 6))
             p = PauliOperator(n, *_random_masks(rng, n), int(rng.integers(0, 4)))
             for x in range(1 << n):
-                y1, ph1 = pauli_on_basis(p, x)
-                y2, ph2 = pauli_on_basis(p, y1)
-                assert y2 == x
-                total = (ph1 * ph2).k % 8
-                assert total == (4 * p.omega_exp) % 8  # (i^w)^2 = (-1)^w
+                e = basis_vector(n, x)
+                once = apply_pauli(e, p)
+                (support,) = np.nonzero(once)
+                assert len(support) == 1
+                assert once[support[0]] in (1, -1, 1j, -1j)
+                # (i^w)^2 = (-1)^w
+                assert np.array_equal(apply_pauli(once, p), (-1) ** p.omega_exp * e)
 
 
 def _random_masks(rng, n):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmagic.phase_ring import (ExactAmplitude, EighthRootPhase, ONE, ZERO,
-                               canonical, eighth_root, i_power)
+from tmagic.phase_ring import (ExactAmplitude, ONE, ZERO, canonical,
+                               eighth_root, i_power)
 
 ints = st.integers(min_value=-(2 ** 30), max_value=2 ** 30)
 amps = st.builds(ExactAmplitude, ints, ints, ints, ints,
@@ -108,14 +108,14 @@ def test_to_float_respects_ring_ops(x, y):
 
 def test_eighth_root_phase_type():
     for k in range(8):
-        ph = EighthRootPhase(k)
-        emb = ph.to_amplitude()
+        emb = eighth_root(k)
         assert abs(emb.to_float() - np.exp(1j * np.pi * k / 4)) < 1e-14
         eight = ONE
         for _ in range(8):
             eight = eight * emb
         assert eight == ONE
-    assert (EighthRootPhase(3) * EighthRootPhase(7)).k == 2
+        assert eighth_root(k + 8) == emb == eighth_root(k - 8)
+    assert eighth_root(3) * eighth_root(7) == eighth_root(2)
 
 
 def test_i_power():
