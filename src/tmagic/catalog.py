@@ -42,15 +42,6 @@ class MagicDecomposition:
                     vec[idx] = vec[idx] + coeff * amp
         return vec
 
-    def norm_sq_via_inner_products(self) -> ExactAmplitude:
-        """sum_{j,l} conj(c_j) c_l <s_j|s_l> using only the stabilizer kernel."""
-        from .stabilizer import inner_product
-        total = ZERO
-        for cj, sj in self.terms:
-            for cl, sl in self.terms:
-                total = total + cj.conj() * cl * inner_product(sj, sl)
-        return total
-
 
 # ---------------------------------------------------------------------------
 # small T-counts

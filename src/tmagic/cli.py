@@ -37,7 +37,15 @@ def _parse_policy(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _parse_projector(text: str, n: int) -> PauliProjector:
+def _parse_pauli(option: str, text: str) -> PauliOperator:
+    try:
+        return PauliOperator.from_str(text)
+    except ValueError as exc:
+        raise SystemExit(f"invalid {option} {text!r}: {exc}")
+
+
+def _parse_projector(text: str, t: int) -> PauliProjector:
+    """Signed factors such as '+ZZ,-XX' on max(t, first factor) qubits."""
     factors = []
     for part in text.split(","):
         part = part.strip()
@@ -47,11 +55,25 @@ def _parse_projector(text: str, n: int) -> PauliProjector:
         elif part.startswith("-"):
             sign = -1
             part = part[1:]
-        p = PauliOperator.from_str(part)
+        factors.append((part, _parse_pauli("--projector", part), sign))
+    n = max(t, factors[0][1].n)
+    for part, p, _ in factors:
         if p.n != n:
             raise SystemExit(f"projector factor {part!r} acts on {p.n} qubits, expected {n}")
-        factors.append((p, sign))
-    return PauliProjector(n, tuple(factors))
+    try:
+        return PauliProjector(n, tuple((p, sign) for _, p, sign in factors))
+    except ValueError as exc:
+        raise SystemExit(f"invalid --projector {text!r}: {exc}")
+
+
+def _check_sampling(args) -> None:
+    """The sampled estimator's --epsilon, --pf and --samples."""
+    if not args.epsilon > 0:
+        raise SystemExit(f"--epsilon must be positive, got {args.epsilon}")
+    if not 0 < args.pf < 1:
+        raise SystemExit(f"--pf must lie in (0, 1), got {args.pf}")
+    if args.samples is not None and args.samples < 1:
+        raise SystemExit(f"--samples must be at least 1, got {args.samples}")
 
 
 def _emit(record: dict, out: Optional[str]) -> None:
@@ -79,17 +101,17 @@ def _write_csv(path: Optional[str], header: list[str], rows: list[list]) -> str:
 def cmd_expect(args) -> int:
     if args.t < 1:
         raise SystemExit(f"--t must be a T-count of at least 1, got {args.t}")
+    if args.mode == "sampled":
+        _check_sampling(args)
     policy = _parse_policy(args.policy)
     record: dict = {"command": "expect", "t": args.t, "mode": args.mode,
                     "seed": args.seed}
     start = time.perf_counter()
     if args.projector:
-        first = args.projector.split(",")[0].strip().lstrip("+-")
-        n = max(args.t, PauliOperator.from_str(first).n)
-        proj = _parse_projector(args.projector, n)
+        proj = _parse_projector(args.projector, args.t)
         if args.mode == "gauss":
             raise SystemExit("gauss mode evaluates single Paulis; use --pauli")
-        task = SimulationTask(t=args.t, n=n, projector=proj, mode=args.mode,
+        task = SimulationTask(t=args.t, n=proj.n, projector=proj, mode=args.mode,
                               epsilon=args.epsilon, p_f=args.pf, seed=args.seed,
                               policy=policy, samples_override=args.samples)
         res = run_task(task)
@@ -99,7 +121,7 @@ def cmd_expect(args) -> int:
     else:
         if not args.pauli:
             raise SystemExit("need --pauli or --projector")
-        p = PauliOperator.from_str(args.pauli)
+        p = _parse_pauli("--pauli", args.pauli)
         if p.omega_exp % 2:
             raise SystemExit(f"--pauli {args.pauli!r} is not Hermitian: "
                              "its phase must be +1 or -1")
@@ -155,6 +177,8 @@ def cmd_census(args) -> int:
         raise SystemExit(f"census supports block sizes {SUPPORTED_BLOCKS}")
     if args.mode == "exhaustive" and k > 6:
         raise SystemExit("exhaustive census is limited to k <= 6; use --mode sampled")
+    if args.mode == "sampled" and args.samples < 1:
+        raise SystemExit(f"--samples must be at least 1, got {args.samples}")
     total = 4 ** k if args.mode == "exhaustive" else args.samples
     workers = max(1, args.workers)
     bounds = [(total * w // workers, total * (w + 1) // workers)
@@ -206,6 +230,8 @@ def cmd_bench(args) -> int:
     ts = [int(v) for v in args.t.replace(",", " ").split()]
     if args.reps < 3:
         raise SystemExit("need at least 3 repetitions")
+    if args.mode == "sampled":
+        _check_sampling(args)
     rows = []
     times_note = []
     work_by_t = {}

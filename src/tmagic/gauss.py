@@ -402,6 +402,8 @@ def rank_census(k: int, mode: str = "exhaustive", samples: int = 100_000,
         raise ValueError("exhaustive census is limited to block sizes <= 6")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown census mode {mode!r}")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"a sampled census needs at least 1 sample, got {samples}")
     histogram = Counter(unique_sum_counts(k, census_letters(k, mode, samples, seed)))
     return max(histogram), dict(sorted(histogram.items()))
 

@@ -1,10 +1,13 @@
 """Multi-Pauli strong simulation on magic-state stabilizer decompositions.
 
-The exact path sums all chi^2 stabilizer inner products
+The exact path evaluates
 
     <Psi| Pi |Psi> = sum_{j,l} conj(c_j) c_l <phi_j| Pi |phi_l>
 
-after pushing the projector factors through the ket terms.  The sampled
+with chi(chi+1)/2 stabilizer inner products, not chi^2: for a Hermitian Pi
+the Gram matrix is Hermitian, so the pairs l < j are the conjugates of the
+pairs j < l.  A projector is pushed through both sides first, leaving
+<Pi phi_j|Pi phi_l> over the terms it does not annihilate.  The sampled
 path trades the quadratic cost for L = ceil(eps^-2 ln(1/p_f)) Haar-random
 stabilizer samples using the two-design property:
 
@@ -53,6 +56,8 @@ class SimulationTask:
                 raise ValueError("epsilon must be positive")
             if not 0 < self.p_f < 1:
                 raise ValueError("failure probability must lie in (0, 1)")
+            if self.samples_override is not None and self.samples_override < 1:
+                raise ValueError("sample count must be at least 1")
 
 
 @dataclass
@@ -85,44 +90,57 @@ def _projected_terms(dec: MagicDecomposition, proj: PauliProjector
     return out
 
 
-def exact_expectation(dec: MagicDecomposition, proj: PauliProjector
-                      ) -> SimulationResult:
-    """<Psi| Pi |Psi> summed exactly over all surviving term pairs."""
-    start = time.perf_counter()
-    kets = _projected_terms(dec, proj)
-    total = ZERO
-    count = 0
-    for cj, sj in dec.terms:
-        for cl, sl in kets:
-            total = total + cj.conj() * cl * inner_product(sj, sl)
-            count += 1
-    if not total.is_real():
-        raise AssertionError(f"non-real projector expectation: {total}")
+def _hermitian_sum(dec: MagicDecomposition,
+                   terms: Sequence[tuple[ExactAmplitude, StabilizerState]],
+                   kets: Sequence[StabilizerState], start: float
+                   ) -> SimulationResult:
+    """sum_{j,l} conj(c_j) c_l <b_j|k_l> over a Hermitian Gram matrix.
+
+    ``terms`` holds (c_j, b_j) and ``kets[l]`` carries the coefficient c_l of
+    ``terms[l]``.  The caller guarantees <b_l|k_j> = conj(<b_j|k_l>), so only
+    the diagonal D and the upper triangle S are evaluated, chi(chi+1)/2
+    inner products in all, and the sum is D + S + conj(S).  Each diagonal
+    entry must be real; one that is not means the operator is not Hermitian.
+    """
+    diag = ZERO
+    upper = ZERO
+    for j, (cj, bra) in enumerate(terms):
+        g = inner_product(bra, kets[j])
+        if not g.is_real():
+            raise ValueError(f"non-real diagonal Gram entry {j}: {g}")
+        diag = diag + cj.norm_sq() * g
+        row = ZERO
+        for (cl, _), ket in zip(terms[j + 1:], kets[j + 1:]):
+            row = row + cl * inner_product(bra, ket)
+        upper = upper + cj.conj() * row
+    total = diag + upper + upper.conj()
     return SimulationResult(value=total.real_float(),
-                            inner_products_evaluated=count,
+                            inner_products_evaluated=len(terms) * (len(terms) + 1) // 2,
                             term_count=len(dec),
                             wall_time=time.perf_counter() - start,
                             exact_value=total)
+
+
+def exact_expectation(dec: MagicDecomposition, proj: PauliProjector
+                      ) -> SimulationResult:
+    """<Psi| Pi |Psi> = sum_{j,l} conj(c_j) c_l <Pi phi_j|Pi phi_l>.
+
+    Pi is a Hermitian idempotent, so <phi_j|Pi|phi_l> = <Pi phi_j|Pi phi_l>
+    and both sides of the Gram matrix are the surviving projected terms.
+    """
+    start = time.perf_counter()
+    kept = _projected_terms(dec, proj)
+    return _hermitian_sum(dec, kept, [s for _, s in kept], start)
 
 
 def exact_pauli_expectation(dec: MagicDecomposition, p: PauliOperator
                             ) -> SimulationResult:
-    """<Psi| P |Psi> via chi^2 inner products against P-shifted kets."""
+    """<Psi| P |Psi> against P-shifted kets, for a Hermitian P."""
+    if p.omega_exp % 2:
+        raise ValueError(f"Pauli {p} is not Hermitian: its phase must be +1 or -1")
     start = time.perf_counter()
-    total = ZERO
-    count = 0
-    kets = [(c, apply_pauli_state(s, p)) for c, s in dec.terms]
-    for cj, sj in dec.terms:
-        for cl, sl in kets:
-            total = total + cj.conj() * cl * inner_product(sj, sl)
-            count += 1
-    if not total.is_real():
-        raise AssertionError(f"non-real Pauli expectation: {total}")
-    return SimulationResult(value=total.real_float(),
-                            inner_products_evaluated=count,
-                            term_count=len(dec),
-                            wall_time=time.perf_counter() - start,
-                            exact_value=total)
+    kets = [apply_pauli_state(s, p) for _, s in dec.terms]
+    return _hermitian_sum(dec, dec.terms, kets, start)
 
 
 def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,

@@ -6,15 +6,22 @@ GF(2) solver, a pullback that visits every bit pair of every coupling, and
 the quarter-phase exponential sum on plain lists.  They are slow (O(n^4) and
 worse) but easy to audit, and the differential tests require the fast
 kernel to agree with them by exact ring equality.
+
+``exact_expectation`` and ``exact_pauli_expectation`` are the chi^2 double
+loops that the Hermitian-symmetric exact engine in ``tmagic.strong_sim``
+replaced.  They run on the fast kernel, so they check the summation, not the
+inner products.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from tmagic import stabilizer
 from tmagic.gf2 import parity
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, i_power
-from tmagic.stabilizer import StabilizerState
+from tmagic.stabilizer import StabilizerState, apply_pauli_state
+from tmagic.strong_sim import _projected_terms
 
 
 def _bits(mask: int) -> list[int]:
@@ -189,3 +196,23 @@ def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
     inter = StabilizerState(max(r, 1), tuple(1 << i for i in range(r)), 0,
                             tuple(acc.b), tuple(acc.d), acc.c, ONE)
     return sa.scale.conj() * sb.scale * exponential_sum(inter)
+
+
+def exact_expectation(dec, proj) -> ExactAmplitude:
+    """<Psi| Pi |Psi> over every bra term and every surviving ket term."""
+    kets = _projected_terms(dec, proj)
+    total = ZERO
+    for cj, sj in dec.terms:
+        for cl, sl in kets:
+            total = total + cj.conj() * cl * stabilizer.inner_product(sj, sl)
+    return total
+
+
+def exact_pauli_expectation(dec, p) -> ExactAmplitude:
+    """<Psi| P |Psi> via chi^2 inner products against P-shifted kets."""
+    total = ZERO
+    kets = [(c, apply_pauli_state(s, p)) for c, s in dec.terms]
+    for cj, sj in dec.terms:
+        for cl, sl in kets:
+            total = total + cj.conj() * cl * stabilizer.inner_product(sj, sl)
+    return total

@@ -6,13 +6,16 @@ runtime budget.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tmagic
 from tmagic import _gauss_kernels as gk
 from tmagic.catalog import (CATALOG_TERM_COUNTS, block_decomposition,
                             catalog_entry, _t6_states, _t12_merge_states)
@@ -208,8 +211,10 @@ def test_criterion_7_consistency_epsilon_sweep():
 
 
 def _run(args):
+    src = str(Path(tmagic.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-m", "tmagic.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

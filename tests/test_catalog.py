@@ -11,8 +11,10 @@ from tmagic.catalog import (CATALOG_TERM_COUNTS, MagicDecomposition,
                             t12_decomposition, write_catalog_file,
                             _t6_states, _t12_merge_states)
 from tmagic.dense import dense_magic_state, dense_magic_state_exact
+from tmagic.pauli import PauliProjector
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO
 from tmagic.stabilizer import inner_product
+from tmagic.strong_sim import exact_expectation
 
 
 def assert_exact_reconstruction(dec: MagicDecomposition, t: int) -> None:
@@ -105,7 +107,7 @@ class TestComposition:
     def test_t12_t1_norm_identity(self):
         dec = tensor(t12_decomposition(), t1_decomposition())
         assert len(dec) == 94
-        assert dec.norm_sq_via_inner_products() == ONE
+        assert exact_expectation(dec, PauliProjector(dec.n, ())).exact_value == ONE
 
     def test_extend_with_zeros(self):
         dec = extend_with_zeros(t1_decomposition(), 2)
@@ -126,7 +128,8 @@ class TestComposition:
 
     def test_norm_identity_via_kernel_only(self):
         for k in (1, 2, 3, 6, 12):
-            assert catalog_entry(k).norm_sq_via_inner_products() == ONE
+            dec = catalog_entry(k)
+            assert exact_expectation(dec, PauliProjector(dec.n, ())).exact_value == ONE
 
 
 class TestBlockCover:

@@ -1,20 +1,33 @@
 """CLI behaviour: values, formats, and byte-level determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tmagic
 from tmagic.cli import main
+
+_ENV = dict(os.environ, PYTHONPATH=str(Path(tmagic.__file__).resolve().parent.parent))
 
 
 def run_cli(args, check=True):
     proc = subprocess.run([sys.executable, "-m", "tmagic.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_ENV)
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed: {args}\n{proc.stderr}")
     return proc
+
+
+def assert_rejected(args, message):
+    """The CLI exits non-zero with ``message`` as its only stderr line."""
+    proc = run_cli(args, check=False)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [message]
 
 
 class TestExpect:
@@ -57,10 +70,7 @@ class TestExpectRejectsBadInput:
 
     @staticmethod
     def _rejected(args, message):
-        proc = run_cli(["expect", *args], check=False)
-        assert proc.returncode != 0
-        assert proc.stdout == ""
-        assert proc.stderr.strip().splitlines() == [message]
+        assert_rejected(["expect", *args], message)
 
     @pytest.mark.parametrize("mode", ["gauss", "exact", "sampled"])
     def test_non_hermitian_pauli(self, mode):
@@ -76,6 +86,36 @@ class TestExpectRejectsBadInput:
         self._rejected(["--t", "0", "--projector", "+Z", "--mode", "exact"],
                        "--t must be a T-count of at least 1, got 0")
 
+    def test_unparsable_pauli_letter(self):
+        self._rejected(["--t", "2", "--pauli", "XQ"],
+                       "invalid --pauli 'XQ': invalid Pauli letter 'Q' at position 1")
+
+    def test_unparsable_projector_letter(self):
+        self._rejected(["--t", "1", "--projector", "+Q", "--mode", "exact"],
+                       "invalid --projector 'Q': invalid Pauli letter 'Q' at position 0")
+
+    def test_non_hermitian_projector_factor(self):
+        self._rejected(["--t", "1", "--projector", "i:Z", "--mode", "exact"],
+                       "invalid --projector 'i:Z': projector factors must be "
+                       "Hermitian (phase +-1)")
+
+    def test_non_commuting_projector_factors(self):
+        self._rejected(["--t", "2", "--projector", "+XZ,+ZZ", "--mode", "exact"],
+                       "invalid --projector '+XZ,+ZZ': projector factors 0 and 1 "
+                       "do not commute")
+
+    def test_sampled_zero_epsilon(self):
+        self._rejected(["--t", "2", "--pauli", "XY", "--mode", "sampled",
+                        "--epsilon", "0"], "--epsilon must be positive, got 0.0")
+
+    def test_sampled_zero_samples(self):
+        self._rejected(["--t", "2", "--pauli", "XY", "--mode", "sampled",
+                        "--samples", "0"], "--samples must be at least 1, got 0")
+
+    def test_sampled_failure_probability_outside_unit_interval(self):
+        self._rejected(["--t", "2", "--projector", "+XY", "--mode", "sampled",
+                        "--pf", "1"], "--pf must lie in (0, 1), got 1.0")
+
 
 class TestCensus:
     def test_exhaustive_k3(self, capsys):
@@ -88,8 +128,18 @@ class TestCensus:
         with pytest.raises(SystemExit):
             main(["census", "--k", "12", "--mode", "exhaustive"])
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_rejects_sampled_count_below_one(self, samples):
+        assert_rejected(["census", "--k", "12", "--mode", "sampled",
+                         "--samples", samples],
+                        f"--samples must be at least 1, got {samples}")
+
 
 class TestBench:
+    def test_rejects_sampled_count_below_one(self):
+        assert_rejected(["bench", "--mode", "sampled", "--t", "2",
+                         "--samples", "0"], "--samples must be at least 1, got 0")
+
     def test_six_block_exponent(self, capsys):
         main(["bench", "--mode", "gauss", "--t", "6 12 18", "--policy", "6",
               "--reps", "3"])

@@ -290,6 +290,11 @@ class TestCensus:
         with pytest.raises(ValueError):
             rank_census(12, "exhaustive")
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampled_count_below_one_rejected(self, samples):
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            rank_census(12, "sampled", samples=samples)
+
     def test_exhaustive_histograms(self):
         # the full histograms of every exhaustive census, not just the maxima
         assert rank_census(1, "exhaustive") == (2, {2: 4})

@@ -81,9 +81,11 @@ def test_inner_product_matches_exact_dense(n, seed, cuts_a, cuts_b):
 def test_invariant_checks_survive_optimized_mode():
     """The state and kernel invariants raise ValueError under python -O."""
     code = """
+from tmagic.catalog import t1_decomposition
 from tmagic.phase_ring import ONE
 from tmagic.pauli import PauliOperator
 from tmagic.stabilizer import StabilizerState, _Form, measure_pauli
+from tmagic.strong_sim import exact_pauli_expectation
 print("debug", __debug__)
 def check(label, fn):
     try:
@@ -99,6 +101,8 @@ check("odd-phase", lambda: _Form.of(StabilizerState.plus_state(2)).add_phase_xor
 s = StabilizerState(1, (1,), 0, (0,), (0,), 0, ONE)
 object.__setattr__(s, "dvec", (3,))  # corrupt a valid state after checks
 check("odd-ratio", lambda: measure_pauli(s, PauliOperator.from_str("X"), 1))
+check("non-hermitian-pauli", lambda: exact_pauli_expectation(
+    t1_decomposition(), PauliOperator.from_str("i:Z")))
 """
     src = str(Path(tmagic.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -109,10 +113,11 @@ check("odd-ratio", lambda: measure_pauli(s, PauliOperator.from_str("X"), 1))
     assert lines[0] == "debug False"
     got = dict(line.split(" ", 1) for line in lines[1:])
     assert set(got) == {"odd-dvec", "short-bmat", "bmat-diagonal",
-                        "odd-phase", "odd-ratio"}
+                        "odd-phase", "odd-ratio", "non-hermitian-pauli"}
     for label, result in got.items():
         assert result.startswith("ValueError"), (label, result)
     assert "dvec" in got["odd-dvec"]
     assert "bmat" in got["short-bmat"] and "bmat" in got["bmat-diagonal"]
     assert "even" in got["odd-phase"]
     assert "dvec" in got["odd-ratio"]
+    assert "not Hermitian" in got["non-hermitian-pauli"]

@@ -3,19 +3,34 @@
 import numpy as np
 import pytest
 
-from tmagic.catalog import (block_decomposition, t1_decomposition,
-                            t6_decomposition)
+from tmagic import strong_sim
+from tmagic.catalog import (block_decomposition, extend_with_zeros,
+                            t1_decomposition, t6_decomposition,
+                            t12_decomposition)
 from tmagic.dense import dense_magic_state, dense_projector_expect
 from tmagic.gauss import expect_block
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
-from tmagic.phase_ring import ONE
+from tmagic.phase_ring import ONE, ZERO
+from tmagic.stabilizer import apply_pauli_state, inner_product
 from tmagic.strong_sim import (SimulationTask, exact_expectation,
                                exact_pauli_expectation, run_task,
                                sample_count, sampled_expectation)
 
+import reference_kernel
+
 
 def _proj(s: str, sign: int = 1) -> PauliProjector:
     return PauliProjector.single(PauliOperator.from_str(s), sign)
+
+
+def _random_projector(n: int, nf: int, rng) -> PauliProjector:
+    while True:
+        ops = [random_pauli(n, rng) for _ in range(nf)]
+        signs = [1 if rng.integers(0, 2) else -1 for _ in range(nf)]
+        try:
+            return PauliProjector(n, tuple(zip(ops, signs)))
+        except ValueError:
+            continue
 
 
 class TestExact:
@@ -37,15 +52,7 @@ class TestExact:
         dec = t6_decomposition()
         vec = dense_magic_state(6)
         for _ in range(25):
-            nf = int(rng.integers(1, 4))
-            while True:
-                ops = [random_pauli(6, rng) for _ in range(nf)]
-                signs = [1 if rng.integers(0, 2) else -1 for _ in range(nf)]
-                try:
-                    proj = PauliProjector(6, tuple(zip(ops, signs)))
-                    break
-                except ValueError:
-                    continue
+            proj = _random_projector(6, int(rng.integers(1, 4)), rng)
             got = exact_expectation(dec, proj)
             assert got.value == pytest.approx(dense_projector_expect(vec, proj), abs=1e-12)
 
@@ -59,12 +66,16 @@ class TestExact:
             assert plus.exact_value + minus.exact_value == ONE
 
     def test_imaginary_part_vanishes_for_all_single_paulis(self):
+        # the engine's total is real by construction; the full chi^2 sum,
+        # which sums both triangles independently, must be real as well
         from tmagic.gauss import _all_paulis
         for k in (1, 2):
             dec = block_decomposition(k)
             for p in _all_paulis(k):
-                res = exact_expectation(dec, _proj(str(p), 1))
-                assert res.exact_value.is_real()
+                proj = _proj(str(p), 1)
+                full = reference_kernel.exact_expectation(dec, proj)
+                assert full.is_real()
+                assert exact_expectation(dec, proj).exact_value == full
 
     def test_pauli_expectation_matches_gauss_engine(self):
         rng = np.random.default_rng(2)
@@ -75,10 +86,62 @@ class TestExact:
             b = expect_block(6, p).expectation
             assert a == pytest.approx(b, abs=1e-12)
 
+    def test_non_hermitian_pauli_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            exact_pauli_expectation(t1_decomposition(),
+                                    PauliOperator.from_str("i:X"))
+
+    def test_non_real_diagonal_rejected(self):
+        # past the entry check, the diagonal <phi_j|P|phi_j> of an
+        # anti-Hermitian P is imaginary and must not be summed
+        dec = t1_decomposition()
+        p = PauliOperator.from_str("i:Z")
+        kets = [apply_pauli_state(s, p) for _, s in dec.terms]
+        with pytest.raises(ValueError, match="non-real diagonal"):
+            strong_sim._hermitian_sum(dec, dec.terms, kets, 0.0)
+
     def test_non_commuting_projector_rejected(self):
         with pytest.raises(ValueError):
             PauliProjector(2, ((PauliOperator.from_str("XI"), 1),
                                (PauliOperator.from_str("ZI"), 1)))
+
+
+class TestHermitianGram:
+    """The chi(chi+1)/2 engine against the chi^2 reference loops."""
+
+    @pytest.mark.parametrize("t,n", [(1, 1), (2, 2), (3, 3), (6, 6), (12, 12),
+                                     (12, 14)])
+    def test_ring_equal_to_reference_loops(self, t, n):
+        rng = np.random.default_rng(1000 * t + n)
+        dec = extend_with_zeros(block_decomposition(t), n)
+        for _ in range(3 if t == 12 else 10):
+            p = random_pauli(n, rng)
+            assert (exact_pauli_expectation(dec, p).exact_value
+                    == reference_kernel.exact_pauli_expectation(dec, p))
+            proj = _random_projector(n, int(rng.integers(1, min(3, n) + 1)), rng)
+            res = exact_expectation(dec, proj)
+            assert res.exact_value == reference_kernel.exact_expectation(dec, proj)
+            kept = len(strong_sim._projected_terms(dec, proj))
+            assert res.inner_products_evaluated == kept * (kept + 1) // 2
+
+    @pytest.mark.parametrize("t,n", [(2, 2), (6, 6), (12, 14)])
+    def test_projector_annihilating_every_term(self, t, n):
+        zz = PauliOperator.from_str("ZZ" + "I" * (n - 2))
+        proj = PauliProjector(n, ((zz, 1), (zz, -1)))
+        dec = extend_with_zeros(block_decomposition(t), n)
+        res = exact_expectation(dec, proj)
+        assert res.exact_value == ZERO == reference_kernel.exact_expectation(dec, proj)
+        assert res.inner_products_evaluated == 0
+
+    def test_t12_gram_matrix_is_hermitian(self):
+        dec = t12_decomposition()
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            p = random_pauli(12, rng)
+            kets = [apply_pauli_state(s, p) for _, s in dec.terms]
+            for _, bra in dec.terms:
+                for ket in kets:
+                    assert inner_product(ket, bra) == inner_product(bra, ket).conj()
 
 
 class TestSampled:
@@ -139,7 +202,7 @@ class TestRunTask:
         task = SimulationTask(t=12, n=12, projector=_proj(str(p), 1), mode="exact")
         res = run_task(task)
         assert res.term_count == 47
-        assert res.inner_products_evaluated <= 47 ** 2
+        assert res.inner_products_evaluated == 47 * 48 // 2
 
     def test_forced_sample_count(self):
         p = random_pauli(2, np.random.default_rng(6))
@@ -173,6 +236,9 @@ class TestRunTask:
             SimulationTask(t=3, n=2, projector=proj)
         with pytest.raises(ValueError):
             SimulationTask(t=2, n=2, projector=proj, mode="sampled", epsilon=0)
+        with pytest.raises(ValueError):
+            SimulationTask(t=2, n=2, projector=proj, mode="sampled",
+                           samples_override=0)
         with pytest.raises(ValueError):
             SimulationTask(t=2, n=2, projector=proj, mode="fancy")
 
