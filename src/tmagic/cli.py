@@ -29,12 +29,29 @@ from .strong_sim import SimulationTask, exact_pauli_expectation, run_task
 _CHI = dict(CATALOG_TERM_COUNTS)
 
 
-def _parse_policy(text: str) -> tuple[int, ...]:
+def _parse_policy(text: str, ts: Sequence[int]) -> tuple[int, ...]:
+    """Catalog block sizes that cover every T-count in ts."""
     try:
         sizes = tuple(int(p) for p in text.replace(",", " ").split())
+        for t in ts:
+            block_cover(t, sizes)
     except ValueError as exc:
         raise SystemExit(f"invalid --policy {text!r}: {exc}")
     return sizes
+
+
+def _parse_t_counts(text: str) -> list[int]:
+    """bench --t: one or more T-counts of at least 1."""
+    try:
+        ts = [int(v) for v in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise SystemExit(f"invalid --t {text!r}: {exc}")
+    if not ts:
+        raise SystemExit("--t must list at least one T-count")
+    for t in ts:
+        if t < 1:
+            raise SystemExit(f"--t must be a T-count of at least 1, got {t}")
+    return ts
 
 
 def _parse_pauli(option: str, text: str) -> PauliOperator:
@@ -103,7 +120,7 @@ def cmd_expect(args) -> int:
         raise SystemExit(f"--t must be a T-count of at least 1, got {args.t}")
     if args.mode == "sampled":
         _check_sampling(args)
-    policy = _parse_policy(args.policy)
+    policy = _parse_policy(args.policy, [args.t])
     record: dict = {"command": "expect", "t": args.t, "mode": args.mode,
                     "seed": args.seed}
     start = time.perf_counter()
@@ -226,8 +243,8 @@ def _bench_gauss_once(t: int, policy: tuple[int, ...], seed: int) -> float:
 
 
 def cmd_bench(args) -> int:
-    policy = _parse_policy(args.policy)
-    ts = [int(v) for v in args.t.replace(",", " ").split()]
+    ts = _parse_t_counts(args.t)
+    policy = _parse_policy(args.policy, ts)
     if args.reps < 3:
         raise SystemExit("need at least 3 repetitions")
     if args.mode == "sampled":

@@ -150,3 +150,24 @@ def eighth_root(k: int) -> ExactAmplitude:
 def i_power(k: int) -> ExactAmplitude:
     """i**k exactly."""
     return eighth_root(2 * k)
+
+
+# zeta^p = (x + y*i) / sqrt2^e for p = 0..7, as (x, y, e)
+_ROOTS = ((1, 0, 0), (1, 1, 1), (0, 1, 0), (-1, 1, 1),
+          (-1, 0, 0), (-1, -1, 1), (0, -1, 0), (1, -1, 1))
+
+
+def sqrt2_root(k: int, p: int) -> ExactAmplitude:
+    """sqrt(2)**k * exp(i*pi*p/4) in canonical form, for k >= 0.
+
+    This is the value of every non-vanishing stabilizer exponential sum,
+    built directly from its two exponents instead of by ring products.
+    """
+    x, y, e = _ROOTS[p % 8]
+    k -= e
+    if k < 0:
+        return ExactAmplitude(x, 0, y, 0, 1)
+    h = 1 << (k >> 1)
+    if k & 1:
+        return ExactAmplitude(0, x * h, 0, y * h, 0)
+    return ExactAmplitude(x * h, 0, y * h, 0, 0)

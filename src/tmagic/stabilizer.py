@@ -18,6 +18,10 @@ per substitution or rank-one phase.  ``inner_product`` finds the common
 support with one GF(2) elimination and pulls both forms back to it by the
 congruence B' = L^T B~ L (``_Form.pull_back``), as in the InnerProduct /
 ExponentialSum construction of Bravyi et al., Quantum 3, 181 (2019).
+
+That Gauss sum is always 0 or sqrt2^k zeta^p, so ``exponential_sum`` carries
+it as the integer pair (k, p) on the working ``_Form`` and no ring value is
+built until ``inner_product`` multiplies in the two scales.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .gf2 import AffineSpace, parity, revbits, solve_columns
 from .pauli import PauliOperator
-from .phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, i_power
+from .phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, sqrt2_root
 
 
 @dataclass(frozen=True)
@@ -69,12 +73,19 @@ class StabilizerState:
                                ExactAmplitude(1, 0, 0, 0, n))
 
     def phase_exponent(self, u: int) -> int:
-        """phi(u) mod 8 for a bit-packed parameter vector u."""
+        """phi(u) mod 8 for a bit-packed parameter vector u.
+
+        Summing (B u)_a over the set bits a of u counts each coupled pair
+        twice, so 2 (B u)_a supplies the 4 B_ab u_a u_b terms.
+        """
         e = self.c
-        for a in range(self.m):
-            if (u >> a) & 1:
-                e += self.dvec[a]
-                e += 4 * ((self.bmat[a] >> (a + 1)) & (u >> (a + 1))).bit_count()
+        dvec, bmat = self.dvec, self.bmat
+        w = u
+        while w:
+            low = w & -w
+            a = low.bit_length() - 1
+            e += dvec[a] + 2 * (bmat[a] & u).bit_count()
+            w ^= low
         return e % 8
 
     def point(self, u: int) -> int:
@@ -196,90 +207,119 @@ class _Form:
         for every d_a = 2 mod 4 (the pair terms of d_a * xor(...)).  The
         linear data gains L^T t with t_a = sign d_a (-1)^base_a + 4 (B base)_a,
         plus 4 diag(L^T B_upper L) from the squares u_k u_k = u_k, and the
-        constant gains sign * phi_s(base).
+        constant gains sign * phi_s(base).  The GF(2) products are inlined
+        loops over set bits: this is the innermost loop of inner_product.
         """
         bmat, dvec = s.bmat, s.dvec
         rows = [0] * s.m  # rows of L: the w_k feeding u_a
         fed = 0           # the u_a fed by some w_k; the rest are constants
         for k, v in enumerate(lt):
             fed |= v
-            for a in _bits(v):
-                rows[a] |= 1 << k
+            bit = 1 << k
+            while v:
+                low = v & -v
+                rows[low.bit_length() - 1] |= bit
+                v ^= low
         odd = four = 0  # masks of a with bit 1 / bit 2 of t_a set
         diag = 0        # diag(L^T B_upper L) as a mask over w
         btl = [0] * s.m  # rows of B~ L
-        for a in _bits(fed):
-            t = sign * dvec[a] * (1 - 2 * ((base >> a) & 1))
-            t += 4 * (bmat[a] & base).bit_count()
-            odd |= ((t >> 1) & 1) << a
-            four |= ((t >> 2) & 1) << a
-            upper = bmat[a] & fed & -(2 << a)
-            ul = _xor_rows(rows, upper)
+        todo = fed
+        while todo:
+            abit = todo & -todo
+            todo ^= abit
+            a = abit.bit_length() - 1
+            row_a = bmat[a]
+            t = 4 * (row_a & base).bit_count()
+            t += -sign * dvec[a] if base & abit else sign * dvec[a]
+            row_a &= fed
+            upper = row_a & -(abit << 1)
+            ul = 0  # (B_upper L)_a
+            while upper:
+                low = upper & -upper
+                ul ^= rows[low.bit_length() - 1]
+                upper ^= low
+            full = ul  # (B L)_a
+            lower = row_a & (abit - 1)
+            while lower:
+                low = lower & -lower
+                full ^= rows[low.bit_length() - 1]
+                lower ^= low
             diag ^= rows[a] & ul
-            btl[a] = (ul ^ _xor_rows(rows, (bmat[a] & fed) ^ upper)
-                      ^ (rows[a] if (t >> 1) & 1 else 0))
+            if t & 2:
+                odd |= abit
+                full ^= rows[a]
+            if t & 4:
+                four |= abit
+            btl[a] = full
         self.c = (self.c + sign * s.phase_exponent(base)) % 8
         b, d = self.b, self.d
         for k, v in enumerate(lt):
-            b[k] ^= _xor_rows(btl, v) & ~(1 << k)
+            acc = 0  # (L^T B~ L)_k
+            w = v
+            while w:
+                low = w & -w
+                acc ^= btl[low.bit_length() - 1]
+                w ^= low
+            b[k] ^= acc & ~(1 << k)
             d[k] = (d[k] + 2 * (v & odd).bit_count()
                     + 4 * ((v & four).bit_count() + ((diag >> k) & 1))) % 8
-
-
-def _xor_rows(rows: list[int], mask: int) -> int:
-    """XOR of rows[i] over the set bits i of mask: mask times a GF(2) matrix."""
-    acc = 0
-    while mask:
-        low = mask & -mask
-        acc ^= rows[low.bit_length() - 1]
-        mask ^= low
-    return acc
 
 
 # ---------------------------------------------------------------------------
 # EXPONENTIALSUM
 # ---------------------------------------------------------------------------
 
-def exponential_sum(s: StabilizerState) -> ExactAmplitude:
-    """scale * sum_u zeta^{phi(u)} via O(m^2) word-parallel elimination.
+def exponential_sum(f: _Form) -> Optional[tuple[int, int]]:
+    """sum_u zeta^{phi(u)} of the form f as (k, p), meaning sqrt2^k zeta^p.
 
-    Each step takes the lowest live variable a.  Uncoupled, it sums to
-    1 + i^{d_a/2}.  Coupled, a substitution leaves a coupled to one
-    partner v only; if d_a = 0 mod 4 summing u_a pins u_v and both go,
-    otherwise u_a sums to (1 + i^{d_a/2}) times a phase on u_v.
-    Result is always 0 or 2^{j/2} times an eighth root of unity, times scale.
+    The sum is always of that shape or 0, which is returned as None.
+    Eliminates in place, so f is consumed.  Each step takes the lowest live
+    variable a.  Uncoupled, it sums to 1 + i^{d_a/2}.  Coupled, a
+    substitution leaves a coupled to one partner v only; if d_a = 0 mod 4
+    summing u_a pins u_v and both go, otherwise u_a sums to (1 + i^{d_a/2})
+    times a phase on u_v.  The factors are 2 = sqrt2^2, 1 + i = sqrt2 zeta
+    and 1 - i = sqrt2 zeta^7, and i^x = zeta^{2x}, so only the two exponents
+    are carried.
     """
-    acc = s.scale * eighth_root(s.c)
-    f = _Form.of(s)
     d, b = f.d, f.b
-    live = (1 << s.m) - 1
+    k, p = 0, f.c
+    live = (1 << len(d)) - 1
     while live:
         a = (live & -live).bit_length() - 1
         nmask = b[a] & live
         if nmask == 0:
             if d[a] == 4:
-                return ZERO
-            acc = acc * _one_plus_ipow(d[a] // 2)
+                return None
+            if d[a] == 0:
+                k += 2
+            else:
+                k += 1
+                p += 1 if d[a] == 2 else 7
             live ^= 1 << a
             continue
         v = (nmask & -nmask).bit_length() - 1
         f.substitute(v, nmask ^ (1 << v))
         if d[a] % 4 == 0:
-            acc = acc.scale_int(2)
+            k += 2
             if d[a] == 4:  # u_v pinned to 1
-                acc = acc * i_power(d[v] // 2)
+                p += d[v]
                 f.add_phase_xor(4, b[v] & live & ~((1 << a) | (1 << v)))
             live ^= (1 << a) | (1 << v)
         else:
-            acc = acc * _one_plus_ipow(d[a] // 2)
+            k += 1
+            p += 1 if d[a] == 2 else 7
             d[v] = (d[v] - d[a]) % 8
             live ^= 1 << a
-    return acc
+    return k, p % 8
+
+
+# 1 + i^k for k = 0..3
+_ONE_PLUS_IPOW = (ExactAmplitude(2), ExactAmplitude(1, 0, 1, 0, 0), ZERO,
+                  ExactAmplitude(1, 0, -1, 0, 0))
 
 
 def _one_plus_ipow(k: int) -> ExactAmplitude:
-    return {0: ExactAmplitude(2), 1: ExactAmplitude(1, 0, 1, 0, 0),
-            2: ZERO, 3: ExactAmplitude(1, 0, -1, 0, 0)}[k % 4]
+    return _ONE_PLUS_IPOW[k % 4]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +390,10 @@ def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
     f = _Form(r, [1 << k for k in range(r)], 0, [0] * r, [0] * r, 0)
     f.pull_back(sb, part >> ma, [w >> ma for w in null], 1)
     f.pull_back(sa, part & low, [w & low for w in null], -1)
-    return sa.scale.conj() * sb.scale * exponential_sum(f.freeze(ONE))
+    ks = exponential_sum(f)
+    if ks is None:
+        return ZERO
+    return sa.scale.conj() * sb.scale * sqrt2_root(*ks)
 
 
 def apply_pauli_state(s: StabilizerState, p: PauliOperator) -> StabilizerState:

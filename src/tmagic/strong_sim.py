@@ -108,10 +108,13 @@ def _hermitian_sum(dec: MagicDecomposition,
         g = inner_product(bra, kets[j])
         if not g.is_real():
             raise ValueError(f"non-real diagonal Gram entry {j}: {g}")
-        diag = diag + cj.norm_sq() * g
+        if not g.is_zero():
+            diag = diag + cj.norm_sq() * g
         row = ZERO
         for (cl, _), ket in zip(terms[j + 1:], kets[j + 1:]):
-            row = row + cl * inner_product(bra, ket)
+            g = inner_product(bra, ket)
+            if not g.is_zero():  # most pairs of a Pauli op are
+                row = row + cl * g
         upper = upper + cj.conj() * row
     total = diag + upper + upper.conj()
     return SimulationResult(value=total.real_float(),

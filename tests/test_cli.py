@@ -116,6 +116,20 @@ class TestExpectRejectsBadInput:
         self._rejected(["--t", "2", "--projector", "+XY", "--mode", "sampled",
                         "--pf", "1"], "--pf must lie in (0, 1), got 1.0")
 
+    @pytest.mark.parametrize("mode", ["gauss", "exact", "sampled"])
+    def test_policy_size_outside_catalog(self, mode):
+        self._rejected(["--t", "2", "--pauli", "XY", "--policy", "5", "--mode", mode],
+                       "invalid --policy '5': policy block size 5 not in catalog")
+
+    def test_policy_size_zero(self):
+        self._rejected(["--t", "2", "--pauli", "XY", "--policy", "0"],
+                       "invalid --policy '0': policy block size 0 not in catalog")
+
+    @pytest.mark.parametrize("policy, sizes", [("", "[]"), ("12 6", "[12, 6]")])
+    def test_policy_cannot_cover_t(self, policy, sizes):
+        self._rejected(["--t", "2", "--pauli", "XY", "--policy", policy],
+                       f"invalid --policy {policy!r}: policy {sizes} cannot cover t=2")
+
 
 class TestCensus:
     def test_exhaustive_k3(self, capsys):
@@ -139,6 +153,27 @@ class TestBench:
     def test_rejects_sampled_count_below_one(self):
         assert_rejected(["bench", "--mode", "sampled", "--t", "2",
                          "--samples", "0"], "--samples must be at least 1, got 0")
+
+    def test_rejects_policy_outside_catalog(self):
+        assert_rejected(["bench", "--mode", "exact", "--t", "2", "--policy", "5"],
+                        "invalid --policy '5': policy block size 5 not in catalog")
+
+    @pytest.mark.parametrize("mode", ["exact", "gauss"])
+    def test_rejects_zero_t_count(self, mode):
+        assert_rejected(["bench", "--mode", mode, "--t", "0"],
+                        "--t must be a T-count of at least 1, got 0")
+
+    def test_rejects_negative_t_count(self):
+        assert_rejected(["bench", "--mode", "exact", "--t", "6 -1"],
+                        "--t must be a T-count of at least 1, got -1")
+
+    def test_rejects_unparsable_t(self):
+        assert_rejected(["bench", "--mode", "exact", "--t", "6 x"],
+                        "invalid --t '6 x': invalid literal for int() with base 10: 'x'")
+
+    def test_rejects_empty_t(self):
+        assert_rejected(["bench", "--mode", "exact", "--t", ""],
+                        "--t must list at least one T-count")
 
     def test_six_block_exponent(self, capsys):
         main(["bench", "--mode", "gauss", "--t", "6 12 18", "--policy", "6",

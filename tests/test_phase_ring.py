@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmagic.phase_ring import (ExactAmplitude, ONE, ZERO, canonical,
-                               eighth_root, i_power)
+                               eighth_root, i_power, sqrt2_root)
 
 ints = st.integers(min_value=-(2 ** 30), max_value=2 ** 30)
 amps = st.builds(ExactAmplitude, ints, ints, ints, ints,
@@ -122,6 +122,14 @@ def test_i_power():
     assert i_power(1) == ExactAmplitude(0, 0, 1, 0)
     assert i_power(-1) == ExactAmplitude(0, 0, -1, 0)
     assert i_power(6) == ExactAmplitude(-1)
+
+
+def test_sqrt2_root_equals_ring_product():
+    # the exponential-sum value sqrt2^k zeta^p, canonical like a product
+    for k in range(25):
+        for p in range(8):
+            assert sqrt2_root(k, p) == ExactAmplitude.sqrt2_pow(k) * eighth_root(p)
+    assert sqrt2_root(3, -1) == sqrt2_root(3, 7)
 
 
 def test_text_rendering_roundtrippable():

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tmagic.dense import apply_projector, dense_magic_state
 from tmagic.gf2 import from_str, parity, revbits
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
-from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, eighth_root
-from tmagic.stabilizer import (StabilizerState, apply_pauli_state,
+from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, sqrt2_root
+from tmagic.stabilizer import (StabilizerState, _Form, apply_pauli_state,
                                exponential_sum, extend, inner_product,
                                measure_pauli, random_stabilizer_state, shrink,
                                stabilizer_state_count, _dimension_weights)
+
+import reference_kernel
 
 
 def brute_exponential_sum(s: StabilizerState) -> ExactAmplitude:
@@ -18,6 +21,26 @@ def brute_exponential_sum(s: StabilizerState) -> ExactAmplitude:
     for u in range(1 << s.m):
         total = total + eighth_root(s.phase_exponent(u))
     return s.scale * total
+
+
+def exp_sum_value(s: StabilizerState) -> ExactAmplitude:
+    """scale * exponential_sum of the form of s, as a ring value."""
+    ks = exponential_sum(_Form.of(s))
+    return ZERO if ks is None else s.scale * sqrt2_root(*ks)
+
+
+def form_state(m: int, d, upper: int, c: int) -> StabilizerState:
+    """The form on m variables with cross bits ``upper`` over the pairs a < b."""
+    b = [0] * m
+    bit = 0
+    for a in range(m):
+        for b2 in range(a + 1, m):
+            if (upper >> bit) & 1:
+                b[a] |= 1 << b2
+                b[b2] |= 1 << a
+            bit += 1
+    return StabilizerState(max(m, 1), tuple(1 << i for i in range(m)), 0,
+                           tuple(b), tuple(d), c, ONE)
 
 
 def random_form_state(rng, m: int) -> StabilizerState:
@@ -32,31 +55,42 @@ def random_form_state(rng, m: int) -> StabilizerState:
                            tuple(b), d, int(rng.integers(0, 8)), ONE)
 
 
+@st.composite
+def form_states(draw):
+    m = draw(st.integers(0, 10))
+    d = draw(st.lists(st.sampled_from((0, 2, 4, 6)), min_size=m, max_size=m))
+    upper = draw(st.integers(0, (1 << (m * (m - 1) // 2)) - 1))
+    return form_state(m, d, upper, draw(st.integers(0, 7)))
+
+
 class TestExponentialSum:
     def test_single_point(self):
         s = StabilizerState.computational(1, 0)
-        assert exponential_sum(s) == ONE
+        assert exponential_sum(_Form.of(s)) == (0, 0)
+        assert exp_sum_value(s) == ONE
 
     def test_cancelling_pair(self):
         s = StabilizerState(1, (1,), 0, (0,), (4,), 0, ONE)
-        assert exponential_sum(s).is_zero()
+        assert exponential_sum(_Form.of(s)) is None
+        assert exp_sum_value(s).is_zero()
 
     def test_cross_term(self):
         # sum_{x,y} (-1)^{xy} = 2
         s = StabilizerState(2, (1, 2), 0, (0b10, 0b01), (0, 0), 0, ONE)
-        assert exponential_sum(s) == ExactAmplitude(2)
+        assert exponential_sum(_Form.of(s)) == (2, 0)
+        assert exp_sum_value(s) == ExactAmplitude(2)
 
     def test_brute_force_random(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
             s = random_form_state(rng, int(rng.integers(0, 7)))
-            assert exponential_sum(s) == brute_exponential_sum(s)
+            assert exp_sum_value(s) == brute_exponential_sum(s)
 
     def test_value_is_power_of_sqrt2_times_eighth_root(self):
         rng = np.random.default_rng(1)
         for _ in range(300):
             s = random_form_state(rng, int(rng.integers(0, 7)))
-            v = exponential_sum(s)
+            v = exp_sum_value(s)
             if v.is_zero():
                 continue
             mag2 = v.norm_sq()
@@ -65,6 +99,21 @@ class TestExponentialSum:
             ph = v.to_float()
             ang = np.angle(ph) / (np.pi / 4)
             assert abs(ang - round(ang)) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(form_states())
+    @example(StabilizerState(1, (1,), 0, (0,), (4,), 3, ONE))  # zero sum
+    @example(StabilizerState(1, (1,), 0, (0,), (6,), 5, ONE))  # k = 1
+    @example(form_state(3, (2, 0, 4), 0b111, 1))  # k = 3, coupled
+    @example(StabilizerState.computational(1, 0))  # m = 0
+    def test_matches_reference(self, s):
+        ks = exponential_sum(_Form.of(s))
+        want = reference_kernel.exponential_sum(s)
+        assert (ks is None) == want.is_zero()
+        if ks is not None:
+            k, p = ks
+            assert k >= 0 and 0 <= p < 8
+        assert exp_sum_value(s) == want
 
 
 class TestShrink:
