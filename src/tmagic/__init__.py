@@ -7,28 +7,13 @@ Two evaluation pathways share one exact arithmetic core:
   exactly or with two-design sampling;
 * Gauss-sum fast path: closed-form evaluators for single-Pauli
   expectations with per-evaluation unique-sum accounting.
+
+The package re-exports nothing: import from the submodules
+(``tmagic.strong_sim``, ``tmagic.gauss``, ``tmagic.stabilizer``, ...).
+Each command loads only what it runs: ``expect --mode exact|gauss`` and
+``catalog`` never import numpy, while the sampled estimator, ``census``,
+``bench`` and ``verify`` import it inside the functions that build arrays
+or random generators.
 """
 
-from .phase_ring import ExactAmplitude, eighth_root, i_power
-from .gf2 import AffineSpace
-from .pauli import PauliOperator, PauliProjector, commute, random_pauli
-from .stabilizer import (StabilizerState, apply_pauli_state, exponential_sum,
-                         extend, inner_product, measure_pauli,
-                         random_stabilizer_state, shrink,
-                         stabilizer_state_count)
-from .catalog import (MagicDecomposition, block_cover, block_decomposition,
-                      catalog_entry, extend_with_zeros, read_catalog_file,
-                      t1_decomposition, t2_decomposition, t3_decomposition,
-                      t6_decomposition, t12_decomposition, tensor,
-                      write_catalog_file)
-from .dense import (dense_magic_state, dense_magic_state_exact,
-                    dense_pauli_expect, dense_projector_expect)
-from .gauss import (GaussSumReport, GaussSumTerm, WORST_CASE_UNIQUE,
-                    expect_block, expect_single_pauli, gauss_sum_eval,
-                    rank_census)
-from .strong_sim import (SimulationResult, SimulationTask, exact_expectation,
-                         exact_pauli_expectation, run_task, sample_count,
-                         sampled_expectation)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

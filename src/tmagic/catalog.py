@@ -257,11 +257,10 @@ def block_decomposition(t: int, policy: Sequence[int] = DEFAULT_POLICY
     """Tensor of catalog entries over the greedy block cover of t."""
     if t < 1:
         raise ValueError("T-count must be at least 1")
-    dec = None
-    for k in block_cover(t, policy):
-        entry = catalog_entry(k)
-        dec = entry if dec is None else tensor(dec, entry)
-    assert dec is not None
+    first, *rest = block_cover(t, policy)
+    dec = catalog_entry(first)
+    for k in rest:
+        dec = tensor(dec, catalog_entry(k))
     return dec
 
 

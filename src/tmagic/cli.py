@@ -12,12 +12,8 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
-import numpy as np
-
-from . import _gauss_kernels as gk
 from .catalog import (CATALOG_TERM_COUNTS, block_cover, block_decomposition,
                       catalog_entry, read_catalog_file, write_catalog_file)
 from .gauss import (SUPPORTED_BLOCKS, WORST_CASE_UNIQUE, census_letters,
@@ -29,6 +25,13 @@ from .strong_sim import SimulationTask, exact_pauli_expectation, run_task
 _CHI = dict(CATALOG_TERM_COUNTS)
 
 
+def _reject(message: str) -> NoReturn:
+    """Refuse bad input: ``message`` as the only stderr line, exit status 2
+    (the status argparse uses for its own usage errors)."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _parse_policy(text: str, ts: Sequence[int]) -> tuple[int, ...]:
     """Catalog block sizes that cover every T-count in ts."""
     try:
@@ -36,7 +39,7 @@ def _parse_policy(text: str, ts: Sequence[int]) -> tuple[int, ...]:
         for t in ts:
             block_cover(t, sizes)
     except ValueError as exc:
-        raise SystemExit(f"invalid --policy {text!r}: {exc}")
+        _reject(f"invalid --policy {text!r}: {exc}")
     return sizes
 
 
@@ -45,12 +48,12 @@ def _parse_t_counts(text: str) -> list[int]:
     try:
         ts = [int(v) for v in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise SystemExit(f"invalid --t {text!r}: {exc}")
+        _reject(f"invalid --t {text!r}: {exc}")
     if not ts:
-        raise SystemExit("--t must list at least one T-count")
+        _reject("--t must list at least one T-count")
     for t in ts:
         if t < 1:
-            raise SystemExit(f"--t must be a T-count of at least 1, got {t}")
+            _reject(f"--t must be a T-count of at least 1, got {t}")
     return ts
 
 
@@ -58,7 +61,7 @@ def _parse_pauli(option: str, text: str) -> PauliOperator:
     try:
         return PauliOperator.from_str(text)
     except ValueError as exc:
-        raise SystemExit(f"invalid {option} {text!r}: {exc}")
+        _reject(f"invalid {option} {text!r}: {exc}")
 
 
 def _parse_projector(text: str, t: int) -> PauliProjector:
@@ -76,21 +79,21 @@ def _parse_projector(text: str, t: int) -> PauliProjector:
     n = max(t, factors[0][1].n)
     for part, p, _ in factors:
         if p.n != n:
-            raise SystemExit(f"projector factor {part!r} acts on {p.n} qubits, expected {n}")
+            _reject(f"projector factor {part!r} acts on {p.n} qubits, expected {n}")
     try:
         return PauliProjector(n, tuple((p, sign) for _, p, sign in factors))
     except ValueError as exc:
-        raise SystemExit(f"invalid --projector {text!r}: {exc}")
+        _reject(f"invalid --projector {text!r}: {exc}")
 
 
 def _check_sampling(args) -> None:
     """The sampled estimator's --epsilon, --pf and --samples."""
     if not args.epsilon > 0:
-        raise SystemExit(f"--epsilon must be positive, got {args.epsilon}")
+        _reject(f"--epsilon must be positive, got {args.epsilon}")
     if not 0 < args.pf < 1:
-        raise SystemExit(f"--pf must lie in (0, 1), got {args.pf}")
+        _reject(f"--pf must lie in (0, 1), got {args.pf}")
     if args.samples is not None and args.samples < 1:
-        raise SystemExit(f"--samples must be at least 1, got {args.samples}")
+        _reject(f"--samples must be at least 1, got {args.samples}")
 
 
 def _emit(record: dict, out: Optional[str]) -> None:
@@ -117,7 +120,7 @@ def _write_csv(path: Optional[str], header: list[str], rows: list[list]) -> str:
 
 def cmd_expect(args) -> int:
     if args.t < 1:
-        raise SystemExit(f"--t must be a T-count of at least 1, got {args.t}")
+        _reject(f"--t must be a T-count of at least 1, got {args.t}")
     if args.mode == "sampled":
         _check_sampling(args)
     policy = _parse_policy(args.policy, [args.t])
@@ -127,7 +130,7 @@ def cmd_expect(args) -> int:
     if args.projector:
         proj = _parse_projector(args.projector, args.t)
         if args.mode == "gauss":
-            raise SystemExit("gauss mode evaluates single Paulis; use --pauli")
+            _reject("gauss mode evaluates single Paulis; use --pauli")
         task = SimulationTask(t=args.t, n=proj.n, projector=proj, mode=args.mode,
                               epsilon=args.epsilon, p_f=args.pf, seed=args.seed,
                               policy=policy, samples_override=args.samples)
@@ -137,13 +140,13 @@ def cmd_expect(args) -> int:
                       samples_used=res.samples_used, terms=res.term_count)
     else:
         if not args.pauli:
-            raise SystemExit("need --pauli or --projector")
+            _reject("need --pauli or --projector")
         p = _parse_pauli("--pauli", args.pauli)
         if p.omega_exp % 2:
-            raise SystemExit(f"--pauli {args.pauli!r} is not Hermitian: "
-                             "its phase must be +1 or -1")
+            _reject(f"--pauli {args.pauli!r} is not Hermitian: "
+                    "its phase must be +1 or -1")
         if p.n < args.t:
-            raise SystemExit(f"Pauli acts on {p.n} qubits but t={args.t}")
+            _reject(f"Pauli acts on {p.n} qubits but t={args.t}")
         magic = PauliOperator(args.t, p.beta & ((1 << args.t) - 1),
                               p.gamma & ((1 << args.t) - 1),
                               p.delta & ((1 << args.t) - 1), p.omega_exp)
@@ -191,11 +194,11 @@ def _census_chunk(task: tuple) -> list[int]:
 def cmd_census(args) -> int:
     k = args.k
     if k not in SUPPORTED_BLOCKS:
-        raise SystemExit(f"census supports block sizes {SUPPORTED_BLOCKS}")
+        _reject(f"census supports block sizes {SUPPORTED_BLOCKS}")
     if args.mode == "exhaustive" and k > 6:
-        raise SystemExit("exhaustive census is limited to k <= 6; use --mode sampled")
+        _reject("exhaustive census is limited to k <= 6; use --mode sampled")
     if args.mode == "sampled" and args.samples < 1:
-        raise SystemExit(f"--samples must be at least 1, got {args.samples}")
+        _reject(f"--samples must be at least 1, got {args.samples}")
     total = 4 ** k if args.mode == "exhaustive" else args.samples
     workers = max(1, args.workers)
     bounds = [(total * w // workers, total * (w + 1) // workers)
@@ -206,6 +209,7 @@ def cmd_census(args) -> int:
     if workers == 1:
         chunks = [_census_chunk(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_census_chunk, tasks))
     counts: list[int] = [c for chunk in chunks for c in chunk]
@@ -229,6 +233,7 @@ def cmd_census(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _fit_exponent(ts: Sequence[int], work: Sequence[int]) -> float:
+    import numpy as np
     xs = np.asarray(ts, dtype=float)
     ys = np.log2(np.asarray(work, dtype=float))
     slope = np.polyfit(xs, ys, 1)[0]
@@ -236,6 +241,7 @@ def _fit_exponent(ts: Sequence[int], work: Sequence[int]) -> float:
 
 
 def _bench_gauss_once(t: int, policy: tuple[int, ...], seed: int) -> float:
+    from . import _gauss_kernels as gk
     letters = gk.sample_letters(t, 1, seed)[0]
     start = time.perf_counter()
     expect_single_pauli(t, letters_to_pauli(letters), policy)
@@ -243,10 +249,11 @@ def _bench_gauss_once(t: int, policy: tuple[int, ...], seed: int) -> float:
 
 
 def cmd_bench(args) -> int:
+    import numpy as np
     ts = _parse_t_counts(args.t)
     policy = _parse_policy(args.policy, ts)
     if args.reps < 3:
-        raise SystemExit("need at least 3 repetitions")
+        _reject("need at least 3 repetitions")
     if args.mode == "sampled":
         _check_sampling(args)
     rows = []
@@ -427,7 +434,7 @@ def cmd_verify(args) -> int:
     if scope in ("all", "kernel"):
         _verify_kernel(report, args.trials, args.seed)
     if not results:
-        raise SystemExit(f"unknown verify scope {args.scope!r}")
+        _reject(f"unknown verify scope {args.scope!r}")
     ok = all(r["ok"] for r in results)
     print(json.dumps({"command": "verify", "scope": scope, "ok": ok,
                       "cases": results}, sort_keys=True))

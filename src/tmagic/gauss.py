@@ -19,13 +19,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-import numpy as np
-
-from . import _gauss_kernels as gk
 from .pauli import PauliOperator
 from .phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, i_power
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SUPPORTED_BLOCKS = (1, 2, 3, 6, 12)
 
@@ -61,42 +61,14 @@ class GaussSumReport:
             total = total + t.value.scale_int(t.multiplicity)
         exact = total * ExactAmplitude(1, 0, 0, 0, 2 * k)  # 1 / 2^k
         if not exact.is_real():
-            raise AssertionError(f"non-real Gauss-sum expectation: {exact}")
+            raise ValueError(f"non-real Gauss-sum expectation {exact} at "
+                             f"k={k}: the terms must sum to a real value")
         nonzero = sum(1 for t in terms if not t.value.is_zero())
         return GaussSumReport(exact.real_float(), nonzero, tuple(terms), exact)
 
 
 def _mod2_range(lo: int, hi: int) -> tuple[int, ...]:
     return (lo & 1,) if (lo & 1) == (hi & 1) else (0, 1)
-
-
-# ---------------------------------------------------------------------------
-# direct Gauss-sum evaluation (cross-check primitive)
-# ---------------------------------------------------------------------------
-
-def gauss_sum_eval(a_matrix: Sequence[Sequence[int]], v: Sequence[int],
-                   c: int, m: int = 1) -> ExactAmplitude:
-    """G_m(A, v, c) = sum_x exp[(pi i / 2^m)(x A x^T + 2 v x^T + c)].
-
-    Direct summation over 2^dim points; exact only for m <= 2 (eighth
-    roots), dim capped at 24.
-    """
-    dim = len(v)
-    if dim > 24:
-        raise ValueError("direct Gauss-sum summation capped at dimension 24")
-    if m not in (0, 1, 2):
-        raise ValueError("exact arithmetic supports m in {0, 1, 2}")
-    step = 2 ** (2 - m)  # exponent unit in zeta = e^{i pi/4} steps
-    total = ZERO
-    for bits in range(1 << dim):
-        x = [(bits >> i) & 1 for i in range(dim)]
-        q = c
-        for i in range(dim):
-            q += 2 * v[i] * x[i]
-            for j in range(dim):
-                q += a_matrix[i][j] * x[i] * x[j]
-        total = total + eighth_root(step * q)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +203,9 @@ def _group_blocks(blocks: list[_Block3]) -> list[list[_Block3]]:
         if blocks[0].reducible and blocks[1].reducible:
             return [[blocks[0], blocks[1]]]
         return [[blocks[0]], [blocks[1]]]
-    assert r == 4
+    if r != 4:
+        raise ValueError(f"block chains group 1, 2 or 4 three-qubit blocks, "
+                         f"got {r}")
     halves = [_group_blocks(blocks[:2]), _group_blocks(blocks[2:])]
     if all(len(h) == 1 and len(h[0]) == 2 for h in halves):
         return [[*halves[0][0], *halves[1][0]]]
@@ -378,6 +352,7 @@ def expect_single_pauli(t: int, p: PauliOperator,
 
 def census_letters(k: int, mode: str, samples: int, seed: int) -> np.ndarray:
     """Letter rows of a census: all 4^k Paulis, or ``samples`` seeded draws."""
+    from . import _gauss_kernels as gk
     if mode == "exhaustive":
         return gk.exhaustive_letters(k)
     return gk.sample_letters(k, samples, seed)
@@ -420,8 +395,3 @@ def letters_to_pauli(letters: Sequence[int]) -> PauliOperator:
         elif v == 3:
             delta |= 1 << q
     return PauliOperator(len(letters), beta, gamma, delta, 0)
-
-
-def _all_paulis(k: int) -> Iterable[PauliOperator]:
-    for letters in itertools.product(range(4), repeat=k):
-        yield letters_to_pauli(letters)

@@ -8,10 +8,12 @@ the beta/gamma/delta masks (beta: Z sites, gamma: X sites, delta: Y sites).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gf2 import parity
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _PHASE_TOKENS = {"+1": 0, "1": 0, "+i": 1, "i": 1, "-1": 2, "-i": 3}
 _PHASE_STRS = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
@@ -62,9 +64,6 @@ class PauliOperator:
     def z_mask(self) -> int:
         """Qubits contributing (-1)^x eigenphases (Z and Y sites)."""
         return self.beta | self.delta
-
-    def is_identity(self) -> bool:
-        return self.beta == 0 and self.gamma == 0 and self.delta == 0
 
     # -- text format ------------------------------------------------------
 

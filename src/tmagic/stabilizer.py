@@ -27,13 +27,15 @@ built until ``inner_product`` multiplies in the two scales.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING, Optional
 
 from .gf2 import AffineSpace, parity, revbits, solve_columns
 from .pauli import PauliOperator
 from .phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, sqrt2_root
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,7 @@ class StabilizerState:
         return vec
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
         return np.array([a.to_float() for a in self.to_dense_exact()],
                         dtype=np.complex128)
 
@@ -465,7 +468,8 @@ def measure_pauli(s: StabilizerState, p: PauliOperator, sign: int
             return s, s.norm_sq()
         if rho0 == 4:
             return None, ZERO
-        raise AssertionError("non-Hermitian phase ratio for a Pauli projection")
+        raise ValueError(f"phase ratio zeta^{rho0} of P|s> to |s> is not +-1: "
+                         f"Pauli {p} must be Hermitian (phase +1 or -1)")
     if rho0 in (0, 4):
         out = _shrink_param(s, mu, rho0 // 4)
         return out, s.norm_sq() * half
@@ -489,18 +493,13 @@ def _gaussian_binomial(n: int, m: int) -> int:
     return num // den
 
 
-def stabilizer_state_count(n: int) -> int:
-    """|S(n)| = 2^n prod_{j=1}^n (2^j + 1)."""
-    total = 1 << n
-    for j in range(1, n + 1):
-        total *= (1 << j) + 1
-    return total
-
-
-def _dimension_weights(n: int) -> list[int]:
-    """Number of stabilizer states with affine support dimension m."""
-    return [_gaussian_binomial(n, m) * (1 << (n - m)) * (1 << (m * (m + 3) // 2))
-            for m in range(n + 1)]
+@cache
+def _dimension_weights(n: int) -> tuple[tuple[int, ...], int]:
+    """Number of stabilizer states with affine support dimension m, for
+    m = 0..n, and their sum |S(n)|."""
+    weights = tuple(_gaussian_binomial(n, m) * (1 << (n - m))
+                    * (1 << (m * (m + 3) // 2)) for m in range(n + 1))
+    return weights, sum(weights)
 
 
 def _randbelow(rng: np.random.Generator, bound: int) -> int:
@@ -519,8 +518,7 @@ def random_stabilizer_state(n: int, rng: np.random.Generator) -> StabilizerState
     """Uniformly random n-qubit stabilizer state (up to global phase)."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    weights = _dimension_weights(n)
-    total = sum(weights)
+    weights, total = _dimension_weights(n)
     r = _randbelow(rng, total)
     m = 0
     while r >= weights[m]:

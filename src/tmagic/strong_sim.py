@@ -25,8 +25,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .catalog import MagicDecomposition, block_decomposition, extend_with_zeros
 from .pauli import PauliOperator, PauliProjector
 from .phase_ring import ExactAmplitude, ZERO
@@ -155,6 +153,7 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     Per-sample generators derive from (seed, a) so the loop is order-free;
     accumulation happens in sample order for reproducibility.
     """
+    import numpy as np
     start = time.perf_counter()
     n = dec.n
     big_l = samples_override if samples_override is not None else sample_count(epsilon, p_f)

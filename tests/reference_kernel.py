@@ -11,14 +11,21 @@ kernel to agree with them by exact ring equality.
 loops that the Hermitian-symmetric exact engine in ``tmagic.strong_sim``
 replaced.  They run on the fast kernel, so they check the summation, not the
 inner products.
+
+``gauss_sum_eval`` sums a quadratic Gauss sum point by point,
+``stabilizer_state_count`` is the closed form for |S(n)|, and ``all_paulis``
+enumerates the phase-free k-qubit Paulis for exhaustive checks.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import itertools
+from typing import Iterator, Optional, Sequence
 
 from tmagic import stabilizer
+from tmagic.gauss import letters_to_pauli
 from tmagic.gf2 import parity
+from tmagic.pauli import PauliOperator
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, i_power
 from tmagic.stabilizer import StabilizerState, apply_pauli_state
 from tmagic.strong_sim import _projected_terms
@@ -216,3 +223,42 @@ def exact_pauli_expectation(dec, p) -> ExactAmplitude:
         for cl, sl in kets:
             total = total + cj.conj() * cl * stabilizer.inner_product(sj, sl)
     return total
+
+
+def gauss_sum_eval(a_matrix: Sequence[Sequence[int]], v: Sequence[int],
+                   c: int, m: int = 1) -> ExactAmplitude:
+    """G_m(A, v, c) = sum_x exp[(pi i / 2^m)(x A x^T + 2 v x^T + c)].
+
+    Direct summation over 2^dim points; exact only for m <= 2 (eighth
+    roots), dim capped at 24.
+    """
+    dim = len(v)
+    if dim > 24:
+        raise ValueError("direct Gauss-sum summation capped at dimension 24")
+    if m not in (0, 1, 2):
+        raise ValueError("exact arithmetic supports m in {0, 1, 2}")
+    step = 2 ** (2 - m)  # exponent unit in zeta = e^{i pi/4} steps
+    total = ZERO
+    for bits in range(1 << dim):
+        x = [(bits >> i) & 1 for i in range(dim)]
+        q = c
+        for i in range(dim):
+            q += 2 * v[i] * x[i]
+            for j in range(dim):
+                q += a_matrix[i][j] * x[i] * x[j]
+        total = total + eighth_root(step * q)
+    return total
+
+
+def stabilizer_state_count(n: int) -> int:
+    """|S(n)| = 2^n prod_{j=1}^n (2^j + 1)."""
+    total = 1 << n
+    for j in range(1, n + 1):
+        total *= (1 << j) + 1
+    return total
+
+
+def all_paulis(k: int) -> Iterator[PauliOperator]:
+    """Every phase-free k-qubit Pauli, in base-4 letter order."""
+    for letters in itertools.product(range(4), repeat=k):
+        yield letters_to_pauli(letters)

@@ -21,13 +21,15 @@ from tmagic.catalog import (CATALOG_TERM_COUNTS, block_decomposition,
                             catalog_entry, _t6_states, _t12_merge_states)
 from tmagic.dense import (apply_projector, dense_magic_state,
                           dense_magic_state_exact, dense_pauli_expect)
-from tmagic.gauss import (WORST_CASE_UNIQUE, _all_paulis, expect_block,
-                          letters_to_pauli, rank_census)
+from tmagic.gauss import (WORST_CASE_UNIQUE, expect_block, letters_to_pauli,
+                          rank_census)
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
 from tmagic.stabilizer import (inner_product, measure_pauli,
                                random_stabilizer_state)
 from tmagic.strong_sim import (SimulationTask, exact_expectation, run_task,
                                sampled_expectation)
+
+from reference_kernel import all_paulis
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -103,7 +105,7 @@ def test_criterion_4_gauss_oracle_equivalence():
     for k in (1, 2, 3, 6):
         vec = dense_magic_state(k)
         bad = 0
-        for p in _all_paulis(k):
+        for p in all_paulis(k):
             got = expect_block(k, p).expectation
             if abs(got - dense_pauli_expect(vec, p).real) > 1e-9:
                 bad += 1

@@ -23,9 +23,9 @@ def run_cli(args, check=True):
 
 
 def assert_rejected(args, message):
-    """The CLI exits non-zero with ``message`` as its only stderr line."""
+    """The CLI exits with status 2 and ``message`` as its only stderr line."""
     proc = run_cli(args, check=False)
-    assert proc.returncode != 0
+    assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.strip().splitlines() == [message]
 
@@ -139,8 +139,9 @@ class TestCensus:
         assert "unique_nonzero_sums" in out
 
     def test_rejects_exhaustive_k12(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["census", "--k", "12", "--mode", "exhaustive"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_rejects_sampled_count_below_one(self, samples):
@@ -220,3 +221,35 @@ class TestCatalogExport:
         proc = run_cli(["verify", "--scope", "decompositions",
                         "--catalog-file", str(path)])
         assert "PASS catalog-file-k3" in proc.stdout
+
+
+class TestStartup:
+    """A command imports only the modules it runs, checked in a fresh
+    interpreter: the exact and Gauss-sum paths are pure integer code."""
+
+    _PROBE = """
+import contextlib, io, sys
+import tmagic.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = tmagic.cli.main(sys.argv[1:])
+print(rc, *[m for m in ("numpy", "concurrent.futures") if m in sys.modules])
+"""
+
+    @pytest.mark.parametrize("args, absent", [
+        (["expect", "--t", "12", "--pauli", "XYZIXYZIXYZI", "--mode", "exact"],
+         ("numpy", "concurrent.futures")),
+        (["expect", "--t", "6", "--projector", "+ZZIIII,-IIXXII", "--mode", "exact"],
+         ("numpy", "concurrent.futures")),
+        (["expect", "--t", "47", "--pauli", "XYZ" * 15 + "ZY", "--mode", "gauss"],
+         ("numpy", "concurrent.futures")),
+        (["catalog", "--k", "6"], ("numpy", "concurrent.futures")),
+        (["census", "--k", "3", "--workers", "1"], ("concurrent.futures",)),
+    ], ids=["exact-pauli", "exact-projector", "gauss", "catalog", "census"])
+    def test_command_loads_only_what_it_runs(self, args, absent):
+        proc = subprocess.run([sys.executable, "-c", self._PROBE, *args],
+                              capture_output=True, text=True, env=_ENV,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rc, *loaded = proc.stdout.split()
+        assert rc == "0"
+        assert not set(loaded) & set(absent), loaded

@@ -7,12 +7,13 @@ from tmagic._gauss_kernels import sample_letters
 from tmagic.dense import (dense_magic_state, dense_magic_state_exact,
                           dense_pauli_expect)
 from tmagic.gf2 import revbits
-from tmagic.gauss import (WORST_CASE_UNIQUE, _all_paulis, _Block3,
-                          _enumerate_group, _group_blocks, expect_block,
-                          expect_single_pauli, gauss_sum_eval,
+from tmagic.gauss import (WORST_CASE_UNIQUE, _Block3, _enumerate_group,
+                          _group_blocks, expect_block, expect_single_pauli,
                           letters_to_pauli, rank_census)
 from tmagic.pauli import PauliOperator, random_pauli
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, i_power
+
+from reference_kernel import all_paulis, gauss_sum_eval
 
 
 class TestGaussSumEval:
@@ -90,7 +91,7 @@ class TestBlockEvaluators:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_exhaustive_oracle(self, k):
         vec = dense_magic_state(k)
-        for p in _all_paulis(k):
+        for p in all_paulis(k):
             rep = expect_block(k, p)
             assert rep.expectation == pytest.approx(
                 dense_pauli_expect(vec, p).real, abs=1e-12), str(p)
@@ -100,7 +101,7 @@ class TestBlockEvaluators:
         # ring equality of the exact value, exhaustive through k = 6
         amps = dense_magic_state_exact(k)
         if k <= 6:
-            paulis = list(_all_paulis(k))
+            paulis = list(all_paulis(k))
         else:
             paulis = [letters_to_pauli(row) for row in sample_letters(k, 100, 0)]
         for p in paulis:
@@ -109,7 +110,7 @@ class TestBlockEvaluators:
     def test_k6_exhaustive_oracle_and_max(self):
         vec = dense_magic_state(6)
         worst = 0
-        for p in _all_paulis(6):
+        for p in all_paulis(6):
             rep = expect_block(6, p)
             assert rep.expectation == pytest.approx(
                 dense_pauli_expect(vec, p).real, abs=1e-10), str(p)
@@ -145,7 +146,7 @@ class TestBlockEvaluators:
 class TestStructuralInvariants:
     def test_equal_magnitudes_k1_k2(self):
         for k in (1, 2):
-            for p in _all_paulis(k):
+            for p in all_paulis(k):
                 mags = {t.value.norm_sq() for t in expect_block(k, p).terms
                         if not t.value.is_zero()}
                 assert len(mags) <= 1, str(p)

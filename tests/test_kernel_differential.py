@@ -82,7 +82,8 @@ def test_invariant_checks_survive_optimized_mode():
     """The state and kernel invariants raise ValueError under python -O."""
     code = """
 from tmagic.catalog import t1_decomposition
-from tmagic.phase_ring import ONE
+from tmagic.gauss import GaussSumReport, GaussSumTerm, _Block3, _group_blocks
+from tmagic.phase_ring import ONE, eighth_root
 from tmagic.pauli import PauliOperator
 from tmagic.stabilizer import StabilizerState, _Form, measure_pauli
 from tmagic.strong_sim import exact_pauli_expectation
@@ -103,6 +104,13 @@ object.__setattr__(s, "dvec", (3,))  # corrupt a valid state after checks
 check("odd-ratio", lambda: measure_pauli(s, PauliOperator.from_str("X"), 1))
 check("non-hermitian-pauli", lambda: exact_pauli_expectation(
     t1_decomposition(), PauliOperator.from_str("i:Z")))
+check("non-hermitian-ratio", lambda: measure_pauli(
+    StabilizerState.computational(1), PauliOperator.from_str("i:Z"), 1))
+check("non-real-gauss", lambda: GaussSumReport.from_terms(
+    1, [GaussSumTerm(1, (), eighth_root(1), 1)]))
+p9 = PauliOperator.from_str("XYZ" * 3)
+check("three-block-chain", lambda: _group_blocks(
+    [_Block3(p9, 3 * i, i) for i in range(3)]))
 """
     src = str(Path(tmagic.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -113,7 +121,9 @@ check("non-hermitian-pauli", lambda: exact_pauli_expectation(
     assert lines[0] == "debug False"
     got = dict(line.split(" ", 1) for line in lines[1:])
     assert set(got) == {"odd-dvec", "short-bmat", "bmat-diagonal",
-                        "odd-phase", "odd-ratio", "non-hermitian-pauli"}
+                        "odd-phase", "odd-ratio", "non-hermitian-pauli",
+                        "non-hermitian-ratio", "non-real-gauss",
+                        "three-block-chain"}
     for label, result in got.items():
         assert result.startswith("ValueError"), (label, result)
     assert "dvec" in got["odd-dvec"]
@@ -121,3 +131,6 @@ check("non-hermitian-pauli", lambda: exact_pauli_expectation(
     assert "even" in got["odd-phase"]
     assert "dvec" in got["odd-ratio"]
     assert "not Hermitian" in got["non-hermitian-pauli"]
+    assert "must be Hermitian" in got["non-hermitian-ratio"]
+    assert "non-real" in got["non-real-gauss"]
+    assert "got 3" in got["three-block-chain"]

@@ -11,7 +11,7 @@ from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, sqrt2_root
 from tmagic.stabilizer import (StabilizerState, _Form, apply_pauli_state,
                                exponential_sum, extend, inner_product,
                                measure_pauli, random_stabilizer_state, shrink,
-                               stabilizer_state_count, _dimension_weights)
+                               _dimension_weights)
 
 import reference_kernel
 
@@ -326,10 +326,14 @@ def _state_key(vec: np.ndarray) -> tuple:
 
 class TestRandomStabilizerState:
     def test_counts(self):
-        assert stabilizer_state_count(1) == 6
-        assert stabilizer_state_count(2) == 60
-        assert stabilizer_state_count(3) == 1080
-        assert sum(_dimension_weights(2)) == 60
+        count = reference_kernel.stabilizer_state_count
+        assert count(1) == 6
+        assert count(2) == 60
+        assert count(3) == 1080
+        for n in range(1, 9):
+            weights, total = _dimension_weights(n)
+            assert len(weights) == n + 1
+            assert sum(weights) == total == count(n)
 
     def test_single_qubit_uniform(self):
         rng = np.random.default_rng(10)

@@ -68,10 +68,9 @@ class TestExact:
     def test_imaginary_part_vanishes_for_all_single_paulis(self):
         # the engine's total is real by construction; the full chi^2 sum,
         # which sums both triangles independently, must be real as well
-        from tmagic.gauss import _all_paulis
         for k in (1, 2):
             dec = block_decomposition(k)
-            for p in _all_paulis(k):
+            for p in reference_kernel.all_paulis(k):
                 proj = _proj(str(p), 1)
                 full = reference_kernel.exact_expectation(dec, proj)
                 assert full.is_real()
