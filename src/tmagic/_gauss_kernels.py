@@ -1,6 +1,6 @@
 """Seeded Pauli letter rows for the census and the Gauss-sum benchmarks.
 
-Letters are 0 = I, 1 = Z, 2 = X, 3 = Y (``gauss.letters_to_pauli``).
+Letters are 0 = I, 1 = Z, 2 = X, 3 = Y (``pauli.letters_to_pauli``).
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ amplitude by amplitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
-from .phase_ring import ExactAmplitude, ZERO, eighth_root
+from .phase_ring import INV_SQRT2, SQRT2, ExactAmplitude, ZERO, eighth_root
 from .stabilizer import StabilizerState
 from .gf2 import to_str, from_str
 
@@ -47,24 +47,21 @@ class MagicDecomposition:
 # small T-counts
 # ---------------------------------------------------------------------------
 
-_INV_SQRT2 = ExactAmplitude(1, 0, 0, 0, 1)
-
-
 def t1_decomposition() -> MagicDecomposition:
     """|T> = (|0> + zeta |1>)/sqrt2 as two computational-basis terms."""
     return MagicDecomposition(1, (
-        (_INV_SQRT2, StabilizerState.computational(1, 0)),
-        (_INV_SQRT2 * eighth_root(1), StabilizerState.computational(1, 1)),
+        (INV_SQRT2, StabilizerState.computational(1, 0)),
+        (INV_SQRT2 * eighth_root(1), StabilizerState.computational(1, 1)),
     ))
 
 
 def t2_decomposition() -> MagicDecomposition:
     """|T>^2 = (|phi1> + zeta |phi2>)/sqrt2 with the two-qubit pair states."""
-    phi1 = StabilizerState(2, (0b11,), 0, (0,), (2,), 0, _INV_SQRT2)
-    phi2 = StabilizerState(2, (0b11,), 0b01, (0,), (0,), 0, _INV_SQRT2)
+    phi1 = StabilizerState(2, (0b11,), 0, (0,), (2,), 0, INV_SQRT2)
+    phi2 = StabilizerState(2, (0b11,), 0b01, (0,), (0,), 0, INV_SQRT2)
     return MagicDecomposition(2, (
-        (_INV_SQRT2, phi1),
-        (_INV_SQRT2 * eighth_root(1), phi2),
+        (INV_SQRT2, phi1),
+        (INV_SQRT2 * eighth_root(1), phi2),
     ))
 
 
@@ -77,7 +74,7 @@ def t3_decomposition() -> MagicDecomposition:
     c2 = -(one_p_i * ExactAmplitude(1, 1, -1, 0, 0) * quarter * eighth_root(1))
     c3 = -(one_p_i * ExactAmplitude(-1, 1, 1, 0, 0) * quarter * eighth_root(1))
     # psi1 = (|011> + i|100>)/sqrt2  (leftmost character = qubit 0)
-    psi1 = StabilizerState(3, (0b111,), from_str("011"), (0,), (2,), 0, _INV_SQRT2)
+    psi1 = StabilizerState(3, (0b111,), from_str("011"), (0,), (2,), 0, INV_SQRT2)
     scale8 = ExactAmplitude(1, 0, 0, 0, 3)
     # psi2: i^(1 + x2 + x3) pattern on the full cube
     psi2 = StabilizerState(3, (1, 2, 4), 0, (0, 0, 0), (0, 2, 2), 2, scale8)
@@ -122,8 +119,7 @@ def _t6_states() -> dict[str, StabilizerState]:
                                (0,) * 6, (4,) * 6, 4, ExactAmplitude(1, 0, 0, 0, 6)),
         "e6": StabilizerState(6, cols, 1, kgraph, zero5, 4, s32),
         "o6": StabilizerState(6, cols, 0, kgraph, four5, 4, s32),
-        "k6": StabilizerState(6, (0b111111,), 0b111111, (0,), (2,), 6,
-                              ExactAmplitude(1, 0, 0, 0, 1)),
+        "k6": StabilizerState(6, (0b111111,), 0b111111, (0,), (2,), 6, INV_SQRT2),
         "phi1": StabilizerState(6, cols, 1, _pairs_to_bmat(
             5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]), zero5, 0, s32),
         "phi2": StabilizerState(6, cols, 1, _pairs_to_bmat(
@@ -187,10 +183,9 @@ def t12_decomposition() -> MagicDecomposition:
     """Tensor square of the 7-term entry with the two Bell-pair merges."""
     t6 = t6_decomposition()
     coeffs = _t6_coefficients()
-    sqrt2 = ExactAmplitude(0, 1)
     merged_b, merged_eo = _t12_merge_states()
-    c_b = sqrt2 * coeffs["b60"] * coeffs["b66"]
-    c_6 = sqrt2 * coeffs["e6"] * coeffs["o6"]
+    c_b = SQRT2 * coeffs["b60"] * coeffs["b66"]
+    c_6 = SQRT2 * coeffs["e6"] * coeffs["o6"]
     names = _T6_ORDER
     drop = {("b60", "b66"), ("b66", "b60"), ("e6", "o6"), ("o6", "e6")}
     terms = []
@@ -225,7 +220,6 @@ def extend_with_zeros(dec: MagicDecomposition, n: int) -> MagicDecomposition:
 _CATALOG = {1: t1_decomposition, 2: t2_decomposition, 3: t3_decomposition,
             6: t6_decomposition, 12: t12_decomposition}
 
-CATALOG_SIZES = (12, 6, 3, 2, 1)
 CATALOG_TERM_COUNTS = {1: 2, 2: 2, 3: 3, 6: 7, 12: 47}
 
 
@@ -279,26 +273,25 @@ def _amp_parse(s: str) -> ExactAmplitude:
     return ExactAmplitude(*(int(p) for p in parts))
 
 
-def write_catalog_file(dec: MagicDecomposition, path: str,
+def write_catalog_file(dec: MagicDecomposition, out: TextIO,
                        notes: Sequence[str] = ()) -> None:
-    """Line-oriented text export; '#' lines are comments."""
-    with open(path, "w") as fh:
-        for note in notes:
-            fh.write(f"# {note}\n")
-        fh.write(f"k={dec.k} terms={len(dec.terms)}\n")
-        for coeff, s in dec.terms:
-            fh.write(f"coeff={_amp_str(coeff)}\n")
-            fh.write(f"n={s.n} m={s.m}\n")
-            fh.write("G=" + " ".join(to_str(col, s.n) for col in s.basis) + "\n")
-            fh.write("h=" + to_str(s.shift, s.n) + "\n")
-            upper = []
-            for a in range(s.m):
-                for b in range(a + 1, s.m):
-                    upper.append(str(4 * ((s.bmat[a] >> b) & 1)))
-            fh.write("J=" + ",".join(upper) + "\n")
-            fh.write("D=" + ",".join(str(d) for d in s.dvec) + "\n")
-            fh.write(f"c={s.c}\n")
-            fh.write(f"global={_amp_str(s.scale)}\n")
+    """Line-oriented text export to the stream ``out``; '#' lines are comments."""
+    for note in notes:
+        out.write(f"# {note}\n")
+    out.write(f"k={dec.k} terms={len(dec.terms)}\n")
+    for coeff, s in dec.terms:
+        out.write(f"coeff={_amp_str(coeff)}\n")
+        out.write(f"n={s.n} m={s.m}\n")
+        out.write("G=" + " ".join(to_str(col, s.n) for col in s.basis) + "\n")
+        out.write("h=" + to_str(s.shift, s.n) + "\n")
+        upper = []
+        for a in range(s.m):
+            for b in range(a + 1, s.m):
+                upper.append(str(4 * ((s.bmat[a] >> b) & 1)))
+        out.write("J=" + ",".join(upper) + "\n")
+        out.write("D=" + ",".join(str(d) for d in s.dvec) + "\n")
+        out.write(f"c={s.c}\n")
+        out.write(f"global={_amp_str(s.scale)}\n")
 
 
 def read_catalog_file(path: str) -> MagicDecomposition:

@@ -14,15 +14,17 @@ import sys
 import time
 from typing import NoReturn, Optional, Sequence
 
-from .catalog import (CATALOG_TERM_COUNTS, block_cover, block_decomposition,
-                      catalog_entry, read_catalog_file, write_catalog_file)
+from .catalog import (CATALOG_TERM_COUNTS, DEFAULT_POLICY, block_cover,
+                      block_decomposition, catalog_entry, extend_with_zeros,
+                      read_catalog_file, write_catalog_file)
 from .gauss import (SUPPORTED_BLOCKS, WORST_CASE_UNIQUE, census_letters,
-                    expect_block, expect_single_pauli, letters_to_pauli,
-                    unique_sum_counts)
-from .pauli import PauliOperator, PauliProjector
-from .strong_sim import SimulationTask, exact_pauli_expectation, run_task
+                    expect_block, expect_single_pauli, unique_sum_counts)
+from .pauli import PauliOperator, PauliProjector, letters_to_pauli
+from .strong_sim import (exact_expectation, exact_pauli_expectation,
+                         sampled_expectation)
 
 _CHI = dict(CATALOG_TERM_COUNTS)
+_DEFAULT_POLICY = " ".join(map(str, DEFAULT_POLICY))  # the --policy default
 
 
 def _reject(message: str) -> NoReturn:
@@ -131,10 +133,12 @@ def cmd_expect(args) -> int:
         proj = _parse_projector(args.projector, args.t)
         if args.mode == "gauss":
             _reject("gauss mode evaluates single Paulis; use --pauli")
-        task = SimulationTask(t=args.t, n=proj.n, projector=proj, mode=args.mode,
-                              epsilon=args.epsilon, p_f=args.pf, seed=args.seed,
-                              policy=policy, samples_override=args.samples)
-        res = run_task(task)
+        dec = extend_with_zeros(block_decomposition(args.t, policy), proj.n)
+        if args.mode == "exact":
+            res = exact_expectation(dec, proj)
+        else:
+            res = sampled_expectation(dec, proj, args.epsilon, args.pf,
+                                      args.seed, args.samples)
         record.update(projector=str(proj), value=res.value,
                       inner_products=res.inner_products_evaluated,
                       samples_used=res.samples_used, terms=res.term_count)
@@ -164,12 +168,10 @@ def cmd_expect(args) -> int:
                           inner_products=res.inner_products_evaluated,
                           terms=res.term_count)
         else:
-            proj = PauliProjector.single(magic, 1)
-            task = SimulationTask(t=args.t, n=args.t, projector=proj,
-                                  mode="sampled", epsilon=args.epsilon,
-                                  p_f=args.pf, seed=args.seed, policy=policy,
-                                  samples_override=args.samples)
-            res = run_task(task)
+            dec = block_decomposition(args.t, policy)
+            res = sampled_expectation(dec, PauliProjector.single(magic, 1),
+                                      args.epsilon, args.pf, args.seed,
+                                      args.samples)
             record.update(pauli=str(p), value=(2 * res.value - 1) * zero_part,
                           inner_products=res.inner_products_evaluated,
                           samples_used=res.samples_used, terms=res.term_count)
@@ -274,16 +276,19 @@ def cmd_bench(args) -> int:
             samples = [_bench_gauss_once(t, policy, args.seed + r)
                        for r in range(args.reps)]
         else:
+            dec = block_decomposition(t, policy)
             samples = []
             for r in range(args.reps):
                 rng = np.random.default_rng(np.random.SeedSequence([args.seed, r]))
-                p = letters_to_pauli(rng.integers(0, 4, size=t))
-                task = SimulationTask(
-                    t=t, n=t, projector=PauliProjector.single(p, 1),
-                    mode=args.mode, epsilon=args.epsilon, p_f=args.pf,
-                    seed=args.seed + r, policy=policy,
-                    samples_override=args.samples)
-                samples.append(run_task(task).wall_time)
+                proj = PauliProjector.single(
+                    letters_to_pauli(rng.integers(0, 4, size=t)), 1)
+                start = time.perf_counter()
+                if args.mode == "exact":
+                    exact_expectation(dec, proj)
+                else:
+                    sampled_expectation(dec, proj, args.epsilon, args.pf,
+                                        args.seed + r, args.samples)
+                samples.append(time.perf_counter() - start)
         med = float(np.median(samples))
         row = [t, "+".join(str(b) for b in blocks), args.mode, args.reps, work,
                args.seed]
@@ -312,24 +317,16 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_catalog(args) -> int:
-    import os
-    import tempfile
     dec = catalog_entry(args.k)
     notes = [f"stabilizer decomposition of the {args.k}-fold T magic state",
              f"terms={len(dec)}"]
     if args.out:
-        write_catalog_file(dec, args.out, notes)
+        with open(args.out, "w") as fh:
+            write_catalog_file(dec, fh, notes)
         print(json.dumps({"command": "catalog", "k": args.k,
                           "terms": len(dec), "out": args.out}, sort_keys=True))
     else:
-        fd, path = tempfile.mkstemp(suffix=".txt")
-        try:
-            os.close(fd)
-            write_catalog_file(dec, path, notes)
-            with open(path) as fh:
-                sys.stdout.write(fh.read())
-        finally:
-            os.unlink(path)
+        write_catalog_file(dec, sys.stdout, notes)
     return 0
 
 
@@ -454,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--pauli", help="Pauli string, e.g. XYZI or -1:XX")
     pe.add_argument("--projector", help="signed factors, e.g. '+ZZ,-XX'")
     pe.add_argument("--mode", choices=("exact", "sampled", "gauss"), default="gauss")
-    pe.add_argument("--policy", default="12 6 3 2 1")
+    pe.add_argument("--policy", default=_DEFAULT_POLICY)
     pe.add_argument("--epsilon", type=float, default=0.1)
     pe.add_argument("--pf", type=float, default=0.05)
     pe.add_argument("--samples", type=int, default=None,
@@ -477,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bench", help="scaling benchmark with counter-based fits")
     pb.add_argument("--mode", choices=("gauss", "exact", "sampled"), default="gauss")
     pb.add_argument("--t", required=True, help="T-counts, e.g. '6 12 18'")
-    pb.add_argument("--policy", default="12 6 3 2 1")
+    pb.add_argument("--policy", default=_DEFAULT_POLICY)
     pb.add_argument("--reps", type=int, default=3)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--epsilon", type=float, default=0.1)

@@ -21,8 +21,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .pauli import PauliOperator
-from .phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, i_power
+from .catalog import DEFAULT_POLICY, block_cover
+from .pauli import PauliOperator, letters_to_pauli
+from .phase_ring import SQRT2, ExactAmplitude, ONE, ZERO, eighth_root, i_power
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,7 +35,6 @@ SUPPORTED_BLOCKS = (1, 2, 3, 6, 12)
 WORST_CASE_UNIQUE = {1: 2, 2: 2, 3: 3, 6: 7, 12: 42}
 
 _TWO = ExactAmplitude(2)
-_SQRT2 = ExactAmplitude(0, 1)
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ class _Block3:
                 return ZERO
             return i_power(self._phase_a(x, y)).scale_int(2)
         # G2: i^E * sqrt(-i) * (1 + i) = sqrt2 * i^E  (active when g3+d3 = 1)
-        return i_power(self._phase_a(x, y)) * _SQRT2
+        return i_power(self._phase_a(x, y)) * SQRT2
 
     def _value_g3(self, x: int, y: int) -> ExactAmplitude:
         (_, b1, g1, d1) = self.p1
@@ -314,10 +314,9 @@ def _one_dim_odd(v: int) -> ExactAmplitude:
 # ---------------------------------------------------------------------------
 
 def expect_single_pauli(t: int, p: PauliOperator,
-                        policy: Sequence[int] = (12, 6, 3, 2, 1)
+                        policy: Sequence[int] = DEFAULT_POLICY
                         ) -> GaussSumReport:
     """<T^t| P |T^t> by per-block factorization over a block cover of t."""
-    from .catalog import block_cover
     if p.n != t:
         raise ValueError("Pauli size must equal the T-count")
     blocks = block_cover(t, policy)
@@ -381,17 +380,3 @@ def rank_census(k: int, mode: str = "exhaustive", samples: int = 100_000,
         raise ValueError(f"a sampled census needs at least 1 sample, got {samples}")
     histogram = Counter(unique_sum_counts(k, census_letters(k, mode, samples, seed)))
     return max(histogram), dict(sorted(histogram.items()))
-
-
-def letters_to_pauli(letters: Sequence[int]) -> PauliOperator:
-    """Letters 0/1/2/3 = I/Z/X/Y to a phase-free PauliOperator."""
-    beta = gamma = delta = 0
-    for q, v in enumerate(letters):
-        v = int(v)
-        if v == 1:
-            beta |= 1 << q
-        elif v == 2:
-            gamma |= 1 << q
-        elif v == 3:
-            delta |= 1 << q
-    return PauliOperator(len(letters), beta, gamma, delta, 0)

@@ -1,4 +1,4 @@
-"""Bit-packed linear algebra and affine spaces over Z/2Z.
+"""Bit-packed linear algebra over Z/2Z.
 
 Vectors are stored as Python ints with coordinate ``i`` in bit ``i`` (LSB).
 ``to_str``/``from_str`` render coordinate 0 as the leftmost character, which
@@ -8,15 +8,14 @@ amplitude indexing (see :func:`revbits`).
 All elimination goes through one routine, :func:`_eliminate`: each column is
 reduced against a table indexed by leading (highest) bit that holds a
 reduced column and the mask of input columns it sums.  A column that
-reduces to zero yields a relation among the inputs.  :func:`solve_columns`,
-:func:`rank_of` and :meth:`AffineSpace.create` are thin readings of that
-table, and every operation on a column is one XOR of two Python ints, so a
-system of m columns of length n costs O(m * rank) word-parallel steps.
+reduces to zero yields a relation among the inputs.  :func:`solve_columns`
+and :func:`rank_of` are thin readings of that table, and every operation on
+a column is one XOR of two Python ints, so a system of m columns of length
+n costs O(m * rank) word-parallel steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
@@ -109,69 +108,3 @@ def solve_columns(columns: list[int], rhs: int, n: int
         v ^= w
         particular ^= masks[top]
     return particular, null
-
-
-@dataclass(frozen=True)
-class AffineSpace:
-    """{G u + h} with G an n x m full-column-rank basis, stored canonically.
-
-    ``basis`` holds the m independent direction vectors (bit-packed columns)
-    in reduced column echelon form, pivot = highest bit, sorted by descending
-    pivot; ``shift`` has its pivot coordinates reduced to 0, so equality of
-    affine spaces is structural equality.
-    """
-
-    n: int
-    basis: tuple[int, ...]
-    shift: int
-
-    @staticmethod
-    def create(n: int, columns: Iterable[int], shift: int) -> "AffineSpace":
-        vecs = _eliminate(list(columns), n)[0]
-        tops = [p for p in range(n - 1, -1, -1) if vecs[p]]
-
-        def clear(v: int) -> int:
-            # highest pivot first: a pivot column only touches bits below it
-            for p in tops:
-                if (v >> p) & 1:
-                    v ^= vecs[p]
-            return v
-
-        basis = tuple((1 << p) | clear(vecs[p] ^ (1 << p)) for p in tops)
-        return AffineSpace(n, basis, clear(shift & ((1 << n) - 1)))
-
-    @staticmethod
-    def full(n: int) -> "AffineSpace":
-        return AffineSpace.create(n, [1 << i for i in range(n)], 0)
-
-    @staticmethod
-    def point(n: int, x: int) -> "AffineSpace":
-        return AffineSpace.create(n, [], x)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def points(self) -> Iterable[int]:
-        """All 2^m points (test-sized spaces only)."""
-        m = self.dim
-        for u in range(1 << m):
-            x = self.shift
-            for j in range(m):
-                if (u >> j) & 1:
-                    x ^= self.basis[j]
-            yield x
-
-    def member_witness(self, x: int) -> Optional[int]:
-        """u with G u + shift == x, or None; u packed with entry j in bit j."""
-        v = (x ^ self.shift) & ((1 << self.n) - 1)
-        u = 0
-        for j, c in enumerate(self.basis):
-            p = c.bit_length() - 1
-            if (v >> p) & 1:
-                v ^= c
-                u |= 1 << j
-        return u if v == 0 else None
-
-    def contains(self, x: int) -> bool:
-        return self.member_witness(x) is not None

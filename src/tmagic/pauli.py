@@ -8,7 +8,7 @@ the beta/gamma/delta masks (beta: Z sites, gamma: X sites, delta: Y sites).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .gf2 import parity
 
@@ -95,19 +95,23 @@ class PauliOperator:
         return PauliOperator(len(body), beta, gamma, delta, omega)
 
 
-def random_pauli(n: int, rng: np.random.Generator) -> PauliOperator:
-    """Uniform over the 4**n phase-free Paulis."""
-    letters = rng.integers(0, 4, size=n)
+def letters_to_pauli(letters: Sequence[int]) -> PauliOperator:
+    """Letters 0/1/2/3 = I/Z/X/Y to a phase-free PauliOperator."""
     beta = gamma = delta = 0
-    for q in range(n):
-        v = int(letters[q])
+    for q, v in enumerate(letters):
+        v = int(v)
         if v == 1:
             beta |= 1 << q
         elif v == 2:
             gamma |= 1 << q
         elif v == 3:
             delta |= 1 << q
-    return PauliOperator(n, beta, gamma, delta, 0)
+    return PauliOperator(len(letters), beta, gamma, delta, 0)
+
+
+def random_pauli(n: int, rng: np.random.Generator) -> PauliOperator:
+    """Uniform over the 4**n phase-free Paulis."""
+    return letters_to_pauli(rng.integers(0, 4, size=n))
 
 
 def commute(p: PauliOperator, q: PauliOperator) -> bool:

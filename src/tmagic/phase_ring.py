@@ -36,28 +36,6 @@ class ExactAmplitude:
         if self.e < 0:
             raise ValueError("denominator exponent must be non-negative")
 
-    # -- construction -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "ExactAmplitude":
-        return ExactAmplitude(0, 0, 0, 0, 0)
-
-    @staticmethod
-    def one() -> "ExactAmplitude":
-        return ExactAmplitude(1, 0, 0, 0, 0)
-
-    @staticmethod
-    def from_int(k: int) -> "ExactAmplitude":
-        return canonical(k, 0, 0, 0, 0)
-
-    @staticmethod
-    def sqrt2_pow(k: int) -> "ExactAmplitude":
-        """sqrt(2)**k for any integer k (negative k allowed)."""
-        if k >= 0:
-            return canonical(2 ** (k // 2) * (1 if k % 2 == 0 else 0),
-                             2 ** (k // 2) * (1 if k % 2 == 1 else 0), 0, 0, 0)
-        return canonical(1, 0, 0, 0, -k)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "ExactAmplitude") -> "ExactAmplitude":
@@ -128,11 +106,9 @@ def canonical(a: int, b: int, c: int, d: int, e: int) -> ExactAmplitude:
     return ExactAmplitude(a, b, c, d, e)
 
 
-ZERO = ExactAmplitude.zero()
-ONE = ExactAmplitude.one()
-I_UNIT = ExactAmplitude(0, 0, 1, 0, 0)
-SQRT2 = ExactAmplitude(0, 1, 0, 0, 0)
-INV_SQRT2 = ExactAmplitude(1, 0, 0, 0, 1)
+ZERO = ExactAmplitude()
+ONE = ExactAmplitude(1)
+SQRT2, INV_SQRT2 = ExactAmplitude(0, 1), ExactAmplitude(1, 0, 0, 0, 1)
 
 
 def eighth_root(k: int) -> ExactAmplitude:

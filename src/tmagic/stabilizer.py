@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Optional
 
-from .gf2 import AffineSpace, parity, revbits, solve_columns
+from .gf2 import parity, revbits, solve_columns
 from .pauli import PauliOperator
 from .phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, sqrt2_root
 
@@ -66,13 +66,6 @@ class StabilizerState:
     def computational(n: int, x: int = 0) -> "StabilizerState":
         """|x> for a bit-packed basis label x (coordinate order)."""
         return StabilizerState(n, (), x, (), (), 0, ONE)
-
-    @staticmethod
-    def plus_state(n: int) -> "StabilizerState":
-        """|+>^n."""
-        return StabilizerState(n, tuple(1 << q for q in range(n)), 0,
-                               (0,) * n, (0,) * n, 0,
-                               ExactAmplitude(1, 0, 0, 0, n))
 
     def phase_exponent(self, u: int) -> int:
         """phi(u) mod 8 for a bit-packed parameter vector u.
@@ -326,32 +319,16 @@ def _one_plus_ipow(k: int) -> ExactAmplitude:
 
 
 # ---------------------------------------------------------------------------
-# SHRINK / EXTEND
+# SHRINK
 # ---------------------------------------------------------------------------
 
-def shrink(s: StabilizerState, xi: int, bit: int) -> Optional[StabilizerState]:
-    """Restrict support to {x : xi . x = bit}.
+def _shrink_param(s: StabilizerState, umask: int, eps: int) -> StabilizerState:
+    """Restrict s to the parameters u with parity(umask & u) = eps.
 
-    Returns the restricted state, ``s`` itself when the constraint already
-    holds on the whole space, or None when the support vanishes.
+    umask must be non-zero.  The last variable p in umask is substituted
+    by the xor of the others, then pinned to eps and deleted.
     """
-    t = [j for j in range(s.m) if parity(xi & s.basis[j])]
-    t0 = parity(xi & s.shift)
-    if not t:
-        return s if t0 == bit else None
-    return _shrink_vars(s, t, bit ^ t0)
-
-
-def _shrink_param(s: StabilizerState, umask: int, bit: int
-                  ) -> Optional[StabilizerState]:
-    """Shrink by a GF(2) constraint on the parameter bits u directly."""
     t = _bits(umask)
-    if not t:
-        return s if bit == 0 else None
-    return _shrink_vars(s, t, bit)
-
-
-def _shrink_vars(s: StabilizerState, t: list[int], eps: int) -> StabilizerState:
     f = _Form.of(s)
     p = t[-1]
     for j in t[:-1]:
@@ -359,15 +336,6 @@ def _shrink_vars(s: StabilizerState, t: list[int], eps: int) -> StabilizerState:
     f.substitute(p, sum(1 << j for j in t[:-1]))
     f.fix_var(p, eps)
     return f.freeze(s.scale)
-
-
-def extend(s: StabilizerState, direction: int) -> StabilizerState:
-    """Add a support direction with uniform phase; errors if already spanned."""
-    direction &= (1 << s.n) - 1
-    if direction == 0 or AffineSpace.create(s.n, s.basis, 0).contains(direction):
-        raise ValueError("extension direction already in the span")
-    return StabilizerState(s.n, s.basis + (direction,), s.shift,
-                           s.bmat + (0,), s.dvec + (0,), s.c, s.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -16,46 +16,24 @@ stabilizer samples using the two-design property:
 so ``2^n / L * sum_a |<psi_a|Phi>|^2`` is an unbiased estimate of the
 expectation; the 2^n normalization is pinned by requiring exact
 unbiasedness on <Psi|Psi> (checked against the exact path in the tests).
+
+Three engines take a decomposition built by the caller (``catalog``'s
+``block_decomposition``, then ``extend_with_zeros`` for padding qubits):
+``exact_expectation`` for a projector, ``exact_pauli_expectation`` for one
+Hermitian Pauli, and ``sampled_expectation``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .catalog import MagicDecomposition, block_decomposition, extend_with_zeros
+from .catalog import MagicDecomposition
 from .pauli import PauliOperator, PauliProjector
 from .phase_ring import ExactAmplitude, ZERO
 from .stabilizer import (StabilizerState, apply_pauli_state, inner_product,
                          measure_pauli, random_stabilizer_state)
-
-
-@dataclass(frozen=True)
-class SimulationTask:
-    t: int
-    n: int
-    projector: PauliProjector
-    mode: str = "exact"          # exact | sampled
-    epsilon: float = 0.1
-    p_f: float = 0.05
-    seed: int = 0
-    policy: tuple[int, ...] = (12, 6, 3, 2, 1)
-    samples_override: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.n < self.t:
-            raise ValueError("total qubits must cover the T-count")
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "sampled":
-            if not self.epsilon > 0:
-                raise ValueError("epsilon must be positive")
-            if not 0 < self.p_f < 1:
-                raise ValueError("failure probability must lie in (0, 1)")
-            if self.samples_override is not None and self.samples_override < 1:
-                raise ValueError("sample count must be at least 1")
 
 
 @dataclass
@@ -64,12 +42,15 @@ class SimulationResult:
     inner_products_evaluated: int = 0
     samples_used: int = 0
     term_count: int = 0
-    wall_time: float = 0.0
     exact_value: Optional[ExactAmplitude] = None  # exact paths only
 
 
 def sample_count(epsilon: float, p_f: float) -> int:
-    """L(eps, p_f) = ceil(eps^-2 ln(1/p_f))."""
+    """L(eps, p_f) = ceil(eps^-2 ln(1/p_f)); eps > 0 and 0 < p_f < 1."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < p_f < 1:
+        raise ValueError(f"failure probability must lie in (0, 1), got {p_f}")
     return max(1, math.ceil(math.log(1.0 / p_f) / (epsilon * epsilon)))
 
 
@@ -90,8 +71,7 @@ def _projected_terms(dec: MagicDecomposition, proj: PauliProjector
 
 def _hermitian_sum(dec: MagicDecomposition,
                    terms: Sequence[tuple[ExactAmplitude, StabilizerState]],
-                   kets: Sequence[StabilizerState], start: float
-                   ) -> SimulationResult:
+                   kets: Sequence[StabilizerState]) -> SimulationResult:
     """sum_{j,l} conj(c_j) c_l <b_j|k_l> over a Hermitian Gram matrix.
 
     ``terms`` holds (c_j, b_j) and ``kets[l]`` carries the coefficient c_l of
@@ -118,7 +98,6 @@ def _hermitian_sum(dec: MagicDecomposition,
     return SimulationResult(value=total.real_float(),
                             inner_products_evaluated=len(terms) * (len(terms) + 1) // 2,
                             term_count=len(dec),
-                            wall_time=time.perf_counter() - start,
                             exact_value=total)
 
 
@@ -129,9 +108,8 @@ def exact_expectation(dec: MagicDecomposition, proj: PauliProjector
     Pi is a Hermitian idempotent, so <phi_j|Pi|phi_l> = <Pi phi_j|Pi phi_l>
     and both sides of the Gram matrix are the surviving projected terms.
     """
-    start = time.perf_counter()
     kept = _projected_terms(dec, proj)
-    return _hermitian_sum(dec, kept, [s for _, s in kept], start)
+    return _hermitian_sum(dec, kept, [s for _, s in kept])
 
 
 def exact_pauli_expectation(dec: MagicDecomposition, p: PauliOperator
@@ -139,9 +117,8 @@ def exact_pauli_expectation(dec: MagicDecomposition, p: PauliOperator
     """<Psi| P |Psi> against P-shifted kets, for a Hermitian P."""
     if p.omega_exp % 2:
         raise ValueError(f"Pauli {p} is not Hermitian: its phase must be +1 or -1")
-    start = time.perf_counter()
     kets = [apply_pauli_state(s, p) for _, s in dec.terms]
-    return _hermitian_sum(dec, dec.terms, kets, start)
+    return _hermitian_sum(dec, dec.terms, kets)
 
 
 def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
@@ -150,13 +127,18 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
                         ) -> SimulationResult:
     """Two-design estimate of <Psi| Pi |Psi> from L random stabilizer states.
 
-    Per-sample generators derive from (seed, a) so the loop is order-free;
-    accumulation happens in sample order for reproducibility.
+    L is ``sample_count(epsilon, p_f)`` unless ``samples_override`` (at
+    least 1) replaces it.  Per-sample generators derive from (seed, a) so
+    the loop is order-free; accumulation happens in sample order for
+    reproducibility.
     """
     import numpy as np
-    start = time.perf_counter()
     n = dec.n
-    big_l = samples_override if samples_override is not None else sample_count(epsilon, p_f)
+    big_l = sample_count(epsilon, p_f)
+    if samples_override is not None:
+        if samples_override < 1:
+            raise ValueError(f"sample count must be at least 1, got {samples_override}")
+        big_l = samples_override
     kets = _projected_terms(dec, proj)
     coeffs = [c.to_float() for c, _ in kets]
     dim = float(1 << n)
@@ -173,22 +155,4 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     return SimulationResult(value=dim * total / big_l,
                             inner_products_evaluated=count,
                             samples_used=big_l,
-                            term_count=len(dec),
-                            wall_time=time.perf_counter() - start)
-
-
-def task_decomposition(task: SimulationTask) -> MagicDecomposition:
-    if task.t == 0:
-        zero = StabilizerState.computational(task.n, 0)
-        return MagicDecomposition(0, ((ExactAmplitude(1), zero),))
-    dec = block_decomposition(task.t, task.policy)
-    return extend_with_zeros(dec, task.n)
-
-
-def run_task(task: SimulationTask) -> SimulationResult:
-    """Dispatch a simulation task through the exact or sampled path."""
-    dec = task_decomposition(task)
-    if task.mode == "exact":
-        return exact_expectation(dec, task.projector)
-    return sampled_expectation(dec, task.projector, task.epsilon, task.p_f,
-                               task.seed, task.samples_override)
+                            term_count=len(dec))

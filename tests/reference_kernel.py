@@ -12,6 +12,9 @@ loops that the Hermitian-symmetric exact engine in ``tmagic.strong_sim``
 replaced.  They run on the fast kernel, so they check the summation, not the
 inner products.
 
+``dense_pauli_expectation`` is <psi| P |psi> in ring arithmetic over exact
+dense amplitudes (``dense.dense_magic_state_exact``), the third engine the
+stabilizer-rank and Gauss-sum values are compared with.
 ``gauss_sum_eval`` sums a quadratic Gauss sum point by point,
 ``stabilizer_state_count`` is the closed form for |S(n)|, and ``all_paulis``
 enumerates the phase-free k-qubit Paulis for exhaustive checks.
@@ -23,9 +26,8 @@ import itertools
 from typing import Iterator, Optional, Sequence
 
 from tmagic import stabilizer
-from tmagic.gauss import letters_to_pauli
-from tmagic.gf2 import parity
-from tmagic.pauli import PauliOperator
+from tmagic.gf2 import parity, revbits
+from tmagic.pauli import PauliOperator, letters_to_pauli
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, i_power
 from tmagic.stabilizer import StabilizerState, apply_pauli_state
 from tmagic.strong_sim import _projected_terms
@@ -222,6 +224,21 @@ def exact_pauli_expectation(dec, p) -> ExactAmplitude:
     for cj, sj in dec.terms:
         for cl, sl in kets:
             total = total + cj.conj() * cl * stabilizer.inner_product(sj, sl)
+    return total
+
+
+def dense_pauli_expectation(amps: Sequence[ExactAmplitude], p: PauliOperator
+                            ) -> ExactAmplitude:
+    """<psi| P |psi> in ring arithmetic from exact dense amplitudes.
+
+    P|x> = i^(omega + #Y) (-1)^|x & z| |x ^ x_mask> in the dense index
+    convention of ``dense.apply_pauli``.
+    """
+    xm, zm = revbits(p.x_mask, p.n), revbits(p.z_mask, p.n)
+    total = ZERO
+    for x, amp in enumerate(amps):
+        k = p.omega_exp + p.delta.bit_count() + 2 * (x & zm).bit_count()
+        total = total + amps[x ^ xm].conj() * i_power(k) * amp
     return total
 
 

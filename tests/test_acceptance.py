@@ -21,13 +21,12 @@ from tmagic.catalog import (CATALOG_TERM_COUNTS, block_decomposition,
                             catalog_entry, _t6_states, _t12_merge_states)
 from tmagic.dense import (apply_projector, dense_magic_state,
                           dense_magic_state_exact, dense_pauli_expect)
-from tmagic.gauss import (WORST_CASE_UNIQUE, expect_block, letters_to_pauli,
-                          rank_census)
-from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
+from tmagic.gauss import WORST_CASE_UNIQUE, expect_block, rank_census
+from tmagic.pauli import (PauliOperator, PauliProjector, letters_to_pauli,
+                          random_pauli)
 from tmagic.stabilizer import (inner_product, measure_pauli,
                                random_stabilizer_state)
-from tmagic.strong_sim import (SimulationTask, exact_expectation, run_task,
-                               sampled_expectation)
+from tmagic.strong_sim import exact_expectation, sampled_expectation
 
 from reference_kernel import all_paulis
 

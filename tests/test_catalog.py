@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmagic.catalog import (CATALOG_TERM_COUNTS, MagicDecomposition,
                             block_cover, block_decomposition, catalog_entry,
@@ -13,7 +14,8 @@ from tmagic.catalog import (CATALOG_TERM_COUNTS, MagicDecomposition,
 from tmagic.dense import dense_magic_state, dense_magic_state_exact
 from tmagic.pauli import PauliProjector
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO
-from tmagic.stabilizer import inner_product
+from tmagic.stabilizer import (StabilizerState, inner_product,
+                               random_stabilizer_state)
 from tmagic.strong_sim import exact_expectation
 
 
@@ -160,17 +162,41 @@ class TestFileFormat:
         for k in (1, 2, 3, 6):
             path = tmp_path / f"t{k}.txt"
             dec = catalog_entry(k)
-            write_catalog_file(dec, str(path), notes=["test export"])
+            with open(path, "w") as fh:
+                write_catalog_file(dec, fh, notes=["test export"])
             back = read_catalog_file(str(path))
             assert back.k == dec.k and len(back) == len(dec)
             assert_exact_reconstruction(back, k)
 
     def test_t12_roundtrip(self, tmp_path):
         path = tmp_path / "t12.txt"
-        write_catalog_file(t12_decomposition(), str(path))
+        with open(path, "w") as fh:
+            write_catalog_file(t12_decomposition(), fh)
         back = read_catalog_file(str(path))
         assert len(back) == 47
         assert_exact_reconstruction(back, 12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_decomposition_roundtrip(self, tmp_path_factory, data):
+        # any decomposition reads back equal to what was written: random
+        # states, single points (m = 0) among them, and ring coefficients
+        n = data.draw(st.integers(1, 6))
+        ints = st.integers(-50, 50)
+        terms = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+            state = random_stabilizer_state(n, rng)
+            if data.draw(st.booleans()):
+                state = StabilizerState.computational(n, state.shift)
+            coeff = ExactAmplitude(*(data.draw(ints) for _ in range(4)),
+                                   data.draw(st.integers(0, 12)))
+            terms.append((coeff, state))
+        dec = MagicDecomposition(n, tuple(terms))
+        path = tmp_path_factory.mktemp("roundtrip") / "dec.txt"
+        with open(path, "w") as fh:
+            write_catalog_file(dec, fh, notes=["random"])
+        assert read_catalog_file(str(path)) == dec
 
     def test_expected_term_counts_table(self):
         for k, want in CATALOG_TERM_COUNTS.items():
@@ -183,7 +209,8 @@ class TestFileErrors:
     @staticmethod
     def _t3_lines(tmp_path):
         path = tmp_path / "t3.txt"
-        write_catalog_file(t3_decomposition(), str(path), notes=["test export"])
+        with open(path, "w") as fh:
+            write_catalog_file(t3_decomposition(), fh, notes=["test export"])
         return path, path.read_text().splitlines()
 
     @pytest.mark.parametrize("entry", ["2", "6"])

@@ -222,6 +222,20 @@ class TestCatalogExport:
                         "--catalog-file", str(path)])
         assert "PASS catalog-file-k3" in proc.stdout
 
+    def test_stdout_matches_out_file_without_temp_files(self, tmp_path, capsys,
+                                                        monkeypatch):
+        import tempfile
+
+        def refuse(*args, **kwargs):
+            raise OSError("catalog must not need a temporary file")
+
+        path = tmp_path / "t3.txt"
+        assert main(["catalog", "--k", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        assert main(["catalog", "--k", "3"]) == 0
+        assert capsys.readouterr().out.encode() == path.read_bytes()
+
 
 class TestStartup:
     """A command imports only the modules it runs, checked in a fresh

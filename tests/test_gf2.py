@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from tmagic.gf2 import (AffineSpace, from_str, parity, rank_of, revbits,
-                        solve_columns, to_str)
+from tmagic.gf2 import (from_str, parity, rank_of, revbits, solve_columns,
+                        to_str)
 
 import reference_kernel
 
@@ -40,32 +40,47 @@ def brute_solutions(columns, rhs):
     return [u for u in range(1 << len(columns)) if combine(columns, u) == rhs]
 
 
+def points(columns, shift):
+    """The affine space {sum_j u_j columns[j] + shift} as a set of points."""
+    return {combine(columns, u) ^ shift for u in range(1 << len(columns))}
+
+
 def random_space(rng, n, m, shift=None):
+    """(independent columns, shift) of a random m-dimensional affine space."""
     cols = []
     while len(cols) < m:
         v = int(rng.integers(1, 1 << n))
         if rank_of(cols + [v]) == len(cols) + 1:
             cols.append(v)
     h = int(rng.integers(0, 1 << n)) if shift is None else shift
-    return AffineSpace.create(n, cols, h)
+    return cols, h
 
 
-def intersect(a, b):
-    """a & b from one solve_columns call on both bases, or None if empty."""
-    sol = solve_columns(list(a.basis) + list(b.basis), a.shift ^ b.shift, a.n)
+def member_witness(columns, shift, x, n):
+    """u with sum_j u_j columns[j] + shift = x from solve_columns, or None."""
+    sol = solve_columns(columns, x ^ shift, n)
+    return None if sol is None else sol[0]
+
+
+def intersect(a, b, n):
+    """The points of a & b from one solve_columns call on both bases."""
+    (ca, ha), (cb, hb) = a, b
+    sol = solve_columns(ca + cb, ha ^ hb, n)
     if sol is None:
-        return None
+        return set()
     part, null = sol
-    dirs = [combine(a.basis, w) for w in null]
-    return AffineSpace.create(a.n, [d for d in dirs if d],
-                              combine(a.basis, part) ^ a.shift)
+    return points([combine(ca, w) for w in null], combine(ca, part) ^ ha)
 
 
-def dual(space):
-    """The xi with xi . g = 0 for every basis g: the null space of G^T."""
-    rows_of_g = [sum(((g >> i) & 1) << j for j, g in enumerate(space.basis))
-                 for i in range(space.n)]
-    return solve_columns(rows_of_g, 0, space.dim)[1]
+def dual(columns, n):
+    """The xi with xi . g = 0 for every column g: the null space of G^T."""
+    rows_of_g = [sum(((g >> i) & 1) << j for j, g in enumerate(columns))
+                 for i in range(n)]
+    return solve_columns(rows_of_g, 0, len(columns))[1]
+
+
+SIX_QUBIT_COLUMNS = [from_str("110000"), from_str("101000"), from_str("100100"),
+                     from_str("100010"), from_str("100001")]
 
 
 class TestGaussEliminate:
@@ -79,10 +94,7 @@ class TestGaussEliminate:
 
     def test_six_qubit_direction_matrix(self):
         # rows (1,1,0,0,0,0) ... (1,0,0,0,0,1): rank 5
-        rows = [from_str("110000"), from_str("101000"), from_str("100100"),
-                from_str("100010"), from_str("100001")]
-        assert rank_of(rows) == 5
-        assert AffineSpace.create(6, rows, 0).dim == 5
+        assert rank_of(SIX_QUBIT_COLUMNS) == 5
 
     def test_transform_reproduces_echelon(self):
         # every relation found by the elimination combines the rows to 0,
@@ -105,48 +117,44 @@ class TestGaussEliminate:
 
 
 class TestAffineMembership:
+    """Membership of an affine space is a solve_columns call."""
+
     def test_full_space(self):
-        a = AffineSpace.full(4)
         for x in range(16):
-            assert a.member_witness(x) is not None
+            assert member_witness([1 << i for i in range(4)], 0, x, 4) is not None
 
     def test_single_point(self):
-        a = AffineSpace.point(3, 0b101)
-        assert a.contains(0b101)
-        assert not a.contains(0b001)
+        assert member_witness([], 0b101, 0b101, 3) == 0
+        assert member_witness([], 0b101, 0b001, 3) is None
 
     def test_six_qubit_space_with_shift(self):
-        cols = [from_str("110000"), from_str("101000"), from_str("100100"),
-                from_str("100010"), from_str("100001")]
-        a = AffineSpace.create(6, cols, from_str("100000"))
-        pts = set(a.points())
+        shift = from_str("100000")
+        pts = points(SIX_QUBIT_COLUMNS, shift)
         # brute force over all 2^5 parameter values
         assert len(pts) == 32
         assert from_str("100000") in pts
         assert from_str("000001") in pts  # reachable via column 5 + shift
         for x in range(64):
-            w = a.member_witness(x)
+            w = member_witness(SIX_QUBIT_COLUMNS, shift, x, 6)
             assert (w is not None) == (x in pts)
 
     def test_witness_reconstructs_point(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             n = int(rng.integers(1, 8))
-            a = random_space(rng, n, int(rng.integers(0, n + 1)))
-            x = list(a.points())[int(rng.integers(0, 1 << a.dim))]
-            w = a.member_witness(x)
-            assert combine(a.basis, w) ^ a.shift == x
+            cols, h = random_space(rng, n, int(rng.integers(0, n + 1)))
+            x = sorted(points(cols, h))[int(rng.integers(0, 1 << len(cols)))]
+            w = member_witness(cols, h, x, n)
+            assert combine(cols, w) ^ h == x
 
 
 class TestAffineIntersection:
     def test_self_intersection(self):
-        a = AffineSpace.create(4, [0b0011, 0b0101], 0b1000)
-        assert intersect(a, a) == a
+        a = ([0b0011, 0b0101], 0b1000)
+        assert intersect(a, a, 4) == points(*a)
 
     def test_disjoint_hyperplanes(self):
-        a = AffineSpace.point(1, 0)
-        b = AffineSpace.point(1, 1)
-        assert intersect(a, b) is None
+        assert intersect(([], 0), ([], 1), 1) == set()
 
     def test_exhaustive_cross_check(self):
         rng = np.random.default_rng(5)
@@ -154,44 +162,37 @@ class TestAffineIntersection:
             n = int(rng.integers(1, 9))
             a, b = (random_space(rng, n, int(rng.integers(0, n + 1)))
                     for _ in range(2))
-            inter = intersect(a, b)
-            want = set(a.points()) & set(b.points())
-            if inter is None:
-                assert not want
-            else:
-                assert set(inter.points()) == want
+            assert intersect(a, b, n) == points(*a) & points(*b)
 
 
 class TestDualBasis:
     """The null space of G^T from solve_columns annihilates the space."""
 
     def test_full_space_has_empty_dual(self):
-        assert dual(AffineSpace.full(3)) == []
+        assert dual([1 << i for i in range(3)], 3) == []
 
     def test_point_has_full_dual(self):
-        d = dual(AffineSpace.point(3, 0b010))
+        d = dual([], 3)
         assert len(d) == 3
         assert rank_of(d) == 3
 
     def test_six_qubit_dual(self):
-        cols = [from_str("110000"), from_str("101000"), from_str("100100"),
-                from_str("100010"), from_str("100001")]
-        a = AffineSpace.create(6, cols, from_str("100000"))
-        d = dual(a)
+        shift = from_str("100000")
+        d = dual(SIX_QUBIT_COLUMNS, 6)
         assert len(d) == 1
-        for x in a.points():
-            assert parity(d[0] & (x ^ a.shift)) == 0
+        for x in points(SIX_QUBIT_COLUMNS, shift):
+            assert parity(d[0] & (x ^ shift)) == 0
 
     def test_random_duals_annihilate(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             n = int(rng.integers(1, 8))
             m = int(rng.integers(0, n + 1))
-            a = random_space(rng, n, m, shift=0)
-            d = dual(a)
+            cols, _ = random_space(rng, n, m, shift=0)
+            d = dual(cols, n)
             assert len(d) == n - m
             for xi in d:
-                for g in a.basis:
+                for g in cols:
                     assert parity(xi & g) == 0
             assert rank_of(d) == n - m
 

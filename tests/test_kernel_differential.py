@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 import tmagic
 from tmagic.catalog import t12_decomposition
-from tmagic.pauli import random_pauli
+from tmagic.pauli import PauliOperator, random_pauli
 from tmagic.phase_ring import ZERO
-from tmagic.stabilizer import (apply_pauli_state, inner_product,
-                               random_stabilizer_state, shrink)
+from tmagic.stabilizer import (apply_pauli_state, inner_product, measure_pauli,
+                               random_stabilizer_state)
 
 import reference_kernel
 
@@ -55,9 +55,11 @@ class TestAgainstReference:
 
 
 def _shrunk_state(n, rng, cuts):
+    """A random state cut down by ``cuts`` random Z-type projections."""
     s = random_stabilizer_state(n, rng)
     for _ in range(cuts):
-        s = shrink(s, int(rng.integers(1, 1 << n)), int(rng.integers(0, 2)))
+        z = PauliOperator(n, beta=int(rng.integers(1, 1 << n)))
+        s, _ = measure_pauli(s, z, 1 - 2 * int(rng.integers(0, 2)))
         if s is None:
             return None
     return s
@@ -98,7 +100,8 @@ def check(label, fn):
 check("odd-dvec", lambda: StabilizerState(2, (1,), 0, (0,), (3,), 0, ONE))
 check("short-bmat", lambda: StabilizerState(2, (1,), 0, (), (0,), 0, ONE))
 check("bmat-diagonal", lambda: StabilizerState(2, (1,), 0, (1,), (0,), 0, ONE))
-check("odd-phase", lambda: _Form.of(StabilizerState.plus_state(2)).add_phase_xor(3, 1))
+check("odd-phase", lambda: _Form.of(
+    StabilizerState(2, (1, 2), 0, (0, 0), (0, 0), 0, ONE)).add_phase_xor(3, 1))
 s = StabilizerState(1, (1,), 0, (0,), (0,), 0, ONE)
 object.__setattr__(s, "dvec", (3,))  # corrupt a valid state after checks
 check("odd-ratio", lambda: measure_pauli(s, PauliOperator.from_str("X"), 1))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmagic.phase_ring import (ExactAmplitude, ONE, ZERO, canonical,
+from tmagic.phase_ring import (ExactAmplitude, ONE, SQRT2, ZERO, canonical,
                                eighth_root, i_power, sqrt2_root)
 
 ints = st.integers(min_value=-(2 ** 30), max_value=2 ** 30)
@@ -126,9 +126,11 @@ def test_i_power():
 
 def test_sqrt2_root_equals_ring_product():
     # the exponential-sum value sqrt2^k zeta^p, canonical like a product
+    power = ONE  # sqrt2^k
     for k in range(25):
         for p in range(8):
-            assert sqrt2_root(k, p) == ExactAmplitude.sqrt2_pow(k) * eighth_root(p)
+            assert sqrt2_root(k, p) == power * eighth_root(p)
+        power = power * SQRT2
     assert sqrt2_root(3, -1) == sqrt2_root(3, 7)
 
 

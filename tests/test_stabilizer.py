@@ -7,13 +7,23 @@ from hypothesis import example, given, settings, strategies as st
 from tmagic.dense import apply_projector, dense_magic_state
 from tmagic.gf2 import from_str, parity, revbits
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
-from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, sqrt2_root
+from tmagic.phase_ring import (INV_SQRT2, ExactAmplitude, ONE, ZERO,
+                               eighth_root, sqrt2_root)
 from tmagic.stabilizer import (StabilizerState, _Form, apply_pauli_state,
-                               exponential_sum, extend, inner_product,
-                               measure_pauli, random_stabilizer_state, shrink,
-                               _dimension_weights)
+                               exponential_sum, inner_product, measure_pauli,
+                               random_stabilizer_state, _dimension_weights)
 
 import reference_kernel
+
+
+PLUS1 = StabilizerState(1, (1,), 0, (0,), (0,), 0, INV_SQRT2)  # |+>
+
+
+def z_cut(s: StabilizerState, xi: int, bit: int):
+    """measure_pauli by the Z-type Pauli on the sites of xi: the part of s
+    on {x : xi . x = bit}, s itself if that is all of s, None if empty."""
+    z = PauliOperator(s.n, beta=xi)
+    return measure_pauli(s, z, -1 if bit else 1)[0]
 
 
 def brute_exponential_sum(s: StabilizerState) -> ExactAmplitude:
@@ -117,19 +127,20 @@ class TestExponentialSum:
 
 
 class TestShrink:
+    """Support restriction, reached through measure_pauli by a Z-type Pauli."""
+
     def test_plus_to_zero(self):
-        plus = StabilizerState.plus_state(1)
-        s = shrink(plus, 1, 0)
+        s = z_cut(PLUS1, 1, 0)
         assert s.m == 0 and s.shift == 0
         assert np.allclose(s.to_dense(), [2 ** -0.5, 0])
 
     def test_inconsistent_constraint_empty(self):
         zero = StabilizerState.computational(1, 0)
-        assert shrink(zero, 1, 1) is None
+        assert z_cut(zero, 1, 1) is None
 
     def test_already_satisfied_returns_same_state(self):
         zero = StabilizerState.computational(2, 0)
-        assert shrink(zero, 0b11, 0) is zero
+        assert z_cut(zero, 0b11, 0) is zero
 
     def test_dense_oracle_random(self):
         rng = np.random.default_rng(2)
@@ -138,7 +149,7 @@ class TestShrink:
             s = random_stabilizer_state(n, rng)
             xi = int(rng.integers(1, 1 << n))
             bit = int(rng.integers(0, 2))
-            out = shrink(s, xi, bit)
+            out = z_cut(s, xi, bit)
             want = s.to_dense()
             for idx in range(1 << n):
                 if parity(revbits(idx, n) & xi) != bit:
@@ -148,53 +159,32 @@ class TestShrink:
 
 
 class TestExtend:
-    def test_zero_to_plus(self):
-        e = extend(StabilizerState.computational(1, 0), 1)
-        assert np.allclose(e.to_dense(), [1, 1])
+    """Support extension: measure_pauli by a Pauli whose flip direction
+    leaves the support adds that direction, giving (|s> + P|s>)/2."""
 
-    def test_full_space_cannot_grow(self):
-        with pytest.raises(ValueError):
-            extend(StabilizerState.plus_state(2), 0b01)
+    def test_zero_to_plus(self):
+        out, _ = measure_pauli(StabilizerState.computational(1, 0),
+                               PauliOperator.from_str("X"), 1)
+        assert out.m == 1
+        assert np.allclose(out.to_dense(), [0.5, 0.5])
 
     def test_support_union_dense(self):
+        from tmagic.dense import apply_pauli
         from tmagic.gf2 import rank_of
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            n = int(rng.integers(2, 5))
-            s = random_stabilizer_state(n, rng)
-            if s.m == n:
-                continue
-            direction = next(d for d in range(1, 1 << n)
-                             if rank_of(list(s.basis) + [d]) == s.m + 1)
-            e = extend(s, direction)
-            ve, vs = e.to_dense(), s.to_dense()
-            # original amplitudes kept, shifted copy added on the new coset
-            for idx in range(1 << n):
-                x = revbits(idx, n)
-                want = vs[idx] + vs[revbits(x ^ direction, n)]
-                assert ve[idx] == pytest.approx(want, abs=1e-12)
-
-    def test_shrink_then_extend_restores_coset_amplitudes(self):
-        # shrinking to a hyperplane and re-extending along a removed
-        # direction reproduces the original amplitudes on the kept coset
-        rng = np.random.default_rng(4)
         checked = 0
         while checked < 100:
-            n = int(rng.integers(2, 6))
+            n = int(rng.integers(2, 5))
             s = random_stabilizer_state(n, rng)
-            if s.m == 0:
+            p = random_pauli(n, rng)
+            if rank_of(list(s.basis) + [p.x_mask]) != s.m + 1:
                 continue
-            xi = int(rng.integers(1, 1 << n))
-            bit = parity(xi & s.shift)  # keep the shift's own coset
-            cut = shrink(s, xi, bit)
-            if cut is s or cut is None:
-                continue
-            direction = next(d for d in range(1, 1 << n) if parity(xi & d))
-            ext = extend(cut, direction)
-            vs, ve = s.to_dense(), ext.to_dense()
-            for idx in range(1 << n):
-                if parity(revbits(idx, n) & xi) == bit:
-                    assert ve[idx] == pytest.approx(vs[idx], abs=1e-12)
+            out, _ = measure_pauli(s, p, 1)
+            assert out.m == s.m + 1
+            vs = s.to_dense()
+            # original amplitudes kept, P-shifted copy added on the new coset
+            want = (vs + apply_pauli(vs, p)) / 2
+            assert np.allclose(out.to_dense(), want, atol=1e-12)
             checked += 1
 
 
@@ -206,7 +196,9 @@ class TestInnerProduct:
     def test_zero_plus(self):
         for n in range(1, 6):
             z = StabilizerState.computational(n, 0)
-            p = StabilizerState.plus_state(n)
+            p = StabilizerState(n, tuple(1 << q for q in range(n)), 0,
+                                (0,) * n, (0,) * n, 0,
+                                ExactAmplitude(1, 0, 0, 0, n))  # |+>^n
             assert inner_product(z, p) == ExactAmplitude(1, 0, 0, 0, n)
 
     def test_b60_e6_overlap(self):
@@ -259,8 +251,7 @@ class TestMeasurePauli:
         assert out is None and norm.is_zero()
 
     def test_plus_measured_in_z(self):
-        plus = StabilizerState.plus_state(1)
-        out, norm = measure_pauli(plus, PauliOperator.from_str("Z"), 1)
+        out, norm = measure_pauli(PLUS1, PauliOperator.from_str("Z"), 1)
         assert norm == ExactAmplitude(1, 0, 0, 0, 2)
         assert np.allclose(out.to_dense(), [2 ** -0.5, 0])
 
@@ -374,7 +365,7 @@ class TestToDense:
         assert np.allclose(StabilizerState.computational(1, 0).to_dense(), [1, 0])
 
     def test_plus_state(self):
-        v = StabilizerState.plus_state(1).to_dense()
+        v = PLUS1.to_dense()
         assert np.allclose(v, [2 ** -0.5, 2 ** -0.5])
 
     def test_two_point_cat_state(self):

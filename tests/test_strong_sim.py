@@ -7,13 +7,13 @@ from tmagic import strong_sim
 from tmagic.catalog import (block_decomposition, extend_with_zeros,
                             t1_decomposition, t6_decomposition,
                             t12_decomposition)
-from tmagic.dense import dense_magic_state, dense_projector_expect
-from tmagic.gauss import expect_block
+from tmagic.dense import (dense_magic_state, dense_magic_state_exact,
+                          dense_projector_expect)
+from tmagic.gauss import expect_block, expect_single_pauli
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
 from tmagic.phase_ring import ONE, ZERO
 from tmagic.stabilizer import apply_pauli_state, inner_product
-from tmagic.strong_sim import (SimulationTask, exact_expectation,
-                               exact_pauli_expectation, run_task,
+from tmagic.strong_sim import (exact_expectation, exact_pauli_expectation,
                                sample_count, sampled_expectation)
 
 import reference_kernel
@@ -97,7 +97,7 @@ class TestExact:
         p = PauliOperator.from_str("i:Z")
         kets = [apply_pauli_state(s, p) for _, s in dec.terms]
         with pytest.raises(ValueError, match="non-real diagonal"):
-            strong_sim._hermitian_sum(dec, dec.terms, kets, 0.0)
+            strong_sim._hermitian_sum(dec, dec.terms, kets)
 
     def test_non_commuting_projector_rejected(self):
         with pytest.raises(ValueError):
@@ -131,6 +131,20 @@ class TestHermitianGram:
         res = exact_expectation(dec, proj)
         assert res.exact_value == ZERO == reference_kernel.exact_expectation(dec, proj)
         assert res.inner_products_evaluated == 0
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 6, 12])
+    def test_three_engines_ring_equal(self, t):
+        # stabilizer rank, Gauss sums and the exact dense oracle agree by
+        # ring equality, on phase-free and -1: Paulis
+        rng = np.random.default_rng(300 + t)
+        dec = block_decomposition(t)
+        amps = dense_magic_state_exact(t)
+        for i in range(4 if t == 12 else 16):
+            q = random_pauli(t, rng)
+            p = PauliOperator(t, q.beta, q.gamma, q.delta, 2 * (i % 2))
+            want = reference_kernel.dense_pauli_expectation(amps, p)
+            assert exact_pauli_expectation(dec, p).exact_value == want, str(p)
+            assert expect_single_pauli(t, p).exact == want, str(p)
 
     def test_t12_gram_matrix_is_hermitian(self):
         dec = t12_decomposition()
@@ -196,53 +210,54 @@ class TestSampled:
 
 
 class TestRunTask:
+    """A task as the CLI runs it: ``block_decomposition``, then
+    ``extend_with_zeros`` for padding qubits, then one engine."""
+
     def test_t12_exact_counter_bound(self):
         p = random_pauli(12, np.random.default_rng(5))
-        task = SimulationTask(t=12, n=12, projector=_proj(str(p), 1), mode="exact")
-        res = run_task(task)
+        res = exact_expectation(block_decomposition(12), _proj(str(p), 1))
         assert res.term_count == 47
         assert res.inner_products_evaluated == 47 * 48 // 2
 
     def test_forced_sample_count(self):
         p = random_pauli(2, np.random.default_rng(6))
-        task = SimulationTask(t=2, n=2, projector=_proj(str(p), 1),
-                              mode="sampled", samples_override=100, seed=1)
-        res = run_task(task)
+        res = sampled_expectation(block_decomposition(2), _proj(str(p), 1),
+                                  0.1, 0.05, seed=1, samples_override=100)
         assert res.samples_used == 100
-
-    def test_t0_pure_stabilizer_input(self):
-        proj = PauliProjector.single(PauliOperator.from_str("ZZZ"), 1)
-        task = SimulationTask(t=0, n=3, projector=proj, mode="exact")
-        res = run_task(task)
-        assert res.value == pytest.approx(1.0)
-        assert res.inner_products_evaluated == 1
 
     def test_policy_work_ratio_47_vs_49(self):
         p = random_pauli(12, np.random.default_rng(7))
         proj = _proj(str(p), 1)
-        r12 = run_task(SimulationTask(t=12, n=12, projector=proj, mode="sampled",
-                                      samples_override=5, seed=0, policy=(12,)))
-        r66 = run_task(SimulationTask(t=12, n=12, projector=proj, mode="sampled",
-                                      samples_override=5, seed=0, policy=(6,)))
+        r12 = sampled_expectation(block_decomposition(12, (12,)), proj,
+                                  0.1, 0.05, seed=0, samples_override=5)
+        r66 = sampled_expectation(block_decomposition(12, (6,)), proj,
+                                  0.1, 0.05, seed=0, samples_override=5)
         assert r12.term_count == 47 and r66.term_count == 49
         # kernel inner products per sample scale with the term count
         assert r12.inner_products_evaluated <= 5 * 47
         assert r66.inner_products_evaluated <= 5 * 49
 
     def test_validation(self):
+        dec = block_decomposition(2)
         proj = PauliProjector(2, ())
-        with pytest.raises(ValueError):
-            SimulationTask(t=3, n=2, projector=proj)
-        with pytest.raises(ValueError):
-            SimulationTask(t=2, n=2, projector=proj, mode="sampled", epsilon=0)
-        with pytest.raises(ValueError):
-            SimulationTask(t=2, n=2, projector=proj, mode="sampled",
-                           samples_override=0)
-        with pytest.raises(ValueError):
-            SimulationTask(t=2, n=2, projector=proj, mode="fancy")
+        with pytest.raises(ValueError, match="cannot extend"):
+            extend_with_zeros(block_decomposition(3), 2)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            sample_count(0, 0.05)
+        for p_f in (0, 1):
+            with pytest.raises(ValueError, match="failure probability"):
+                sample_count(0.1, p_f)
+        # an override replaces L but not the checks on epsilon and p_f
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            sampled_expectation(dec, proj, 0, 0.05, 0, samples_override=10)
+        with pytest.raises(ValueError, match="failure probability"):
+            sampled_expectation(dec, proj, 0.1, 1.0, 0, samples_override=10)
+        with pytest.raises(ValueError, match="sample count must be at least 1"):
+            sampled_expectation(dec, proj, 0.1, 0.05, 0, samples_override=0)
 
     def test_padded_qubits(self):
         # t=2 magic + 2 padding zeros, measure Z on a padded qubit
         proj = PauliProjector.single(PauliOperator.from_str("IIZI"), 1)
-        res = run_task(SimulationTask(t=2, n=4, projector=proj, mode="exact"))
+        res = exact_expectation(extend_with_zeros(block_decomposition(2), 4),
+                                proj)
         assert res.value == pytest.approx(1.0)
