@@ -128,6 +128,7 @@ def cmd_expect(args) -> int:
     policy = _parse_policy(args.policy, [args.t])
     record: dict = {"command": "expect", "t": args.t, "mode": args.mode,
                     "seed": args.seed}
+    se: Optional[float] = None  # sampled mode's standard error
     start = time.perf_counter()
     if args.projector:
         proj = _parse_projector(args.projector, args.t)
@@ -139,6 +140,7 @@ def cmd_expect(args) -> int:
         else:
             res = sampled_expectation(dec, proj, args.epsilon, args.pf,
                                       args.seed, args.samples)
+            se = res.std_error
         record.update(projector=str(proj), value=res.value,
                       inner_products=res.inner_products_evaluated,
                       samples_used=res.samples_used, terms=res.term_count)
@@ -175,7 +177,13 @@ def cmd_expect(args) -> int:
             record.update(pauli=str(p), value=(2 * res.value - 1) * zero_part,
                           inner_products=res.inner_products_evaluated,
                           samples_used=res.samples_used, terms=res.term_count)
+            if res.std_error is not None:  # the value reported is 2 v - 1
+                se = 2 * res.std_error * zero_part
     elapsed = time.perf_counter() - start
+    if args.mode == "sampled":
+        # stderr only: stdout stays byte-identical across runs
+        print(f"[se] {'n/a' if se is None else format(se, '.6g')}",
+              file=sys.stderr)
     if args.timing:
         record["wall_time"] = elapsed
     else:
@@ -234,12 +242,16 @@ def cmd_census(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def _fit_exponent(ts: Sequence[int], work: Sequence[int]) -> float:
+def _fit_exponent(ts: Sequence[int], work: Sequence[int]) -> Optional[float]:
+    """Slope of log2(work) against t, rounded; None for fewer than two
+    distinct T-counts, where no line is fitted."""
+    if len(set(ts)) < 2:
+        return None
     import numpy as np
     xs = np.asarray(ts, dtype=float)
     ys = np.log2(np.asarray(work, dtype=float))
     slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope)
+    return round(float(slope), 6)
 
 
 def _bench_gauss_once(t: int, policy: tuple[int, ...], seed: int) -> float:
@@ -305,7 +317,7 @@ def cmd_bench(args) -> int:
     exponent = _fit_exponent(list(work_by_t), [work_by_t[t] for t in work_by_t])
     print(json.dumps({"command": "bench", "mode": args.mode,
                       "t": sorted(work_by_t), "policy": list(policy),
-                      "fitted_exponent": round(exponent, 6),
+                      "fitted_exponent": exponent,
                       "seed": args.seed}, sort_keys=True))
     for note in times_note:
         print(f"[time] {note}", file=sys.stderr)
@@ -317,6 +329,9 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_catalog(args) -> int:
+    if args.k not in CATALOG_TERM_COUNTS:
+        _reject(f"catalog supports T-counts {tuple(CATALOG_TERM_COUNTS)}, "
+                f"got --k {args.k}")
     dec = catalog_entry(args.k)
     notes = [f"stabilizer decomposition of the {args.k}-fold T magic state",
              f"terms={len(dec)}"]

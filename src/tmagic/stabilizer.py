@@ -15,9 +15,12 @@ keeps the exponential-sum elimination at O(m^3).
 
 The ``_Form`` helpers update whole bit-packed rows of B, O(m) word operations
 per substitution or rank-one phase.  ``inner_product`` finds the common
-support with one GF(2) elimination and pulls both forms back to it by the
-congruence B' = L^T B~ L (``_Form.pull_back``), as in the InnerProduct /
-ExponentialSum construction of Bravyi et al., Quantum 3, 181 (2019).
+support with one GF(2) elimination and builds the phase difference of the
+two states on it in one pass over the null vectors: a column B~ v_k per
+null vector gives that variable's linear term and its cross terms with
+the later ones, so neither the transpose of the null basis nor a second
+congruence is formed.  This is the InnerProduct / ExponentialSum
+construction of Bravyi et al., Quantum 3, 181 (2019).
 
 That Gauss sum is always 0 or sqrt2^k zeta^p, so ``exponential_sum`` carries
 it as the integer pair (k, p) on the working ``_Form`` and no ring value is
@@ -26,7 +29,7 @@ built until ``inner_product`` multiplies in the two scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import TYPE_CHECKING, Optional
 
@@ -47,6 +50,9 @@ class StabilizerState:
     dvec: tuple[int, ...]  # linear phase data, even entries mod 8
     c: int                 # constant phase exponent, mod 8
     scale: ExactAmplitude
+    # masks of the a with bit 1 / bit 2 of dvec[a] set, for inner_product
+    odd: int = field(init=False, repr=False, compare=False)
+    d4: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = len(self.basis)
@@ -57,6 +63,12 @@ class StabilizerState:
             raise ValueError(f"dvec entries must be even, got {self.dvec}")
         if any((row >> a) & 1 for a, row in enumerate(self.bmat)):
             raise ValueError(f"bmat must have a zero diagonal, got {self.bmat}")
+        odd = d4 = 0
+        for a, d in enumerate(self.dvec):
+            odd |= ((d >> 1) & 1) << a
+            d4 |= ((d >> 2) & 1) << a
+        object.__setattr__(self, "odd", odd)
+        object.__setattr__(self, "d4", d4)
 
     @property
     def m(self) -> int:
@@ -68,20 +80,27 @@ class StabilizerState:
         return StabilizerState(n, (), x, (), (), 0, ONE)
 
     def phase_exponent(self, u: int) -> int:
-        """phi(u) mod 8 for a bit-packed parameter vector u.
+        """phi(u) mod 8 for a bit-packed parameter vector u."""
+        return self.phase_and_coupling(u)[0] % 8
 
-        Summing (B u)_a over the set bits a of u counts each coupled pair
-        twice, so 2 (B u)_a supplies the 4 B_ab u_a u_b terms.
+    def phase_and_coupling(self, u: int) -> tuple[int, int]:
+        """phi(u) (not reduced mod 8) and B u, in one walk over u's bits.
+
+        Summing |B_a & u| over the set bits a of u counts each coupled pair
+        twice, so 2 |B_a & u| supplies the 4 B_ab u_a u_b terms.
         """
         e = self.c
+        bu = 0
         dvec, bmat = self.dvec, self.bmat
         w = u
         while w:
             low = w & -w
             a = low.bit_length() - 1
-            e += dvec[a] + 2 * (bmat[a] & u).bit_count()
+            row = bmat[a]
+            bu ^= row
+            e += dvec[a] + 2 * (row & u).bit_count()
             w ^= low
-        return e % 8
+        return e, bu
 
     def point(self, u: int) -> int:
         x = self.shift
@@ -194,72 +213,6 @@ class _Form:
         del self.b[p]
         self.b = [(r & keep_low) | ((r >> (p + 1)) << p) for r in self.b]
 
-    def pull_back(self, s: StabilizerState, base: int, lt: list[int],
-                  sign: int) -> None:
-        """Add sign * phi_s(u) with u = base xor L w to this form over w.
-
-        ``lt[k]`` is row k of L^T: the variables u_a that w_k feeds.  This
-        is the congruence B' = L^T B~ L, where B~ is B plus a diagonal entry
-        for every d_a = 2 mod 4 (the pair terms of d_a * xor(...)).  The
-        linear data gains L^T t with t_a = sign d_a (-1)^base_a + 4 (B base)_a,
-        plus 4 diag(L^T B_upper L) from the squares u_k u_k = u_k, and the
-        constant gains sign * phi_s(base).  The GF(2) products are inlined
-        loops over set bits: this is the innermost loop of inner_product.
-        """
-        bmat, dvec = s.bmat, s.dvec
-        rows = [0] * s.m  # rows of L: the w_k feeding u_a
-        fed = 0           # the u_a fed by some w_k; the rest are constants
-        for k, v in enumerate(lt):
-            fed |= v
-            bit = 1 << k
-            while v:
-                low = v & -v
-                rows[low.bit_length() - 1] |= bit
-                v ^= low
-        odd = four = 0  # masks of a with bit 1 / bit 2 of t_a set
-        diag = 0        # diag(L^T B_upper L) as a mask over w
-        btl = [0] * s.m  # rows of B~ L
-        todo = fed
-        while todo:
-            abit = todo & -todo
-            todo ^= abit
-            a = abit.bit_length() - 1
-            row_a = bmat[a]
-            t = 4 * (row_a & base).bit_count()
-            t += -sign * dvec[a] if base & abit else sign * dvec[a]
-            row_a &= fed
-            upper = row_a & -(abit << 1)
-            ul = 0  # (B_upper L)_a
-            while upper:
-                low = upper & -upper
-                ul ^= rows[low.bit_length() - 1]
-                upper ^= low
-            full = ul  # (B L)_a
-            lower = row_a & (abit - 1)
-            while lower:
-                low = lower & -lower
-                full ^= rows[low.bit_length() - 1]
-                lower ^= low
-            diag ^= rows[a] & ul
-            if t & 2:
-                odd |= abit
-                full ^= rows[a]
-            if t & 4:
-                four |= abit
-            btl[a] = full
-        self.c = (self.c + sign * s.phase_exponent(base)) % 8
-        b, d = self.b, self.d
-        for k, v in enumerate(lt):
-            acc = 0  # (L^T B~ L)_k
-            w = v
-            while w:
-                low = w & -w
-                acc ^= btl[low.bit_length() - 1]
-                w ^= low
-            b[k] ^= acc & ~(1 << k)
-            d[k] = (d[k] + 2 * (v & odd).bit_count()
-                    + 4 * ((v & four).bit_count() + ((diag >> k) & 1))) % 8
-
 
 # ---------------------------------------------------------------------------
 # EXPONENTIALSUM
@@ -345,8 +298,22 @@ def _shrink_param(s: StabilizerState, umask: int, eps: int) -> StabilizerState:
 def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
     """Exact <a|b> via the common affine support and one exponential sum.
 
-    The support intersection is {(u_a, u_b) = part xor N w}; both phase
-    forms are pulled back to w and summed as one form on r = dim N vars.
+    The support intersection is {u = (u_a, u_b) = base xor V w}, where the
+    columns v_k of V are the null vectors from ``solve_columns`` (u_a in
+    the low m_a bits).  The summand phi_b(u_b) - phi_a(u_a) is one form on
+    u, with cross data B = diag(B_a, B_b) and linear data (-d_a, d_b).
+    One pass over the v_k pulls it back to the r variables w:
+
+      w_k w_k'  4 parity(v_k' & C_k), with the column C_k = B~ v_k, where
+                B~ is B plus the diagonal ``odd`` (the d = 2 mod 4, whose
+                d * xor(...) terms couple every pair);
+      w_k       2 |v_k & odd| + 4 |v_k & four| + 4 (edges of B inside
+                v_k, from the squares w_k w_k = w_k);
+      1         phi_b(base_b) - phi_a(base_a).
+
+    ``four`` is bit 2 of the linear data (bit 2 of -d is bit 2 of d xor
+    bit 1), flipped by 4 (B base) and, on an odd entry with base = 1, by
+    the sign of u = 1 - x.  No transpose of V is formed.
     """
     if sa.n != sb.n:
         raise ValueError("qubit count mismatch")
@@ -357,10 +324,44 @@ def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
     part, null = sol
     ma = sa.m
     low = (1 << ma) - 1
+    bmat_a, bmat_b = sa.bmat, sb.bmat
+    odd = sa.odd | (sb.odd << ma)
+    phi_a, bbase_a = sa.phase_and_coupling(part & low)
+    phi_b, bbase_b = sb.phase_and_coupling(part >> ma)
+    four = (((sa.d4 ^ sa.odd ^ bbase_a) | ((sb.d4 ^ bbase_b) << ma))
+            ^ (odd & part))
     r = len(null)
-    f = _Form(r, [1 << k for k in range(r)], 0, [0] * r, [0] * r, 0)
-    f.pull_back(sb, part >> ma, [w >> ma for w in null], 1)
-    f.pull_back(sa, part & low, [w & low for w in null], -1)
+    b = [0] * r
+    d = [0] * r
+    for k, v in enumerate(null):
+        va = v & low
+        vb = v >> ma
+        ca = cb = e = 0  # B v_k per side; e = twice the edges inside v_k
+        w = va
+        while w:
+            bit = w & -w
+            row = bmat_a[bit.bit_length() - 1]
+            ca ^= row
+            e += (row & va).bit_count()
+            w ^= bit
+        w = vb
+        while w:
+            bit = w & -w
+            row = bmat_b[bit.bit_length() - 1]
+            cb ^= row
+            e += (row & vb).bit_count()
+            w ^= bit
+        vo = v & odd
+        d[k] = (2 * (vo.bit_count() + e) + 4 * (v & four).bit_count()) % 8
+        ck = (ca | (cb << ma)) ^ vo  # B~ v_k
+        kbit = 1 << k
+        row = b[k]
+        for k2 in range(k + 1, r):
+            if (null[k2] & ck).bit_count() & 1:
+                row |= 1 << k2
+                b[k2] |= kbit
+        b[k] = row
+    f = _Form(r, [1 << k for k in range(r)], 0, b, d, (phi_b - phi_a) % 8)
     ks = exponential_sum(f)
     if ks is None:
         return ZERO

@@ -43,6 +43,7 @@ class SimulationResult:
     samples_used: int = 0
     term_count: int = 0
     exact_value: Optional[ExactAmplitude] = None  # exact paths only
+    std_error: Optional[float] = None  # sampled path with L >= 2 only
 
 
 def sample_count(epsilon: float, p_f: float) -> int:
@@ -130,7 +131,8 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     L is ``sample_count(epsilon, p_f)`` unless ``samples_override`` (at
     least 1) replaces it.  Per-sample generators derive from (seed, a) so
     the loop is order-free; accumulation happens in sample order for
-    reproducibility.
+    reproducibility.  ``std_error`` is the empirical standard error of the
+    mean of the L per-sample terms 2^n |<psi_a|Phi>|^2.
     """
     import numpy as np
     n = dec.n
@@ -144,6 +146,7 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     dim = float(1 << n)
     total = 0.0
     count = 0
+    squares = []
     for a in range(big_l):
         rng = np.random.default_rng(np.random.SeedSequence([seed, a]))
         psi = random_stabilizer_state(n, rng)
@@ -151,8 +154,13 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
         for c, ket in zip(coeffs, kets):
             amp += c * inner_product(psi, ket[1]).to_float()
             count += 1
-        total += abs(amp) ** 2
+        sq = abs(amp) ** 2
+        squares.append(sq)
+        total += sq
+    se = (dim * float(np.std(squares, ddof=1)) / math.sqrt(big_l)
+          if big_l > 1 else None)
     return SimulationResult(value=dim * total / big_l,
                             inner_products_evaluated=count,
                             samples_used=big_l,
-                            term_count=len(dec))
+                            term_count=len(dec),
+                            std_error=se)

@@ -56,6 +56,18 @@ class TestExpect:
         rec = json.loads(capsys.readouterr().out)
         assert rec["value"] == pytest.approx(0.25)
 
+    def test_sampled_standard_error_goes_to_stderr_only(self):
+        proc = run_cli(["expect", "--t", "2", "--pauli", "XY", "--mode",
+                        "sampled", "--samples", "20", "--seed", "9"])
+        assert proc.stdout == (
+            '{"command": "expect", "inner_products": 40, "mode": "sampled", '
+            '"pauli": "XY", "samples_used": 20, "seed": 9, "t": 2, '
+            '"terms": 2, "value": 0.28786796564403505}\n')
+        se = [line for line in proc.stderr.splitlines()
+              if line.startswith("[se] ")]
+        assert len(se) == 1
+        assert float(se[0].split()[1]) > 0
+
     def test_padded_pauli(self, capsys):
         main(["expect", "--t", "1", "--pauli", "XZ", "--mode", "gauss"])
         rec = json.loads(capsys.readouterr().out)
@@ -176,6 +188,13 @@ class TestBench:
         assert_rejected(["bench", "--mode", "exact", "--t", ""],
                         "--t must list at least one T-count")
 
+    def test_single_t_count_fits_no_exponent(self):
+        proc = run_cli(["bench", "--mode", "gauss", "--t", "12"])
+        rec = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert rec["fitted_exponent"] is None
+        assert '"fitted_exponent": null' in proc.stdout
+        assert "RankWarning" not in proc.stderr
+
     def test_six_block_exponent(self, capsys):
         main(["bench", "--mode", "gauss", "--t", "6 12 18", "--policy", "6",
               "--reps", "3"])
@@ -215,6 +234,11 @@ class TestDeterminism:
 
 
 class TestCatalogExport:
+    @pytest.mark.parametrize("k", ["4", "0"])
+    def test_rejects_k_outside_catalog(self, k):
+        assert_rejected(["catalog", "--k", k],
+                        f"catalog supports T-counts (1, 2, 3, 6, 12), got --k {k}")
+
     def test_roundtrip_via_verify(self, tmp_path):
         path = tmp_path / "t3.txt"
         run_cli(["catalog", "--k", "3", "--out", str(path)])

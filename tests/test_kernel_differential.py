@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import tmagic
 from tmagic.catalog import t12_decomposition
+from tmagic.gf2 import solve_columns
 from tmagic.pauli import PauliOperator, random_pauli
 from tmagic.phase_ring import ZERO
 from tmagic.stabilizer import (apply_pauli_state, inner_product, measure_pauli,
@@ -53,6 +54,44 @@ class TestAgainstReference:
             assert inner_product(a, b) == reference_kernel.inner_product(a, b)
             checked += 1
 
+    def test_shifted_and_projected_partners_n1_to_48(self):
+        # partners on the state's own support, so most pairs are consistent
+        # and the intersection form is built, not short-circuited to 0
+        rng = np.random.default_rng(2027)
+        pairs = consistent = 0
+        for n in (1, 6, 12, 24, 48):
+            for _ in range(8):
+                a = _shrunk_state(n, rng, int(rng.integers(0, 3)))
+                if a is None:
+                    continue
+                for b in _partners(a, rng):
+                    for x, y in ((a, b), (b, a)):
+                        assert (inner_product(x, y)
+                                == reference_kernel.inner_product(x, y)), n
+                        pairs += 1
+                        consistent += solve_columns(
+                            list(x.basis) + list(y.basis), x.shift ^ y.shift,
+                            n) is not None
+        assert pairs >= 200
+        assert consistent > pairs // 2
+
+
+def _partners(s, rng):
+    """P s, Pi s, Pi P s and a P-shifted copy of the last projected state,
+    for random Paulis P and random-sign projectors Pi; annihilated
+    projections are left out."""
+    n = s.n
+    shifted = apply_pauli_state(s, random_pauli(n, rng))
+    out = [shifted]
+    for base in (s, shifted):
+        proj, _ = measure_pauli(base, random_pauli(n, rng),
+                                1 - 2 * int(rng.integers(0, 2)))
+        if proj is not None:
+            out.append(proj)
+    if out[-1] is not shifted:
+        out.append(apply_pauli_state(out[-1], random_pauli(n, rng)))
+    return out
+
 
 def _shrunk_state(n, rng, cuts):
     """A random state cut down by ``cuts`` random Z-type projections."""
@@ -66,8 +105,8 @@ def _shrunk_state(n, rng, cuts):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=1, max_value=8), st.integers(0, 2 ** 32 - 1),
-       st.integers(0, 8), st.integers(0, 8))
+@given(st.integers(min_value=1, max_value=10), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 10), st.integers(0, 10))
 def test_inner_product_matches_exact_dense(n, seed, cuts_a, cuts_b):
     rng = np.random.default_rng(seed)
     a = _shrunk_state(n, rng, min(cuts_a, n))

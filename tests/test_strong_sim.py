@@ -182,6 +182,17 @@ class TestSampled:
         sem = float(np.std(vals) / np.sqrt(len(vals)))
         assert abs(mean - want) < 4 * max(sem, 1e-3)
 
+    def test_std_error_tracks_spread_of_seeded_estimates(self):
+        dec = block_decomposition(2)
+        proj = _proj("XY", 1)
+        runs = [sampled_expectation(dec, proj, 0.2, 0.2, seed)
+                for seed in range(40)]
+        spread = float(np.std([r.value for r in runs], ddof=1))
+        reported = float(np.mean([r.std_error for r in runs]))
+        assert spread / 2 < reported < 2 * spread
+        assert sampled_expectation(dec, proj, 0.1, 0.05, 0,
+                                   samples_override=1).std_error is None
+
     def test_consistency_error_shrinks_with_epsilon(self):
         dec = block_decomposition(2)
         p = PauliOperator.from_str("XY")
