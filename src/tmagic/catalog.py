@@ -10,7 +10,8 @@ amplitude by amplitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Sequence, TextIO
 
 from .phase_ring import INV_SQRT2, SQRT2, ExactAmplitude, ZERO, eighth_root
@@ -22,10 +23,18 @@ DEFAULT_POLICY = (12, 6, 3, 2, 1)
 
 @dataclass(frozen=True)
 class MagicDecomposition:
-    """|T>^{otimes k} = sum_j coeff_j |state_j> with exact coefficients."""
+    """|T>^{otimes k} = sum_j coeff_j |state_j> with exact coefficients.
+
+    ``blocks`` names the decompositions this one is the tensor product of,
+    in qubit order, with term j running over their terms last block
+    fastest; empty means one block, itself.  Zero padding keeps the blocks
+    and leaves the added qubits above them.
+    """
 
     k: int
     terms: tuple[tuple[ExactAmplitude, StabilizerState], ...]
+    blocks: tuple["MagicDecomposition", ...] = field(
+        default=(), compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -161,10 +170,18 @@ def _tensor_states(a: StabilizerState, b: StabilizerState) -> StabilizerState:
                            a.scale * b.scale)
 
 
+def _factors(dec: MagicDecomposition) -> tuple[MagicDecomposition, ...]:
+    """The blocks of dec, or dec itself when it is padded: tensoring puts
+    the next factor right after the padding."""
+    if dec.blocks and dec.n == sum(b.n for b in dec.blocks):
+        return dec.blocks
+    return (dec,)
+
+
 def tensor(a: MagicDecomposition, b: MagicDecomposition) -> MagicDecomposition:
     terms = tuple((ca * cb, _tensor_states(sa, sb))
                   for ca, sa in a.terms for cb, sb in b.terms)
-    return MagicDecomposition(a.k + b.k, terms)
+    return MagicDecomposition(a.k + b.k, terms, _factors(a) + _factors(b))
 
 
 def _t12_merge_states() -> tuple[StabilizerState, StabilizerState]:
@@ -214,7 +231,7 @@ def extend_with_zeros(dec: MagicDecomposition, n: int) -> MagicDecomposition:
     terms = tuple(
         (c, StabilizerState(n, s.basis, s.shift, s.bmat, s.dvec, s.c, s.scale))
         for c, s in dec.terms)
-    return MagicDecomposition(dec.k, terms)
+    return MagicDecomposition(dec.k, terms, dec.blocks or (dec,))
 
 
 _CATALOG = {1: t1_decomposition, 2: t2_decomposition, 3: t3_decomposition,
@@ -223,7 +240,9 @@ _CATALOG = {1: t1_decomposition, 2: t2_decomposition, 3: t3_decomposition,
 CATALOG_TERM_COUNTS = {1: 2, 2: 2, 3: 3, 6: 7, 12: 47}
 
 
+@cache
 def catalog_entry(k: int) -> MagicDecomposition:
+    """The catalog decomposition of |T>^k, built once per process."""
     if k not in _CATALOG:
         raise ValueError(f"no catalog entry for T-count {k}")
     return _CATALOG[k]()

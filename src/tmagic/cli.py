@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import NoReturn, Optional, Sequence
 
-from .catalog import (CATALOG_TERM_COUNTS, DEFAULT_POLICY, block_cover,
-                      block_decomposition, catalog_entry, extend_with_zeros,
-                      read_catalog_file, write_catalog_file)
+from .catalog import (CATALOG_TERM_COUNTS, DEFAULT_POLICY, MagicDecomposition,
+                      block_cover, block_decomposition, catalog_entry,
+                      extend_with_zeros, read_catalog_file, write_catalog_file)
 from .gauss import (SUPPORTED_BLOCKS, WORST_CASE_UNIQUE, census_letters,
                     expect_block, expect_single_pauli, unique_sum_counts)
 from .pauli import PauliOperator, PauliProjector, letters_to_pauli
@@ -96,6 +97,31 @@ def _check_sampling(args) -> None:
         _reject(f"--pf must lie in (0, 1), got {args.pf}")
     if args.samples is not None and args.samples < 1:
         _reject(f"--samples must be at least 1, got {args.samples}")
+
+
+def _check_out(path: str) -> None:
+    """Reject an --out path that cannot be written, before any work."""
+    target = os.path.abspath(path)
+    folder = os.path.dirname(target)
+    if os.path.isdir(target):
+        reason = "it is a directory"
+    elif not os.path.isdir(folder):
+        reason = f"no directory {folder!r}"
+    elif not os.access(target if os.path.exists(target) else folder, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    _reject(f"cannot write --out {path!r}: {reason}")
+
+
+def _read_catalog(path: str) -> MagicDecomposition:
+    """verify --catalog-file, read and checked before any suite runs."""
+    try:
+        return read_catalog_file(path)
+    except OSError as exc:
+        _reject(f"cannot read --catalog-file {path!r}: {exc.strerror}")
+    except ValueError as exc:
+        _reject(f"invalid --catalog-file: {exc}")
 
 
 def _emit(record: dict, out: Optional[str]) -> None:
@@ -349,7 +375,8 @@ def cmd_catalog(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_decompositions(report, catalog_file: Optional[str]) -> None:
+def _verify_decompositions(report,
+                           catalog: Optional[MagicDecomposition]) -> None:
     from .dense import dense_magic_state_exact
     for k in (1, 2, 3, 6, 12):
         dec = catalog_entry(k)
@@ -359,12 +386,11 @@ def _verify_decompositions(report, catalog_file: Optional[str]) -> None:
         ok = ok and all(x == y for x, y in zip(recon, target))
         report(f"decomposition-t{k}", ok,
                f"terms={len(dec)} exact-reconstruction={ok}")
-    if catalog_file:
-        dec = read_catalog_file(catalog_file)
-        recon = dec.reconstruct_dense_exact()
-        target = dense_magic_state_exact(dec.k)
+    if catalog is not None:
+        recon = catalog.reconstruct_dense_exact()
+        target = dense_magic_state_exact(catalog.k)
         ok = all(x == y for x, y in zip(recon, target))
-        report(f"catalog-file-k{dec.k}", ok, f"terms={len(dec)}")
+        report(f"catalog-file-k{catalog.k}", ok, f"terms={len(catalog)}")
 
 
 def _verify_merges(report) -> None:
@@ -429,6 +455,11 @@ def _verify_kernel(report, trials: int, seed: int) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        _reject(f"--samples must be at least 1, got {args.samples}")
+    if args.trials < 1:
+        _reject(f"--trials must be at least 1, got {args.trials}")
+    catalog = _read_catalog(args.catalog_file) if args.catalog_file else None
     results = []
 
     def report(name: str, ok: bool, detail: str) -> None:
@@ -437,7 +468,7 @@ def cmd_verify(args) -> int:
 
     scope = args.scope
     if scope in ("all", "decompositions"):
-        _verify_decompositions(report, args.catalog_file)
+        _verify_decompositions(report, catalog)
     if scope in ("all", "merges"):
         _verify_merges(report)
     for k in SUPPORTED_BLOCKS:
@@ -520,6 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "out", None):
+        _check_out(args.out)
     return args.fn(args)
 
 

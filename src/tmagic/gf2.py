@@ -5,13 +5,14 @@ Vectors are stored as Python ints with coordinate ``i`` in bit ``i`` (LSB).
 is the order used by the decomposition file format and the dense oracle's
 amplitude indexing (see :func:`revbits`).
 
-All elimination goes through one routine, :func:`_eliminate`: each column is
+All elimination goes through one routine, :func:`eliminate`: each column is
 reduced against a table indexed by leading (highest) bit that holds a
 reduced column and the mask of input columns it sums.  A column that
 reduces to zero yields a relation among the inputs.  :func:`solve_columns`
-and :func:`rank_of` are thin readings of that table, and every operation on
-a column is one XOR of two Python ints, so a system of m columns of length
-n costs O(m * rank) word-parallel steps.
+and :func:`rank_of` are thin readings of that table, and :func:`reduce_column`
+solves a further right-hand side against a table kept from an earlier
+elimination.  Every operation on a column is one XOR of two Python ints, so
+a system of m columns of length n costs O(m * rank) word-parallel steps.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def from_str(s: str) -> int:
     return x
 
 
-def _eliminate(columns: Sequence[int], n: int
+def eliminate(columns: Sequence[int], n: int
                ) -> tuple[list[int], list[int], list[int]]:
     """Pivot-indexed Gaussian elimination of bit-packed columns below bit n.
 
@@ -85,7 +86,7 @@ def rank_of(vectors: Iterable[int]) -> int:
     """Rank of a collection of bit-packed vectors."""
     vectors = list(vectors)
     n = max(vectors, default=0).bit_length()
-    return n - _eliminate(vectors, n)[0].count(0)
+    return n - eliminate(vectors, n)[0].count(0)
 
 
 def solve_columns(columns: list[int], rhs: int, n: int
@@ -97,14 +98,28 @@ def solve_columns(columns: list[int], rhs: int, n: int
     particular solution is zero on the free coordinates, so both outputs
     depend only on the system, not on the elimination order.
     """
-    vecs, masks, null = _eliminate(columns, n)
-    v = rhs & ((1 << n) - 1)
-    particular = 0
+    vecs, masks, null = eliminate(columns, n)
+    residual, particular = reduce_column(vecs, masks, rhs & ((1 << n) - 1), 0)
+    if residual:
+        return None
+    return particular, null
+
+
+def reduce_column(vecs: Sequence[int], masks: Sequence[int], v: int,
+                  mask: int) -> tuple[int, int]:
+    """Reduce v against an ``eliminate`` table while its leading bit is a
+    pivot; ``mask`` gathers the input columns used.
+
+    Returns (residual, mask): v is the residual xor the sum of the columns
+    in the returned mask xor the given one, so a zero residual solves for v.
+    Otherwise the residual's leading bit is not a pivot, and the pair can
+    join the table there.  The table must cover every bit of v.
+    """
     while v:
         top = v.bit_length() - 1
         w = vecs[top]
         if not w:
-            return None
+            return v, mask
         v ^= w
-        particular ^= masks[top]
-    return particular, null
+        mask ^= masks[top]
+    return 0, mask

@@ -20,7 +20,11 @@ two states on it in one pass over the null vectors: a column B~ v_k per
 null vector gives that variable's linear term and its cross terms with
 the later ones, so neither the transpose of the null basis nor a second
 congruence is formed.  This is the InnerProduct / ExponentialSum
-construction of Bravyi et al., Quantum 3, 181 (2019).
+construction of Bravyi et al., Quantum 3, 181 (2019).  ``gram_entry`` is
+the same computation for an operator's Gram entry <a|P|b>: it keeps the
+part that depends on the two raw states only (``GramPair``) and adds per
+call what the Pauli shift or the projector's extra columns
+(``projector_ket``) contribute.
 
 That Gauss sum is always 0 or sqrt2^k zeta^p, so ``exponential_sum`` carries
 it as the integer pair (k, p) on the working ``_Form`` and no ring value is
@@ -31,9 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .gf2 import parity, revbits, solve_columns
+from .gf2 import eliminate, parity, reduce_column, revbits, solve_columns
 from .pauli import PauliOperator
 from .phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, sqrt2_root
 
@@ -301,19 +305,10 @@ def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
     The support intersection is {u = (u_a, u_b) = base xor V w}, where the
     columns v_k of V are the null vectors from ``solve_columns`` (u_a in
     the low m_a bits).  The summand phi_b(u_b) - phi_a(u_a) is one form on
-    u, with cross data B = diag(B_a, B_b) and linear data (-d_a, d_b).
-    One pass over the v_k pulls it back to the r variables w:
-
-      w_k w_k'  4 parity(v_k' & C_k), with the column C_k = B~ v_k, where
-                B~ is B plus the diagonal ``odd`` (the d = 2 mod 4, whose
-                d * xor(...) terms couple every pair);
-      w_k       2 |v_k & odd| + 4 |v_k & four| + 4 (edges of B inside
-                v_k, from the squares w_k w_k = w_k);
-      1         phi_b(base_b) - phi_a(base_a).
-
-    ``four`` is bit 2 of the linear data (bit 2 of -d is bit 2 of d xor
-    bit 1), flipped by 4 (B base) and, on an odd entry with base = 1, by
-    the sign of u = 1 - x.  No transpose of V is formed.
+    u, with cross data B = diag(B_a, B_b) and linear data (-d_a, d_b);
+    ``_extend_form`` and ``_gauss_sum`` pull it back to the r variables w
+    and sum it.  Nothing here needs independent columns, so sb may also be
+    a sum over dependent ones, such as a ``projector_ket``.
     """
     if sa.n != sb.n:
         raise ValueError("qubit count mismatch")
@@ -322,18 +317,36 @@ def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
     if sol is None:
         return ZERO
     part, null = sol
+    b: list[int] = []
+    d: list[int] = []
+    _extend_form(sa, sb, null, b, d)
+    ks = _gauss_sum(sa, sb, part, null, b, d)
+    if ks is None:
+        return ZERO
+    return sa.scale.conj() * sb.scale * sqrt2_root(*ks)
+
+
+def _extend_form(sa: StabilizerState, sb: StabilizerState, null: list[int],
+                 b: list[int], d: list[int]) -> None:
+    """Add the null vectors null[len(d):] as variables of the pulled-back
+    form (b, d), whose variables so far are null[:len(d)]; in place.
+
+    One walk over the set bits of v_k gives the column C_k = B~ v_k, where
+    B~ is B plus the diagonal ``odd`` (the d = 2 mod 4, whose d * xor(...)
+    terms couple every pair), and twice the edge count e_k of B inside v_k:
+
+      w_k w_k'  4 parity(v_k' & C_k), for every earlier k';
+      w_k       2 |v_k & odd| + 2 e_k (from the squares w_k w_k = w_k).
+
+    These read only the two states' cross data and ``odd`` masks, not the
+    base point (``_gauss_sum`` adds that part).  No transpose of V is formed.
+    """
     ma = sa.m
     low = (1 << ma) - 1
     bmat_a, bmat_b = sa.bmat, sb.bmat
     odd = sa.odd | (sb.odd << ma)
-    phi_a, bbase_a = sa.phase_and_coupling(part & low)
-    phi_b, bbase_b = sb.phase_and_coupling(part >> ma)
-    four = (((sa.d4 ^ sa.odd ^ bbase_a) | ((sb.d4 ^ bbase_b) << ma))
-            ^ (odd & part))
-    r = len(null)
-    b = [0] * r
-    d = [0] * r
-    for k, v in enumerate(null):
+    for k in range(len(d), len(null)):
+        v = null[k]
         va = v & low
         vb = v >> ma
         ca = cb = e = 0  # B v_k per side; e = twice the edges inside v_k
@@ -352,20 +365,242 @@ def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
             e += (row & vb).bit_count()
             w ^= bit
         vo = v & odd
-        d[k] = (2 * (vo.bit_count() + e) + 4 * (v & four).bit_count()) % 8
         ck = (ca | (cb << ma)) ^ vo  # B~ v_k
         kbit = 1 << k
-        row = b[k]
-        for k2 in range(k + 1, r):
+        row = 0
+        for k2 in range(k):
             if (null[k2] & ck).bit_count() & 1:
                 row |= 1 << k2
                 b[k2] |= kbit
-        b[k] = row
-    f = _Form(r, [1 << k for k in range(r)], 0, b, d, (phi_b - phi_a) % 8)
-    ks = exponential_sum(f)
-    if ks is None:
-        return ZERO
-    return sa.scale.conj() * sb.scale * sqrt2_root(*ks)
+        b.append(row)
+        d.append(2 * (vo.bit_count() + e) % 8)
+
+
+def _gauss_sum(sa: StabilizerState, sb: StabilizerState, part: int,
+               null: list[int], b: list[int], d: list[int]
+               ) -> Optional[tuple[int, int]]:
+    """Sum of zeta^(phi_b - phi_a) over the support base xor V w, as
+    ``exponential_sum``'s (k, p) or None; consumes the form (b, d) that
+    ``_extend_form`` built on ``null``.
+
+    The base point ``part`` adds 4 |v_k & four| to each linear term, where
+    ``four`` is bit 2 of the linear data (bit 2 of -d is bit 2 of d xor
+    bit 1), flipped by 4 (B base) and, on an odd entry with base = 1, by
+    the sign of u = 1 - x; and it sets the constant
+    phi_b(base_b) - phi_a(base_a).
+    """
+    ma = sa.m
+    phi_a, bbase_a = sa.phase_and_coupling(part & ((1 << ma) - 1))
+    phi_b, bbase_b = sb.phase_and_coupling(part >> ma)
+    four = (((sa.d4 ^ sa.odd ^ bbase_a) | ((sb.d4 ^ bbase_b) << ma))
+            ^ ((sa.odd | (sb.odd << ma)) & part))
+    for k, v in enumerate(null):
+        if (v & four).bit_count() & 1:
+            d[k] ^= 4
+    return exponential_sum(_Form(len(d), [], 0, b, d, (phi_b - phi_a) % 8))
+
+
+# ---------------------------------------------------------------------------
+# GRAM ENTRIES
+# ---------------------------------------------------------------------------
+
+class GramPair:
+    """What the Gram entries <sa|P|sb> of every operator P share.
+
+    The pivot table and null basis of [G_a | G_b] depend on the two bases
+    only, and the pulled-back form's cross rows and linear base
+    (``_extend_form``) on the states' cross data and ``odd`` masks only.  A
+    Pauli shift of sb changes neither, and projector factors only add
+    columns after sb's own, so ``gram_entry`` reuses all of it and adds
+    what the operator contributes.  ``tables`` memoizes the table by the
+    two bases for the pairs that share them; the form is built at the
+    first call that needs it.
+    """
+
+    __slots__ = ("vecs", "masks", "null", "ma", "mb", "_states", "_form")
+
+    def __init__(self, sa: StabilizerState, sb: StabilizerState,
+                 tables: dict) -> None:
+        key = (sa.basis, sb.basis)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = eliminate(list(sa.basis) + list(sb.basis),
+                                            sa.n)
+        self.vecs, self.masks, self.null = table
+        self.ma, self.mb = sa.m, sb.m
+        self._states = (sa, sb)
+        self._form: Optional[tuple[list[int], list[int]]] = None
+
+    def solve(self, rhs: int, extra: Sequence[int]
+              ) -> Optional[tuple[int, list[int]]]:
+        return _solve(self.vecs, self.masks, rhs, extra, self.ma + self.mb)
+
+    def form(self) -> tuple[list[int], list[int]]:
+        """(cross rows, linear base) of the form on ``null``; do not mutate."""
+        if self._form is None:
+            b: list[int] = []
+            d: list[int] = []
+            _extend_form(*self._states, self.null, b, d)
+            self._form = (b, d)
+        return self._form
+
+
+def _solve(vecs: list[int], masks: list[int], rhs: int, extra: Sequence[int],
+           first: int) -> Optional[tuple[int, list[int]]]:
+    """Solve [table columns | extra] u = rhs against a kept ``eliminate``
+    table, the extra columns being variables first, first + 1, ...
+
+    Returns (particular u, the null vectors that extra columns close), or
+    None when the system is inconsistent.  The table is copied, not
+    changed.
+    """
+    new = []
+    if extra:
+        vecs, masks = list(vecs), list(masks)
+        for i, x in enumerate(extra):
+            v, mask = reduce_column(vecs, masks, x, 1 << (first + i))
+            if v:
+                top = v.bit_length() - 1
+                vecs[top] = v
+                masks[top] = mask
+            else:
+                new.append(mask)
+    v, part = reduce_column(vecs, masks, rhs, 0)
+    return None if v else (part, new)
+
+
+def _move(mask: int, lo: int, lo_at: int, hi_at: int) -> int:
+    """The low ``lo`` bits of mask moved to bit lo_at, the rest to hi_at."""
+    return ((mask & ((1 << lo) - 1)) << lo_at) | ((mask >> lo) << hi_at)
+
+
+class PairSum:
+    """The GramPair of two tensor products, from the GramPairs of their
+    factors: [G_a | G_b] is block diagonal, so its table, null basis and
+    form are the factors' side by side, moved to the product's qubits and
+    variables.  A right-hand side alone is solved factor by factor, so an
+    inconsistent entry assembles nothing.
+
+    ``parts`` holds, per factor, (pair, swapped, q, oa, ob): the factors'
+    GramPair (of the ket factor and the bra factor when ``swapped``; the
+    form is symmetric), the factor's first qubit, and the offsets of its
+    variables in the bra and in the ket.  ``n`` is the product's qubit
+    count, padding included, and ``ma`` the bra's variable count.
+    """
+
+    __slots__ = ("mb", "_parts", "_n", "_ma")
+
+    def __init__(self, parts: Sequence[tuple[GramPair, bool, int, int, int]],
+                 n: int, ma: int) -> None:
+        self._parts, self._n, self._ma = parts, n, ma
+        self.mb = sum(pair.ma if swapped else pair.mb
+                      for pair, swapped, *_ in parts)
+
+    def _moves(self):
+        """Per factor: its pair, its first qubit, and where the low
+        ``pair.ma`` bits of its masks go in the product's variables and
+        where the other bits go."""
+        for pair, swapped, q, oa, ob in self._parts:
+            ket_at = self._ma + ob
+            yield (pair, q) + ((ket_at, oa) if swapped else (oa, ket_at))
+
+    def solve(self, rhs: int, extra: Sequence[int]
+              ) -> Optional[tuple[int, list[int]]]:
+        if extra:
+            vecs = [0] * self._n
+            masks = [0] * self._n
+            for pair, q, lo_at, hi_at in self._moves():
+                for i, w in enumerate(pair.vecs):
+                    if w:
+                        vecs[q + i] = w << q
+                        masks[q + i] = _move(pair.masks[i], pair.ma, lo_at, hi_at)
+            return _solve(vecs, masks, rhs, extra, self._ma + self.mb)
+        part = 0
+        for pair, q, lo_at, hi_at in self._moves():
+            block = (1 << len(pair.vecs)) - 1
+            v, mask = reduce_column(pair.vecs, pair.masks, (rhs >> q) & block, 0)
+            if v:
+                return None
+            part |= _move(mask, pair.ma, lo_at, hi_at)
+            rhs &= ~(block << q)
+        return None if rhs else (part, [])  # padding qubits have no pivot
+
+    @property
+    def null(self) -> list[int]:
+        return [_move(v, pair.ma, lo_at, hi_at)
+                for pair, _, lo_at, hi_at in self._moves() for v in pair.null]
+
+    def form(self) -> tuple[list[int], list[int]]:
+        b: list[int] = []
+        d: list[int] = []
+        for pair, *_ in self._parts:
+            pb, pd = pair.form()
+            shift = len(d)
+            b.extend(row << shift for row in pb)
+            d.extend(pd)
+        return b, d
+
+
+def gram_entry(bra: StabilizerState, ket: StabilizerState,
+               pair: GramPair | PairSum) -> Optional[tuple[int, int]]:
+    """<bra|ket> / (conj(bra.scale) ket.scale) as (k, p), meaning
+    sqrt2^k zeta^p, or None when it vanishes.
+
+    ``pair`` belongs to bra and a state whose first ``pair.mb`` columns,
+    cross data and ``odd`` mask ket shares: that state shifted by a Pauli
+    (``apply_pauli_state``) or extended by projector factors
+    (``projector_ket``).  The ket's further columns and the right-hand side
+    are solved against the cached table, and an extra column that closes a
+    relation adds a null vector to a copy of the cached form.  One
+    ``exponential_sum`` per consistent entry.
+    """
+    sol = pair.solve(bra.shift ^ ket.shift, ket.basis[pair.mb:])
+    if sol is None:
+        return None
+    part, new = sol
+    null = pair.null
+    b, d = pair.form()
+    b, d = list(b), list(d)
+    if new:
+        null = null + new
+        _extend_form(bra, ket, null, b, d)
+    return _gauss_sum(bra, ket, part, null, b, d)
+
+
+def projector_ket(s: StabilizerState,
+                  factors: Sequence[tuple[PauliOperator, int]]
+                  ) -> StabilizerState:
+    """sum_S prod_i (sign_i P_i)^S_i |s>, which is 2^r Pi|s> for the
+    projector Pi = prod_i (I + sign_i P_i)/2, as one form on the columns
+    of s plus one variable S_i per factor.
+
+    P_i adds the column x_i (its X and Y sites), and S_i gets the linear
+    term 4 [sign_i = -1] + 2 omega_i + 2 |delta_i| + 4 parity(z_i & h), a
+    coupling parity(z_i & g_a) to each u_a and parity(z_i & x_i') to each
+    earlier S_i' (P_i sees the flips of the factors before it).  The
+    columns may be dependent, and a factor may repeat or contradict
+    another: the sum over S covers every case.
+    """
+    m = s.m
+    basis = list(s.basis)
+    bmat = list(s.bmat)
+    dvec = list(s.dvec)
+    for i, (p, sign) in enumerate(factors):
+        if p.n != s.n:
+            raise ValueError("qubit count mismatch")
+        zm = p.z_mask
+        bit = 1 << (m + i)
+        row = 0
+        for a, col in enumerate(basis):  # the columns of s, then earlier x_i'
+            if (zm & col).bit_count() & 1:
+                row |= 1 << a
+                bmat[a] |= bit
+        bmat.append(row)
+        basis.append(p.x_mask)
+        dvec.append((4 * (sign < 0) + 2 * p.omega_exp + 2 * p.delta.bit_count()
+                     + 4 * parity(zm & s.shift)) % 8)
+    return StabilizerState(s.n, tuple(basis), s.shift, tuple(bmat),
+                           tuple(dvec), s.c, s.scale)
 
 
 def apply_pauli_state(s: StabilizerState, p: PauliOperator) -> StabilizerState:

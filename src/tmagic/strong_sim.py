@@ -4,18 +4,27 @@ The exact path evaluates
 
     <Psi| Pi |Psi> = sum_{j,l} conj(c_j) c_l <phi_j| Pi |phi_l>
 
-with chi(chi+1)/2 stabilizer inner products, not chi^2: for a Hermitian Pi
-the Gram matrix is Hermitian, so the pairs l < j are the conjugates of the
-pairs j < l.  A projector is pushed through both sides first, leaving
-<Pi phi_j|Pi phi_l> over the terms it does not annihilate.  The sampled
-path trades the quadratic cost for L = ceil(eps^-2 ln(1/p_f)) Haar-random
-stabilizer samples using the two-design property:
+with chi(chi+1)/2 Gram entries, not chi^2: for a Hermitian Pi the Gram
+matrix is Hermitian, so the pairs l < j are the conjugates of the pairs
+j < l.  A Pauli P shifts each ket (``apply_pauli_state``).  A projector
+Pi = prod_i (I + s_i P_i)/2 is never applied to a state: <phi_j|Pi|phi_l>
+= 2^-r <phi_j|K_l>, where the ket variables K_l = sum_S s^S P_S |phi_l>
+(``projector_ket``) are one quadratic form with a variable S_i per factor.
+Each Gram entry (``gram_entry``) reuses what does not depend on the
+operator, the pivot table, null basis and pulled-back form of the two raw
+states (``GramPair``); these are cached per pair of block terms for the
+life of the process, so a tensor product of catalog blocks reads at most
+sum_k chi_k(chi_k+1)/2 = 1168 of them whatever its T-count.
+
+The sampled path trades the quadratic cost for L = ceil(eps^-2 ln(1/p_f))
+Haar-random stabilizer samples using the two-design property:
 
     E_psi |<psi|Phi>|^2 = ||Phi||^2 / 2^n   with  Phi = Pi |Psi>,
 
 so ``2^n / L * sum_a |<psi_a|Phi>|^2`` is an unbiased estimate of the
 expectation; the 2^n normalization is pinned by requiring exact
 unbiasedness on <Psi|Psi> (checked against the exact path in the tests).
+Its kets are the projected terms (``measure_pauli``).
 
 Three engines take a decomposition built by the caller (``catalog``'s
 ``block_decomposition``, then ``extend_with_zeros`` for padding qubits):
@@ -25,15 +34,18 @@ Hermitian Pauli, and ``sampled_expectation``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .catalog import MagicDecomposition
 from .pauli import PauliOperator, PauliProjector
-from .phase_ring import ExactAmplitude, ZERO
-from .stabilizer import (StabilizerState, apply_pauli_state, inner_product,
-                         measure_pauli, random_stabilizer_state)
+from .phase_ring import ExactAmplitude, ONE, ZERO, sqrt2_root
+from .stabilizer import (GramPair, PairSum, StabilizerState,
+                         apply_pauli_state, gram_entry, inner_product,
+                         measure_pauli, projector_ket,
+                         random_stabilizer_state)
 
 
 @dataclass
@@ -70,47 +82,124 @@ def _projected_terms(dec: MagicDecomposition, proj: PauliProjector
     return out
 
 
-def _hermitian_sum(dec: MagicDecomposition,
-                   terms: Sequence[tuple[ExactAmplitude, StabilizerState]],
-                   kets: Sequence[StabilizerState]) -> SimulationResult:
-    """sum_{j,l} conj(c_j) c_l <b_j|k_l> over a Hermitian Gram matrix.
+# Gram pairs of every block decomposition used so far, per process: the
+# GramPair of terms (j, l), j <= l, at j * chi + l, built at first use, and
+# the pivot tables its pairs share.  Keys are blocks, not whole
+# decompositions, so the catalog blocks bound it at sum chi(chi+1)/2 = 1168
+# pairs whatever the T-count.
+_GRAM_PAIRS: dict[MagicDecomposition,
+                  tuple[list[Optional[GramPair]], dict]] = {}
 
-    ``terms`` holds (c_j, b_j) and ``kets[l]`` carries the coefficient c_l of
-    ``terms[l]``.  The caller guarantees <b_l|k_j> = conj(<b_j|k_l>), so only
+
+def _block_pairs(block: MagicDecomposition) -> Callable[[int, int], GramPair]:
+    """(j, l) -> the cached GramPair of block terms j <= l."""
+    entry = _GRAM_PAIRS.get(block)
+    if entry is None:
+        entry = _GRAM_PAIRS[block] = ([None] * len(block) ** 2, {})
+    pairs, tables = entry
+    states = [s for _, s in block.terms]
+    chi = len(states)
+
+    def lookup(j: int, l: int) -> GramPair:
+        key = j * chi + l
+        pair = pairs[key]
+        if pair is None:
+            pair = pairs[key] = GramPair(states[j], states[l], tables)
+        return pair
+    return lookup
+
+
+def _gram_pairs(dec: MagicDecomposition
+                ) -> Callable[[int, int], GramPair | PairSum]:
+    """(j, l) -> the Gram pair of dec's terms j <= l, from its blocks'."""
+    blocks = dec.blocks or (dec,)
+    lookups = [_block_pairs(block) for block in blocks]
+    if len(blocks) == 1 and blocks[0].n == dec.n:
+        return lookups[0]
+    if (math.prod(len(block) for block in blocks) != len(dec)
+            or sum(block.n for block in blocks) > dec.n):
+        raise ValueError("decomposition does not match its blocks")
+    firsts = list(itertools.accumulate((block.n for block in blocks), initial=0))
+    digits = list(itertools.product(*(range(len(block)) for block in blocks)))
+    # term j's first variable in each block
+    offsets = [list(itertools.accumulate(
+        (block.terms[x][1].m for block, x in zip(blocks, digit)), initial=0))
+        for digit in digits]
+    n = dec.n
+    ms = [s.m for _, s in dec.terms]
+
+    def lookup(j: int, l: int) -> PairSum:
+        parts = []
+        for i, (jb, lb) in enumerate(zip(digits[j], digits[l])):
+            swapped = jb > lb
+            pair = lookups[i](lb, jb) if swapped else lookups[i](jb, lb)
+            parts.append((pair, swapped, firsts[i], offsets[j][i],
+                          offsets[l][i]))
+        return PairSum(parts, n, ms[j])
+    return lookup
+
+
+def _hermitian_sum(dec: MagicDecomposition, kets: Sequence[StabilizerState],
+                   weight: ExactAmplitude = ONE, positive: bool = False
+                   ) -> SimulationResult:
+    """weight * sum_{j,l} conj(c_j) c_l <phi_j|k_l> over a Hermitian Gram
+    matrix, with one ``gram_entry`` per evaluated pair.
+
+    ``kets[l]`` is term l shifted by a Pauli or extended by projector
+    factors.  The caller guarantees <phi_l|k_j> = conj(<phi_j|k_l>), so only
     the diagonal D and the upper triangle S are evaluated, chi(chi+1)/2
-    inner products in all, and the sum is D + S + conj(S).  Each diagonal
-    entry must be real; one that is not means the operator is not Hermitian.
+    entries in all, and the sum is D + S + conj(S).  Each diagonal entry
+    must be real; one that is not means the operator is not Hermitian.
+    With ``positive`` the Gram matrix is positive semidefinite (a
+    projector's), so a zero diagonal entry zeroes its row and column and
+    only the kept terms' pairs are evaluated and counted.  The ring work
+    is one product per non-zero entry: c_l scale(k_l) per ket and
+    conj(c_j scale(phi_j)) per row are formed once.
     """
+    pair = _gram_pairs(dec)
+    terms = dec.terms
+    coef = [weight * c * ket.scale for (c, _), ket in zip(terms, kets)]
     diag = ZERO
+    kept = []
+    for j, ((cj, bra), ket) in enumerate(zip(terms, kets)):
+        ks = gram_entry(bra, ket, pair(j, j))
+        if ks is not None:
+            g = (cj * bra.scale).conj() * (coef[j] * sqrt2_root(*ks))
+            if not g.is_real():
+                raise ValueError(f"non-real diagonal Gram entry {j}: {g}")
+            diag = diag + g
+        elif positive:
+            continue
+        kept.append(j)
     upper = ZERO
-    for j, (cj, bra) in enumerate(terms):
-        g = inner_product(bra, kets[j])
-        if not g.is_real():
-            raise ValueError(f"non-real diagonal Gram entry {j}: {g}")
-        if not g.is_zero():
-            diag = diag + cj.norm_sq() * g
+    for i, j in enumerate(kept):
+        cj, bra = terms[j]
         row = ZERO
-        for (cl, _), ket in zip(terms[j + 1:], kets[j + 1:]):
-            g = inner_product(bra, ket)
-            if not g.is_zero():  # most pairs of a Pauli op are
-                row = row + cl * g
-        upper = upper + cj.conj() * row
+        for l in kept[i + 1:]:
+            ks = gram_entry(bra, kets[l], pair(j, l))
+            if ks is not None:  # most pairs of a Pauli op are zero
+                row = row + coef[l] * sqrt2_root(*ks)
+        if not row.is_zero():
+            upper = upper + (cj * bra.scale).conj() * row
     total = diag + upper + upper.conj()
     return SimulationResult(value=total.real_float(),
-                            inner_products_evaluated=len(terms) * (len(terms) + 1) // 2,
+                            inner_products_evaluated=len(kept) * (len(kept) + 1) // 2,
                             term_count=len(dec),
                             exact_value=total)
 
 
 def exact_expectation(dec: MagicDecomposition, proj: PauliProjector
                       ) -> SimulationResult:
-    """<Psi| Pi |Psi> = sum_{j,l} conj(c_j) c_l <Pi phi_j|Pi phi_l>.
+    """<Psi| Pi |Psi> = 2^-r sum_{j,l} conj(c_j) c_l <phi_j|K_l>.
 
-    Pi is a Hermitian idempotent, so <phi_j|Pi|phi_l> = <Pi phi_j|Pi phi_l>
-    and both sides of the Gram matrix are the surviving projected terms.
+    For Pi = prod_i (I + sign_i P_i)/2, K_l = ``projector_ket`` of term l
+    is 2^r Pi|phi_l> as one form with a variable per factor, so no term is
+    projected first.  <phi_j|Pi|phi_j> = |Pi phi_j|^2, so a zero diagonal
+    entry marks a term Pi annihilates.
     """
-    kept = _projected_terms(dec, proj)
-    return _hermitian_sum(dec, kept, [s for _, s in kept])
+    kets = [projector_ket(s, proj.factors) for _, s in dec.terms]
+    return _hermitian_sum(dec, kets, ExactAmplitude(1, 0, 0, 0, 2 * len(proj.factors)),
+                          positive=True)
 
 
 def exact_pauli_expectation(dec: MagicDecomposition, p: PauliOperator
@@ -118,8 +207,7 @@ def exact_pauli_expectation(dec: MagicDecomposition, p: PauliOperator
     """<Psi| P |Psi> against P-shifted kets, for a Hermitian P."""
     if p.omega_exp % 2:
         raise ValueError(f"Pauli {p} is not Hermitian: its phase must be +1 or -1")
-    kets = [apply_pauli_state(s, p) for _, s in dec.terms]
-    return _hermitian_sum(dec, dec.terms, kets)
+    return _hermitian_sum(dec, [apply_pauli_state(s, p) for _, s in dec.terms])
 
 
 def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,

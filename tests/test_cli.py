@@ -211,6 +211,47 @@ class TestVerify:
         assert rc == 0
         assert out.count("PASS") == 5
 
+    def test_rejects_missing_catalog_file(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        assert_rejected(["verify", "--scope", "decompositions",
+                         "--catalog-file", str(path)],
+                        f"cannot read --catalog-file {str(path)!r}: "
+                        "No such file or directory")
+
+    def test_rejects_malformed_catalog_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("k=1 terms=1\ncoeff=(1,0,0,0,0)\nn=1 m=0\nG=\nh=2\n")
+        assert_rejected(["verify", "--scope", "decompositions",
+                         "--catalog-file", str(path)],
+                        f"invalid --catalog-file: {path}, line 5: "
+                        "invalid bit character '2'")
+
+    @pytest.mark.parametrize("option", ["--samples", "--trials"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_rejects_count_below_one(self, option, value):
+        assert_rejected(["verify", "--scope", "kernel", option, value],
+                        f"{option} must be at least 1, got {value}")
+
+
+class TestOutPath:
+    """An --out path that cannot be written is refused before any work."""
+
+    @pytest.mark.parametrize("args", [
+        ["expect", "--t", "1", "--pauli", "X"],
+        ["census", "--k", "1"],
+        ["bench", "--t", "1"],
+        ["catalog", "--k", "1"],
+    ], ids=["expect", "census", "bench", "catalog"])
+    def test_rejects_missing_directory(self, tmp_path, args):
+        out = tmp_path / "absent" / "out.txt"
+        assert_rejected(args + ["--out", str(out)],
+                        f"cannot write --out {str(out)!r}: "
+                        f"no directory {str(out.parent)!r}")
+
+    def test_rejects_directory(self, tmp_path):
+        assert_rejected(["catalog", "--k", "1", "--out", str(tmp_path)],
+                        f"cannot write --out {str(tmp_path)!r}: it is a directory")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [

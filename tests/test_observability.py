@@ -9,7 +9,10 @@ import numpy as np
 import tmagic.gf2
 import tmagic.stabilizer
 import tmagic.strong_sim
+from tmagic.catalog import catalog_entry
 from tmagic.cli import main
+from tmagic.gf2 import solve_columns
+from tmagic.pauli import PauliOperator
 
 
 def _record(monkeypatch, owner, attr):
@@ -25,17 +28,23 @@ def _record(monkeypatch, owner, attr):
     return log
 
 
-def test_exact_pauli_op_layer_calls(monkeypatch, capsys):
+def test_exact_pauli_op_gram_calls(monkeypatch, capsys):
+    # the Gram engine reduces against pivot tables built by gf2.eliminate
+    # and projects nothing: no inner_product, solve_columns or measure_pauli
     products = _record(monkeypatch, tmagic.strong_sim, "inner_product")
+    measures = _record(monkeypatch, tmagic.strong_sim, "measure_pauli")
     solves = _record(monkeypatch, tmagic.stabilizer, "solve_columns")
     sums = _record(monkeypatch, tmagic.stabilizer, "exponential_sum")
     main(["expect", "--t", "3", "--pauli", "XYZ", "--mode", "exact"])
     assert '"inner_products": 6' in capsys.readouterr().out
-    assert len(products) == 3 * 4 // 2  # chi(chi+1)/2 for chi = 3
-    assert len(solves) == len(products)
+    assert products == measures == solves == []
     # one exponential sum per consistent pair; XYZ has an inconsistent one
-    consistent = sum(sol is not None for sol in solves)
-    assert 0 < consistent < len(solves)
+    x = PauliOperator.from_str("XYZ").x_mask
+    states = [s for _, s in catalog_entry(3).terms]
+    consistent = sum(
+        solve_columns(list(a.basis) + list(b.basis), a.shift ^ b.shift ^ x, 3)
+        is not None for j, a in enumerate(states) for b in states[j:])
+    assert 0 < consistent < 6
     assert len(sums) == consistent
 
 

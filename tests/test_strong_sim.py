@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tmagic import strong_sim
-from tmagic.catalog import (block_decomposition, extend_with_zeros,
-                            t1_decomposition, t6_decomposition,
-                            t12_decomposition)
+from tmagic.catalog import (block_decomposition, catalog_entry,
+                            extend_with_zeros, t1_decomposition,
+                            t6_decomposition, t12_decomposition)
 from tmagic.dense import (dense_magic_state, dense_magic_state_exact,
                           dense_projector_expect)
 from tmagic.gauss import expect_block, expect_single_pauli
@@ -97,7 +97,7 @@ class TestExact:
         p = PauliOperator.from_str("i:Z")
         kets = [apply_pauli_state(s, p) for _, s in dec.terms]
         with pytest.raises(ValueError, match="non-real diagonal"):
-            strong_sim._hermitian_sum(dec, dec.terms, kets)
+            strong_sim._hermitian_sum(dec, kets)
 
     def test_non_commuting_projector_rejected(self):
         with pytest.raises(ValueError):
@@ -155,6 +155,116 @@ class TestHermitianGram:
             for _, bra in dec.terms:
                 for ket in kets:
                     assert inner_product(ket, bra) == inner_product(bra, ket).conj()
+
+
+def _product(p: PauliOperator, q: PauliOperator) -> PauliOperator:
+    """The Pauli p q, phase included, for commuting p and q (Hermitian)."""
+    x, z = p.x_mask ^ q.x_mask, p.z_mask ^ q.z_mask
+    y = x & z
+    omega = (p.omega_exp + q.omega_exp + p.delta.bit_count()
+             + q.delta.bit_count() - y.bit_count()
+             + 2 * ((p.z_mask & q.x_mask).bit_count() & 1))
+    return PauliOperator(p.n, z & ~x, x & ~z, y, omega)
+
+
+def _factor_lists(n: int, rng) -> list[tuple[tuple[PauliOperator, int], ...]]:
+    """Projector factors with 1-3 random factors, a duplicate, a
+    contradiction, and a product of two factors."""
+    out = [_random_projector(n, nf, rng).factors for nf in (1, 2, 3)]
+    p, q = _random_projector(n, 2, rng).factors
+    out.append((p, p))
+    out.append((p, (p[0], -p[1])))
+    out.append((p, q, (_product(p[0], q[0]), -p[1] * q[1])))
+    return out
+
+
+class TestGramEngine:
+    """The cached Gram engine against the chi^2 reference loops, which
+    project the kets with measure_pauli and take plain inner products."""
+
+    @staticmethod
+    def _check(dec, rng, paulis=2):
+        n = dec.n
+        for i in range(paulis):
+            q = random_pauli(n, rng)
+            p = PauliOperator(n, q.beta, q.gamma, q.delta, 2 * (i % 2))
+            assert (exact_pauli_expectation(dec, p).exact_value
+                    == reference_kernel.exact_pauli_expectation(dec, p)), str(p)
+        for factors in _factor_lists(n, rng):
+            proj = PauliProjector(n, factors)
+            res = exact_expectation(dec, proj)
+            assert res.exact_value == reference_kernel.exact_expectation(dec, proj), str(proj)
+            kept = len(strong_sim._projected_terms(dec, proj))
+            assert res.inner_products_evaluated == kept * (kept + 1) // 2
+
+    @pytest.mark.parametrize("t", [4, 5, 7, 13])
+    def test_multi_block_t_counts(self, t):
+        self._check(block_decomposition(t), np.random.default_rng(400 + t))
+
+    @pytest.mark.parametrize("t,n", [(3, 5), (7, 9)])
+    def test_padded_qubits(self, t, n):
+        rng = np.random.default_rng(500 + n)
+        dec = extend_with_zeros(block_decomposition(t), n)
+        self._check(dec, rng, paulis=4)
+        # a Pauli that flips a padding qubit, and one that does not
+        for text in ("X" * t + "XI", "Y" * t + "ZI"):
+            p = PauliOperator.from_str(text)
+            assert (exact_pauli_expectation(dec, p).exact_value
+                    == reference_kernel.exact_pauli_expectation(dec, p)), text
+        # factors on the padding qubits only
+        proj = PauliProjector(n, ((PauliOperator.from_str("I" * t + "XX"), 1),
+                                  (PauliOperator.from_str("I" * t + "ZZ"), -1)))
+        assert exact_expectation(dec, proj).exact_value == ZERO
+        proj = PauliProjector(n, ((PauliOperator.from_str("I" * t + "XX"), 1),))
+        want = reference_kernel.exact_expectation(dec, proj)
+        assert exact_expectation(dec, proj).exact_value == want
+
+    def test_annihilated_terms_are_not_counted(self):
+        dec = block_decomposition(6)
+        rng = np.random.default_rng(6)
+        counts = set()
+        for _ in range(10):
+            proj = _random_projector(6, 3, rng)
+            kept = len(strong_sim._projected_terms(dec, proj))
+            res = exact_expectation(dec, proj)
+            assert res.exact_value == reference_kernel.exact_expectation(dec, proj)
+            assert res.inner_products_evaluated == kept * (kept + 1) // 2
+            counts.add(kept)
+        assert len(counts) > 1 and min(counts) < len(dec)
+
+    def test_policy_six_49_terms(self):
+        dec = block_decomposition(12, (6,))
+        assert len(dec) == 49
+        self._check(dec, np.random.default_rng(49), paulis=1)
+
+    def test_decomposition_read_from_catalog_file(self, tmp_path):
+        import io
+        from tmagic.catalog import read_catalog_file, write_catalog_file
+        buf = io.StringIO()
+        write_catalog_file(extend_with_zeros(catalog_entry(6), 7), buf)
+        path = tmp_path / "t6.txt"
+        path.write_text(buf.getvalue())
+        dec = read_catalog_file(str(path))
+        assert dec.n == 7 and not dec.blocks
+        self._check(dec, np.random.default_rng(7))
+        self._check(catalog_entry(6), np.random.default_rng(8))
+
+    def test_cache_is_bounded_by_the_catalog_blocks(self, monkeypatch):
+        monkeypatch.setattr(strong_sim, "_GRAM_PAIRS", {})
+        rng = np.random.default_rng(13)
+        proj = _random_projector(12, 3, rng)
+        cold = exact_expectation(block_decomposition(12), proj).exact_value
+        for t in (1, 2, 3, 5, 7, 12, 13, 18):
+            dec = block_decomposition(t)
+            exact_pauli_expectation(dec, random_pauli(t, rng))
+            exact_expectation(dec, _random_projector(t, min(t, 3), rng))
+        cache = strong_sim._GRAM_PAIRS
+        assert set(cache) <= {catalog_entry(k) for k in (1, 2, 3, 6, 12)}
+        pairs = [pair for entries, _ in cache.values()
+                 for pair in entries if pair is not None]
+        forms = [pair for pair in pairs if pair._form is not None]
+        assert len(forms) <= len(pairs) <= 1168
+        assert exact_expectation(block_decomposition(12), proj).exact_value == cold
 
 
 class TestSampled:
