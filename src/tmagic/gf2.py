@@ -48,7 +48,7 @@ def from_str(s: str) -> int:
 
 
 def eliminate(columns: Sequence[int], n: int
-               ) -> tuple[list[int], list[int], list[int]]:
+              ) -> tuple[list[int], list[int], list[int]]:
     """Pivot-indexed Gaussian elimination of bit-packed columns below bit n.
 
     Columns are taken last to first and each is reduced against the pivot
