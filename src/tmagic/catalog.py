@@ -10,7 +10,7 @@ amplitude by amplitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence, TextIO
 
@@ -23,18 +23,10 @@ DEFAULT_POLICY = (12, 6, 3, 2, 1)
 
 @dataclass(frozen=True)
 class MagicDecomposition:
-    """|T>^{otimes k} = sum_j coeff_j |state_j> with exact coefficients.
-
-    ``blocks`` names the decompositions this one is the tensor product of,
-    in qubit order, with term j running over their terms last block
-    fastest; empty means one block, itself.  Zero padding keeps the blocks
-    and leaves the added qubits above them.
-    """
+    """|T>^{otimes k} = sum_j coeff_j |state_j> with exact coefficients."""
 
     k: int
     terms: tuple[tuple[ExactAmplitude, StabilizerState], ...]
-    blocks: tuple["MagicDecomposition", ...] = field(
-        default=(), compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -170,18 +162,10 @@ def _tensor_states(a: StabilizerState, b: StabilizerState) -> StabilizerState:
                            a.scale * b.scale)
 
 
-def _factors(dec: MagicDecomposition) -> tuple[MagicDecomposition, ...]:
-    """The blocks of dec, or dec itself when it is padded: tensoring puts
-    the next factor right after the padding."""
-    if dec.blocks and dec.n == sum(b.n for b in dec.blocks):
-        return dec.blocks
-    return (dec,)
-
-
 def tensor(a: MagicDecomposition, b: MagicDecomposition) -> MagicDecomposition:
     terms = tuple((ca * cb, _tensor_states(sa, sb))
                   for ca, sa in a.terms for cb, sb in b.terms)
-    return MagicDecomposition(a.k + b.k, terms, _factors(a) + _factors(b))
+    return MagicDecomposition(a.k + b.k, terms)
 
 
 def _t12_merge_states() -> tuple[StabilizerState, StabilizerState]:
@@ -231,7 +215,7 @@ def extend_with_zeros(dec: MagicDecomposition, n: int) -> MagicDecomposition:
     terms = tuple(
         (c, StabilizerState(n, s.basis, s.shift, s.bmat, s.dvec, s.c, s.scale))
         for c, s in dec.terms)
-    return MagicDecomposition(dec.k, terms, dec.blocks or (dec,))
+    return MagicDecomposition(dec.k, terms)
 
 
 _CATALOG = {1: t1_decomposition, 2: t2_decomposition, 3: t3_decomposition,

@@ -404,6 +404,13 @@ def _gauss_sum(sa: StabilizerState, sb: StabilizerState, part: int,
 # GRAM ENTRIES
 # ---------------------------------------------------------------------------
 
+def pivot_table(sa: StabilizerState, sb: StabilizerState
+                ) -> tuple[list[int], list[int], list[int]]:
+    """The ``eliminate`` table of [G_a | G_b]; it depends on the two bases
+    only."""
+    return eliminate(list(sa.basis) + list(sb.basis), sa.n)
+
+
 class GramPair:
     """What the Gram entries <sa|P|sb> of every operator P share.
 
@@ -412,20 +419,15 @@ class GramPair:
     (``_extend_form``) on the states' cross data and ``odd`` masks only.  A
     Pauli shift of sb changes neither, and projector factors only add
     columns after sb's own, so ``gram_entry`` reuses all of it and adds
-    what the operator contributes.  ``tables`` memoizes the table by the
-    two bases for the pairs that share them; the form is built at the
-    first call that needs it.
+    what the operator contributes.  ``table`` is ``pivot_table(sa, sb)``,
+    which pairs with the same two bases may share; the form is built at
+    the first call that needs it.
     """
 
     __slots__ = ("vecs", "masks", "null", "ma", "mb", "_states", "_form")
 
     def __init__(self, sa: StabilizerState, sb: StabilizerState,
-                 tables: dict) -> None:
-        key = (sa.basis, sb.basis)
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = eliminate(list(sa.basis) + list(sb.basis),
-                                            sa.n)
+                 table: tuple[list[int], list[int], list[int]]) -> None:
         self.vecs, self.masks, self.null = table
         self.ma, self.mb = sa.m, sb.m
         self._states = (sa, sb)
@@ -433,7 +435,28 @@ class GramPair:
 
     def solve(self, rhs: int, extra: Sequence[int]
               ) -> Optional[tuple[int, list[int]]]:
-        return _solve(self.vecs, self.masks, rhs, extra, self.ma + self.mb)
+        """Solve [G_a | G_b | extra] u = rhs against the kept table, the
+        extra columns being the variables after sb's.
+
+        Returns (particular u, the null vectors that extra columns close), or
+        None when the system is inconsistent.  The table is copied, not
+        changed.
+        """
+        vecs, masks = self.vecs, self.masks
+        new = []
+        if extra:
+            vecs, masks = list(vecs), list(masks)
+            first = self.ma + self.mb
+            for i, x in enumerate(extra):
+                v, mask = reduce_column(vecs, masks, x, 1 << (first + i))
+                if v:
+                    top = v.bit_length() - 1
+                    vecs[top] = v
+                    masks[top] = mask
+                else:
+                    new.append(mask)
+        v, part = reduce_column(vecs, masks, rhs, 0)
+        return None if v else (part, new)
 
     def form(self) -> tuple[list[int], list[int]]:
         """(cross rows, linear base) of the form on ``null``; do not mutate."""
@@ -445,104 +468,8 @@ class GramPair:
         return self._form
 
 
-def _solve(vecs: list[int], masks: list[int], rhs: int, extra: Sequence[int],
-           first: int) -> Optional[tuple[int, list[int]]]:
-    """Solve [table columns | extra] u = rhs against a kept ``eliminate``
-    table, the extra columns being variables first, first + 1, ...
-
-    Returns (particular u, the null vectors that extra columns close), or
-    None when the system is inconsistent.  The table is copied, not
-    changed.
-    """
-    new = []
-    if extra:
-        vecs, masks = list(vecs), list(masks)
-        for i, x in enumerate(extra):
-            v, mask = reduce_column(vecs, masks, x, 1 << (first + i))
-            if v:
-                top = v.bit_length() - 1
-                vecs[top] = v
-                masks[top] = mask
-            else:
-                new.append(mask)
-    v, part = reduce_column(vecs, masks, rhs, 0)
-    return None if v else (part, new)
-
-
-def _move(mask: int, lo: int, lo_at: int, hi_at: int) -> int:
-    """The low ``lo`` bits of mask moved to bit lo_at, the rest to hi_at."""
-    return ((mask & ((1 << lo) - 1)) << lo_at) | ((mask >> lo) << hi_at)
-
-
-class PairSum:
-    """The GramPair of two tensor products, from the GramPairs of their
-    factors: [G_a | G_b] is block diagonal, so its table, null basis and
-    form are the factors' side by side, moved to the product's qubits and
-    variables.  A right-hand side alone is solved factor by factor, so an
-    inconsistent entry assembles nothing.
-
-    ``parts`` holds, per factor, (pair, swapped, q, oa, ob): the factors'
-    GramPair (of the ket factor and the bra factor when ``swapped``; the
-    form is symmetric), the factor's first qubit, and the offsets of its
-    variables in the bra and in the ket.  ``n`` is the product's qubit
-    count, padding included, and ``ma`` the bra's variable count.
-    """
-
-    __slots__ = ("mb", "_parts", "_n", "_ma")
-
-    def __init__(self, parts: Sequence[tuple[GramPair, bool, int, int, int]],
-                 n: int, ma: int) -> None:
-        self._parts, self._n, self._ma = parts, n, ma
-        self.mb = sum(pair.ma if swapped else pair.mb
-                      for pair, swapped, *_ in parts)
-
-    def _moves(self):
-        """Per factor: its pair, its first qubit, and where the low
-        ``pair.ma`` bits of its masks go in the product's variables and
-        where the other bits go."""
-        for pair, swapped, q, oa, ob in self._parts:
-            ket_at = self._ma + ob
-            yield (pair, q) + ((ket_at, oa) if swapped else (oa, ket_at))
-
-    def solve(self, rhs: int, extra: Sequence[int]
-              ) -> Optional[tuple[int, list[int]]]:
-        if extra:
-            vecs = [0] * self._n
-            masks = [0] * self._n
-            for pair, q, lo_at, hi_at in self._moves():
-                for i, w in enumerate(pair.vecs):
-                    if w:
-                        vecs[q + i] = w << q
-                        masks[q + i] = _move(pair.masks[i], pair.ma, lo_at, hi_at)
-            return _solve(vecs, masks, rhs, extra, self._ma + self.mb)
-        part = 0
-        for pair, q, lo_at, hi_at in self._moves():
-            block = (1 << len(pair.vecs)) - 1
-            v, mask = reduce_column(pair.vecs, pair.masks, (rhs >> q) & block, 0)
-            if v:
-                return None
-            part |= _move(mask, pair.ma, lo_at, hi_at)
-            rhs &= ~(block << q)
-        return None if rhs else (part, [])  # padding qubits have no pivot
-
-    @property
-    def null(self) -> list[int]:
-        return [_move(v, pair.ma, lo_at, hi_at)
-                for pair, _, lo_at, hi_at in self._moves() for v in pair.null]
-
-    def form(self) -> tuple[list[int], list[int]]:
-        b: list[int] = []
-        d: list[int] = []
-        for pair, *_ in self._parts:
-            pb, pd = pair.form()
-            shift = len(d)
-            b.extend(row << shift for row in pb)
-            d.extend(pd)
-        return b, d
-
-
 def gram_entry(bra: StabilizerState, ket: StabilizerState,
-               pair: GramPair | PairSum) -> Optional[tuple[int, int]]:
+               pair: GramPair) -> Optional[tuple[int, int]]:
     """<bra|ket> / (conj(bra.scale) ket.scale) as (k, p), meaning
     sqrt2^k zeta^p, or None when it vanishes.
 

@@ -12,9 +12,10 @@ Pi = prod_i (I + s_i P_i)/2 is never applied to a state: <phi_j|Pi|phi_l>
 (``projector_ket``) are one quadratic form with a variable S_i per factor.
 Each Gram entry (``gram_entry``) reuses what does not depend on the
 operator, the pivot table, null basis and pulled-back form of the two raw
-states (``GramPair``); these are cached per pair of block terms for the
-life of the process, so a tensor product of catalog blocks reads at most
-sum_k chi_k(chi_k+1)/2 = 1168 of them whatever its T-count.
+states (``GramPair``).  The pairs of a catalog entry (``catalog_entry``)
+are cached for the life of the process, at most sum_k chi_k(chi_k+1)/2 =
+1168 of them; any other decomposition, a tensor product, a padded or a
+file-read one, builds its pairs per call and drops them on return.
 
 The sampled path trades the quadratic cost for L = ceil(eps^-2 ln(1/p_f))
 Haar-random stabilizer samples using the two-design property:
@@ -34,17 +35,16 @@ Hermitian Pauli, and ``sampled_expectation``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .catalog import MagicDecomposition
+from .catalog import CATALOG_TERM_COUNTS, MagicDecomposition, catalog_entry
 from .pauli import PauliOperator, PauliProjector
 from .phase_ring import ExactAmplitude, ONE, ZERO, sqrt2_root
-from .stabilizer import (GramPair, PairSum, StabilizerState,
+from .stabilizer import (GramPair, StabilizerState,
                          apply_pauli_state, gram_entry, inner_product,
-                         measure_pauli, projector_ket,
+                         measure_pauli, pivot_table, projector_ket,
                          random_stabilizer_state)
 
 
@@ -82,60 +82,40 @@ def _projected_terms(dec: MagicDecomposition, proj: PauliProjector
     return out
 
 
-# Gram pairs of every block decomposition used so far, per process: the
-# GramPair of terms (j, l), j <= l, at j * chi + l, built at first use, and
-# the pivot tables its pairs share.  Keys are blocks, not whole
-# decompositions, so the catalog blocks bound it at sum chi(chi+1)/2 = 1168
-# pairs whatever the T-count.
-_GRAM_PAIRS: dict[MagicDecomposition,
-                  tuple[list[Optional[GramPair]], dict]] = {}
+# GramPairs of the catalog entries used so far, per process: for T-count k,
+# the GramPair of terms (j, l), j <= l, of catalog_entry(k) at j * chi + l,
+# built at first use.  Only catalog entries are kept, so the cache holds at
+# most sum chi_k(chi_k+1)/2 = 1168 pairs; any other decomposition's pairs
+# last one call.
+_GRAM_PAIRS: dict[int, list[Optional[GramPair]]] = {}
 
 
-def _block_pairs(block: MagicDecomposition) -> Callable[[int, int], GramPair]:
-    """(j, l) -> the cached GramPair of block terms j <= l."""
-    entry = _GRAM_PAIRS.get(block)
-    if entry is None:
-        entry = _GRAM_PAIRS[block] = ([None] * len(block) ** 2, {})
-    pairs, tables = entry
-    states = [s for _, s in block.terms]
+def _gram_pairs(dec: MagicDecomposition) -> Callable[[int, int], GramPair]:
+    """(j, l) -> the GramPair of dec's terms j <= l, cached when dec is a
+    catalog entry and built afresh otherwise.  Pairs built in one call
+    share the pivot tables of equal bases."""
+    states = [s for _, s in dec.terms]
+    tables: dict = {}
+
+    def build(j: int, l: int) -> GramPair:
+        sa, sb = states[j], states[l]
+        key = (sa.basis, sb.basis)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = pivot_table(sa, sb)
+        return GramPair(sa, sb, table)
+
+    if dec.k not in CATALOG_TERM_COUNTS or dec is not catalog_entry(dec.k):
+        return build
     chi = len(states)
+    pairs = _GRAM_PAIRS.setdefault(dec.k, [None] * chi * chi)
 
     def lookup(j: int, l: int) -> GramPair:
         key = j * chi + l
         pair = pairs[key]
         if pair is None:
-            pair = pairs[key] = GramPair(states[j], states[l], tables)
+            pair = pairs[key] = build(j, l)
         return pair
-    return lookup
-
-
-def _gram_pairs(dec: MagicDecomposition
-                ) -> Callable[[int, int], GramPair | PairSum]:
-    """(j, l) -> the Gram pair of dec's terms j <= l, from its blocks'."""
-    blocks = dec.blocks or (dec,)
-    lookups = [_block_pairs(block) for block in blocks]
-    if len(blocks) == 1 and blocks[0].n == dec.n:
-        return lookups[0]
-    if (math.prod(len(block) for block in blocks) != len(dec)
-            or sum(block.n for block in blocks) > dec.n):
-        raise ValueError("decomposition does not match its blocks")
-    firsts = list(itertools.accumulate((block.n for block in blocks), initial=0))
-    digits = list(itertools.product(*(range(len(block)) for block in blocks)))
-    # term j's first variable in each block
-    offsets = [list(itertools.accumulate(
-        (block.terms[x][1].m for block, x in zip(blocks, digit)), initial=0))
-        for digit in digits]
-    n = dec.n
-    ms = [s.m for _, s in dec.terms]
-
-    def lookup(j: int, l: int) -> PairSum:
-        parts = []
-        for i, (jb, lb) in enumerate(zip(digits[j], digits[l])):
-            swapped = jb > lb
-            pair = lookups[i](lb, jb) if swapped else lookups[i](jb, lb)
-            parts.append((pair, swapped, firsts[i], offsets[j][i],
-                          offsets[l][i]))
-        return PairSum(parts, n, ms[j])
     return lookup
 
 

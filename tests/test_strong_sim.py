@@ -237,17 +237,32 @@ class TestGramEngine:
         assert len(dec) == 49
         self._check(dec, np.random.default_rng(49), paulis=1)
 
-    def test_decomposition_read_from_catalog_file(self, tmp_path):
+    @staticmethod
+    def _read_back(dec, tmp_path):
         import io
         from tmagic.catalog import read_catalog_file, write_catalog_file
         buf = io.StringIO()
-        write_catalog_file(extend_with_zeros(catalog_entry(6), 7), buf)
-        path = tmp_path / "t6.txt"
+        write_catalog_file(dec, buf)
+        path = tmp_path / "dec.txt"
         path.write_text(buf.getvalue())
-        dec = read_catalog_file(str(path))
-        assert dec.n == 7 and not dec.blocks
+        return read_catalog_file(str(path))
+
+    def test_decomposition_read_from_catalog_file(self, tmp_path):
+        dec = self._read_back(extend_with_zeros(catalog_entry(6), 7), tmp_path)
+        assert dec.n == 7
         self._check(dec, np.random.default_rng(7))
         self._check(catalog_entry(6), np.random.default_rng(8))
+
+    def test_only_catalog_entries_are_cached(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(strong_sim, "_GRAM_PAIRS", {})
+        rng = np.random.default_rng(12)
+        copy = self._read_back(catalog_entry(12), tmp_path)
+        assert copy == catalog_entry(12) and copy is not catalog_entry(12)
+        for dec in (copy, extend_with_zeros(catalog_entry(6), 8),
+                    block_decomposition(9)):
+            exact_pauli_expectation(dec, random_pauli(dec.n, rng))
+            exact_expectation(dec, _random_projector(dec.n, 2, rng))
+        assert strong_sim._GRAM_PAIRS == {}
 
     def test_cache_is_bounded_by_the_catalog_blocks(self, monkeypatch):
         monkeypatch.setattr(strong_sim, "_GRAM_PAIRS", {})
@@ -259,8 +274,8 @@ class TestGramEngine:
             exact_pauli_expectation(dec, random_pauli(t, rng))
             exact_expectation(dec, _random_projector(t, min(t, 3), rng))
         cache = strong_sim._GRAM_PAIRS
-        assert set(cache) <= {catalog_entry(k) for k in (1, 2, 3, 6, 12)}
-        pairs = [pair for entries, _ in cache.values()
+        assert set(cache) == {1, 2, 3, 12}
+        pairs = [pair for entries in cache.values()
                  for pair in entries if pair is not None]
         forms = [pair for pair in pairs if pair._form is not None]
         assert len(forms) <= len(pairs) <= 1168
