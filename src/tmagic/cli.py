@@ -22,7 +22,7 @@ from .gauss import (SUPPORTED_BLOCKS, WORST_CASE_UNIQUE, census_letters,
                     expect_block, expect_single_pauli, unique_sum_counts)
 from .pauli import PauliOperator, PauliProjector, letters_to_pauli
 from .strong_sim import (exact_expectation, exact_pauli_expectation,
-                         sampled_expectation)
+                         sample_count, sampled_expectation)
 
 _CHI = dict(CATALOG_TERM_COUNTS)
 _DEFAULT_POLICY = " ".join(map(str, DEFAULT_POLICY))  # the --policy default
@@ -95,6 +95,10 @@ def _check_sampling(args) -> None:
         _reject(f"--epsilon must be positive, got {args.epsilon}")
     if not 0 < args.pf < 1:
         _reject(f"--pf must lie in (0, 1), got {args.pf}")
+    try:
+        sample_count(args.epsilon, args.pf)
+    except ValueError as exc:
+        _reject(f"invalid --epsilon/--pf: {exc}")
     if args.samples is not None and args.samples < 1:
         _reject(f"--samples must be at least 1, got {args.samples}")
 

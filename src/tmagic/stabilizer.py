@@ -20,11 +20,13 @@ two states on it in one pass over the null vectors: a column B~ v_k per
 null vector gives that variable's linear term and its cross terms with
 the later ones, so neither the transpose of the null basis nor a second
 congruence is formed.  This is the InnerProduct / ExponentialSum
-construction of Bravyi et al., Quantum 3, 181 (2019).  ``gram_entry`` is
-the same computation for an operator's Gram entry <a|P|b>: it keeps the
+construction of Bravyi et al., Quantum 3, 181 (2019).  ``gram_entries``
+is the same computation for an operator's Gram entry <a|P|b>: it keeps the
 part that depends on the two raw states only (``GramPair``) and adds per
 call what the Pauli shift or the projector's extra columns
-(``projector_ket``) contribute.
+(``projector_ket``) contribute.  Its column step is shared by bras that
+differ only in shift and phases, which is how the sampled estimator takes
+all of a random state's overlaps with one group of kets.
 
 That Gauss sum is always 0 or sqrt2^k zeta^p, so ``exponential_sum`` carries
 it as the integer pair (k, p) on the working ``_Form`` and no ring value is
@@ -132,15 +134,6 @@ class StabilizerState:
                         dtype=np.complex128)
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 # ---------------------------------------------------------------------------
 # mutable working copy of the phase data
 # ---------------------------------------------------------------------------
@@ -179,12 +172,22 @@ class _Form:
         """
         b, d = self.b, self.d
         rp, dp = b[p], d[p]
-        for x in _bits(mask):
-            b[x] ^= rp
-        for z in _bits(rp):
-            b[z] ^= mask
-        for z in _bits(mask & rp):
+        w = mask
+        while w:
+            low = w & -w
+            b[low.bit_length() - 1] ^= rp
+            w ^= low
+        w = rp
+        while w:
+            low = w & -w
+            b[low.bit_length() - 1] ^= mask
+            w ^= low
+        w = mask & rp
+        while w:
+            low = w & -w
+            z = low.bit_length() - 1
             d[z] = (d[z] + 4) % 8
+            w ^= low
         d[p] = 0
         self.add_phase_xor(dp, mask | (1 << p))
 
@@ -196,14 +199,22 @@ class _Form:
         """
         if t % 2:
             raise ValueError(f"add_phase_xor needs an even phase t, got {t}")
-        idxs = _bits(mask)
         d = self.d
-        for a in idxs:
-            d[a] = (d[a] + t) % 8
+        w = mask
         if (t >> 1) & 1:
             b = self.b
-            for a in idxs:
-                b[a] ^= mask ^ (1 << a)
+            while w:
+                low = w & -w
+                a = low.bit_length() - 1
+                d[a] = (d[a] + t) % 8
+                b[a] ^= mask ^ low
+                w ^= low
+        else:
+            while w:
+                low = w & -w
+                a = low.bit_length() - 1
+                d[a] = (d[a] + t) % 8
+                w ^= low
 
     def fix_var(self, p: int, eps: int) -> None:
         """Pin u_p = eps, fold its phase into the rest, delete column p."""
@@ -285,12 +296,15 @@ def _shrink_param(s: StabilizerState, umask: int, eps: int) -> StabilizerState:
     umask must be non-zero.  The last variable p in umask is substituted
     by the xor of the others, then pinned to eps and deleted.
     """
-    t = _bits(umask)
     f = _Form.of(s)
-    p = t[-1]
-    for j in t[:-1]:
-        f.basis[j] ^= f.basis[p]
-    f.substitute(p, sum(1 << j for j in t[:-1]))
+    p = umask.bit_length() - 1
+    rest = umask ^ (1 << p)
+    w = rest
+    while w:
+        low = w & -w
+        f.basis[low.bit_length() - 1] ^= f.basis[p]
+        w ^= low
+    f.substitute(p, rest)
     f.fix_var(p, eps)
     return f.freeze(s.scale)
 
@@ -418,7 +432,7 @@ class GramPair:
     only, and the pulled-back form's cross rows and linear base
     (``_extend_form``) on the states' cross data and ``odd`` masks only.  A
     Pauli shift of sb changes neither, and projector factors only add
-    columns after sb's own, so ``gram_entry`` reuses all of it and adds
+    columns after sb's own, so ``gram_entries`` reuses all of it and adds
     what the operator contributes.  ``table`` is ``pivot_table(sa, sb)``,
     which pairs with the same two bases may share; the form is built at
     the first call that needs it.
@@ -433,30 +447,29 @@ class GramPair:
         self._states = (sa, sb)
         self._form: Optional[tuple[list[int], list[int]]] = None
 
-    def solve(self, rhs: int, extra: Sequence[int]
-              ) -> Optional[tuple[int, list[int]]]:
-        """Solve [G_a | G_b | extra] u = rhs against the kept table, the
-        extra columns being the variables after sb's.
+    def columns(self, extra: Sequence[int]
+                ) -> tuple[list[int], list[int], list[int]]:
+        """Reduce the extra columns, the variables after sb's, into the
+        kept table: the column step of ``gram_entries``.
 
-        Returns (particular u, the null vectors that extra columns close), or
-        None when the system is inconsistent.  The table is copied, not
-        changed.
+        Returns the table (a copy when there are extra columns, the kept
+        one otherwise; do not mutate it) and the null vectors that extra
+        columns close.
         """
-        vecs, masks = self.vecs, self.masks
+        if not extra:
+            return self.vecs, self.masks, []
+        vecs, masks = list(self.vecs), list(self.masks)
         new = []
-        if extra:
-            vecs, masks = list(vecs), list(masks)
-            first = self.ma + self.mb
-            for i, x in enumerate(extra):
-                v, mask = reduce_column(vecs, masks, x, 1 << (first + i))
-                if v:
-                    top = v.bit_length() - 1
-                    vecs[top] = v
-                    masks[top] = mask
-                else:
-                    new.append(mask)
-        v, part = reduce_column(vecs, masks, rhs, 0)
-        return None if v else (part, new)
+        first = self.ma + self.mb
+        for i, x in enumerate(extra):
+            v, mask = reduce_column(vecs, masks, x, 1 << (first + i))
+            if v:
+                top = v.bit_length() - 1
+                vecs[top] = v
+                masks[top] = mask
+            else:
+                new.append(mask)
+        return vecs, masks, new
 
     def form(self) -> tuple[list[int], list[int]]:
         """(cross rows, linear base) of the form on ``null``; do not mutate."""
@@ -468,30 +481,46 @@ class GramPair:
         return self._form
 
 
-def gram_entry(bra: StabilizerState, ket: StabilizerState,
-               pair: GramPair) -> Optional[tuple[int, int]]:
-    """<bra|ket> / (conj(bra.scale) ket.scale) as (k, p), meaning
-    sqrt2^k zeta^p, or None when it vanishes.
+def gram_entries(bras: Sequence[StabilizerState], ket: StabilizerState,
+                 pair: GramPair) -> list[Optional[tuple[int, int]]]:
+    """<bra|ket> / (conj(bra.scale) ket.scale) for each bra, as (k, p),
+    meaning sqrt2^k zeta^p, or None where it vanishes.
 
-    ``pair`` belongs to bra and a state whose first ``pair.mb`` columns,
-    cross data and ``odd`` mask ket shares: that state shifted by a Pauli
-    (``apply_pauli_state``) or extended by projector factors
-    (``projector_ket``).  The ket's further columns and the right-hand side
-    are solved against the cached table, and an extra column that closes a
-    relation adds a null vector to a copy of the cached form.  One
+    ``pair`` belongs to a state whose columns, cross data and ``odd`` mask
+    every bra shares (only their shifts and phases differ) and to a state
+    whose first ``pair.mb`` columns, cross data and ``odd`` mask ket
+    shares: that state shifted by a Pauli (``apply_pauli_state``) or
+    extended by projector factors (``projector_ket``), or, with mb = 0, any
+    state.  The ket's further columns are reduced into the cached table and
+    the null vectors they close are added to a copy of the cached form once
+    for all bras (the column step); then each bra's right-hand side is
+    solved and its phases added (the right-hand-side step).  One
     ``exponential_sum`` per consistent entry.
     """
-    sol = pair.solve(bra.shift ^ ket.shift, ket.basis[pair.mb:])
-    if sol is None:
-        return None
-    part, new = sol
+    vecs, masks, new = pair.columns(ket.basis[pair.mb:])
     null = pair.null
-    b, d = pair.form()
-    b, d = list(b), list(d)
-    if new:
-        null = null + new
-        _extend_form(bra, ket, null, b, d)
-    return _gauss_sum(bra, ket, part, null, b, d)
+    form = None
+    out: list[Optional[tuple[int, int]]] = []
+    for bra in bras:
+        v, part = reduce_column(vecs, masks, bra.shift ^ ket.shift, 0)
+        if v:
+            out.append(None)
+            continue
+        if form is None:  # built at the first consistent bra
+            form = pair.form()
+            if new:
+                null = null + new
+                form = (list(form[0]), list(form[1]))
+                _extend_form(bra, ket, null, *form)
+        out.append(_gauss_sum(bra, ket, part, null, list(form[0]),
+                              list(form[1])))
+    return out
+
+
+def gram_entry(bra: StabilizerState, ket: StabilizerState,
+               pair: GramPair) -> Optional[tuple[int, int]]:
+    """``gram_entries`` for a single bra."""
+    return gram_entries((bra,), ket, pair)[0]
 
 
 def projector_ket(s: StabilizerState,
@@ -645,8 +674,27 @@ def _randbelow(rng: np.random.Generator, bound: int) -> int:
             return v
 
 
+def _randbelow_run(rng: np.random.Generator, bound: int, count: int
+                   ) -> list[int]:
+    """``count`` successive ``_randbelow(rng, bound)`` draws.
+
+    numpy's Generator takes the same stream for one size-k ``integers``
+    call as for k scalar calls, so a run of two or more draws below 2^62
+    is one call; a single draw stays scalar (cheaper than size=1), and
+    larger bounds keep the byte path.
+    """
+    if count > 1 and bound <= (1 << 62):
+        return rng.integers(0, bound, size=count).tolist()
+    return [_randbelow(rng, bound) for _ in range(count)]
+
+
 def random_stabilizer_state(n: int, rng: np.random.Generator) -> StabilizerState:
-    """Uniformly random n-qubit stabilizer state (up to global phase)."""
+    """Uniformly random n-qubit stabilizer state (up to global phase).
+
+    Draws, in order: the support dimension m (weighted by state count), the
+    m columns of each rank-rejection attempt, the shift, the m ``dvec``
+    entries and the m(m-1)/2 cross bits of B row by row.
+    """
     if n < 1:
         raise ValueError("need at least one qubit")
     weights, total = _dimension_weights(n)
@@ -658,15 +706,16 @@ def random_stabilizer_state(n: int, rng: np.random.Generator) -> StabilizerState
     # uniform rank-m direction matrix by rejection
     from .gf2 import rank_of
     while True:
-        cols = [_randbelow(rng, 1 << n) for _ in range(m)]
+        cols = _randbelow_run(rng, 1 << n, m)
         if rank_of(cols) == m:
             break
     h = _randbelow(rng, 1 << n)
-    dvec = tuple(2 * _randbelow(rng, 4) for _ in range(m))
+    dvec = tuple(2 * x for x in _randbelow_run(rng, 4, m))
+    bits = iter(_randbelow_run(rng, 2, m * (m - 1) // 2))
     brows = [0] * m
     for a in range(m):
         for b2 in range(a + 1, m):
-            if _randbelow(rng, 2):
+            if next(bits):
                 brows[a] |= 1 << b2
                 brows[b2] |= 1 << a
     return StabilizerState(n, tuple(cols), h, tuple(brows), dvec, 0,

@@ -25,7 +25,12 @@ Haar-random stabilizer samples using the two-design property:
 so ``2^n / L * sum_a |<psi_a|Phi>|^2`` is an unbiased estimate of the
 expectation; the 2^n normalization is pinned by requiring exact
 unbiasedness on <Psi|Psi> (checked against the exact path in the tests).
-Its kets are the projected terms (``measure_pauli``).
+Its kets are the projected terms (``measure_pauli``), fixed for all L
+samples, so kets that share columns, cross data and ``odd`` mask form one
+group with one ``GramPair``: a random state's columns are reduced once per
+group and each ket adds its shift and phases (``gram_entries``).  The
+overlaps' floats come from a per-call table, so the loop does no ring
+arithmetic.
 
 Three engines take a decomposition built by the caller (``catalog``'s
 ``block_decomposition``, then ``extend_with_zeros`` for padding qubits):
@@ -43,7 +48,7 @@ from .catalog import CATALOG_TERM_COUNTS, MagicDecomposition, catalog_entry
 from .pauli import PauliOperator, PauliProjector
 from .phase_ring import ExactAmplitude, ONE, ZERO, sqrt2_root
 from .stabilizer import (GramPair, StabilizerState,
-                         apply_pauli_state, gram_entry, inner_product,
+                         apply_pauli_state, gram_entries, gram_entry,
                          measure_pauli, pivot_table, projector_ket,
                          random_stabilizer_state)
 
@@ -59,12 +64,19 @@ class SimulationResult:
 
 
 def sample_count(epsilon: float, p_f: float) -> int:
-    """L(eps, p_f) = ceil(eps^-2 ln(1/p_f)); eps > 0 and 0 < p_f < 1."""
+    """L(eps, p_f) = ceil(eps^-2 ln(1/p_f)); eps > 0 and 0 < p_f < 1, and
+    L must be finite in floating point (eps^2 may underflow to 0, 1/p_f
+    overflow to inf)."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 < p_f < 1:
         raise ValueError(f"failure probability must lie in (0, 1), got {p_f}")
-    return max(1, math.ceil(math.log(1.0 / p_f) / (epsilon * epsilon)))
+    eps_sq = epsilon * epsilon
+    count = math.log(1.0 / p_f) / eps_sq if eps_sq > 0 else math.inf
+    if not math.isfinite(count):
+        raise ValueError(f"sample count for epsilon {epsilon} and failure "
+                         f"probability {p_f} is not finite")
+    return max(1, math.ceil(count))
 
 
 def _projected_terms(dec: MagicDecomposition, proj: PauliProjector
@@ -201,6 +213,16 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     the loop is order-free; accumulation happens in sample order for
     reproducibility.  ``std_error`` is the empirical standard error of the
     mean of the L per-sample terms 2^n |<psi_a|Phi>|^2.
+
+    The projected kets are fixed for all L samples, so they are grouped by
+    columns, cross data and ``odd`` mask, and each group keeps one
+    ``GramPair`` of (ket, a state with no columns): a random state psi's
+    columns are reduced and its null vectors' form built once per group
+    (``gram_entries``), and each ket adds only its right-hand side and one
+    exponential sum.  That gives <phi_l|psi> = sqrt2^k zeta^p, so
+    <psi|phi_l> is (k, -p); its float, conj(psi.scale) scale_l
+    sqrt2^k zeta^-p, is formed once per (psi.scale, l, (k, p)) and looked
+    up after, so the loop does no ring arithmetic.
     """
     import numpy as np
     n = dec.n
@@ -209,26 +231,49 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
         if samples_override < 1:
             raise ValueError(f"sample count must be at least 1, got {samples_override}")
         big_l = samples_override
-    kets = _projected_terms(dec, proj)
-    coeffs = [c.to_float() for c, _ in kets]
+    terms = _projected_terms(dec, proj)
+    coeffs = [c.to_float() for c, _ in terms]
+    kets = [s for _, s in terms]
+    groups: dict = {}
+    for l, ket in enumerate(kets):
+        groups.setdefault((ket.basis, ket.bmat, ket.odd), []).append(l)
+    empty = StabilizerState.computational(n)
+    plan = [(GramPair(kets[ls[0]], empty, pivot_table(kets[ls[0]], empty)),
+             ls, [kets[l] for l in ls]) for ls in groups.values()]
+    overlaps: dict = {}  # psi.scale -> {(l, (k, p) or None): <psi|phi_l>}
+    x = [0j] * len(kets)
     dim = float(1 << n)
     total = 0.0
-    count = 0
     squares = []
     for a in range(big_l):
         rng = np.random.default_rng(np.random.SeedSequence([seed, a]))
         psi = random_stabilizer_state(n, rng)
+        overlap = overlaps.setdefault(psi.scale, {})
+        for pair, ls, group in plan:
+            for l, ks in zip(ls, gram_entries(group, psi, pair)):
+                v = overlap.get((l, ks))
+                if v is None:
+                    v = overlap[l, ks] = _overlap_float(psi, kets[l], ks)
+                x[l] = v
         amp = 0j
-        for c, ket in zip(coeffs, kets):
-            amp += c * inner_product(psi, ket[1]).to_float()
-            count += 1
+        for c, v in zip(coeffs, x):
+            amp += c * v
         sq = abs(amp) ** 2
         squares.append(sq)
         total += sq
     se = (dim * float(np.std(squares, ddof=1)) / math.sqrt(big_l)
           if big_l > 1 else None)
     return SimulationResult(value=dim * total / big_l,
-                            inner_products_evaluated=count,
+                            inner_products_evaluated=big_l * len(kets),
                             samples_used=big_l,
                             term_count=len(dec),
                             std_error=se)
+
+
+def _overlap_float(psi: StabilizerState, ket: StabilizerState,
+                   ks: Optional[tuple[int, int]]) -> complex:
+    """<psi|ket> as a float from ``gram_entries``' (k, p) of <ket|psi>."""
+    if ks is None:
+        return ZERO.to_float()
+    k, p = ks
+    return (psi.scale.conj() * ket.scale * sqrt2_root(k, -p % 8)).to_float()

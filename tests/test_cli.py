@@ -128,6 +128,17 @@ class TestExpectRejectsBadInput:
         self._rejected(["--t", "2", "--projector", "+XY", "--mode", "sampled",
                         "--pf", "1"], "--pf must lie in (0, 1), got 1.0")
 
+    # epsilon^2 underflows to 0, or 1/pf overflows to inf: L is not finite
+    @pytest.mark.parametrize("args, eps, pf", [
+        (["--epsilon", "1e-200"], "1e-200", "0.05"),
+        (["--pf", "1e-320", "--epsilon", "1e-150"], "1e-150", "1e-320"),
+        (["--epsilon", "1e-200", "--samples", "3"], "1e-200", "0.05"),
+    ])
+    def test_sampled_non_finite_sample_count(self, args, eps, pf):
+        self._rejected(["--t", "2", "--pauli", "XY", "--mode", "sampled", *args],
+                       f"invalid --epsilon/--pf: sample count for epsilon {eps} "
+                       f"and failure probability {pf} is not finite")
+
     @pytest.mark.parametrize("mode", ["gauss", "exact", "sampled"])
     def test_policy_size_outside_catalog(self, mode):
         self._rejected(["--t", "2", "--pauli", "XY", "--policy", "5", "--mode", mode],
@@ -166,6 +177,15 @@ class TestBench:
     def test_rejects_sampled_count_below_one(self):
         assert_rejected(["bench", "--mode", "sampled", "--t", "2",
                          "--samples", "0"], "--samples must be at least 1, got 0")
+
+    @pytest.mark.parametrize("args, eps, pf", [
+        (["--epsilon", "1e-200"], "1e-200", "0.05"),
+        (["--pf", "1e-320", "--epsilon", "1e-150"], "1e-150", "1e-320"),
+    ])
+    def test_rejects_non_finite_sample_count(self, args, eps, pf):
+        assert_rejected(["bench", "--mode", "sampled", "--t", "2", *args],
+                        f"invalid --epsilon/--pf: sample count for epsilon {eps} "
+                        f"and failure probability {pf} is not finite")
 
     def test_rejects_policy_outside_catalog(self):
         assert_rejected(["bench", "--mode", "exact", "--t", "2", "--policy", "5"],

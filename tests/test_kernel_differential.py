@@ -17,9 +17,10 @@ import tmagic
 from tmagic.catalog import t12_decomposition
 from tmagic.gf2 import solve_columns
 from tmagic.pauli import PauliOperator, random_pauli
-from tmagic.phase_ring import ZERO
-from tmagic.stabilizer import (apply_pauli_state, inner_product, measure_pauli,
-                               random_stabilizer_state)
+from tmagic.phase_ring import ZERO, sqrt2_root
+from tmagic.stabilizer import (GramPair, StabilizerState, apply_pauli_state,
+                               gram_entries, inner_product, measure_pauli,
+                               pivot_table, random_stabilizer_state)
 
 import reference_kernel
 
@@ -74,6 +75,44 @@ class TestAgainstReference:
                             n) is not None
         assert pairs >= 200
         assert consistent > pairs // 2
+
+
+class TestGroupedOverlaps:
+    """``gram_entries`` as the sampled estimator uses it: one GramPair of
+    (ket, a state with no columns) per group of kets that share columns,
+    cross data and ``odd`` mask, and a random state as the ket side."""
+
+    def test_ring_equal_to_inner_product_n1_to_48(self):
+        rng = np.random.default_rng(2028)
+        entries = consistent = empty_sides = 0
+        for n in (1, 2, 3, 6, 12, 24, 48):
+            for trial in range(16 if n <= 12 else 10):
+                cuts = n if trial % 4 == 0 else int(rng.integers(0, 3))
+                base = _shrunk_state(n, rng, cuts)
+                psi = _shrunk_state(n, rng, n if trial % 4 == 1 else 0)
+                if base is None or psi is None:
+                    continue
+                # Pauli shifts keep columns, cross data and odd mask, so
+                # the base and its shifts form one group
+                group = [base] + [apply_pauli_state(base, random_pauli(n, rng))
+                                  for _ in range(3)]
+                empty = StabilizerState.computational(n)
+                pair = GramPair(base, empty, pivot_table(base, empty))
+                empty_sides += base.m == 0 or psi.m == 0
+                for ket, ks in zip(group, gram_entries(group, psi, pair)):
+                    want = inner_product(ket, psi)
+                    assert want == reference_kernel.inner_product(ket, psi)
+                    assert inner_product(psi, ket) == want.conj()
+                    entries += 1
+                    if ks is None:
+                        assert want == ZERO
+                        continue
+                    consistent += 1
+                    k, p = ks
+                    assert ket.scale.conj() * psi.scale * sqrt2_root(k, p) == want
+        assert entries >= 250
+        assert consistent > entries // 2
+        assert empty_sides >= 20
 
 
 def _partners(s, rng):

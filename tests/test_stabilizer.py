@@ -1,5 +1,7 @@
 """Stabilizer kernel vs dense brute force on fixed and random cases."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -352,6 +354,33 @@ class TestRandomStabilizerState:
         a = random_stabilizer_state(5, np.random.default_rng(123))
         b = random_stabilizer_state(5, np.random.default_rng(123))
         assert a == b
+
+    def test_draws_pinned(self):
+        # states drawn in turn from one generator, as the sampled estimator
+        # and the kernel-scaling probe draw them: the same-bound runs of
+        # draws (columns, dvec, cross bits) go through one numpy call each,
+        # a single draw stays scalar and bounds above 2^62 (n = 63, 70) take
+        # the byte path; the stream must be what one draw at a time gives
+        rng = np.random.default_rng(20261018)
+        pinned = [(1, [1, 1, 1, 1], "f92e79342ab6bf9c"),
+                  (2, [2, 1, 1, 1], "d0f9265046878a06"),
+                  (6, [6, 4, 6, 5], "8e7b1e935ee4a3d1"),
+                  (12, [11, 11, 10, 11], "dc56ff0c9eb9ccec"),
+                  (24, [24, 23, 23, 24], "aa05d10afb1eba30"),
+                  (63, [63, 63, 63, 62], "28758605d1bddf11"),
+                  (70, [70, 70, 68, 67], "bcbc797198f3cd22")]
+        for n, dims, digest in pinned:
+            states = [random_stabilizer_state(n, rng) for _ in range(4)]
+            text = "".join(repr((s.n, s.basis, s.shift, s.bmat, s.dvec, s.c,
+                                 s.scale)) for s in states)
+            assert [s.m for s in states] == dims, n
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, n
+        assert int(rng.integers(0, 2 ** 62)) == 473211817149858612
+        rng = np.random.default_rng(5)
+        assert random_stabilizer_state(2, rng) == StabilizerState(
+            2, (3, 1), 2, (2, 1), (4, 2), 0, ExactAmplitude(1, 0, 0, 0, 2))
+        assert random_stabilizer_state(2, rng) == StabilizerState(
+            2, (), 1, (), (), 0, ONE)
 
     def test_states_are_normalized(self):
         rng = np.random.default_rng(12)

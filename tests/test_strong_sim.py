@@ -1,5 +1,7 @@
 """Exact and sampled strong-simulation paths."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,27 @@ class TestSampled:
     def test_sample_count_formula(self):
         assert sample_count(0.1, 0.05) == int(np.ceil(np.log(20) / 0.01))
         assert sample_count(1.0, 0.5) == 1
+
+    def test_sample_count_must_be_finite(self):
+        # eps^2 underflows to 0, or 1/p_f overflows to inf
+        for eps, p_f in ((1e-200, 0.05), (1e-150, 1e-320)):
+            with pytest.raises(ValueError, match="is not finite"):
+                sample_count(eps, p_f)
+        assert sample_count(1e-100, 0.05) == math.ceil(math.log(20) / 1e-200)
+
+    @pytest.mark.parametrize("proj, seed, value, se", [
+        (_proj("XYZIXZ"), 11, "0.46597482267209916", "0.027603591672801787"),
+        (PauliProjector(6, ((PauliOperator.from_str("XXIIZZ"), 1),
+                            (PauliOperator.from_str("ZZYYII"), -1))),
+         12, "0.24348730611451042", "0.013664240747314068"),
+    ])
+    def test_t6_estimate_pinned(self, proj, seed, value, se):
+        # every draw, overlap and float operation of the estimator is
+        # pinned: grouping the kets and looking up each overlap's float
+        # must give these bits
+        res = sampled_expectation(block_decomposition(6), proj, 0.1, 0.05, seed)
+        assert (repr(res.value), repr(res.std_error)) == (value, se)
+        assert res.samples_used == 300 and res.inner_products_evaluated == 2100
 
     def test_identity_projector_unbiased(self):
         dec = block_decomposition(2)
