@@ -199,22 +199,16 @@ class _Form:
         """
         if t % 2:
             raise ValueError(f"add_phase_xor needs an even phase t, got {t}")
-        d = self.d
+        b, d = self.b, self.d
+        couple = (t >> 1) & 1
         w = mask
-        if (t >> 1) & 1:
-            b = self.b
-            while w:
-                low = w & -w
-                a = low.bit_length() - 1
-                d[a] = (d[a] + t) % 8
+        while w:
+            low = w & -w
+            a = low.bit_length() - 1
+            d[a] = (d[a] + t) % 8
+            if couple:
                 b[a] ^= mask ^ low
-                w ^= low
-        else:
-            while w:
-                low = w & -w
-                a = low.bit_length() - 1
-                d[a] = (d[a] + t) % 8
-                w ^= low
+            w ^= low
 
     def fix_var(self, p: int, eps: int) -> None:
         """Pin u_p = eps, fold its phase into the rest, delete column p."""
