@@ -555,6 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        _reject(f"--seed must be non-negative, got {args.seed}")
     if getattr(args, "out", None):
         _check_out(args.out)
     return args.fn(args)

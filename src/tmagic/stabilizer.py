@@ -21,12 +21,14 @@ null vector gives that variable's linear term and its cross terms with
 the later ones, so neither the transpose of the null basis nor a second
 congruence is formed.  This is the InnerProduct / ExponentialSum
 construction of Bravyi et al., Quantum 3, 181 (2019).  ``gram_entries``
-is the same computation for an operator's Gram entry <a|P|b>: it keeps the
-part that depends on the two raw states only (``GramPair``) and adds per
-call what the Pauli shift or the projector's extra columns
-(``projector_ket``) contribute.  Its column step is shared by bras that
-differ only in shift and phases, which is how the sampled estimator takes
-all of a random state's overlaps with one group of kets.
+is the same computation for an operator's Gram entries <a|P|b>: it keeps
+the part that depends on the two states' classes only (``GramPair``; a
+class is the columns, cross data and ``odd`` mask) and adds per call what
+the Pauli shift or the projector's extra columns (``projector_ket``)
+contribute.  Its column step is shared by all entries of one pair of
+classes, which differ only in shifts and phases: the exact engine takes a
+class pair's block of Gram entries, and the sampled estimator a random
+state's overlaps with one class of kets, in one call.
 
 That Gauss sum is always 0 or sqrt2^k zeta^p, so ``exponential_sum`` carries
 it as the integer pair (k, p) on the working ``_Form`` and no ring value is
@@ -420,16 +422,17 @@ def pivot_table(sa: StabilizerState, sb: StabilizerState
 
 
 class GramPair:
-    """What the Gram entries <sa|P|sb> of every operator P share.
+    """What the Gram entries <a|P|b> of every operator P share, for all
+    states a in the class of sa and b in the class of sb.
 
     The pivot table and null basis of [G_a | G_b] depend on the two bases
     only, and the pulled-back form's cross rows and linear base
-    (``_extend_form``) on the states' cross data and ``odd`` masks only.  A
-    Pauli shift of sb changes neither, and projector factors only add
-    columns after sb's own, so ``gram_entries`` reuses all of it and adds
-    what the operator contributes.  ``table`` is ``pivot_table(sa, sb)``,
-    which pairs with the same two bases may share; the form is built at
-    the first call that needs it.
+    (``_extend_form``) on the states' cross data and ``odd`` masks only.
+    Shifts and phases change neither, nor does a Pauli shift of b, and
+    projector factors only add columns after b's own, so ``gram_entries``
+    reuses all of it and adds what the operator contributes.  ``table`` is
+    ``pivot_table(sa, sb)``, which pairs with the same two bases may share;
+    the form is built at the first call that needs it.
     """
 
     __slots__ = ("vecs", "masks", "null", "ma", "mb", "_states", "_form")
@@ -475,32 +478,33 @@ class GramPair:
         return self._form
 
 
-def gram_entries(bras: Sequence[StabilizerState], ket: StabilizerState,
+def gram_entries(entries: Sequence[tuple[StabilizerState, StabilizerState]],
                  pair: GramPair) -> list[Optional[tuple[int, int]]]:
-    """<bra|ket> / (conj(bra.scale) ket.scale) for each bra, as (k, p),
-    meaning sqrt2^k zeta^p, or None where it vanishes.
+    """<bra|ket> / (conj(bra.scale) ket.scale) for each (bra, ket) entry,
+    as (k, p), meaning sqrt2^k zeta^p, or None where it vanishes.
 
-    ``pair`` belongs to a state whose columns, cross data and ``odd`` mask
-    every bra shares (only their shifts and phases differ) and to a state
-    whose first ``pair.mb`` columns, cross data and ``odd`` mask ket
-    shares: that state shifted by a Pauli (``apply_pauli_state``) or
-    extended by projector factors (``projector_ket``), or, with mb = 0, any
-    state.  The ket's further columns are reduced into the cached table and
-    the null vectors they close are added to a copy of the cached form once
-    for all bras (the column step); then each bra's right-hand side is
-    solved and its phases added (the right-hand-side step).  One
+    The entries, at least one, share one class pair: every bra has the columns, cross
+    data and ``odd`` mask of ``pair``'s first state, and every ket those
+    of one state that extends ``pair``'s second one, which is that state
+    shifted by a Pauli (``apply_pauli_state``) or extended by the same
+    projector factors (``projector_ket``), or, with mb = 0, any one state.
+    Only shifts and phases differ between entries.  So the column step,
+    the kets' further columns reduced into the cached table and the null
+    vectors they close added to a copy of the cached form, runs once for
+    all entries; then each entry's right-hand side bra.shift ^ ket.shift
+    is solved and its phases added (the right-hand-side step).  One
     ``exponential_sum`` per consistent entry.
     """
-    vecs, masks, new = pair.columns(ket.basis[pair.mb:])
+    vecs, masks, new = pair.columns(entries[0][1].basis[pair.mb:])
     null = pair.null
     form = None
     out: list[Optional[tuple[int, int]]] = []
-    for bra in bras:
+    for bra, ket in entries:
         v, part = reduce_column(vecs, masks, bra.shift ^ ket.shift, 0)
         if v:
             out.append(None)
             continue
-        if form is None:  # built at the first consistent bra
+        if form is None:  # built at the first consistent entry
             form = pair.form()
             if new:
                 null = null + new
@@ -509,12 +513,6 @@ def gram_entries(bras: Sequence[StabilizerState], ket: StabilizerState,
         out.append(_gauss_sum(bra, ket, part, null, list(form[0]),
                               list(form[1])))
     return out
-
-
-def gram_entry(bra: StabilizerState, ket: StabilizerState,
-               pair: GramPair) -> Optional[tuple[int, int]]:
-    """``gram_entries`` for a single bra."""
-    return gram_entries((bra,), ket, pair)[0]
 
 
 def projector_ket(s: StabilizerState,

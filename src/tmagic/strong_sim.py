@@ -10,12 +10,17 @@ j < l.  A Pauli P shifts each ket (``apply_pauli_state``).  A projector
 Pi = prod_i (I + s_i P_i)/2 is never applied to a state: <phi_j|Pi|phi_l>
 = 2^-r <phi_j|K_l>, where the ket variables K_l = sum_S s^S P_S |phi_l>
 (``projector_ket``) are one quadratic form with a variable S_i per factor.
-Each Gram entry (``gram_entry``) reuses what does not depend on the
-operator, the pivot table, null basis and pulled-back form of the two raw
-states (``GramPair``).  The pairs of a catalog entry (``catalog_entry``)
-are cached for the life of the process, at most sum_k chi_k(chi_k+1)/2 =
-1168 of them; any other decomposition, a tensor product, a padded or a
-file-read one, builds its pairs per call and drops them on return.
+What does not depend on the operator, the pivot table, null basis and
+pulled-back form, depends only on the class of each raw state, its
+columns, cross data and ``odd`` mask (``_classes``).  So the entries of
+one pair of classes share one ``GramPair`` and one column step
+(``gram_entries``), and each entry adds only its right-hand side and one
+exponential sum: the 1128 entries at t = 12 fall into 398 blocks, one per
+ordered pair of the 27 classes of its 47 terms that has an entry.  The
+pairs of a catalog entry (``catalog_entry``) are cached for the life of
+the process, at most sum_k c_k^2 = 768 of them for class counts c_k; any
+other decomposition, a tensor product, a padded or a file-read one,
+builds its pairs per call and drops them on return.
 
 The sampled path trades the quadratic cost for L = ceil(eps^-2 ln(1/p_f))
 Haar-random stabilizer samples using the two-design property:
@@ -26,9 +31,9 @@ so ``2^n / L * sum_a |<psi_a|Phi>|^2`` is an unbiased estimate of the
 expectation; the 2^n normalization is pinned by requiring exact
 unbiasedness on <Psi|Psi> (checked against the exact path in the tests).
 Its kets are the projected terms (``measure_pauli``), fixed for all L
-samples, so kets that share columns, cross data and ``odd`` mask form one
-group with one ``GramPair``: a random state's columns are reduced once per
-group and each ket adds its shift and phases (``gram_entries``).  The
+samples, so the kets of one class form one group with one ``GramPair``: a
+random state's columns are reduced once per group and each ket adds its
+shift and phases (``gram_entries``).  The
 overlaps' floats come from a per-call table, so the loop does no ring
 arithmetic.
 
@@ -41,6 +46,7 @@ Hermitian Pauli, and ``sampled_expectation``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -48,9 +54,8 @@ from .catalog import CATALOG_TERM_COUNTS, MagicDecomposition, catalog_entry
 from .pauli import PauliOperator, PauliProjector
 from .phase_ring import ExactAmplitude, ONE, ZERO, sqrt2_root
 from .stabilizer import (GramPair, StabilizerState,
-                         apply_pauli_state, gram_entries, gram_entry,
-                         measure_pauli, pivot_table, projector_ket,
-                         random_stabilizer_state)
+                         apply_pauli_state, gram_entries, measure_pauli,
+                         pivot_table, projector_ket, random_stabilizer_state)
 
 
 @dataclass
@@ -94,23 +99,39 @@ def _projected_terms(dec: MagicDecomposition, proj: PauliProjector
     return out
 
 
+def _classes(states: Sequence[StabilizerState]) -> list[list[int]]:
+    """The indices of ``states`` grouped by class, in ascending order within
+    a class and with classes in order of first appearance.
+
+    A class is a state's columns, cross data and ``odd`` mask.  States of
+    one class differ only in shift and phases, so the Gram entries of a
+    bra class and a ket class share one ``GramPair`` and one column step.
+    """
+    groups: dict = {}
+    for i, s in enumerate(states):
+        groups.setdefault((s.basis, s.bmat, s.odd), []).append(i)
+    return list(groups.values())
+
+
 # GramPairs of the catalog entries used so far, per process: for T-count k,
-# the GramPair of terms (j, l), j <= l, of catalog_entry(k) at j * chi + l,
-# built at first use.  Only catalog entries are kept, so the cache holds at
-# most sum chi_k(chi_k+1)/2 = 1168 pairs; any other decomposition's pairs
-# last one call.
+# the GramPair of classes (a, b) of catalog_entry(k)'s terms (``_classes``,
+# c of them) at a * c + b, built at first use.  Only catalog entries are
+# kept, so the cache holds at most sum c_k^2 = 1 + 4 + 9 + 25 + 729 = 768
+# pairs; any other decomposition's pairs last one call.
 _GRAM_PAIRS: dict[int, list[Optional[GramPair]]] = {}
 
 
-def _gram_pairs(dec: MagicDecomposition) -> Callable[[int, int], GramPair]:
-    """(j, l) -> the GramPair of dec's terms j <= l, cached when dec is a
-    catalog entry and built afresh otherwise.  Pairs built in one call
-    share the pivot tables of equal bases."""
-    states = [s for _, s in dec.terms]
+def _gram_pairs(dec: MagicDecomposition, classes: list[list[int]]
+                ) -> Callable[[int, int], GramPair]:
+    """(a, b) -> the GramPair of dec's term classes a and b (``classes`` is
+    ``_classes`` of dec's terms), cached when dec is a catalog entry and
+    built afresh otherwise.  Pairs built in one call share the pivot
+    tables of equal bases."""
+    reps = [dec.terms[members[0]][1] for members in classes]
     tables: dict = {}
 
-    def build(j: int, l: int) -> GramPair:
-        sa, sb = states[j], states[l]
+    def build(a: int, b: int) -> GramPair:
+        sa, sb = reps[a], reps[b]
         key = (sa.basis, sb.basis)
         table = tables.get(key)
         if table is None:
@@ -119,14 +140,14 @@ def _gram_pairs(dec: MagicDecomposition) -> Callable[[int, int], GramPair]:
 
     if dec.k not in CATALOG_TERM_COUNTS or dec is not catalog_entry(dec.k):
         return build
-    chi = len(states)
-    pairs = _GRAM_PAIRS.setdefault(dec.k, [None] * chi * chi)
+    c = len(classes)
+    pairs = _GRAM_PAIRS.setdefault(dec.k, [None] * c * c)
 
-    def lookup(j: int, l: int) -> GramPair:
-        key = j * chi + l
+    def lookup(a: int, b: int) -> GramPair:
+        key = a * c + b
         pair = pairs[key]
         if pair is None:
-            pair = pairs[key] = build(j, l)
+            pair = pairs[key] = build(a, b)
         return pair
     return lookup
 
@@ -135,47 +156,63 @@ def _hermitian_sum(dec: MagicDecomposition, kets: Sequence[StabilizerState],
                    weight: ExactAmplitude = ONE, positive: bool = False
                    ) -> SimulationResult:
     """weight * sum_{j,l} conj(c_j) c_l <phi_j|k_l> over a Hermitian Gram
-    matrix, with one ``gram_entry`` per evaluated pair.
+    matrix, one ``gram_entries`` call per block of entries that share a
+    class pair.
 
     ``kets[l]`` is term l shifted by a Pauli or extended by projector
-    factors.  The caller guarantees <phi_l|k_j> = conj(<phi_j|k_l>), so only
-    the diagonal D and the upper triangle S are evaluated, chi(chi+1)/2
-    entries in all, and the sum is D + S + conj(S).  Each diagonal entry
-    must be real; one that is not means the operator is not Hermitian.
-    With ``positive`` the Gram matrix is positive semidefinite (a
-    projector's), so a zero diagonal entry zeroes its row and column and
-    only the kept terms' pairs are evaluated and counted.  The ring work
-    is one product per non-zero entry: c_l scale(k_l) per ket and
-    conj(c_j scale(phi_j)) per row are formed once.
+    factors, so it keeps the class of term l up to the factors' columns.
+    The caller guarantees <phi_l|k_j> = conj(<phi_j|k_l>), so only the
+    diagonal D and the upper triangle S are evaluated, chi(chi+1)/2
+    entries in all, and the sum is D + S + conj(S).  The diagonal goes
+    class by class, and the upper triangle ordered class pair by ordered
+    class pair: each block does the column step once and the
+    right-hand-side step per entry.  Each diagonal entry must be real; one
+    that is not means the operator is not Hermitian.  With ``positive``
+    the Gram matrix is positive semidefinite (a projector's), so a zero
+    diagonal entry zeroes its row and column and only the kept terms'
+    pairs are evaluated and counted.  The ring work is one product per
+    non-zero entry: c_l scale(k_l) per ket and conj(c_j scale(phi_j)) per
+    row are formed once, and the rows are accumulated block by block; the
+    ring sum is exact, so that order does not change the value.
     """
-    pair = _gram_pairs(dec)
     terms = dec.terms
+    classes = _classes([s for _, s in terms])
+    pair = _gram_pairs(dec, classes)
     coef = [weight * c * ket.scale for (c, _), ket in zip(terms, kets)]
     diag = ZERO
-    kept = []
-    for j, ((cj, bra), ket) in enumerate(zip(terms, kets)):
-        ks = gram_entry(bra, ket, pair(j, j))
-        if ks is not None:
-            g = (cj * bra.scale).conj() * (coef[j] * sqrt2_root(*ks))
-            if not g.is_real():
-                raise ValueError(f"non-real diagonal Gram entry {j}: {g}")
-            diag = diag + g
-        elif positive:
-            continue
-        kept.append(j)
+    kept = []  # per class, its kept terms in ascending order
+    for a, members in enumerate(classes):
+        entries = [(terms[j][1], kets[j]) for j in members]
+        kept_a = []
+        for j, ks in zip(members, gram_entries(entries, pair(a, a))):
+            if ks is not None:
+                cj, bra = terms[j]
+                g = (cj * bra.scale).conj() * (coef[j] * sqrt2_root(*ks))
+                if not g.is_real():
+                    raise ValueError(f"non-real diagonal Gram entry {j}: {g}")
+                diag = diag + g
+            elif positive:
+                continue
+            kept_a.append(j)
+        kept.append(kept_a)
+    rows = [ZERO] * len(terms)
+    for a, js in enumerate(kept):
+        for b, ls in enumerate(kept):
+            block = [(j, l) for j in js for l in ls[bisect_right(ls, j):]]
+            if not block:
+                continue
+            entries = [(terms[j][1], kets[l]) for j, l in block]
+            for (j, l), ks in zip(block, gram_entries(entries, pair(a, b))):
+                if ks is not None:  # most pairs of a Pauli op are zero
+                    rows[j] = rows[j] + coef[l] * sqrt2_root(*ks)
     upper = ZERO
-    for i, j in enumerate(kept):
-        cj, bra = terms[j]
-        row = ZERO
-        for l in kept[i + 1:]:
-            ks = gram_entry(bra, kets[l], pair(j, l))
-            if ks is not None:  # most pairs of a Pauli op are zero
-                row = row + coef[l] * sqrt2_root(*ks)
+    for (cj, bra), row in zip(terms, rows):
         if not row.is_zero():
             upper = upper + (cj * bra.scale).conj() * row
     total = diag + upper + upper.conj()
+    n_kept = sum(map(len, kept))
     return SimulationResult(value=total.real_float(),
-                            inner_products_evaluated=len(kept) * (len(kept) + 1) // 2,
+                            inner_products_evaluated=n_kept * (n_kept + 1) // 2,
                             term_count=len(dec),
                             exact_value=total)
 
@@ -215,11 +252,10 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     mean of the L per-sample terms 2^n |<psi_a|Phi>|^2.
 
     The projected kets are fixed for all L samples, so they are grouped by
-    columns, cross data and ``odd`` mask, and each group keeps one
-    ``GramPair`` of (ket, a state with no columns): a random state psi's
-    columns are reduced and its null vectors' form built once per group
-    (``gram_entries``), and each ket adds only its right-hand side and one
-    exponential sum.  That gives <phi_l|psi> = sqrt2^k zeta^p, so
+    class (``_classes``), and each group keeps one ``GramPair`` of (ket, a
+    state with no columns): a random state psi's columns are reduced and
+    its null vectors' form built once per group (``gram_entries``), and
+    each ket adds only its right-hand side and one exponential sum.  That gives <phi_l|psi> = sqrt2^k zeta^p, so
     <psi|phi_l> is (k, -p); its float, conj(psi.scale) scale_l
     sqrt2^k zeta^-p, is formed once per (psi.scale, l, (k, p)) and looked
     up after, so the loop does no ring arithmetic.
@@ -234,12 +270,9 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     terms = _projected_terms(dec, proj)
     coeffs = [c.to_float() for c, _ in terms]
     kets = [s for _, s in terms]
-    groups: dict = {}
-    for l, ket in enumerate(kets):
-        groups.setdefault((ket.basis, ket.bmat, ket.odd), []).append(l)
     empty = StabilizerState.computational(n)
     plan = [(GramPair(kets[ls[0]], empty, pivot_table(kets[ls[0]], empty)),
-             ls, [kets[l] for l in ls]) for ls in groups.values()]
+             ls) for ls in _classes(kets)]
     overlaps: dict = {}  # psi.scale -> {(l, (k, p) or None): <psi|phi_l>}
     x = [0j] * len(kets)
     dim = float(1 << n)
@@ -249,8 +282,9 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
         rng = np.random.default_rng(np.random.SeedSequence([seed, a]))
         psi = random_stabilizer_state(n, rng)
         overlap = overlaps.setdefault(psi.scale, {})
-        for pair, ls, group in plan:
-            for l, ks in zip(ls, gram_entries(group, psi, pair)):
+        for pair, ls in plan:
+            entries = [(kets[l], psi) for l in ls]
+            for l, ks in zip(ls, gram_entries(entries, pair)):
                 v = overlap.get((l, ks))
                 if v is None:
                     v = overlap[l, ks] = _overlap_float(psi, kets[l], ks)

@@ -76,6 +76,16 @@ class TestExpect:
         rec = json.loads(capsys.readouterr().out)
         assert rec["value"] == 0.0
 
+    def test_exact_t18_projector_pinned(self, capsys):
+        # a tensor-product decomposition (12 + 6) whose Gram blocks are
+        # built per call; value and count taken before the class-pair
+        # grouping
+        main(["expect", "--t", "18", "--mode", "exact",
+              "--projector=+XYZXYZIZXYZXYZXYZX,-IIIIIIIIIIIIIIIIYY"])
+        out = capsys.readouterr().out
+        assert '"inner_products": 27730' in out
+        assert '"value": 0.12499999999999994' in out
+
 
 class TestExpectRejectsBadInput:
     """Bad expect arguments end in a one-line message, not a traceback."""
@@ -251,6 +261,33 @@ class TestVerify:
     def test_rejects_count_below_one(self, option, value):
         assert_rejected(["verify", "--scope", "kernel", option, value],
                         f"{option} must be at least 1, got {value}")
+
+
+class TestSeed:
+    """A negative --seed is refused on every subcommand that takes one,
+    before numpy sees it."""
+
+    @pytest.mark.parametrize("args", [
+        ["expect", "--t", "2", "--pauli", "XY", "--mode", "sampled"],
+        ["expect", "--t", "2", "--pauli", "XY", "--mode", "exact"],
+        ["expect", "--t", "2", "--pauli", "XY", "--mode", "gauss"],
+        ["expect", "--t", "2", "--projector", "+XY", "--mode", "sampled"],
+        ["census", "--k", "12", "--mode", "sampled", "--samples", "10"],
+        ["census", "--k", "3", "--mode", "exhaustive"],
+        ["bench", "--mode", "gauss", "--t", "6"],
+        ["bench", "--mode", "exact", "--t", "6"],
+        ["bench", "--mode", "sampled", "--t", "2", "--samples", "3"],
+        ["verify", "--scope", "kernel", "--trials", "1"],
+        ["verify", "--scope", "gauss-k12", "--samples", "1"],
+    ])
+    def test_rejects_negative_seed(self, args):
+        assert_rejected([*args, "--seed", "-1"],
+                        "--seed must be non-negative, got -1")
+
+    def test_zero_seed_accepted(self, capsys):
+        assert main(["census", "--k", "12", "--mode", "sampled",
+                     "--samples", "5", "--seed", "0"]) == 0
+        assert '"seed": 0' in capsys.readouterr().out
 
 
 class TestOutPath:

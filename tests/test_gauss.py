@@ -271,6 +271,11 @@ class TestCensus:
         mx, hist = rank_census(12, "sampled", samples=20_000, seed=0)
         assert mx <= 42
         assert 42 in hist  # worst case attained
+        # the whole histogram, so a faster evaluator must keep every count
+        assert hist == {0: 12611, 1: 2, 2: 109, 3: 42, 4: 592, 6: 287,
+                        7: 41, 8: 1505, 9: 35, 12: 1009, 14: 177, 15: 28,
+                        16: 1419, 18: 190, 21: 31, 24: 1133, 28: 310,
+                        30: 33, 31: 25, 36: 289, 42: 132}
 
     def test_exhaustive_rejected_for_k12(self):
         with pytest.raises(ValueError):

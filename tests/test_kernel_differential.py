@@ -14,13 +14,15 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import tmagic
-from tmagic.catalog import t12_decomposition
+from tmagic import strong_sim
+from tmagic.catalog import block_decomposition, catalog_entry, t12_decomposition
 from tmagic.gf2 import solve_columns
-from tmagic.pauli import PauliOperator, random_pauli
+from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
 from tmagic.phase_ring import ZERO, sqrt2_root
 from tmagic.stabilizer import (GramPair, StabilizerState, apply_pauli_state,
                                gram_entries, inner_product, measure_pauli,
-                               pivot_table, random_stabilizer_state)
+                               pivot_table, projector_ket,
+                               random_stabilizer_state)
 
 import reference_kernel
 
@@ -99,7 +101,8 @@ class TestGroupedOverlaps:
                 empty = StabilizerState.computational(n)
                 pair = GramPair(base, empty, pivot_table(base, empty))
                 empty_sides += base.m == 0 or psi.m == 0
-                for ket, ks in zip(group, gram_entries(group, psi, pair)):
+                got = gram_entries([(ket, psi) for ket in group], pair)
+                for ket, ks in zip(group, got):
                     want = inner_product(ket, psi)
                     assert want == reference_kernel.inner_product(ket, psi)
                     assert inner_product(psi, ket) == want.conj()
@@ -113,6 +116,74 @@ class TestGroupedOverlaps:
         assert entries >= 250
         assert consistent > entries // 2
         assert empty_sides >= 20
+
+
+class TestClassBlocks:
+    """``gram_entries`` as the exact engine uses it: one call per ordered
+    pair of term classes, over that pair's ``GramPair`` (cached for a
+    catalog entry, per call otherwise), ring-equal to ``inner_product``
+    on every (bra, ket) entry, not only the upper triangle."""
+
+    @staticmethod
+    def _check_blocks(dec, kets):
+        states = [s for _, s in dec.terms]
+        classes = strong_sim._classes(states)
+        pair = strong_sim._gram_pairs(dec, classes)
+        blocks = nonzero = 0
+        for a, js in enumerate(classes):
+            for b, ls in enumerate(classes):
+                block = [(j, l) for j in js for l in ls]
+                got = gram_entries([(states[j], kets[l]) for j, l in block],
+                                   pair(a, b))
+                blocks += 1
+                for (j, l), ks in zip(block, got):
+                    want = inner_product(states[j], kets[l])
+                    if ks is None:
+                        assert want == ZERO, (j, l)
+                        continue
+                    nonzero += 1
+                    k, p = ks
+                    assert (states[j].scale.conj() * kets[l].scale
+                            * sqrt2_root(k, p) == want), (j, l)
+        assert blocks == len(classes) ** 2
+        return nonzero
+
+    @staticmethod
+    def _projector(n, nf, rng):
+        while True:
+            ops = [random_pauli(n, rng) for _ in range(nf)]
+            signs = [1 - 2 * int(rng.integers(0, 2)) for _ in range(nf)]
+            try:
+                return PauliProjector(n, tuple(zip(ops, signs)))
+            except ValueError:
+                continue
+
+    def _check(self, dec, rng, paulis, projectors):
+        nonzero = 0
+        for _ in range(paulis):
+            p = random_pauli(dec.n, rng)
+            nonzero += self._check_blocks(
+                dec, [apply_pauli_state(s, p) for _, s in dec.terms])
+        for nf in range(1, projectors + 1):
+            proj = self._projector(dec.n, nf, rng)
+            nonzero += self._check_blocks(
+                dec, [projector_ket(s, proj.factors) for _, s in dec.terms])
+        assert nonzero > 0
+
+    def test_catalog_entries(self, monkeypatch):
+        monkeypatch.setattr(strong_sim, "_GRAM_PAIRS", {})
+        rng = np.random.default_rng(2029)
+        for k, paulis in ((3, 6), (6, 4), (12, 2)):
+            # the cached pairs serve every operator after the first
+            self._check(catalog_entry(k), rng, paulis, 3)
+        assert set(strong_sim._GRAM_PAIRS) == {3, 6, 12}
+
+    def test_uncached_tensor_decomposition(self, monkeypatch):
+        monkeypatch.setattr(strong_sim, "_GRAM_PAIRS", {})
+        dec = block_decomposition(9)
+        assert len(strong_sim._classes([s for _, s in dec.terms])) < len(dec)
+        self._check(dec, np.random.default_rng(2030), 3, 3)
+        assert strong_sim._GRAM_PAIRS == {}
 
 
 def _partners(s, rng):

@@ -13,7 +13,7 @@ from tmagic.dense import (dense_magic_state, dense_magic_state_exact,
                           dense_projector_expect)
 from tmagic.gauss import expect_block, expect_single_pauli
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
-from tmagic.phase_ring import ONE, ZERO
+from tmagic.phase_ring import ExactAmplitude, ONE, ZERO
 from tmagic.stabilizer import apply_pauli_state, inner_product
 from tmagic.strong_sim import (exact_expectation, exact_pauli_expectation,
                                sample_count, sampled_expectation)
@@ -100,6 +100,22 @@ class TestExact:
         kets = [apply_pauli_state(s, p) for _, s in dec.terms]
         with pytest.raises(ValueError, match="non-real diagonal"):
             strong_sim._hermitian_sum(dec, kets)
+
+    def test_t12_values_pinned(self):
+        # taken before Gram entries were grouped by class pair: the ring
+        # sum is exact, so the grouping must not change a single bit
+        rng = np.random.default_rng(1212)
+        p = PauliOperator.from_str("-1:" + "".join(rng.choice(list("IXY"), size=12)))
+        assert str(p) == "-1:IIXYXIXIIYXI"
+        res = exact_pauli_expectation(block_decomposition(12), p)
+        assert res.exact_value == ExactAmplitude(-1, 0, 0, 0, 6)
+        assert res.inner_products_evaluated == 1128
+        proj = _random_projector(12, 3, np.random.default_rng(1213))
+        assert str(proj) == "+YZXZIZXYYXYI -YYYXXIXIYXXY +ZIIYZZXZYYYZ"
+        res = exact_expectation(block_decomposition(12), proj)
+        assert res.exact_value == ExactAmplitude(31, 0, 0, 0, 16)
+        assert repr(res.value) == "0.12109374999999986"
+        assert res.inner_products_evaluated == 1128
 
     def test_non_commuting_projector_rejected(self):
         with pytest.raises(ValueError):
@@ -277,10 +293,14 @@ class TestGramEngine:
             exact_expectation(dec, _random_projector(t, min(t, 3), rng))
         cache = strong_sim._GRAM_PAIRS
         assert set(cache) == {1, 2, 3, 12}
-        pairs = [pair for entries in cache.values()
-                 for pair in entries if pair is not None]
-        forms = [pair for pair in pairs if pair._form is not None]
-        assert len(forms) <= len(pairs) <= 1168
+        # one pair per ordered pair of term classes: c_k^2 for T-count k
+        classes = {k: len(strong_sim._classes([s for _, s in catalog_entry(k).terms]))
+                   for k in cache}
+        assert classes == {1: 1, 2: 2, 3: 3, 12: 27}
+        for k, entries in cache.items():
+            pairs = [pair for pair in entries if pair is not None]
+            forms = [pair for pair in pairs if pair._form is not None]
+            assert len(forms) <= len(pairs) <= classes[k] ** 2
         assert exact_expectation(block_decomposition(12), proj).exact_value == cold
 
 
