@@ -77,9 +77,8 @@ class TestExpect:
         assert rec["value"] == 0.0
 
     def test_exact_t18_projector_pinned(self, capsys):
-        # a tensor-product decomposition (12 + 6) whose Gram blocks are
-        # built per call; value and count taken before the class-pair
-        # grouping
+        # a tensor-product decomposition (12 + 6), whose Gram pairs are
+        # built per call and not cached
         main(["expect", "--t", "18", "--mode", "exact",
               "--projector=+XYZXYZIZXYZXYZXYZX,-IIIIIIIIIIIIIIIIYY"])
         out = capsys.readouterr().out

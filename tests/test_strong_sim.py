@@ -102,8 +102,8 @@ class TestExact:
             strong_sim._hermitian_sum(dec, kets)
 
     def test_t12_values_pinned(self):
-        # taken before Gram entries were grouped by class pair: the ring
-        # sum is exact, so the grouping must not change a single bit
+        # the ring sum is exact, so no grouping or order of the Gram
+        # entries may change these bits
         rng = np.random.default_rng(1212)
         p = PauliOperator.from_str("-1:" + "".join(rng.choice(list("IXY"), size=12)))
         assert str(p) == "-1:IIXYXIXIIYXI"
