@@ -239,18 +239,23 @@ def cmd_census(args) -> int:
         _reject("exhaustive census is limited to k <= 6; use --mode sampled")
     if args.mode == "sampled" and args.samples < 1:
         _reject(f"--samples must be at least 1, got {args.samples}")
+    if args.workers < 1:
+        _reject(f"--workers must be at least 1, got {args.workers}")
     total = 4 ** k if args.mode == "exhaustive" else args.samples
-    workers = max(1, args.workers)
+    workers = args.workers
     bounds = [(total * w // workers, total * (w + 1) // workers)
               for w in range(workers)]
     tasks = [(k, args.mode, args.samples, args.seed, lo, hi)
              for lo, hi in bounds if hi > lo]
+    # the chunks are --workers' whatever the pool, so stdout is too; the
+    # pool starts no more processes than there are chunks or cores
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
     start = time.perf_counter()
-    if workers == 1:
+    if processes == 1:
         chunks = [_census_chunk(t) for t in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(_census_chunk, tasks))
     counts: list[int] = [c for chunk in chunks for c in chunk]
     elapsed = time.perf_counter() - start

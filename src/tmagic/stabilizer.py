@@ -30,9 +30,15 @@ classes, which differ only in shifts and phases: the exact engine takes a
 class pair's block of Gram entries, and the sampled estimator a random
 state's overlaps with one class of kets, in one call.
 
-That Gauss sum is always 0 or sqrt2^k zeta^p, so ``exponential_sum`` carries
-it as the integer pair (k, p) on the working ``_Form`` and no ring value is
-built until ``inner_product`` multiplies in the two scales.
+That Gauss sum is always 0 or sqrt2^k zeta^p, and the forms of a block's
+entries differ only in their constant and in bit 2 of their linear terms,
+which each entry's base point sets.  So ``exponential_sum`` eliminates a
+block's form once,
+with bit 2 of each linear term carried as a GF(2) functional of the base
+point, and returns a plan: k, the part of p that no entry changes, and
+the parities that make up the rest.  ``plan_value`` reads an entry's
+(k, p) off the plan with a few parities; no form is copied per entry, and
+no ring value is built until the caller multiplies in the two scales.
 """
 
 from __future__ import annotations
@@ -229,47 +235,126 @@ class _Form:
 # EXPONENTIALSUM
 # ---------------------------------------------------------------------------
 
-def exponential_sum(f: _Form) -> Optional[tuple[int, int]]:
-    """sum_u zeta^{phi(u)} of the form f as (k, p), meaning sqrt2^k zeta^p.
+# (k, p, zero tests, sixes, twos, pairs): see ``exponential_sum``
+Plan = tuple[int, int, list[int], list[int], list[int], list[tuple[int, int]]]
 
-    The sum is always of that shape or 0, which is returned as None.
-    Eliminates in place, so f is consumed.  Each step takes the lowest live
-    variable a.  Uncoupled, it sums to 1 + i^{d_a/2}.  Coupled, a
-    substitution leaves a coupled to one partner v only; if d_a = 0 mod 4
-    summing u_a pins u_v and both go, otherwise u_a sums to (1 + i^{d_a/2})
-    times a phase on u_v.  The factors are 2 = sqrt2^2, 1 + i = sqrt2 zeta
-    and 1 - i = sqrt2 zeta^7, and i^x = zeta^{2x}, so only the two exponents
-    are carried.
+
+def exponential_sum(b: Sequence[int], d: Sequence[int], funcs: Sequence[int]
+                    ) -> Plan:
+    """The elimination plan of sum_w zeta^{phi_x(w)}, w in F_2^r, for the
+    forms phi_x with cross rows b, constant 0 and linear terms d_k xor
+    4 parity(funcs[k] & x), one form per input x.
+
+    Each such sum is sqrt2^k zeta^p or 0.  The elimination steps read only
+    b and the linear terms mod 4, which no x changes, so one run serves
+    every x: it is the run for one form with bit 2 of each linear term
+    carried as a GF(2) functional F of x (bit 0 of F is its constant, bit
+    i + 1 its coefficient of x_i, so F(x) = parity(F & (2x + 1))).  Each
+    step takes the lowest live variable a:
+
+    - a uncoupled, d_a = 0 mod 4: it sums to 2, or to 0 where F_a(x) = 1
+      (a zero test);
+    - a uncoupled, d_a = 2 mod 4: it sums to 1 + i^{d_a/2}, that is
+      sqrt2 zeta, times zeta^6 where F_a(x) = 1 (a six);
+    - a coupled: substituting its lowest partner v by the xor of all of
+      them leaves a coupled to v only.  If d_a = 0 mod 4, summing u_a pins
+      u_v = F_a(x), both go and k += 2; u_v = 1 adds d_v, that is 2 where
+      d_v = 2 mod 4 (a two) and 4 where F_v(x) = 1 (a pair (F_a, F_v)),
+      and 4 u_z to each z coupled to v.  Otherwise u_a sums to the
+      uncoupled case's factor and d_v -= d_a.
+
+    A substitution adds d_v to each d_x it touches (bit 1 xor, and a carry
+    into bit 2 where both bit 1s are set) and 4 to those coupled to v.
+    Returns (k, p, zero tests, sixes, twos, pairs) for ``plan_value``.
     """
-    d, b = f.d, f.b
-    k, p = 0, f.c
-    live = (1 << len(d)) - 1
+    b = list(b)
+    odd = [(x >> 1) & 1 for x in d]
+    f = [((x >> 2) & 1) | (g << 1) for x, g in zip(d, funcs)]
+    k = p = 0
+    zeros: list[int] = []
+    sixes: list[int] = []
+    twos: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    live = (1 << len(b)) - 1
     while live:
-        a = (live & -live).bit_length() - 1
+        low = live & -live
+        a = low.bit_length() - 1
         nmask = b[a] & live
         if nmask == 0:
-            if d[a] == 4:
-                return None
-            if d[a] == 0:
-                k += 2
-            else:
+            if odd[a]:
                 k += 1
-                p += 1 if d[a] == 2 else 7
-            live ^= 1 << a
+                p += 1
+                sixes.append(f[a])
+            else:
+                k += 2
+                zeros.append(f[a])
+            live ^= low
             continue
-        v = (nmask & -nmask).bit_length() - 1
-        f.substitute(v, nmask ^ (1 << v))
-        if d[a] % 4 == 0:
-            k += 2
-            if d[a] == 4:  # u_v pinned to 1
-                p += d[v]
-                f.add_phase_xor(4, b[v] & live & ~((1 << a) | (1 << v)))
-            live ^= (1 << a) | (1 << v)
-        else:
+        vbit = nmask & -nmask
+        v = vbit.bit_length() - 1
+        # old u_v = new u_v xor (xor of the u_x, x in mask)
+        mask = nmask ^ vbit
+        rv, ov, fv = b[v] & live, odd[v], f[v]
+        w = mask
+        while w:
+            xbit = w & -w
+            x = xbit.bit_length() - 1
+            b[x] ^= rv
+            f[x] ^= fv ^ (odd[x] & ov) ^ ((rv >> x) & 1)
+            odd[x] ^= ov
+            w ^= xbit
+        w = rv
+        while w:
+            zbit = w & -w
+            b[zbit.bit_length() - 1] ^= mask
+            w ^= zbit
+        if ov:  # d_v xor(...) with d_v = 2 mod 4 couples every pair
+            full = mask | vbit
+            w = full
+            while w:
+                xbit = w & -w
+                b[xbit.bit_length() - 1] ^= full ^ xbit
+                w ^= xbit
+        fa = f[a]
+        if odd[a]:
             k += 1
-            p += 1 if d[a] == 2 else 7
-            d[v] = (d[v] - d[a]) % 8
-            live ^= 1 << a
+            p += 1
+            sixes.append(fa)
+            f[v] ^= fa ^ odd[v] ^ 1
+            odd[v] ^= 1
+            live ^= low
+        else:
+            k += 2
+            if odd[v]:
+                twos.append(fa)
+            pairs.append((fa, f[v]))
+            w = b[v] & live & ~(low | vbit)
+            while w:
+                zbit = w & -w
+                f[zbit.bit_length() - 1] ^= fa
+                w ^= zbit
+            live ^= low | vbit
+    return k, p, zeros, sixes, twos, pairs
+
+
+def plan_value(plan: Plan, x: int, c: int) -> Optional[tuple[int, int]]:
+    """The sum of ``exponential_sum``'s plan at input x, with constant
+    phase c added, as (k, p), meaning sqrt2^k zeta^p, or None for 0."""
+    k, p, zeros, sixes, twos, pairs = plan
+    lx = (x << 1) | 1
+    for f in zeros:
+        if (f & lx).bit_count() & 1:
+            return None
+    p += c
+    for f in sixes:
+        if (f & lx).bit_count() & 1:
+            p += 6
+    for f in twos:
+        if (f & lx).bit_count() & 1:
+            p += 2
+    for f, g in pairs:
+        if (f & lx).bit_count() & (g & lx).bit_count() & 1:
+            p += 4
     return k, p % 8
 
 
@@ -316,9 +401,10 @@ def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
     columns v_k of V are the null vectors from ``solve_columns`` (u_a in
     the low m_a bits).  The summand phi_b(u_b) - phi_a(u_a) is one form on
     u, with cross data B = diag(B_a, B_b) and linear data (-d_a, d_b);
-    ``_extend_form`` and ``_gauss_sum`` pull it back to the r variables w
-    and sum it.  Nothing here needs independent columns, so sb may also be
-    a sum over dependent ones, such as a ``projector_ket``.
+    ``_extend_form`` pulls it back to the r variables w, and ``_entry``
+    evaluates its ``exponential_sum`` plan at the base point.  Nothing
+    here needs independent columns, so sb may also be a sum over dependent
+    ones, such as a ``projector_ket``.
     """
     if sa.n != sb.n:
         raise ValueError("qubit count mismatch")
@@ -330,7 +416,7 @@ def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
     b: list[int] = []
     d: list[int] = []
     _extend_form(sa, sb, null, b, d)
-    ks = _gauss_sum(sa, sb, part, null, b, d)
+    ks = _entry(sa, sb, part, exponential_sum(b, d, null))
     if ks is None:
         return ZERO
     return sa.scale.conj() * sb.scale * sqrt2_root(*ks)
@@ -386,28 +472,24 @@ def _extend_form(sa: StabilizerState, sb: StabilizerState, null: list[int],
         d.append(2 * (vo.bit_count() + e) % 8)
 
 
-def _gauss_sum(sa: StabilizerState, sb: StabilizerState, part: int,
-               null: list[int], b: list[int], d: list[int]
-               ) -> Optional[tuple[int, int]]:
+def _entry(sa: StabilizerState, sb: StabilizerState, part: int, plan: Plan
+           ) -> Optional[tuple[int, int]]:
     """Sum of zeta^(phi_b - phi_a) over the support base xor V w, as
-    ``exponential_sum``'s (k, p) or None; consumes the form (b, d) that
-    ``_extend_form`` built on ``null``.
+    ``plan_value``'s (k, p) or None, from the ``exponential_sum`` plan of
+    the form that ``_extend_form`` built on V with funcs V.
 
     The base point ``part`` adds 4 |v_k & four| to each linear term, where
     ``four`` is bit 2 of the linear data (bit 2 of -d is bit 2 of d xor
     bit 1), flipped by 4 (B base) and, on an odd entry with base = 1, by
-    the sign of u = 1 - x; and it sets the constant
-    phi_b(base_b) - phi_a(base_a).
+    the sign of u = 1 - x; so ``four`` is the plan's input.  The base
+    point also sets the constant phi_b(base_b) - phi_a(base_a).
     """
     ma = sa.m
     phi_a, bbase_a = sa.phase_and_coupling(part & ((1 << ma) - 1))
     phi_b, bbase_b = sb.phase_and_coupling(part >> ma)
     four = (((sa.d4 ^ sa.odd ^ bbase_a) | ((sb.d4 ^ bbase_b) << ma))
             ^ ((sa.odd | (sb.odd << ma)) & part))
-    for k, v in enumerate(null):
-        if (v & four).bit_count() & 1:
-            d[k] ^= 4
-    return exponential_sum(_Form(len(d), [], 0, b, d, (phi_b - phi_a) % 8))
+    return plan_value(plan, four, phi_b - phi_a)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +512,16 @@ class GramPair:
     (``_extend_form``) on the states' cross data and ``odd`` masks only.
     Shifts and phases change neither, nor does a Pauli shift of b, and
     projector factors only add columns after b's own, so ``gram_entries``
-    reuses all of it and adds what the operator contributes.  ``table`` is
-    ``pivot_table(sa, sb)``, which pairs with the same two bases may share;
-    the form is built at the first call that needs it.
+    reuses all of it and adds what the operator contributes.  So does the
+    form's ``exponential_sum`` plan, whose input is each entry's base
+    point: it is kept beside the form, and serves every block whose kets
+    add no columns.  ``table`` is ``pivot_table(sa, sb)``, which pairs with
+    the same two bases may share; the form and the plan are built at the
+    first call that needs them, and go with the pair.
     """
 
-    __slots__ = ("vecs", "masks", "null", "ma", "mb", "_states", "_form")
+    __slots__ = ("vecs", "masks", "null", "ma", "mb", "_states", "_form",
+                 "_plan")
 
     def __init__(self, sa: StabilizerState, sb: StabilizerState,
                  table: tuple[list[int], list[int], list[int]]) -> None:
@@ -443,6 +529,7 @@ class GramPair:
         self.ma, self.mb = sa.m, sb.m
         self._states = (sa, sb)
         self._form: Optional[tuple[list[int], list[int]]] = None
+        self._plan: Optional[Plan] = None
 
     def columns(self, extra: Sequence[int]
                 ) -> tuple[list[int], list[int], list[int]]:
@@ -477,41 +564,51 @@ class GramPair:
             self._form = (b, d)
         return self._form
 
+    def plan(self, sa: StabilizerState, sb: StabilizerState,
+             new: Sequence[int]) -> Plan:
+        """The ``exponential_sum`` plan of the form on ``null`` + new, for
+        states sa and sb of the block's classes: the kept one when new is
+        empty, else one built on an extended copy of the form."""
+        if not new:
+            if self._plan is None:
+                self._plan = exponential_sum(*self.form(), self.null)
+            return self._plan
+        null = self.null + list(new)
+        b, d = (list(x) for x in self.form())
+        _extend_form(sa, sb, null, b, d)
+        return exponential_sum(b, d, null)
+
 
 def gram_entries(entries: Sequence[tuple[StabilizerState, StabilizerState]],
                  pair: GramPair) -> list[Optional[tuple[int, int]]]:
     """<bra|ket> / (conj(bra.scale) ket.scale) for each (bra, ket) entry,
     as (k, p), meaning sqrt2^k zeta^p, or None where it vanishes.
 
-    The entries, at least one, share one class pair: every bra has the columns, cross
-    data and ``odd`` mask of ``pair``'s first state, and every ket those
-    of one state that extends ``pair``'s second one, which is that state
-    shifted by a Pauli (``apply_pauli_state``) or extended by the same
-    projector factors (``projector_ket``), or, with mb = 0, any one state.
-    Only shifts and phases differ between entries.  So the column step,
-    the kets' further columns reduced into the cached table and the null
-    vectors they close added to a copy of the cached form, runs once for
-    all entries; then each entry's right-hand side bra.shift ^ ket.shift
-    is solved and its phases added (the right-hand-side step).  One
-    ``exponential_sum`` per consistent entry.
+    The entries, at least one, share one class pair: every bra has the
+    columns, cross data and ``odd`` mask of ``pair``'s first state, and
+    every ket those of one state that extends ``pair``'s second one, which
+    is that state shifted by a Pauli (``apply_pauli_state``) or extended
+    by the same projector factors (``projector_ket``), or, with mb = 0, any
+    one state.  Only shifts and phases differ between entries, and they
+    enter the pulled-back form only through its constant and bit 2 of its
+    linear terms.  So the column step, the kets' further columns reduced
+    into the cached table, and one elimination plan (``GramPair.plan``:
+    the kept one when the kets add no columns, as a Pauli's do) serve all
+    entries; each entry then costs its right-hand side bra.shift ^
+    ket.shift solved against the table and one ``plan_value`` (the
+    right-hand-side step).  No form is copied per entry.
     """
     vecs, masks, new = pair.columns(entries[0][1].basis[pair.mb:])
-    null = pair.null
-    form = None
+    plan = None
     out: list[Optional[tuple[int, int]]] = []
     for bra, ket in entries:
         v, part = reduce_column(vecs, masks, bra.shift ^ ket.shift, 0)
         if v:
             out.append(None)
             continue
-        if form is None:  # built at the first consistent entry
-            form = pair.form()
-            if new:
-                null = null + new
-                form = (list(form[0]), list(form[1]))
-                _extend_form(bra, ket, null, *form)
-        out.append(_gauss_sum(bra, ket, part, null, list(form[0]),
-                              list(form[1])))
+        if plan is None:  # built at the first consistent entry
+            plan = pair.plan(bra, ket, new)
+        out.append(_entry(bra, ket, part, plan))
     return out
 
 

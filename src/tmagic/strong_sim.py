@@ -13,14 +13,19 @@ Pi = prod_i (I + s_i P_i)/2 is never applied to a state: <phi_j|Pi|phi_l>
 What does not depend on the operator, the pivot table, null basis and
 pulled-back form, depends only on the class of each raw state, its
 columns, cross data and ``odd`` mask (``_classes``).  So the entries of
-one pair of classes share one ``GramPair`` and one column step
-(``gram_entries``), and each entry adds only its right-hand side and one
-exponential sum: the 1128 entries at t = 12 fall into 398 blocks, one per
-ordered pair of the 27 classes of its 47 terms that has an entry.  The
-pairs of a catalog entry (``catalog_entry``) are cached for the life of
-the process, at most sum_k c_k^2 = 768 of them for class counts c_k; any
-other decomposition, a tensor product, a padded or a file-read one,
-builds its pairs per call and drops them on return.
+one pair of classes share one ``GramPair``, one column step and one
+elimination plan (``gram_entries``), and each entry adds only its
+right-hand side and a few parities read off the plan: the 1128 entries at
+t = 12 fall into 398 blocks, one per ordered pair of the 27 classes of its
+47 terms that has an entry.  A Pauli's kets add no columns, so its blocks
+use the plan kept with the pair, and a repeated Pauli op eliminates
+nothing; a projector's blocks build one plan each.  The upper triangle is
+summed row by row as integer numerators over one power of sqrt2, so its
+entries cost no ring product.  The pairs of a catalog entry
+(``catalog_entry``) are cached for the life of the process, at most
+sum_k c_k^2 = 768 of them for class counts c_k; any other decomposition,
+a tensor product, a padded or a file-read one, builds its pairs per call
+and drops them on return.
 
 The sampled path trades the quadratic cost for L = ceil(eps^-2 ln(1/p_f))
 Haar-random stabilizer samples using the two-design property:
@@ -33,9 +38,9 @@ unbiasedness on <Psi|Psi> (checked against the exact path in the tests).
 Its kets are the projected terms (``measure_pauli``), fixed for all L
 samples, so the kets of one class form one group with one ``GramPair``: a
 random state's columns are reduced once per group and each ket adds its
-shift and phases (``gram_entries``).  The
-overlaps' floats come from a per-call table, so the loop does no ring
-arithmetic.
+shift and phases (``gram_entries``, one elimination plan per group
+and sample).  The overlaps' floats come from a per-call table, so the loop
+does no ring arithmetic.
 
 Three engines take a decomposition built by the caller (``catalog``'s
 ``block_decomposition``, then ``extend_with_zeros`` for padding qubits):
@@ -52,7 +57,7 @@ from typing import Callable, Optional, Sequence
 
 from .catalog import CATALOG_TERM_COUNTS, MagicDecomposition, catalog_entry
 from .pauli import PauliOperator, PauliProjector
-from .phase_ring import ExactAmplitude, ONE, ZERO, sqrt2_root
+from .phase_ring import ExactAmplitude, ONE, ZERO, canonical, sqrt2_root
 from .stabilizer import (GramPair, StabilizerState,
                          apply_pauli_state, gram_entries, measure_pauli,
                          pivot_table, projector_ket, random_stabilizer_state)
@@ -170,10 +175,14 @@ def _hermitian_sum(dec: MagicDecomposition, kets: Sequence[StabilizerState],
     that is not means the operator is not Hermitian.  With ``positive``
     the Gram matrix is positive semidefinite (a projector's), so a zero
     diagonal entry zeroes its row and column and only the kept terms'
-    pairs are evaluated and counted.  The ring work is one product per
-    non-zero entry: c_l scale(k_l) per ket and conj(c_j scale(phi_j)) per
-    row are formed once, and the rows are accumulated block by block; the
-    ring sum is exact, so that order does not change the value.
+    pairs are evaluated and counted.  An upper-triangle entry does no ring
+    arithmetic: row j is sum_l coef_l sqrt2^k zeta^p with coef_l = weight
+    c_l scale(k_l), kept as four integers over one sqrt2^e, and an entry
+    adds ``_rotations``' coef_l sqrt2^(k mod 2) zeta^p shifted by k // 2.
+    Each row is made canonical and multiplied by conj(c_j scale(phi_j))
+    once; the diagonal keeps one ring product per entry.  The sum is
+    exact, so neither the block order nor the integer rows change a bit
+    of the value.
     """
     terms = dec.terms
     classes = _classes([s for _, s in terms])
@@ -195,7 +204,11 @@ def _hermitian_sum(dec: MagicDecomposition, kets: Sequence[StabilizerState],
                 continue
             kept_a.append(j)
         kept.append(kept_a)
-    rows = [ZERO] * len(terms)
+    # row j of the upper triangle is sum_l coef_l sqrt2^k zeta^p over its
+    # non-zero entries (k, p), kept as four integers over sqrt2^e
+    e = max(c.e for c in coef) + 1
+    rot = [_rotations(c, e) for c in coef]
+    rows = [[0, 0, 0, 0] for _ in terms]
     for a, js in enumerate(kept):
         for b, ls in enumerate(kept):
             block = [(j, l) for j in js for l in ls[bisect_right(ls, j):]]
@@ -204,17 +217,45 @@ def _hermitian_sum(dec: MagicDecomposition, kets: Sequence[StabilizerState],
             entries = [(terms[j][1], kets[l]) for j, l in block]
             for (j, l), ks in zip(block, gram_entries(entries, pair(a, b))):
                 if ks is not None:  # most pairs of a Pauli op are zero
-                    rows[j] = rows[j] + coef[l] * sqrt2_root(*ks)
+                    k, p = ks
+                    x = rot[l][k & 1][p]
+                    s = k >> 1
+                    row = rows[j]
+                    row[0] += x[0] << s
+                    row[1] += x[1] << s
+                    row[2] += x[2] << s
+                    row[3] += x[3] << s
     upper = ZERO
     for (cj, bra), row in zip(terms, rows):
-        if not row.is_zero():
-            upper = upper + (cj * bra.scale).conj() * row
+        if any(row):
+            upper = upper + (cj * bra.scale).conj() * canonical(*row, e)
     total = diag + upper + upper.conj()
     n_kept = sum(map(len, kept))
     return SimulationResult(value=total.real_float(),
                             inner_products_evaluated=n_kept * (n_kept + 1) // 2,
                             term_count=len(dec),
                             exact_value=total)
+
+
+def _rotations(x: ExactAmplitude, e: int
+               ) -> tuple[list[tuple[int, int, int, int]], ...]:
+    """x sqrt2^h zeta^p at [h][p], for h = 0, 1 and p = 0..7, each as the
+    four integers (a, b, c, d) of its value over sqrt2^e; e > x.e.
+
+    Lifting to a larger denominator multiplies the numerator by sqrt2,
+    (a, b, c, d) -> (2b, a, 2d, c); i maps it to (-c, -d, a, b); and zeta
+    = (1 + i)/sqrt2 maps a numerator over sqrt2^(e-1) to (a - c, b - d,
+    a + c, b + d) over sqrt2^e.
+    """
+    a, b, c, d = x.a, x.b, x.c, x.d
+    for _ in range(e - 1 - x.e):
+        a, b, c, d = 2 * b, a, 2 * d, c
+    plain = []
+    for _ in range(4):  # x i^q over sqrt2^(e-1)
+        plain.append((2 * b, a, 2 * d, c))  # zeta^2q, lifted
+        plain.append((a - c, b - d, a + c, b + d))  # zeta^(2q+1)
+        a, b, c, d = -c, -d, a, b
+    return plain, [(2 * b, a, 2 * d, c) for a, b, c, d in plain]
 
 
 def exact_expectation(dec: MagicDecomposition, proj: PauliProjector
@@ -254,8 +295,9 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     The projected kets are fixed for all L samples, so they are grouped by
     class (``_classes``), and each group keeps one ``GramPair`` of (ket, a
     state with no columns): a random state psi's columns are reduced and
-    its null vectors' form built once per group (``gram_entries``), and
-    each ket adds only its right-hand side and one exponential sum.  That gives <phi_l|psi> = sqrt2^k zeta^p, so
+    its null vectors' form built and eliminated once per group
+    (``gram_entries``), and each ket adds only its right-hand side and one
+    evaluation of that plan.  That gives <phi_l|psi> = sqrt2^k zeta^p, so
     <psi|phi_l> is (k, -p); its float, conj(psi.scale) scale_l
     sqrt2^k zeta^-p, is formed once per (psi.scale, l, (k, p)) and looked
     up after, so the loop does no ring arithmetic.

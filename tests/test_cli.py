@@ -330,6 +330,51 @@ class TestDeterminism:
         assert a == b
 
 
+class TestCensusWorkers:
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_rejects_below_one(self, workers):
+        assert_rejected(["census", "--k", "3", "--workers", workers],
+                        f"--workers must be at least 1, got {workers}")
+
+    @pytest.mark.parametrize("workers, samples, cpus, size", [
+        (8, 3, 4, 3),        # one process per non-empty chunk
+        (8, 400, 4, 4),      # no more processes than cores
+        (3, 400, 16, 3),     # no more than --workers
+        (8, 400, 1, None),   # one core: the chunks run in this process
+        (8, 400, None, None),  # core count unknown: taken as one
+        (2, 1, 16, None),    # one non-empty chunk
+    ])
+    def test_pool_size(self, monkeypatch, capsys, workers, samples, cpus,
+                       size):
+        # a recorder stands in for the pool and runs the chunks in this
+        # process, so no process is started
+        import concurrent.futures
+        made = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        base = ["census", "--k", "3", "--mode", "sampled", "--samples",
+                str(samples), "--seed", "11"]
+        assert main(base + ["--workers", str(workers)]) == 0
+        out = capsys.readouterr().out
+        assert made == ([] if size is None else [size])
+        assert main(base + ["--workers", "1"]) == 0
+        assert capsys.readouterr().out == out
+
+
 class TestCatalogExport:
     @pytest.mark.parametrize("k", ["4", "0"])
     def test_rejects_k_outside_catalog(self, k):

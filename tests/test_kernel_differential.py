@@ -19,10 +19,12 @@ from tmagic.catalog import block_decomposition, catalog_entry, t12_decomposition
 from tmagic.gf2 import solve_columns
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
 from tmagic.phase_ring import ZERO, sqrt2_root
+from tmagic import stabilizer
+from tmagic.phase_ring import ONE
 from tmagic.stabilizer import (GramPair, StabilizerState, apply_pauli_state,
-                               gram_entries, inner_product, measure_pauli,
-                               pivot_table, projector_ket,
-                               random_stabilizer_state)
+                               exponential_sum, gram_entries, inner_product,
+                               measure_pauli, pivot_table, plan_value,
+                               projector_ket, random_stabilizer_state)
 
 import reference_kernel
 
@@ -77,6 +79,97 @@ class TestAgainstReference:
                             n) is not None
         assert pairs >= 200
         assert consistent > pairs // 2
+
+
+def _form(m, d, cross, c):
+    """The form on m variables with linear terms d, constant c and cross
+    bits ``cross`` over the pairs a < b, as a state on unit columns."""
+    b = [0] * m
+    bit = 0
+    for a in range(m):
+        for b2 in range(a + 1, m):
+            if (cross >> bit) & 1:
+                b[a] |= 1 << b2
+                b[b2] |= 1 << a
+            bit += 1
+    return StabilizerState(max(m, 1), tuple(1 << i for i in range(m)), 0,
+                           tuple(b), tuple(d), c, ONE)
+
+
+def _random_form(rng, m):
+    return _form(m, [2 * int(rng.integers(0, 4)) for _ in range(m)],
+                 int(rng.integers(0, 1 << (m * (m - 1) // 2))) if m > 1 else 0,
+                 int(rng.integers(0, 8)))
+
+
+def _flipped(s, lam):
+    """s with d_k xor 4 where bit k of lam is set."""
+    d = tuple(x ^ (4 * ((lam >> k) & 1)) for k, x in enumerate(s.dvec))
+    return StabilizerState(s.n, s.basis, s.shift, s.bmat, d, s.c, s.scale)
+
+
+def _plan_ring(plan, x, c):
+    ks = plan_value(plan, x, c)
+    if ks is None:
+        return ZERO
+    k, p = ks
+    assert k >= 0 and 0 <= p < 8
+    return sqrt2_root(k, p)
+
+
+class TestPlan:
+    """``exponential_sum``'s plan evaluated at an input against the
+    reference exponential sum of the form it stands for: bit 2 of d_k
+    flipped where parity(funcs[k] & x) = 1."""
+
+    def test_every_input_up_to_six_variables(self):
+        rng = np.random.default_rng(2031)
+        cases = zeros = 0
+        for m in range(7):
+            for _ in range(30 if m else 1):
+                s = _random_form(rng, m)
+                plan = exponential_sum(s.bmat, s.dvec,
+                                       [1 << k for k in range(m)])
+                for lam in range(1 << m):
+                    want = reference_kernel.exponential_sum(_flipped(s, lam))
+                    assert _plan_ring(plan, lam, s.c) == want, (s, lam)
+                    cases += 1
+                    zeros += want.is_zero()
+        assert zeros > cases // 10 and zeros < cases
+
+    def test_inputs_through_funcs(self):
+        # the engines' funcs are null vectors, so one input bit may flip
+        # several linear terms and some none
+        rng = np.random.default_rng(2032)
+        for _ in range(300):
+            m = int(rng.integers(0, 7))
+            s = _random_form(rng, m)
+            funcs = [int(rng.integers(0, 1 << 5)) for _ in range(m)]
+            plan = exponential_sum(s.bmat, s.dvec, funcs)
+            for x in range(1 << 5):
+                lam = sum(((f & x).bit_count() & 1) << k
+                          for k, f in enumerate(funcs))
+                assert (_plan_ring(plan, x, s.c)
+                        == reference_kernel.exponential_sum(_flipped(s, lam)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 16).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.sampled_from((0, 2, 4, 6)), min_size=m, max_size=m),
+        st.integers(0, (1 << (m * (m - 1) // 2)) - 1),
+        st.integers(0, 7), st.integers(0, (1 << m) - 1))))
+    def test_matches_reference_up_to_sixteen_variables(self, case):
+        m, d, cross, c, lam = case
+        s = _form(m, d, cross, c)
+        plan = exponential_sum(s.bmat, s.dvec, [1 << k for k in range(m)])
+        assert (_plan_ring(plan, lam, c)
+                == reference_kernel.exponential_sum(_flipped(s, lam)))
+
+    def test_inputs_are_not_consumed(self):
+        s = _form(4, (2, 6, 0, 4), 0b101101, 3)
+        b, d = list(s.bmat), list(s.dvec)
+        exponential_sum(b, d, [1, 2, 4, 8])
+        assert (tuple(b), tuple(d)) == (s.bmat, s.dvec)
 
 
 class TestGroupedOverlaps:
@@ -178,6 +271,65 @@ class TestClassBlocks:
             self._check(catalog_entry(k), rng, paulis, 3)
         assert set(strong_sim._GRAM_PAIRS) == {3, 6, 12}
 
+    @staticmethod
+    def _block_values(dec, kets):
+        """gram_entries over every class block, by (j, l)."""
+        states = [s for _, s in dec.terms]
+        classes = strong_sim._classes(states)
+        pair = strong_sim._gram_pairs(dec, classes)
+        out = {}
+        for a, js in enumerate(classes):
+            for b, ls in enumerate(classes):
+                block = [(j, l) for j in js for l in ls]
+                out.update(zip(block, gram_entries(
+                    [(states[j], kets[l]) for j, l in block], pair(a, b))))
+        return out
+
+    def test_second_op_reuses_the_cached_plans(self, monkeypatch):
+        # a Pauli op builds each block's plan once, the same op again
+        # builds none, another Pauli only those of blocks the first had no
+        # consistent entry in, and a projector op builds its own plans
+        # (and the kept one of a block whose factor columns close no null
+        # vector) and leaves the kept ones; every op stays ring-equal to
+        # inner_product
+        monkeypatch.setattr(strong_sim, "_GRAM_PAIRS", {})
+        built = []
+        plan_of = stabilizer.exponential_sum
+
+        def counted(*args):
+            built.append(args)
+            return plan_of(*args)
+        monkeypatch.setattr(stabilizer, "exponential_sum", counted)
+        rng = np.random.default_rng(2033)
+        dec = catalog_entry(12)
+
+        def kept():
+            return [None if pair is None else pair._plan
+                    for pair in strong_sim._GRAM_PAIRS[12]]
+
+        p, q = random_pauli(12, rng), random_pauli(12, rng)
+        kets_p = [apply_pauli_state(s, p) for _, s in dec.terms]
+        values = self._block_values(dec, kets_p)
+        first = len(built)
+        plans = kept()
+        assert 0 < first == sum(plan is not None for plan in plans) <= 27 ** 2
+        assert self._block_values(dec, kets_p) == values
+        assert len(built) == first and kept() == plans
+        kets_q = [apply_pauli_state(s, q) for _, s in dec.terms]
+        self._block_values(dec, kets_q)
+        after = kept()
+        assert all(x is y for x, y in zip(plans, after) if x is not None)
+        assert len(built) - first == sum(
+            x is None and y is not None for x, y in zip(plans, after))
+        proj = self._projector(12, 2, rng)
+        kets_proj = [projector_ket(s, proj.factors) for _, s in dec.terms]
+        before = len(built)
+        self._block_values(dec, kets_proj)
+        assert len(built) > before
+        assert all(x is y for x, y in zip(after, kept()) if x is not None)
+        for kets in (kets_p, kets_q, kets_proj):
+            assert self._check_blocks(dec, kets) > 0
+
     def test_uncached_tensor_decomposition(self, monkeypatch):
         monkeypatch.setattr(strong_sim, "_GRAM_PAIRS", {})
         dec = block_decomposition(9)
@@ -236,7 +388,9 @@ from tmagic.catalog import t1_decomposition
 from tmagic.gauss import GaussSumReport, GaussSumTerm, _Block3, _group_blocks
 from tmagic.phase_ring import ONE, eighth_root
 from tmagic.pauli import PauliOperator
-from tmagic.stabilizer import StabilizerState, _Form, measure_pauli
+from tmagic import strong_sim
+from tmagic.stabilizer import (StabilizerState, _Form, apply_pauli_state,
+                               measure_pauli)
 from tmagic.strong_sim import exact_pauli_expectation
 print("debug", __debug__)
 def check(label, fn):
@@ -256,6 +410,10 @@ object.__setattr__(s, "dvec", (3,))  # corrupt a valid state after checks
 check("odd-ratio", lambda: measure_pauli(s, PauliOperator.from_str("X"), 1))
 check("non-hermitian-pauli", lambda: exact_pauli_expectation(
     t1_decomposition(), PauliOperator.from_str("i:Z")))
+dec = t1_decomposition()
+iz = PauliOperator.from_str("i:Z")
+check("non-real-diagonal", lambda: strong_sim._hermitian_sum(
+    dec, [apply_pauli_state(s, iz) for _, s in dec.terms]))
 check("non-hermitian-ratio", lambda: measure_pauli(
     StabilizerState.computational(1), PauliOperator.from_str("i:Z"), 1))
 check("non-real-gauss", lambda: GaussSumReport.from_terms(
@@ -274,7 +432,8 @@ check("three-block-chain", lambda: _group_blocks(
     got = dict(line.split(" ", 1) for line in lines[1:])
     assert set(got) == {"odd-dvec", "short-bmat", "bmat-diagonal",
                         "odd-phase", "odd-ratio", "non-hermitian-pauli",
-                        "non-hermitian-ratio", "non-real-gauss",
+                        "non-real-diagonal", "non-hermitian-ratio",
+                        "non-real-gauss",
                         "three-block-chain"}
     for label, result in got.items():
         assert result.startswith("ValueError"), (label, result)
@@ -283,6 +442,7 @@ check("three-block-chain", lambda: _group_blocks(
     assert "even" in got["odd-phase"]
     assert "dvec" in got["odd-ratio"]
     assert "not Hermitian" in got["non-hermitian-pauli"]
+    assert "non-real diagonal" in got["non-real-diagonal"]
     assert "must be Hermitian" in got["non-hermitian-ratio"]
     assert "non-real" in got["non-real-gauss"]
     assert "got 3" in got["three-block-chain"]

@@ -14,6 +14,8 @@ from tmagic.catalog import catalog_entry
 from tmagic.cli import main
 from tmagic.gf2 import solve_columns
 from tmagic.pauli import PauliOperator
+from tmagic.phase_ring import ZERO
+from tmagic.stabilizer import apply_pauli_state, inner_product
 
 
 def _record(monkeypatch, owner, attr):
@@ -32,36 +34,79 @@ def _record(monkeypatch, owner, attr):
 def test_exact_pauli_op_gram_calls(monkeypatch, capsys):
     # the Gram engine reduces against pivot tables built by gf2.eliminate
     # and projects nothing: no inner_product (strong_sim no longer imports
-    # it), solve_columns or measure_pauli
+    # it), solve_columns or measure_pauli.  It builds one elimination plan
+    # per class block with a consistent entry, kept with the cached pair,
+    # and evaluates it once per consistent entry
     assert not hasattr(tmagic.strong_sim, "inner_product")
+    # the upper-triangle entries by class block, as _hermitian_sum takes them
+    p = PauliOperator.from_str("XYZIYX")
+    states = [s for _, s in catalog_entry(6).terms]
+    classes = tmagic.strong_sim._classes(states)
+    block_of = {j: a for a, js in enumerate(classes) for j in js}
+    blocks: dict = {}
+    zeros = 0
+    for j, a in enumerate(states):
+        for l in range(j, len(states)):
+            ket = apply_pauli_state(states[l], p)
+            if solve_columns(list(a.basis) + list(ket.basis),
+                             a.shift ^ ket.shift, 6) is None:
+                continue
+            # the diagonal and upper blocks of a class pair share its plan
+            key = (block_of[j], block_of[l])
+            blocks[key] = blocks.get(key, 0) + 1
+            zeros += inner_product(a, ket) == ZERO
+    consistent = sum(blocks.values())
+    monkeypatch.setattr(tmagic.strong_sim, "_GRAM_PAIRS", {})
     measures = _record(monkeypatch, tmagic.strong_sim, "measure_pauli")
     solves = _record(monkeypatch, tmagic.stabilizer, "solve_columns")
-    sums = _record(monkeypatch, tmagic.stabilizer, "exponential_sum")
-    main(["expect", "--t", "3", "--pauli", "XYZ", "--mode", "exact"])
-    assert '"inner_products": 6' in capsys.readouterr().out
+    plans = _record(monkeypatch, tmagic.stabilizer, "exponential_sum")
+    values = _record(monkeypatch, tmagic.stabilizer, "plan_value")
+    argv = ["expect", "--t", "6", "--pauli", "XYZIYX", "--mode", "exact"]
+    main(argv)
+    assert '"inner_products": 28' in capsys.readouterr().out
     assert measures == solves == []
-    # one exponential sum per consistent pair; XYZ has an inconsistent one
-    x = PauliOperator.from_str("XYZ").x_mask
-    states = [s for _, s in catalog_entry(3).terms]
-    consistent = sum(
-        solve_columns(list(a.basis) + list(b.basis), a.shift ^ b.shift ^ x, 3)
-        is not None for j, a in enumerate(states) for b in states[j:])
-    assert 0 < consistent < 6
-    assert len(sums) == consistent
+    assert len(classes) == 5 and 0 < consistent < 28
+    assert len(blocks) < consistent  # fewer plans than entries
+    assert len(plans) == len(blocks)
+    assert len(values) == consistent
+    assert 0 < values.count(None) == zeros < consistent
+    # the same op again: the kept plans serve it, and no plan is built
+    main(argv)
+    capsys.readouterr()
+    assert len(plans) == len(blocks)
+    assert values[consistent:] == values[:consistent]
 
 
-@pytest.mark.parametrize("operator, sums, zeros, measures", [
+def test_repeated_t12_pauli_op_builds_no_plan(monkeypatch, capsys):
+    monkeypatch.setattr(tmagic.strong_sim, "_GRAM_PAIRS", {})
+    plans = _record(monkeypatch, tmagic.stabilizer, "exponential_sum")
+    values = _record(monkeypatch, tmagic.stabilizer, "plan_value")
+    argv = ["expect", "--t", "12", "--pauli=-1:IIXYXIXIIYXI", "--mode", "exact"]
+    main(argv)
+    first = capsys.readouterr().out
+    built, evaluated = len(plans), len(values)
+    assert 0 < built < evaluated <= 1128
+    main(argv)
+    assert capsys.readouterr().out == first
+    assert len(plans) == built
+    assert values[evaluated:] == values[:evaluated]
+
+
+@pytest.mark.parametrize("operator, evaluated, zeros, measures", [
     (["--pauli", "XYZIXZ"], 413, 122, 7),
     (["--projector", "+XXIIZZ,-ZZYYII"], 406, 129, 14),
 ])
-def test_sampled_op_kernel_calls(monkeypatch, capsys, operator, sums, zeros,
-                                 measures):
-    # one exponential sum per consistent (psi, ket) pair, as when each
-    # overlap was an inner_product (the counts are that engine's), one
-    # random state per sample, and no solve_columns beyond measure_pauli's
-    # one per call: the sample loop reduces against GramPair tables
+def test_sampled_op_kernel_calls(monkeypatch, capsys, operator, evaluated,
+                                 zeros, measures):
+    # one plan per (random state, ket group) block with a consistent entry,
+    # built on the block's extended form: 293 of the 60 x 5 blocks for
+    # both operators; one evaluation per consistent (psi, ket) pair, as
+    # many as the engine before plans had exponential sums; one random
+    # state per sample, and no solve_columns beyond measure_pauli's one per
+    # call: the sample loop reduces against GramPair tables
     log = {name: _record(monkeypatch, owner, name) for owner, name in (
         (tmagic.stabilizer, "exponential_sum"),
+        (tmagic.stabilizer, "plan_value"),
         (tmagic.strong_sim, "random_stabilizer_state"),
         (tmagic.strong_sim, "measure_pauli"),
         (tmagic.stabilizer, "solve_columns"),
@@ -69,8 +114,9 @@ def test_sampled_op_kernel_calls(monkeypatch, capsys, operator, sums, zeros,
     main(["expect", "--t", "6", "--mode", "sampled", "--seed", "11",
           "--samples", "60", *operator])
     assert '"inner_products": 420' in capsys.readouterr().out
-    assert len(log["exponential_sum"]) == sums
-    assert log["exponential_sum"].count(None) == zeros
+    assert len(log["exponential_sum"]) == 293
+    assert len(log["plan_value"]) == evaluated
+    assert log["plan_value"].count(None) == zeros
     assert len(log["random_stabilizer_state"]) == 60
     assert len(log["measure_pauli"]) == len(log["solve_columns"]) == measures
     assert len(log["rank_of"]) == 138

@@ -13,7 +13,7 @@ from tmagic.dense import (dense_magic_state, dense_magic_state_exact,
                           dense_projector_expect)
 from tmagic.gauss import expect_block, expect_single_pauli
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
-from tmagic.phase_ring import ExactAmplitude, ONE, ZERO
+from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, canonical, sqrt2_root
 from tmagic.stabilizer import apply_pauli_state, inner_product
 from tmagic.strong_sim import (exact_expectation, exact_pauli_expectation,
                                sample_count, sampled_expectation)
@@ -302,6 +302,55 @@ class TestGramEngine:
             forms = [pair for pair in pairs if pair._form is not None]
             assert len(forms) <= len(pairs) <= classes[k] ** 2
         assert exact_expectation(block_decomposition(12), proj).exact_value == cold
+
+
+class TestIntegerRows:
+    """The upper triangle summed as integer numerators over one sqrt2^e
+    (``_rotations``), against ring products, on decompositions whose
+    coefficients c_l scale(k_l) have unequal denominators."""
+
+    def test_rotations_are_ring_products(self):
+        rng = np.random.default_rng(600)
+        for _ in range(200):
+            x = ExactAmplitude(*(int(v) for v in rng.integers(-9, 10, 4)),
+                               int(rng.integers(0, 6)))
+            e = x.e + 1 + int(rng.integers(0, 4))
+            rot = strong_sim._rotations(x, e)
+            for h in (0, 1):
+                for p in range(8):
+                    assert canonical(*rot[h][p], e) == x * sqrt2_root(h, p)
+
+    @staticmethod
+    def _check(dec, rng, paulis=2, projectors=2):
+        scales = {(c * s.scale).e for c, s in dec.terms}
+        assert len(scales) > 1, scales
+        n = dec.n
+        for i in range(paulis):
+            q = random_pauli(n, rng)
+            p = PauliOperator(n, q.beta, q.gamma, q.delta, 2 * (i % 2))
+            assert (exact_pauli_expectation(dec, p).exact_value
+                    == reference_kernel.exact_pauli_expectation(dec, p)), str(p)
+        for i in range(projectors):
+            proj = _random_projector(n, 1 + i % 3, rng)
+            assert (exact_expectation(dec, proj).exact_value
+                    == reference_kernel.exact_expectation(dec, proj)), str(proj)
+
+    def test_tensor_product_t9(self):
+        self._check(block_decomposition(9), np.random.default_rng(601),
+                    projectors=3)
+
+    def test_read_back_catalog_file(self, tmp_path):
+        dec = TestGramEngine._read_back(extend_with_zeros(catalog_entry(12), 13),
+                                        tmp_path)
+        self._check(dec, np.random.default_rng(602), paulis=2, projectors=2)
+
+    def test_t3_padded_to_five_qubits(self):
+        self._check(extend_with_zeros(block_decomposition(3), 5),
+                    np.random.default_rng(603), paulis=6, projectors=6)
+
+    def test_t14(self):
+        self._check(block_decomposition(14), np.random.default_rng(604),
+                    paulis=2, projectors=2)
 
 
 class TestSampled:
