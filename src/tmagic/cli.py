@@ -247,8 +247,9 @@ def cmd_census(args) -> int:
               for w in range(workers)]
     tasks = [(k, args.mode, args.samples, args.seed, lo, hi)
              for lo, hi in bounds if hi > lo]
-    # the chunks are --workers' whatever the pool, so stdout is too; the
-    # pool starts no more processes than there are chunks or cores
+    # the rows are split by --workers whatever the pool's size, so stdout
+    # does not depend on it; the pool starts no more processes than there
+    # are chunks or cores
     processes = min(workers, len(tasks), os.cpu_count() or 1)
     start = time.perf_counter()
     if processes == 1:

@@ -20,11 +20,10 @@ from tmagic.gf2 import solve_columns
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
 from tmagic.phase_ring import ZERO, sqrt2_root
 from tmagic import stabilizer
-from tmagic.phase_ring import ONE
 from tmagic.stabilizer import (GramPair, StabilizerState, apply_pauli_state,
-                               exponential_sum, gram_entries, inner_product,
-                               measure_pauli, pivot_table, plan_value,
-                               projector_ket, random_stabilizer_state)
+                               gram_entries, inner_product, measure_pauli,
+                               pivot_table, projector_ket,
+                               random_stabilizer_state)
 
 import reference_kernel
 
@@ -81,97 +80,6 @@ class TestAgainstReference:
         assert consistent > pairs // 2
 
 
-def _form(m, d, cross, c):
-    """The form on m variables with linear terms d, constant c and cross
-    bits ``cross`` over the pairs a < b, as a state on unit columns."""
-    b = [0] * m
-    bit = 0
-    for a in range(m):
-        for b2 in range(a + 1, m):
-            if (cross >> bit) & 1:
-                b[a] |= 1 << b2
-                b[b2] |= 1 << a
-            bit += 1
-    return StabilizerState(max(m, 1), tuple(1 << i for i in range(m)), 0,
-                           tuple(b), tuple(d), c, ONE)
-
-
-def _random_form(rng, m):
-    return _form(m, [2 * int(rng.integers(0, 4)) for _ in range(m)],
-                 int(rng.integers(0, 1 << (m * (m - 1) // 2))) if m > 1 else 0,
-                 int(rng.integers(0, 8)))
-
-
-def _flipped(s, lam):
-    """s with d_k xor 4 where bit k of lam is set."""
-    d = tuple(x ^ (4 * ((lam >> k) & 1)) for k, x in enumerate(s.dvec))
-    return StabilizerState(s.n, s.basis, s.shift, s.bmat, d, s.c, s.scale)
-
-
-def _plan_ring(plan, x, c):
-    ks = plan_value(plan, x, c)
-    if ks is None:
-        return ZERO
-    k, p = ks
-    assert k >= 0 and 0 <= p < 8
-    return sqrt2_root(k, p)
-
-
-class TestPlan:
-    """``exponential_sum``'s plan evaluated at an input against the
-    reference exponential sum of the form it stands for: bit 2 of d_k
-    flipped where parity(funcs[k] & x) = 1."""
-
-    def test_every_input_up_to_six_variables(self):
-        rng = np.random.default_rng(2031)
-        cases = zeros = 0
-        for m in range(7):
-            for _ in range(30 if m else 1):
-                s = _random_form(rng, m)
-                plan = exponential_sum(s.bmat, s.dvec,
-                                       [1 << k for k in range(m)])
-                for lam in range(1 << m):
-                    want = reference_kernel.exponential_sum(_flipped(s, lam))
-                    assert _plan_ring(plan, lam, s.c) == want, (s, lam)
-                    cases += 1
-                    zeros += want.is_zero()
-        assert zeros > cases // 10 and zeros < cases
-
-    def test_inputs_through_funcs(self):
-        # the engines' funcs are null vectors, so one input bit may flip
-        # several linear terms and some none
-        rng = np.random.default_rng(2032)
-        for _ in range(300):
-            m = int(rng.integers(0, 7))
-            s = _random_form(rng, m)
-            funcs = [int(rng.integers(0, 1 << 5)) for _ in range(m)]
-            plan = exponential_sum(s.bmat, s.dvec, funcs)
-            for x in range(1 << 5):
-                lam = sum(((f & x).bit_count() & 1) << k
-                          for k, f in enumerate(funcs))
-                assert (_plan_ring(plan, x, s.c)
-                        == reference_kernel.exponential_sum(_flipped(s, lam)))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 16).flatmap(lambda m: st.tuples(
-        st.just(m),
-        st.lists(st.sampled_from((0, 2, 4, 6)), min_size=m, max_size=m),
-        st.integers(0, (1 << (m * (m - 1) // 2)) - 1),
-        st.integers(0, 7), st.integers(0, (1 << m) - 1))))
-    def test_matches_reference_up_to_sixteen_variables(self, case):
-        m, d, cross, c, lam = case
-        s = _form(m, d, cross, c)
-        plan = exponential_sum(s.bmat, s.dvec, [1 << k for k in range(m)])
-        assert (_plan_ring(plan, lam, c)
-                == reference_kernel.exponential_sum(_flipped(s, lam)))
-
-    def test_inputs_are_not_consumed(self):
-        s = _form(4, (2, 6, 0, 4), 0b101101, 3)
-        b, d = list(s.bmat), list(s.dvec)
-        exponential_sum(b, d, [1, 2, 4, 8])
-        assert (tuple(b), tuple(d)) == (s.bmat, s.dvec)
-
-
 class TestGroupedOverlaps:
     """``gram_entries`` as the sampled estimator uses it: one GramPair of
     (ket, a state with no columns) per group of kets that share columns,
@@ -218,27 +126,34 @@ class TestClassBlocks:
     on every (bra, ket) entry, not only the upper triangle."""
 
     @staticmethod
-    def _check_blocks(dec, kets):
+    def _block_values(dec, kets):
+        """gram_entries over every class block, by (j, l)."""
         states = [s for _, s in dec.terms]
         classes = strong_sim._classes(states)
         pair = strong_sim._gram_pairs(dec, classes)
-        blocks = nonzero = 0
+        out = {}
         for a, js in enumerate(classes):
             for b, ls in enumerate(classes):
                 block = [(j, l) for j in js for l in ls]
-                got = gram_entries([(states[j], kets[l]) for j, l in block],
-                                   pair(a, b))
-                blocks += 1
-                for (j, l), ks in zip(block, got):
-                    want = inner_product(states[j], kets[l])
-                    if ks is None:
-                        assert want == ZERO, (j, l)
-                        continue
-                    nonzero += 1
-                    k, p = ks
-                    assert (states[j].scale.conj() * kets[l].scale
-                            * sqrt2_root(k, p) == want), (j, l)
-        assert blocks == len(classes) ** 2
+                out.update(zip(block, gram_entries(
+                    [(states[j], kets[l]) for j, l in block], pair(a, b))))
+        return out
+
+    @classmethod
+    def _check_blocks(cls, dec, kets):
+        states = [s for _, s in dec.terms]
+        got = cls._block_values(dec, kets)
+        assert len(got) == len(states) ** 2
+        nonzero = 0
+        for (j, l), ks in got.items():
+            want = inner_product(states[j], kets[l])
+            if ks is None:
+                assert want == ZERO, (j, l)
+                continue
+            nonzero += 1
+            k, p = ks
+            assert (states[j].scale.conj() * kets[l].scale
+                    * sqrt2_root(k, p) == want), (j, l)
         return nonzero
 
     @staticmethod
@@ -270,20 +185,6 @@ class TestClassBlocks:
             # the cached pairs serve every operator after the first
             self._check(catalog_entry(k), rng, paulis, 3)
         assert set(strong_sim._GRAM_PAIRS) == {3, 6, 12}
-
-    @staticmethod
-    def _block_values(dec, kets):
-        """gram_entries over every class block, by (j, l)."""
-        states = [s for _, s in dec.terms]
-        classes = strong_sim._classes(states)
-        pair = strong_sim._gram_pairs(dec, classes)
-        out = {}
-        for a, js in enumerate(classes):
-            for b, ls in enumerate(classes):
-                block = [(j, l) for j in js for l in ls]
-                out.update(zip(block, gram_entries(
-                    [(states[j], kets[l]) for j, l in block], pair(a, b))))
-        return out
 
     def test_second_op_reuses_the_cached_plans(self, monkeypatch):
         # a Pauli op builds each block's plan once, the same op again

@@ -139,6 +139,80 @@ class TestExponentialSum:
         assert exp_sum_value(s) == want
 
 
+def flipped(s: StabilizerState, lam: int) -> StabilizerState:
+    """s with d_k xor 4 where bit k of lam is set."""
+    d = tuple(x ^ (4 * ((lam >> k) & 1)) for k, x in enumerate(s.dvec))
+    return StabilizerState(s.n, s.basis, s.shift, s.bmat, d, s.c, s.scale)
+
+
+def plan_ring(plan, x: int, c: int) -> ExactAmplitude:
+    ks = plan_value(plan, x, c)
+    if ks is None:
+        return ZERO
+    k, p = ks
+    assert k >= 0 and 0 <= p < 8
+    return sqrt2_root(k, p)
+
+
+@st.composite
+def flipped_forms(draw):
+    m = draw(st.integers(0, 16))
+    d = draw(st.lists(st.sampled_from((0, 2, 4, 6)), min_size=m, max_size=m))
+    upper = draw(st.integers(0, (1 << (m * (m - 1) // 2)) - 1))
+    return (form_state(m, d, upper, draw(st.integers(0, 7))),
+            draw(st.integers(0, (1 << m) - 1)))
+
+
+class TestPlan:
+    """The plan evaluated at an input x against the reference exponential
+    sum of the form it stands for: bit 2 of d_k flipped where
+    parity(funcs[k] & x) = 1."""
+
+    def test_every_input_up_to_six_variables(self):
+        rng = np.random.default_rng(2031)
+        cases = zeros = 0
+        for m in range(7):
+            for _ in range(30 if m else 1):
+                s = random_form_state(rng, m)
+                plan = exponential_sum(s.bmat, s.dvec,
+                                       [1 << k for k in range(m)])
+                for lam in range(1 << m):
+                    want = reference_kernel.exponential_sum(flipped(s, lam))
+                    assert plan_ring(plan, lam, s.c) == want, (s, lam)
+                    cases += 1
+                    zeros += want.is_zero()
+        assert cases // 10 < zeros < cases
+
+    def test_inputs_through_funcs(self):
+        # the engines' funcs are null vectors, so one input bit may flip
+        # several linear terms and some none
+        rng = np.random.default_rng(2032)
+        for _ in range(300):
+            m = int(rng.integers(0, 7))
+            s = random_form_state(rng, m)
+            funcs = [int(rng.integers(0, 1 << 5)) for _ in range(m)]
+            plan = exponential_sum(s.bmat, s.dvec, funcs)
+            for x in range(1 << 5):
+                lam = sum(((f & x).bit_count() & 1) << k
+                          for k, f in enumerate(funcs))
+                assert (plan_ring(plan, x, s.c)
+                        == reference_kernel.exponential_sum(flipped(s, lam)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(flipped_forms())
+    def test_matches_reference_up_to_sixteen_variables(self, case):
+        s, lam = case
+        plan = exponential_sum(s.bmat, s.dvec, [1 << k for k in range(s.m)])
+        assert (plan_ring(plan, lam, s.c)
+                == reference_kernel.exponential_sum(flipped(s, lam)))
+
+    def test_inputs_are_not_consumed(self):
+        s = form_state(4, (2, 6, 0, 4), 0b101101, 3)
+        b, d = list(s.bmat), list(s.dvec)
+        exponential_sum(b, d, [1, 2, 4, 8])
+        assert (tuple(b), tuple(d)) == (s.bmat, s.dvec)
+
+
 class TestShrink:
     """Support restriction, reached through measure_pauli by a Z-type Pauli."""
 
