@@ -302,8 +302,9 @@ def read_catalog_file(path: str) -> MagicDecomposition:
 
     Malformed input raises ``ValueError`` naming the file and the line: a
     missing, misnamed or unparsable field, a file that ends early or runs on
-    past its last term, a ``J`` entry that is not 0 or 4 (mod 8), or a
-    ``G``/``h``/``J``/``D`` length that does not match ``n`` and ``m``.
+    past its last term, a term whose ``n`` is not the file's ``k``, a ``J``
+    entry that is not 0 or 4 (mod 8), or a ``G``/``h``/``J``/``D`` length
+    that does not match ``n`` and ``m``.
     """
     with open(path) as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
@@ -342,6 +343,9 @@ def read_catalog_file(path: str) -> MagicDecomposition:
         for _ in range(nterms):
             coeff = _amp_parse(*fields("coeff"))
             n, m = (int(v) for v in fields("n", "m"))
+            if n != k:
+                raise ValueError(f"term acts on n={n} qubits, expected the "
+                                 f"file's k={k}")
             basis = tuple(bits(col, n) for col in fields("G")[0].split())
             if len(basis) != m:
                 raise ValueError(f"G= holds {len(basis)} columns, expected m={m}")

@@ -69,10 +69,6 @@ class ExactAmplitude:
     def conj(self) -> "ExactAmplitude":
         return ExactAmplitude(self.a, self.b, -self.c, -self.d, self.e)
 
-    def norm_sq(self) -> "ExactAmplitude":
-        """|x|^2 = x * conj(x); always has zero imaginary part."""
-        return self * self.conj()
-
     def scale_int(self, k: int) -> "ExactAmplitude":
         return canonical(k * self.a, k * self.b, k * self.c, k * self.d, self.e)
 

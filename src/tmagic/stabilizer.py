@@ -5,40 +5,43 @@ A state is stored as
     |s> = scale * sum_{u in F_2^m} zeta^{phi(u)} |G u + h>,
     phi(u) = c + sum_a D_a u_a + sum_{a<b} 4 B_ab u_a u_b   (mod 8),
 
-with zeta = exp(i pi/4), direction columns G (bit-packed, full column rank),
-shift h, linear data D (even entries mod 8) and GF(2) cross data B (J = 4B
-in the mod-8 picture).
+with zeta = exp(i pi/4), direction columns G (bit-packed), shift h,
+linear data D (even entries mod 8) and GF(2) cross data B (J = 4B in the
+mod-8 picture).  A state's columns are independent; a ``projector_ket``,
+the sum over its factors' variables, may have dependent ones, and every
+routine here accepts them.
 
 All D entries stay even and all cross terms stay in {0, 4}: those are the
-only phases the kernel updates can produce, and the restriction is what
-keeps the exponential-sum elimination at O(m^3).
+only phases a Pauli (``apply_pauli_state``) or a projector
+(``projector_ket``) can produce, and the restriction is what keeps the
+exponential-sum elimination at O(m^3).  No routine projects a state:
+Pi|s> = 2^-r ``projector_ket``(s), read through inner products.
 
-The ``_Form`` helpers update whole bit-packed rows of B, O(m) word operations
-per substitution or rank-one phase.  ``inner_product`` finds the common
-support with one GF(2) elimination and builds the phase difference of the
-two states on it in one pass over the null vectors: a column B~ v_k per
-null vector gives that variable's linear term and its cross terms with
-the later ones, so neither the transpose of the null basis nor a second
-congruence is formed.  This is the InnerProduct / ExponentialSum
-construction of Bravyi et al., Quantum 3, 181 (2019).  ``gram_entries``
-is the same computation for an operator's Gram entries <a|P|b>: it keeps
-the part that depends on the two states' classes only (``GramPair``; a
-class is the columns, cross data and ``odd`` mask) and adds per call what
-the Pauli shift or the projector's extra columns (``projector_ket``)
-contribute.  Its column step is shared by all entries of one pair of
-classes, which differ only in shifts and phases: the exact engine takes a
-class pair's block of Gram entries, and the sampled estimator a random
-state's overlaps with one class of kets, in one call.
+``inner_product`` finds the common support with one GF(2) elimination and
+builds the phase difference of the two states on it in one pass over the
+null vectors: a column B~ v_k per null vector gives that variable's linear
+term and its cross terms with the later ones, so neither the transpose of
+the null basis nor a second congruence is formed.  This is the
+InnerProduct / ExponentialSum construction of Bravyi et al., Quantum 3,
+181 (2019).  ``gram_entries`` is the same computation for an operator's
+Gram entries <a|P|b>: it keeps the part that depends on the two states'
+classes only (``GramPair``; a class is the columns, cross data and
+``odd`` mask) and adds per call what the Pauli shift or the projector's
+extra columns contribute.  Its column step is shared by all entries of
+one pair of classes, which differ only in shifts and phases: the exact
+engine takes a class pair's block of Gram entries, and the sampled
+estimator a random state's overlaps with one class of projector kets, in
+one call.
 
 That Gauss sum is always 0 or sqrt2^k zeta^p, and the forms of a block's
 entries differ only in their constant and in bit 2 of their linear terms,
 which each entry's base point sets.  So ``exponential_sum`` eliminates a
-block's form once,
-with bit 2 of each linear term carried as a GF(2) functional of the base
-point, and returns a plan: k, the part of p that no entry changes, and
-the parities that make up the rest.  ``plan_value`` reads an entry's
-(k, p) off the plan with a few parities; no form is copied per entry, and
-no ring value is built until the caller multiplies in the two scales.
+block's form once, with bit 2 of each linear term carried as a GF(2)
+functional of the base point, and returns a plan: k, the part of p that
+no entry changes, and the parities that make up the rest.  ``plan_value``
+reads an entry's (k, p) off the plan with a few parities; no form is
+copied per entry, and no ring value is built until the caller multiplies
+in the two scales.
 """
 
 from __future__ import annotations
@@ -123,10 +126,6 @@ class StabilizerState:
                 x ^= self.basis[a]
         return x
 
-    def norm_sq(self) -> ExactAmplitude:
-        """<s|s> exactly."""
-        return self.scale.norm_sq().scale_int(1 << self.m)
-
     def to_dense_exact(self) -> list[ExactAmplitude]:
         if self.n > 14:
             raise ValueError("dense conversion capped at 14 qubits")
@@ -140,95 +139,6 @@ class StabilizerState:
         import numpy as np
         return np.array([a.to_float() for a in self.to_dense_exact()],
                         dtype=np.complex128)
-
-
-# ---------------------------------------------------------------------------
-# mutable working copy of the phase data
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Form:
-    """Mutable (basis, shift, B, D, c) bundle shared by the kernel routines.
-
-    Every phase update here works on whole bit-packed rows of B: a
-    substitution or a rank-one phase touches O(m) rows, never O(m^2) bits.
-    """
-
-    n: int
-    basis: list[int]
-    shift: int
-    b: list[int]
-    d: list[int]
-    c: int
-
-    @staticmethod
-    def of(s: StabilizerState) -> "_Form":
-        return _Form(s.n, list(s.basis), s.shift, list(s.bmat), list(s.dvec),
-                     s.c)
-
-    def freeze(self, scale: ExactAmplitude) -> StabilizerState:
-        return StabilizerState(self.n, tuple(self.basis), self.shift,
-                               tuple(self.b), tuple(self.d), self.c % 8, scale)
-
-    def substitute(self, p: int, mask: int) -> None:
-        """Substitute old u_p = new u_p xor (xor of the u_x, x in mask).
-
-        mask must not contain p.  The linear term d_p u_p becomes
-        d_p * xor(u_p, u_x...), and each cross term 4 u_p u_z becomes
-        4 (u_p + sum_x u_x) u_z mod 8, which couples every x in mask to
-        every z coupled to p (a square u_z u_z is the linear term u_z).
-        """
-        b, d = self.b, self.d
-        rp, dp = b[p], d[p]
-        w = mask
-        while w:
-            low = w & -w
-            b[low.bit_length() - 1] ^= rp
-            w ^= low
-        w = rp
-        while w:
-            low = w & -w
-            b[low.bit_length() - 1] ^= mask
-            w ^= low
-        w = mask & rp
-        while w:
-            low = w & -w
-            z = low.bit_length() - 1
-            d[z] = (d[z] + 4) % 8
-            w ^= low
-        d[p] = 0
-        self.add_phase_xor(dp, mask | (1 << p))
-
-    def add_phase_xor(self, t: int, mask: int) -> None:
-        """Add t * (xor of the variables in mask) to phi; t must be even.
-
-        xor(x_1..x_k) = sum x_i - 2 sum_{i<j} x_i x_j (mod 4), so every d in
-        mask gains t and, when t = 2 mod 4, every pair in mask couples.
-        """
-        if t % 2:
-            raise ValueError(f"add_phase_xor needs an even phase t, got {t}")
-        b, d = self.b, self.d
-        couple = (t >> 1) & 1
-        w = mask
-        while w:
-            low = w & -w
-            a = low.bit_length() - 1
-            d[a] = (d[a] + t) % 8
-            if couple:
-                b[a] ^= mask ^ low
-            w ^= low
-
-    def fix_var(self, p: int, eps: int) -> None:
-        """Pin u_p = eps, fold its phase into the rest, delete column p."""
-        if eps:
-            self.c = (self.c + self.d[p]) % 8
-            self.add_phase_xor(4, self.b[p])
-            self.shift ^= self.basis[p]
-        del self.d[p]
-        del self.basis[p]
-        keep_low = (1 << p) - 1
-        del self.b[p]
-        self.b = [(r & keep_low) | ((r >> (p + 1)) << p) for r in self.b]
 
 
 # ---------------------------------------------------------------------------
@@ -358,38 +268,6 @@ def plan_value(plan: Plan, x: int, c: int) -> Optional[tuple[int, int]]:
     return k, p % 8
 
 
-# 1 + i^k for k = 0..3
-_ONE_PLUS_IPOW = (ExactAmplitude(2), ExactAmplitude(1, 0, 1, 0, 0), ZERO,
-                  ExactAmplitude(1, 0, -1, 0, 0))
-
-
-def _one_plus_ipow(k: int) -> ExactAmplitude:
-    return _ONE_PLUS_IPOW[k % 4]
-
-
-# ---------------------------------------------------------------------------
-# SHRINK
-# ---------------------------------------------------------------------------
-
-def _shrink_param(s: StabilizerState, umask: int, eps: int) -> StabilizerState:
-    """Restrict s to the parameters u with parity(umask & u) = eps.
-
-    umask must be non-zero.  The last variable p in umask is substituted
-    by the xor of the others, then pinned to eps and deleted.
-    """
-    f = _Form.of(s)
-    p = umask.bit_length() - 1
-    rest = umask ^ (1 << p)
-    w = rest
-    while w:
-        low = w & -w
-        f.basis[low.bit_length() - 1] ^= f.basis[p]
-        w ^= low
-    f.substitute(p, rest)
-    f.fix_var(p, eps)
-    return f.freeze(s.scale)
-
-
 # ---------------------------------------------------------------------------
 # INNERPRODUCT
 # ---------------------------------------------------------------------------
@@ -403,8 +281,8 @@ def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
     u, with cross data B = diag(B_a, B_b) and linear data (-d_a, d_b);
     ``_extend_form`` pulls it back to the r variables w, and ``_entry``
     evaluates its ``exponential_sum`` plan at the base point.  Nothing
-    here needs independent columns, so sb may also be a sum over dependent
-    ones, such as a ``projector_ket``.
+    here needs independent columns, so either state may be a sum over
+    dependent ones, such as a ``projector_ket``.
     """
     if sa.n != sb.n:
         raise ValueError("qubit count mismatch")
@@ -624,7 +502,8 @@ def projector_ket(s: StabilizerState,
     coupling parity(z_i & g_a) to each u_a and parity(z_i & x_i') to each
     earlier S_i' (P_i sees the flips of the factors before it).  The
     columns may be dependent, and a factor may repeat or contradict
-    another: the sum over S covers every case.
+    another: the sum over S covers every case.  Each factor must be
+    Hermitian, with sign +1 or -1.
     """
     m = s.m
     basis = list(s.basis)
@@ -633,6 +512,11 @@ def projector_ket(s: StabilizerState,
     for i, (p, sign) in enumerate(factors):
         if p.n != s.n:
             raise ValueError("qubit count mismatch")
+        if p.omega_exp % 2:
+            raise ValueError(f"projector factor {p} must be Hermitian "
+                             "(phase +1 or -1)")
+        if sign not in (1, -1):
+            raise ValueError(f"projector sign must be +1 or -1, got {sign}")
         zm = p.z_mask
         bit = 1 << (m + i)
         row = 0
@@ -652,82 +536,13 @@ def apply_pauli_state(s: StabilizerState, p: PauliOperator) -> StabilizerState:
     """P|s> exactly: coset shift plus linear phase updates."""
     if p.n != s.n:
         raise ValueError("qubit count mismatch")
-    f = _Form.of(s)
     zm = p.z_mask
-    for j in range(s.m):
-        if parity(zm & s.basis[j]):
-            f.d[j] = (f.d[j] + 4) % 8
-    f.c = (f.c + 4 * parity(zm & s.shift)) % 8
-    f.shift ^= p.x_mask
+    dvec = tuple((d + 4) % 8 if parity(zm & col) else d
+                 for d, col in zip(s.dvec, s.basis))
     phase = eighth_root(2 * p.omega_exp + 2 * (p.delta.bit_count() % 4))
-    return f.freeze(s.scale * phase)
-
-
-# ---------------------------------------------------------------------------
-# MEASUREPAULI
-# ---------------------------------------------------------------------------
-
-def measure_pauli(s: StabilizerState, p: PauliOperator, sign: int
-                  ) -> tuple[Optional[StabilizerState], ExactAmplitude]:
-    """((I + sign P)/2)|s> in stabilizer form plus <s|(I + sign P)/2|s>.
-
-    Returns (None, 0) when the projection annihilates the state.
-    """
-    if p.n != s.n:
-        raise ValueError("qubit count mismatch")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    delta = p.x_mask
-    zm = p.z_mask
-    half = ExactAmplitude(1, 0, 0, 0, 2)
-    base_exp = (0 if sign == 1 else 4) + 2 * p.omega_exp + 2 * (p.delta.bit_count() % 4)
-
-    sol = solve_columns(list(s.basis), delta, s.n)
-    if sol is None:
-        # support shifts off itself: extend by the flip direction
-        f = _Form.of(s)
-        f.basis.append(delta)
-        newrow = 0
-        m = s.m
-        for j in range(m):
-            if parity(zm & s.basis[j]):
-                newrow |= 1 << j
-                f.b[j] |= 1 << m
-        f.b.append(newrow)
-        f.d.append((base_exp + 4 * parity(zm & s.shift)) % 8)
-        out = f.freeze(s.scale * half)
-        return out, s.norm_sq() * half
-
-    delta_u = sol[0]
-    # phase ratio r(u) = zeta^{rho0} * (-1)^{mu(u)} between sign*P|s> and |s>
-    rho0 = (base_exp + 4 * parity(zm & (s.shift ^ delta))
-            + s.phase_exponent(delta_u) - s.c) % 8
-    mu = 0
-    for a in range(s.m):
-        bit = parity(zm & s.basis[a]) ^ parity(s.bmat[a] & delta_u)
-        if (delta_u >> a) & 1:
-            bit ^= (s.dvec[a] >> 1) & 1
-        mu |= bit << a
-    if rho0 % 2:
-        raise ValueError(f"odd phase ratio exponent {rho0}: the state's dvec "
-                         "must be even")
-
-    if mu == 0:
-        if rho0 == 0:
-            return s, s.norm_sq()
-        if rho0 == 4:
-            return None, ZERO
-        raise ValueError(f"phase ratio zeta^{rho0} of P|s> to |s> is not +-1: "
-                         f"Pauli {p} must be Hermitian (phase +1 or -1)")
-    if rho0 in (0, 4):
-        out = _shrink_param(s, mu, rho0 // 4)
-        return out, s.norm_sq() * half
-    # rho0 in {2, 6}: quarter-phase rotation across the mu character
-    rho = rho0 // 2  # 1 or 3
-    f = _Form.of(s)
-    f.add_phase_xor((2 * (4 - rho)) % 8, mu)
-    out = f.freeze(s.scale * _one_plus_ipow(rho) * half)
-    return out, s.norm_sq() * half
+    return StabilizerState(s.n, s.basis, s.shift ^ p.x_mask, s.bmat, dvec,
+                           (s.c + 4 * parity(zm & s.shift)) % 8,
+                           s.scale * phase)
 
 
 # ---------------------------------------------------------------------------

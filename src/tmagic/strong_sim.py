@@ -35,12 +35,15 @@ Haar-random stabilizer samples using the two-design property:
 so ``2^n / L * sum_a |<psi_a|Phi>|^2`` is an unbiased estimate of the
 expectation; the 2^n normalization is pinned by requiring exact
 unbiasedness on <Psi|Psi> (checked against the exact path in the tests).
-Its kets are the projected terms (``measure_pauli``), fixed for all L
-samples, so the kets of one class form one group with one ``GramPair``: a
-random state's columns are reduced once per group and each ket adds its
-shift and phases (``gram_entries``, one elimination plan per group
-and sample).  The overlaps' floats come from a per-call table, so the loop
-does no ring arithmetic.
+Its kets are the same projector kets as the exact path's: Pi|phi_l> =
+2^-r K_l, with 2^-r in K_l's ring scale, so no term is projected.  A term
+whose diagonal entry <phi_l|K_l> is zero is annihilated by Pi and dropped
+(``_diagonal``, the exact path's diagonal pass).  The kept kets are fixed
+for all L samples, so the kets of one class form one group with one
+``GramPair``: a random state's columns are reduced once per group and each
+ket adds its shift and phases (``gram_entries``, one elimination plan per
+group and sample).  The overlaps' floats come from a per-call table, so
+the loop does no ring arithmetic.
 
 Three engines take a decomposition built by the caller (``catalog``'s
 ``block_decomposition``, then ``extend_with_zeros`` for padding qubits):
@@ -52,15 +55,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .catalog import CATALOG_TERM_COUNTS, MagicDecomposition, catalog_entry
 from .pauli import PauliOperator, PauliProjector
 from .phase_ring import ExactAmplitude, ONE, ZERO, canonical, sqrt2_root
-from .stabilizer import (GramPair, StabilizerState,
-                         apply_pauli_state, gram_entries, measure_pauli,
-                         pivot_table, projector_ket, random_stabilizer_state)
+from .stabilizer import (GramPair, StabilizerState, apply_pauli_state,
+                         gram_entries, pivot_table, projector_ket,
+                         random_stabilizer_state)
 
 
 @dataclass
@@ -87,21 +90,6 @@ def sample_count(epsilon: float, p_f: float) -> int:
         raise ValueError(f"sample count for epsilon {epsilon} and failure "
                          f"probability {p_f} is not finite")
     return max(1, math.ceil(count))
-
-
-def _projected_terms(dec: MagicDecomposition, proj: PauliProjector
-                     ) -> list[tuple[ExactAmplitude, StabilizerState]]:
-    """Pi |phi_l> for every ket term, dropping annihilated ones."""
-    out = []
-    for coeff, state in dec.terms:
-        cur: Optional[StabilizerState] = state
-        for p, sign in proj.factors:
-            cur, _ = measure_pauli(cur, p, sign)
-            if cur is None:
-                break
-        if cur is not None:
-            out.append((coeff, cur))
-    return out
 
 
 def _classes(states: Sequence[StabilizerState]) -> list[list[int]]:
@@ -157,6 +145,21 @@ def _gram_pairs(dec: MagicDecomposition, classes: list[list[int]]
     return lookup
 
 
+def _diagonal(dec: MagicDecomposition, kets: Sequence[StabilizerState],
+              classes: list[list[int]], pair: Callable[[int, int], GramPair]
+              ) -> list[list[Optional[tuple[int, int]]]]:
+    """<phi_j|k_j> for every term j, as ``gram_entries``' (k, p) or None,
+    per class of ``classes`` and in its order: one call per class, over
+    the pair (a, a) from ``_gram_pairs``.
+
+    For a projector ket k_j = ``projector_ket``(phi_j), the entry is
+    2^r |Pi phi_j|^2, so None marks a term that Pi annihilates.
+    """
+    terms = dec.terms
+    return [gram_entries([(terms[j][1], kets[j]) for j in members], pair(a, a))
+            for a, members in enumerate(classes)]
+
+
 def _hermitian_sum(dec: MagicDecomposition, kets: Sequence[StabilizerState],
                    weight: ExactAmplitude = ONE, positive: bool = False
                    ) -> SimulationResult:
@@ -190,10 +193,9 @@ def _hermitian_sum(dec: MagicDecomposition, kets: Sequence[StabilizerState],
     coef = [weight * c * ket.scale for (c, _), ket in zip(terms, kets)]
     diag = ZERO
     kept = []  # per class, its kept terms in ascending order
-    for a, members in enumerate(classes):
-        entries = [(terms[j][1], kets[j]) for j in members]
+    for members, values in zip(classes, _diagonal(dec, kets, classes, pair)):
         kept_a = []
-        for j, ks in zip(members, gram_entries(entries, pair(a, a))):
+        for j, ks in zip(members, values):
             if ks is not None:
                 cj, bra = terms[j]
                 g = (cj * bra.scale).conj() * (coef[j] * sqrt2_root(*ks))
@@ -292,15 +294,17 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     reproducibility.  ``std_error`` is the empirical standard error of the
     mean of the L per-sample terms 2^n |<psi_a|Phi>|^2.
 
-    The projected kets are fixed for all L samples, so they are grouped by
-    class (``_classes``), and each group keeps one ``GramPair`` of (ket, a
-    state with no columns): a random state psi's columns are reduced and
-    its null vectors' form built and eliminated once per group
-    (``gram_entries``), and each ket adds only its right-hand side and one
-    evaluation of that plan.  That gives <phi_l|psi> = sqrt2^k zeta^p, so
-    <psi|phi_l> is (k, -p); its float, conj(psi.scale) scale_l
-    sqrt2^k zeta^-p, is formed once per (psi.scale, l, (k, p)) and looked
-    up after, so the loop does no ring arithmetic.
+    The kets are 2^-r ``projector_ket``(phi_l) for the terms that Pi does
+    not annihilate, in term order.  They are fixed for all L samples, so
+    they are grouped by class (``_classes``), and each group keeps one
+    ``GramPair`` of (ket, a state with no columns): a random state psi's
+    columns are reduced and its null vectors' form built and eliminated
+    once per group (``gram_entries``), and each ket adds only its
+    right-hand side and one evaluation of that plan.  That gives
+    <K_l|psi> = sqrt2^k zeta^p, so <psi|K_l> is (k, -p); its float,
+    conj(psi.scale) scale_l sqrt2^k zeta^-p, is formed once per
+    (psi.scale, l, (k, p)) and looked up after, so the loop does no ring
+    arithmetic.
     """
     import numpy as np
     n = dec.n
@@ -309,13 +313,21 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
         if samples_override < 1:
             raise ValueError(f"sample count must be at least 1, got {samples_override}")
         big_l = samples_override
-    terms = _projected_terms(dec, proj)
-    coeffs = [c.to_float() for c, _ in terms]
-    kets = [s for _, s in terms]
+    terms = dec.terms
+    classes = _classes([s for _, s in terms])
+    kets = [projector_ket(s, proj.factors) for _, s in terms]
+    diag = _diagonal(dec, kets, classes, _gram_pairs(dec, classes))
+    kept = sorted(j for members, values in zip(classes, diag)
+                  for j, ks in zip(members, values) if ks is not None)
+    # K_l 2^-r = Pi|phi_l>, with 2^-r in the ring scale, so each overlap's
+    # float comes from one canonical ring value
+    inv = ExactAmplitude(1, 0, 0, 0, 2 * len(proj.factors))
+    coeffs = [terms[l][0].to_float() for l in kept]
+    kets = [replace(kets[l], scale=kets[l].scale * inv) for l in kept]
     empty = StabilizerState.computational(n)
     plan = [(GramPair(kets[ls[0]], empty, pivot_table(kets[ls[0]], empty)),
              ls) for ls in _classes(kets)]
-    overlaps: dict = {}  # psi.scale -> {(l, (k, p) or None): <psi|phi_l>}
+    overlaps: dict = {}  # psi.scale -> {(l, (k, p) or None): <psi|K_l>}
     x = [0j] * len(kets)
     dim = float(1 << n)
     total = 0.0

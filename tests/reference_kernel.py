@@ -9,8 +9,9 @@ kernel to agree with them by exact ring equality.
 
 ``exact_expectation`` and ``exact_pauli_expectation`` are the chi^2 double
 loops that the Hermitian-symmetric exact engine in ``tmagic.strong_sim``
-replaced.  They run on the fast kernel, so they check the summation, not the
-inner products.
+replaced.  They run on the fast kernel's ``inner_product``, one plain call
+per pair, so they check the class blocks and the summation, not the inner
+products.  ``kept_terms`` counts the terms a projector does not annihilate.
 
 ``dense_pauli_expectation`` is <psi| P |psi> in ring arithmetic over exact
 dense amplitudes (``dense.dense_magic_state_exact``), the third engine the
@@ -29,8 +30,7 @@ from tmagic import stabilizer
 from tmagic.gf2 import parity, revbits
 from tmagic.pauli import PauliOperator, letters_to_pauli
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, i_power
-from tmagic.stabilizer import StabilizerState, apply_pauli_state
-from tmagic.strong_sim import _projected_terms
+from tmagic.stabilizer import StabilizerState, apply_pauli_state, projector_ket
 
 
 def _bits(mask: int) -> list[int]:
@@ -208,13 +208,22 @@ def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
 
 
 def exact_expectation(dec, proj) -> ExactAmplitude:
-    """<Psi| Pi |Psi> over every bra term and every surviving ket term."""
-    kets = _projected_terms(dec, proj)
+    """<Psi| Pi |Psi> = sum_{j,l} conj(c_j) c_l 2^-r <phi_j|K_l> over every
+    pair of terms, with K_l = ``projector_ket``(phi_l) = 2^r Pi|phi_l>."""
+    inv = ExactAmplitude(1, 0, 0, 0, 2 * len(proj.factors))
+    kets = [(cl * inv, projector_ket(sl, proj.factors)) for cl, sl in dec.terms]
     total = ZERO
     for cj, sj in dec.terms:
-        for cl, sl in kets:
-            total = total + cj.conj() * cl * stabilizer.inner_product(sj, sl)
+        for cl, kl in kets:
+            total = total + cj.conj() * cl * stabilizer.inner_product(sj, kl)
     return total
+
+
+def kept_terms(dec, proj) -> int:
+    """The number of terms that Pi does not annihilate: those whose
+    <phi_l|K_l> = 2^r |Pi phi_l|^2 is not zero."""
+    return sum(not stabilizer.inner_product(s, projector_ket(s, proj.factors)
+                                            ).is_zero() for _, s in dec.terms)
 
 
 def exact_pauli_expectation(dec, p) -> ExactAmplitude:

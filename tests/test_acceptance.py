@@ -24,7 +24,8 @@ from tmagic.dense import (apply_projector, dense_magic_state,
 from tmagic.gauss import WORST_CASE_UNIQUE, expect_block, rank_census
 from tmagic.pauli import (PauliOperator, PauliProjector, letters_to_pauli,
                           random_pauli)
-from tmagic.stabilizer import (inner_product, measure_pauli,
+from tmagic.phase_ring import ExactAmplitude
+from tmagic.stabilizer import (inner_product, projector_ket,
                                random_stabilizer_state)
 from tmagic.strong_sim import exact_expectation, sampled_expectation
 
@@ -72,8 +73,11 @@ def test_criterion_2_bell_merges():
 
 
 def test_criterion_3_kernel_vs_oracle():
+    # <a|b> against the dense vdot, and <a|(I + sign P)/2|a> as
+    # 2^-1 <a|projector_ket(a)> against the dense projector's norm
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
+    half = ExactAmplitude(1, 0, 0, 0, 2)
     bad_ip = bad_norm = 0
     trials_per_n = 1000
     for n in range(2, 9):
@@ -86,7 +90,7 @@ def test_criterion_3_kernel_vs_oracle():
                 bad_ip += 1
             p = random_pauli(n, rng)
             sign = 1 if rng.integers(0, 2) else -1
-            _, norm = measure_pauli(a, p, sign)
+            norm = half * inner_product(a, projector_ket(a, [(p, sign)]))
             dense_norm = np.vdot(
                 a.to_dense(),
                 apply_projector(a.to_dense(), PauliProjector.single(p, sign))).real

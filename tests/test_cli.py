@@ -125,6 +125,21 @@ class TestExpectRejectsBadInput:
                        "invalid --projector '+XZ,+ZZ': projector factors 0 and 1 "
                        "do not commute")
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_pauli_and_projector_together(self, mode):
+        # the two are one argparse exclusive group: usage, not a silent drop
+        proc = run_cli(["expect", "--t", "2", "--mode", mode, "--pauli", "XX",
+                        "--projector", "+ZZ"], check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert lines[0].startswith("usage: tmagic expect")
+        assert lines[-1] == ("tmagic expect: error: argument --projector: "
+                             "not allowed with argument --pauli")
+
+    def test_neither_pauli_nor_projector(self):
+        self._rejected(["--t", "2", "--mode", "exact"],
+                       "need --pauli or --projector")
+
     def test_sampled_zero_epsilon(self):
         self._rejected(["--t", "2", "--pauli", "XY", "--mode", "sampled",
                         "--epsilon", "0"], "--epsilon must be positive, got 0.0")
@@ -255,6 +270,97 @@ class TestVerify:
                         f"invalid --catalog-file: {path}, line 5: "
                         "invalid bit character '2'")
 
+    @staticmethod
+    def _write(path, dec, k=None):
+        """dec's catalog file, with its header's k replaced by ``k``."""
+        import io
+        from tmagic.catalog import write_catalog_file
+        buf = io.StringIO()
+        write_catalog_file(dec, buf)
+        text = buf.getvalue()
+        if k is not None:
+            text = text.replace(f"k={dec.k} ", f"k={k} ", 1)
+        path.write_text(text)
+        return text.splitlines()
+
+    @staticmethod
+    def _zero_t():
+        """The k=1 decomposition moved to |0>|T>: its amplitudes are the
+        first two of the four, so comparing only those read it as |T>."""
+        from tmagic.catalog import MagicDecomposition, catalog_entry
+        from tmagic.stabilizer import StabilizerState
+        return MagicDecomposition(1, tuple(
+            (c, StabilizerState(2, tuple(g << 1 for g in s.basis),
+                                s.shift << 1, s.bmat, s.dvec, s.c, s.scale))
+            for c, s in catalog_entry(1).terms))
+
+    def test_rejects_terms_on_more_qubits_than_k(self, tmp_path):
+        # a k=1 file whose terms act on 2 qubits, and the same with an
+        # extra term 5 |11>, once passed: only the first two amplitudes
+        # were compared
+        from tmagic.catalog import MagicDecomposition
+        from tmagic.phase_ring import ExactAmplitude
+        from tmagic.stabilizer import StabilizerState
+        padded = self._zero_t()
+        extra = MagicDecomposition(1, padded.terms + (
+            (ExactAmplitude(5), StabilizerState.computational(2, 0b11)),))
+        for dec in (padded, extra):
+            path = tmp_path / "padded.txt"
+            lines = self._write(path, dec)
+            assert lines.index("n=2 m=0") == 2
+            assert_rejected(["verify", "--scope", "decompositions",
+                             "--catalog-file", str(path)],
+                            f"invalid --catalog-file: {path}, line 3: term "
+                            "acts on n=2 qubits, expected the file's k=1")
+
+    def test_rejects_terms_of_different_n(self, tmp_path):
+        from tmagic.catalog import MagicDecomposition, catalog_entry
+        from tmagic.stabilizer import StabilizerState
+        (c0, s0), (c1, s1) = catalog_entry(2).terms
+        dec = MagicDecomposition(2, ((c0, s0), (c1, StabilizerState(
+            3, s1.basis, s1.shift, s1.bmat, s1.dvec, s1.c, s1.scale))))
+        path = tmp_path / "mixed.txt"
+        lines = self._write(path, dec)
+        no = lines.index("n=3 m=1") + 1
+        assert_rejected(["verify", "--scope", "decompositions",
+                         "--catalog-file", str(path)],
+                        f"invalid --catalog-file: {path}, line {no}: term "
+                        "acts on n=3 qubits, expected the file's k=2")
+
+    def test_rejects_catalog_above_dense_cap(self, tmp_path):
+        # a k=15 file once ended in to_dense_exact's ValueError traceback
+        from tmagic.catalog import block_decomposition
+        path = tmp_path / "t15.txt"
+        self._write(path, block_decomposition(15))
+        assert_rejected(["verify", "--scope", "decompositions",
+                         "--catalog-file", str(path)],
+                        f"--catalog-file {str(path)!r} holds k=15; verify "
+                        "checks at most k=14 against the dense oracle")
+
+    def test_catalog_check_compares_every_amplitude(self, capsys):
+        # a decomposition on more qubits than its k, past the reader: the
+        # check fails rather than comparing the first 2^k amplitudes
+        from tmagic.catalog import catalog_entry
+        from tmagic.cli import _verify_decompositions
+        results = {}
+        for dec in (catalog_entry(3), self._zero_t()):
+            _verify_decompositions(
+                lambda name, ok, detail: results.update({name: ok}), dec)
+        assert results["catalog-file-k3"] is True
+        assert results["catalog-file-k1"] is False
+
+    def test_wrong_coefficient_fails(self, tmp_path):
+        from tmagic.catalog import catalog_entry
+        path = tmp_path / "t2.txt"
+        lines = self._write(path, catalog_entry(2))
+        no = next(i for i, line in enumerate(lines) if line.startswith("coeff="))
+        lines[no] = "coeff=(5,0,0,0,0)"
+        path.write_text("\n".join(lines) + "\n")
+        proc = run_cli(["verify", "--scope", "decompositions",
+                        "--catalog-file", str(path)], check=False)
+        assert proc.returncode == 1
+        assert "FAIL catalog-file-k2: terms=2" in proc.stdout
+
     @pytest.mark.parametrize("option", ["--samples", "--trials"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_rejects_count_below_one(self, option, value):
@@ -373,6 +479,33 @@ class TestCensusWorkers:
         assert made == ([] if size is None else [size])
         assert main(base + ["--workers", "1"]) == 0
         assert capsys.readouterr().out == out
+
+
+    def test_workers_far_above_the_rows(self, monkeypatch, capsys):
+        # k = 1 has 4 rows: 3 000 000 workers split them into 4 chunks, not
+        # 3 000 000 bounds, and print what one worker does
+        import tracemalloc
+        import tmagic.cli
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # no pool
+        chunks = []
+        run_chunk = tmagic.cli._census_chunk
+
+        def recorded(task):
+            chunks.append(task[-2:])
+            return run_chunk(task)
+        monkeypatch.setattr(tmagic.cli, "_census_chunk", recorded)
+        assert main(["census", "--k", "1", "--workers", "1"]) == 0
+        one = capsys.readouterr().out
+        chunks.clear()
+        tracemalloc.start()
+        try:
+            assert main(["census", "--k", "1", "--workers", "3000000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == one
+        assert chunks == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert peak < 1 << 20
 
 
 class TestCatalogExport:

@@ -32,9 +32,9 @@ def _record(monkeypatch, owner, attr):
 
 
 def test_exact_pauli_op_gram_calls(monkeypatch, capsys):
-    # the Gram engine reduces against pivot tables built by gf2.eliminate
-    # and projects nothing: no inner_product (strong_sim no longer imports
-    # it), solve_columns or measure_pauli.  It builds one elimination plan
+    # the Gram engine reduces against pivot tables built by gf2.eliminate:
+    # no inner_product (strong_sim no longer imports it) and no
+    # solve_columns.  It builds one elimination plan
     # per class block with a consistent entry, kept with the cached pair,
     # and evaluates it once per consistent entry
     assert not hasattr(tmagic.strong_sim, "inner_product")
@@ -57,14 +57,13 @@ def test_exact_pauli_op_gram_calls(monkeypatch, capsys):
             zeros += inner_product(a, ket) == ZERO
     consistent = sum(blocks.values())
     monkeypatch.setattr(tmagic.strong_sim, "_GRAM_PAIRS", {})
-    measures = _record(monkeypatch, tmagic.strong_sim, "measure_pauli")
     solves = _record(monkeypatch, tmagic.stabilizer, "solve_columns")
     plans = _record(monkeypatch, tmagic.stabilizer, "exponential_sum")
     values = _record(monkeypatch, tmagic.stabilizer, "plan_value")
     argv = ["expect", "--t", "6", "--pauli", "XYZIYX", "--mode", "exact"]
     main(argv)
     assert '"inner_products": 28' in capsys.readouterr().out
-    assert measures == solves == []
+    assert solves == []
     assert len(classes) == 5 and 0 < consistent < 28
     assert len(blocks) < consistent  # fewer plans than entries
     assert len(plans) == len(blocks)
@@ -92,33 +91,40 @@ def test_repeated_t12_pauli_op_builds_no_plan(monkeypatch, capsys):
     assert values[evaluated:] == values[:evaluated]
 
 
-@pytest.mark.parametrize("operator, evaluated, zeros, measures", [
-    (["--pauli", "XYZIXZ"], 413, 122, 7),
-    (["--projector", "+XXIIZZ,-ZZYYII"], 406, 129, 14),
+@pytest.mark.parametrize("operator, plans, evaluated, zeros", [
+    (["--pauli", "XYZIXZ"], 298, 420, 122),
+    (["--projector", "+XXIIZZ,-ZZYYII"], 300, 421, 137),
 ])
-def test_sampled_op_kernel_calls(monkeypatch, capsys, operator, evaluated,
-                                 zeros, measures):
-    # one plan per (random state, ket group) block with a consistent entry,
-    # built on the block's extended form: 293 of the 60 x 5 blocks for
-    # both operators; one evaluation per consistent (psi, ket) pair, as
-    # many as the engine before plans had exponential sums; one random
-    # state per sample, and no solve_columns beyond measure_pauli's one per
-    # call: the sample loop reduces against GramPair tables
+def test_sampled_op_kernel_calls(monkeypatch, capsys, operator, plans,
+                                 evaluated, zeros):
+    # the kets are projector_kets, so nothing is projected and nothing
+    # calls solve_columns: the diagonal pass, one gram_entries call and one
+    # plan per class of the 7 terms (5), finds every term kept with 7
+    # evaluations; then one plan per (random state, ket group) block
+    # with a consistent entry, built on the block's extended form, 293 and
+    # 295 of the 60 x 5 blocks, and one evaluation per consistent (psi,
+    # ket) pair, 413 and 414; one random state per sample.  The cache
+    # starts cold: a diagonal block whose factor column closes no null
+    # vector uses, and keeps, the pair's own plan
+    monkeypatch.setattr(tmagic.strong_sim, "_GRAM_PAIRS", {})
     log = {name: _record(monkeypatch, owner, name) for owner, name in (
         (tmagic.stabilizer, "exponential_sum"),
         (tmagic.stabilizer, "plan_value"),
+        (tmagic.strong_sim, "gram_entries"),
         (tmagic.strong_sim, "random_stabilizer_state"),
-        (tmagic.strong_sim, "measure_pauli"),
         (tmagic.stabilizer, "solve_columns"),
         (tmagic.gf2, "rank_of"))}
     main(["expect", "--t", "6", "--mode", "sampled", "--seed", "11",
           "--samples", "60", *operator])
     assert '"inner_products": 420' in capsys.readouterr().out
-    assert len(log["exponential_sum"]) == 293
+    assert len(log["gram_entries"]) == 5 + 60 * 5
+    assert [len(ks) for ks in log["gram_entries"][:5]] == [2, 2, 1, 1, 1]
+    assert not any(None in ks for ks in log["gram_entries"][:5])
+    assert len(log["exponential_sum"]) == plans
     assert len(log["plan_value"]) == evaluated
     assert log["plan_value"].count(None) == zeros
     assert len(log["random_stabilizer_state"]) == 60
-    assert len(log["measure_pauli"]) == len(log["solve_columns"]) == measures
+    assert log["solve_columns"] == []
     assert len(log["rank_of"]) == 138
 
 

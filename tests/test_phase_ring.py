@@ -92,7 +92,7 @@ def test_ring_laws_bulk():
 @given(amps, amps)
 def test_conjugation_and_norm(x, y):
     assert (x * y).conj() == x.conj() * y.conj()
-    ns = x.norm_sq()
+    ns = x * x.conj()
     assert ns.c == 0 and ns.d == 0
     assert ns.to_float().real >= -1e-12
 

@@ -6,27 +6,41 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tmagic.dense import apply_projector, dense_magic_state
+from tmagic.dense import apply_pauli, apply_projector, dense_magic_state
 from tmagic.gf2 import from_str, parity, revbits
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
 from tmagic.phase_ring import (INV_SQRT2, ExactAmplitude, ONE, ZERO,
                                eighth_root, sqrt2_root)
 from tmagic.stabilizer import (StabilizerState, apply_pauli_state,
-                               exponential_sum, inner_product, measure_pauli,
-                               plan_value, random_stabilizer_state,
+                               exponential_sum, inner_product, plan_value,
+                               projector_ket, random_stabilizer_state,
                                _dimension_weights)
 
 import reference_kernel
 
 
 PLUS1 = StabilizerState(1, (1,), 0, (0,), (0,), 0, INV_SQRT2)  # |+>
+HALF = ExactAmplitude(1, 0, 0, 0, 2)
 
 
-def z_cut(s: StabilizerState, xi: int, bit: int):
-    """measure_pauli by the Z-type Pauli on the sites of xi: the part of s
-    on {x : xi . x = bit}, s itself if that is all of s, None if empty."""
-    z = PauliOperator(s.n, beta=xi)
-    return measure_pauli(s, z, -1 if bit else 1)[0]
+def project(s: StabilizerState, p: PauliOperator, sign: int) -> StabilizerState:
+    """((I + sign P)/2)|s> as 2^-1 ``projector_ket``: s's columns plus P's
+    flip, with a variable for the factor."""
+    k = projector_ket(s, [(p, sign)])
+    return StabilizerState(k.n, k.basis, k.shift, k.bmat, k.dvec, k.c,
+                           k.scale * HALF)
+
+
+def projected_norm(s: StabilizerState, p: PauliOperator, sign: int
+                   ) -> ExactAmplitude:
+    """<s|(I + sign P)/2|s>, exactly, as 2^-1 <s|projector_ket(s)>."""
+    return HALF * inner_product(s, projector_ket(s, [(p, sign)]))
+
+
+def z_cut(s: StabilizerState, xi: int, bit: int) -> StabilizerState:
+    """The part of s on {x : xi . x = bit}: s projected by the Z-type Pauli
+    on the sites of xi, whose flip is the zero column."""
+    return project(s, PauliOperator(s.n, beta=xi), -1 if bit else 1)
 
 
 def brute_exponential_sum(s: StabilizerState) -> ExactAmplitude:
@@ -116,7 +130,7 @@ class TestExponentialSum:
             v = exp_sum_value(s)
             if v.is_zero():
                 continue
-            mag2 = v.norm_sq()
+            mag2 = v * v.conj()
             # |v|^2 must be an exact power of 2
             assert mag2.b == 0 and mag2.e == 0 and mag2.a & (mag2.a - 1) == 0
             ph = v.to_float()
@@ -214,20 +228,24 @@ class TestPlan:
 
 
 class TestShrink:
-    """Support restriction, reached through measure_pauli by a Z-type Pauli."""
+    """Support restriction by a Z-type factor, whose column is zero: the
+    points off the restriction cancel in the sum over the factor."""
 
     def test_plus_to_zero(self):
         s = z_cut(PLUS1, 1, 0)
-        assert s.m == 0 and s.shift == 0
+        assert s.basis == (1, 0) and s.shift == 0
         assert np.allclose(s.to_dense(), [2 ** -0.5, 0])
+        assert projected_norm(PLUS1, PauliOperator(1, beta=1), 1) == HALF
 
     def test_inconsistent_constraint_empty(self):
         zero = StabilizerState.computational(1, 0)
-        assert z_cut(zero, 1, 1) is None
+        assert all(a.is_zero() for a in z_cut(zero, 1, 1).to_dense_exact())
+        assert projected_norm(zero, PauliOperator(1, beta=1), -1) == ZERO
 
     def test_already_satisfied_returns_same_state(self):
         zero = StabilizerState.computational(2, 0)
-        assert z_cut(zero, 0b11, 0) is zero
+        assert z_cut(zero, 0b11, 0).to_dense_exact() == zero.to_dense_exact()
+        assert projected_norm(zero, PauliOperator(2, beta=0b11), 1) == ONE
 
     def test_dense_oracle_random(self):
         rng = np.random.default_rng(2)
@@ -236,22 +254,20 @@ class TestShrink:
             s = random_stabilizer_state(n, rng)
             xi = int(rng.integers(1, 1 << n))
             bit = int(rng.integers(0, 2))
-            out = z_cut(s, xi, bit)
             want = s.to_dense()
             for idx in range(1 << n):
                 if parity(revbits(idx, n) & xi) != bit:
                     want[idx] = 0
-            got = out.to_dense() if out is not None else np.zeros_like(want)
-            assert np.allclose(got, want, atol=1e-12)
+            assert np.allclose(z_cut(s, xi, bit).to_dense(), want, atol=1e-12)
 
 
 class TestExtend:
-    """Support extension: measure_pauli by a Pauli whose flip direction
-    leaves the support adds that direction, giving (|s> + P|s>)/2."""
+    """Support extension: a Pauli whose flip direction leaves the support
+    adds that direction, giving (|s> + P|s>)/2."""
 
     def test_zero_to_plus(self):
-        out, _ = measure_pauli(StabilizerState.computational(1, 0),
-                               PauliOperator.from_str("X"), 1)
+        out = project(StabilizerState.computational(1, 0),
+                      PauliOperator.from_str("X"), 1)
         assert out.m == 1
         assert np.allclose(out.to_dense(), [0.5, 0.5])
 
@@ -266,8 +282,8 @@ class TestExtend:
             p = random_pauli(n, rng)
             if rank_of(list(s.basis) + [p.x_mask]) != s.m + 1:
                 continue
-            out, _ = measure_pauli(s, p, 1)
-            assert out.m == s.m + 1
+            out = project(s, p, 1)
+            assert out.basis == s.basis + (p.x_mask,)
             vs = s.to_dense()
             # original amplitudes kept, P-shifted copy added on the new coset
             want = (vs + apply_pauli(vs, p)) / 2
@@ -327,19 +343,24 @@ class TestInnerProduct:
 
 
 class TestMeasurePauli:
+    """One Pauli measurement outcome, (I + sign P)/2, as 2^-1
+    ``projector_ket`` and its norm as 2^-1 <s|projector_ket(s)>."""
+
     def test_eigenstate(self):
         zero = StabilizerState.computational(1, 0)
-        out, norm = measure_pauli(zero, PauliOperator.from_str("Z"), 1)
-        assert out is zero and norm == ONE
+        out = project(zero, PauliOperator.from_str("Z"), 1)
+        assert out.to_dense_exact() == zero.to_dense_exact()
+        assert projected_norm(zero, PauliOperator.from_str("Z"), 1) == ONE
 
     def test_annihilation(self):
         zero = StabilizerState.computational(1, 0)
-        out, norm = measure_pauli(zero, PauliOperator.from_str("Z"), -1)
-        assert out is None and norm.is_zero()
+        out = project(zero, PauliOperator.from_str("Z"), -1)
+        assert all(a.is_zero() for a in out.to_dense_exact())
+        assert projected_norm(zero, PauliOperator.from_str("Z"), -1) == ZERO
 
     def test_plus_measured_in_z(self):
-        out, norm = measure_pauli(PLUS1, PauliOperator.from_str("Z"), 1)
-        assert norm == ExactAmplitude(1, 0, 0, 0, 2)
+        assert projected_norm(PLUS1, PauliOperator.from_str("Z"), 1) == HALF
+        out = project(PLUS1, PauliOperator.from_str("Z"), 1)
         assert np.allclose(out.to_dense(), [2 ** -0.5, 0])
 
     def test_dense_oracle_random(self):
@@ -349,11 +370,9 @@ class TestMeasurePauli:
             s = random_stabilizer_state(n, rng)
             p = random_pauli(n, rng)
             sign = 1 if rng.integers(0, 2) else -1
-            out, norm = measure_pauli(s, p, sign)
             want = apply_projector(s.to_dense(), PauliProjector.single(p, sign))
-            got = out.to_dense() if out is not None else np.zeros_like(want)
-            assert np.allclose(got, want, atol=1e-12)
-            nf = norm.to_float()
+            assert np.allclose(project(s, p, sign).to_dense(), want, atol=1e-12)
+            nf = projected_norm(s, p, sign).to_float()
             assert abs(nf.imag) < 1e-14
             assert abs(nf.real - np.vdot(s.to_dense(), want).real) < 1e-12
 
@@ -363,17 +382,46 @@ class TestMeasurePauli:
             n = int(rng.integers(1, 6))
             s = random_stabilizer_state(n, rng)
             p = random_pauli(n, rng)
-            _, np_plus = measure_pauli(s, p, 1)
-            _, np_minus = measure_pauli(s, p, -1)
+            np_plus = projected_norm(s, p, 1)
+            np_minus = projected_norm(s, p, -1)
             total = np_plus + np_minus
             assert total == ONE
             for v in (np_plus, np_minus):
                 assert v.is_real()
                 assert -1e-12 <= v.to_float().real <= 1 + 1e-12
 
+    def test_several_factors_dense(self):
+        # r = 1..3 random factors, commuting or not, repeated and
+        # contradicting: 2^-r projector_ket is the product of the r
+        # projectors, the first factor applied first
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            s = random_stabilizer_state(n, rng)
+            factors = [(random_pauli(n, rng), 1 - 2 * int(rng.integers(0, 2)))
+                       for _ in range(int(rng.integers(1, 4)))]
+            if rng.integers(0, 4) == 0:
+                p, sign = factors[0]
+                factors.append((p, sign if rng.integers(0, 2) else -sign))
+            want = s.to_dense()
+            for p, sign in factors:
+                want = (want + sign * apply_pauli(want, p)) / 2
+            ket = projector_ket(s, factors)
+            assert ket.m == s.m + len(factors)
+            got = ket.to_dense() / 2 ** len(factors)
+            assert np.allclose(got, want, atol=1e-12)
+
+    def test_rejects_non_hermitian_factor_and_bad_sign(self):
+        s = StabilizerState.computational(1, 0)
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            projector_ket(s, [(PauliOperator.from_str("i:Z"), 1)])
+        with pytest.raises(ValueError, match="sign must be"):
+            projector_ket(s, [(PauliOperator.from_str("Z"), 0)])
+        with pytest.raises(ValueError, match="qubit count"):
+            projector_ket(s, [(PauliOperator.from_str("ZZ"), 1)])
+
     def test_apply_pauli_state(self):
         rng = np.random.default_rng(9)
-        from tmagic.dense import apply_pauli
         for _ in range(200):
             n = int(rng.integers(1, 6))
             s = random_stabilizer_state(n, rng)
@@ -471,7 +519,7 @@ class TestRandomStabilizerState:
         rng = np.random.default_rng(12)
         for _ in range(100):
             s = random_stabilizer_state(int(rng.integers(1, 7)), rng)
-            assert s.norm_sq() == ONE
+            assert inner_product(s, s) == ONE
 
 
 class TestToDense:

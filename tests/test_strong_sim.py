@@ -138,7 +138,7 @@ class TestHermitianGram:
             proj = _random_projector(n, int(rng.integers(1, min(3, n) + 1)), rng)
             res = exact_expectation(dec, proj)
             assert res.exact_value == reference_kernel.exact_expectation(dec, proj)
-            kept = len(strong_sim._projected_terms(dec, proj))
+            kept = reference_kernel.kept_terms(dec, proj)
             assert res.inner_products_evaluated == kept * (kept + 1) // 2
 
     @pytest.mark.parametrize("t,n", [(2, 2), (6, 6), (12, 14)])
@@ -198,7 +198,7 @@ def _factor_lists(n: int, rng) -> list[tuple[tuple[PauliOperator, int], ...]]:
 
 class TestGramEngine:
     """The cached Gram engine against the chi^2 reference loops, which
-    project the kets with measure_pauli and take plain inner products."""
+    take plain inner products with 2^-r ``projector_ket`` kets."""
 
     @staticmethod
     def _check(dec, rng, paulis=2):
@@ -212,7 +212,7 @@ class TestGramEngine:
             proj = PauliProjector(n, factors)
             res = exact_expectation(dec, proj)
             assert res.exact_value == reference_kernel.exact_expectation(dec, proj), str(proj)
-            kept = len(strong_sim._projected_terms(dec, proj))
+            kept = reference_kernel.kept_terms(dec, proj)
             assert res.inner_products_evaluated == kept * (kept + 1) // 2
 
     @pytest.mark.parametrize("t", [4, 5, 7, 13])
@@ -243,7 +243,7 @@ class TestGramEngine:
         counts = set()
         for _ in range(10):
             proj = _random_projector(6, 3, rng)
-            kept = len(strong_sim._projected_terms(dec, proj))
+            kept = reference_kernel.kept_terms(dec, proj)
             res = exact_expectation(dec, proj)
             assert res.exact_value == reference_kernel.exact_expectation(dec, proj)
             assert res.inner_products_evaluated == kept * (kept + 1) // 2
@@ -266,7 +266,7 @@ class TestGramEngine:
         return read_catalog_file(str(path))
 
     def test_decomposition_read_from_catalog_file(self, tmp_path):
-        dec = self._read_back(extend_with_zeros(catalog_entry(6), 7), tmp_path)
+        dec = extend_with_zeros(self._read_back(catalog_entry(6), tmp_path), 7)
         assert dec.n == 7
         self._check(dec, np.random.default_rng(7))
         self._check(catalog_entry(6), np.random.default_rng(8))
@@ -340,8 +340,8 @@ class TestIntegerRows:
                     projectors=3)
 
     def test_read_back_catalog_file(self, tmp_path):
-        dec = TestGramEngine._read_back(extend_with_zeros(catalog_entry(12), 13),
-                                        tmp_path)
+        dec = extend_with_zeros(TestGramEngine._read_back(catalog_entry(12),
+                                                          tmp_path), 13)
         self._check(dec, np.random.default_rng(602), paulis=2, projectors=2)
 
     def test_t3_padded_to_five_qubits(self):
@@ -435,6 +435,43 @@ class TestSampled:
                                   samples_override=100)
         assert res.samples_used == 100
         assert res.inner_products_evaluated <= 100 * len(dec)
+
+
+class TestSampledEdgeCases:
+    """CLI sampled calls whose stdout and ``[se]`` line are pinned: every
+    term annihilated, repeated, contradicting and identity factors, factors
+    on padding qubits only, and decompositions that are not catalog
+    entries (the 6 + 1 tensor product at t = 7 and the 3 + 2 + 1 cover of
+    t = 6), whose pairs are built per call."""
+
+    @pytest.mark.parametrize("t, args, inner_products, terms, value, se", [
+        (2, ["--projector", "+ZI,-ZI"], 0, 2, 0.0, "0"),
+        (2, ["--projector", "+XX,+XX"], 600, 2, 0.7739746271847505, "0.0326204"),
+        (2, ["--projector", "+XX,-XX"], 0, 2, 0.0, "0"),
+        (2, ["--projector", "+II"], 600, 2, 1.0601184463531088, "0.0450223"),
+        (3, ["--projector", "+IIIXX,-IIIZZ"], 0, 3, 0.0, "0"),
+        (3, ["--projector", "+IIIXX"], 900, 3, 0.4900245310429352, "0.0253639"),
+        (7, ["--pauli", "XYZIXZY"], 4200, 14, -0.05705669785961509, "0.0536674"),
+        (7, ["--projector", "+XXIIZZI,-ZZYYIIX"], 4200, 14, 0.2616644984083153,
+         "0.0146237"),
+        (6, ["--policy", "3 2 1", "--pauli", "XYZIXZ"], 2700, 9,
+         0.12930543520114113, "0.0616487"),
+        (6, ["--policy", "3 2 1", "--projector", "+XXIIZZ,-ZZYYII"], 2700, 9,
+         0.2583407362304024, "0.0155077"),
+    ])
+    def test_stdout_and_se_pinned(self, capsys, t, args, inner_products,
+                                  terms, value, se):
+        import json
+        from tmagic.cli import main
+        assert main(["expect", "--t", str(t), "--mode", "sampled", *args]) == 0
+        out, err = capsys.readouterr()
+        operator, text = args[-2:]
+        record = {"command": "expect", "t": t, "mode": "sampled", "seed": 0,
+                  operator[2:]: text.replace(",", " "), "value": value,
+                  "inner_products": inner_products, "samples_used": 300,
+                  "terms": terms}
+        assert out == json.dumps(record, sort_keys=True) + "\n"
+        assert f"[se] {se}" in err.splitlines()
 
 
 class TestRunTask:
