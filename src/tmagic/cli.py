@@ -19,7 +19,8 @@ from .catalog import (CATALOG_TERM_COUNTS, DEFAULT_POLICY, MagicDecomposition,
                       block_cover, block_decomposition, catalog_entry,
                       extend_with_zeros, read_catalog_file, write_catalog_file)
 from .gauss import (SUPPORTED_BLOCKS, WORST_CASE_UNIQUE, census_letters,
-                    expect_block, expect_single_pauli, unique_sum_counts)
+                    check_census, expect_block, expect_single_pauli,
+                    rank_census)
 from .pauli import PauliOperator, PauliProjector, letters_to_pauli
 from .strong_sim import (exact_expectation, exact_pauli_expectation,
                          sample_count, sampled_expectation)
@@ -47,16 +48,18 @@ def _parse_policy(text: str, ts: Sequence[int]) -> tuple[int, ...]:
 
 
 def _parse_t_counts(text: str) -> list[int]:
-    """bench --t: one or more T-counts of at least 1."""
+    """bench --t: one or more distinct T-counts of at least 1."""
     try:
         ts = [int(v) for v in text.replace(",", " ").split()]
     except ValueError as exc:
         _reject(f"invalid --t {text!r}: {exc}")
     if not ts:
         _reject("--t must list at least one T-count")
-    for t in ts:
+    for i, t in enumerate(ts):
         if t < 1:
             _reject(f"--t must be a T-count of at least 1, got {t}")
+        if t in ts[:i]:
+            _reject(f"--t lists the T-count {t} twice")
     return ts
 
 
@@ -192,17 +195,14 @@ def cmd_expect(args) -> int:
         magic = PauliOperator(args.t, p.beta & ((1 << args.t) - 1),
                               p.gamma & ((1 << args.t) - 1),
                               p.delta & ((1 << args.t) - 1), p.omega_exp)
-        # qubits beyond the T-count hold |0>: X/Y there zero the expectation,
-        # I/Z contribute a factor 1
-        zero_part = 0.0 if (p.x_mask >> args.t) else 1.0
         if args.mode == "gauss":
             rep = expect_single_pauli(args.t, magic, policy)
-            record.update(pauli=str(p), value=rep.expectation * zero_part,
+            record.update(pauli=str(p), value=rep.expectation,
                           unique_nonzero_sums=rep.unique_nonzero_sums)
         elif args.mode == "exact":
             dec = block_decomposition(args.t, policy)
             res = exact_pauli_expectation(dec, magic)
-            record.update(pauli=str(p), value=res.value * zero_part,
+            record.update(pauli=str(p), value=res.value,
                           inner_products=res.inner_products_evaluated,
                           terms=res.term_count)
         else:
@@ -210,11 +210,16 @@ def cmd_expect(args) -> int:
             res = sampled_expectation(dec, PauliProjector.single(magic, 1),
                                       args.epsilon, args.pf, args.seed,
                                       args.samples)
-            record.update(pauli=str(p), value=(2 * res.value - 1) * zero_part,
+            record.update(pauli=str(p), value=2 * res.value - 1,
                           inner_products=res.inner_products_evaluated,
                           samples_used=res.samples_used, terms=res.term_count)
             if res.std_error is not None:  # the value reported is 2 v - 1
-                se = 2 * res.std_error * zero_part
+                se = 2 * res.std_error
+        # qubits beyond the T-count hold |0>: X/Y there make the expectation
+        # 0.0 (not -0.0), I/Z contribute a factor 1
+        if p.x_mask >> args.t:
+            record["value"] = 0.0
+            se = None if se is None else 0.0
     elapsed = time.perf_counter() - start
     if args.mode == "sampled":
         # stderr only: stdout stays byte-identical across runs
@@ -232,48 +237,22 @@ def cmd_expect(args) -> int:
 # census
 # ---------------------------------------------------------------------------
 
-def _census_chunk(task: tuple) -> list[int]:
-    k, mode, samples, seed, lo, hi = task
-    return unique_sum_counts(k, census_letters(k, mode, samples, seed)[lo:hi])
-
-
 def cmd_census(args) -> int:
-    k = args.k
-    if k not in SUPPORTED_BLOCKS:
-        _reject(f"census supports block sizes {SUPPORTED_BLOCKS}")
-    if args.mode == "exhaustive" and k > 6:
-        _reject("exhaustive census is limited to k <= 6; use --mode sampled")
-    if args.mode == "sampled" and args.samples < 1:
-        _reject(f"--samples must be at least 1, got {args.samples}")
-    if args.workers < 1:
-        _reject(f"--workers must be at least 1, got {args.workers}")
-    total = 4 ** k if args.mode == "exhaustive" else args.samples
-    # min(--workers, rows) chunks, none empty; the histogram does not
-    # depend on the split, so stdout does not depend on --workers or the
-    # pool's size, which is no more than the chunks or cores
-    parts = min(args.workers, total)
-    tasks = [(k, args.mode, args.samples, args.seed,
-              total * w // parts, total * (w + 1) // parts)
-             for w in range(parts)]
-    processes = min(parts, os.cpu_count() or 1)
+    try:
+        check_census(args.k, args.mode, args.samples, args.workers)
+    except ValueError as exc:
+        _reject(str(exc))
+    # outside the try: an invariant failure in the census is a traceback
     start = time.perf_counter()
-    if processes == 1:
-        chunks = [_census_chunk(t) for t in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            chunks = list(pool.map(_census_chunk, tasks))
-    counts: list[int] = [c for chunk in chunks for c in chunk]
+    worst, hist = rank_census(args.k, args.mode, args.samples, args.seed,
+                              args.workers)
     elapsed = time.perf_counter() - start
-    hist: dict[int, int] = {}
-    for c in counts:
-        hist[c] = hist.get(c, 0) + 1
-    rows = [[k, args.mode, u, hist[u]] for u in sorted(hist)]
+    rows = [[args.k, args.mode, u, c] for u, c in hist.items()]
     text = _write_csv(args.out, ["k", "mode", "unique_nonzero_sums", "count"], rows)
     if not args.out:
         print(text, end="")
-    print(json.dumps({"command": "census", "k": k, "mode": args.mode,
-                      "max_unique": max(hist), "total": total,
+    print(json.dumps({"command": "census", "k": args.k, "mode": args.mode,
+                      "max_unique": worst, "total": sum(hist.values()),
                       "seed": args.seed}, sort_keys=True))
     print(f"[time] {elapsed:.3f}s", file=sys.stderr)
     return 0
@@ -296,8 +275,7 @@ def _fit_exponent(ts: Sequence[int], work: Sequence[int]) -> Optional[float]:
 
 
 def _bench_gauss_once(t: int, policy: tuple[int, ...], seed: int) -> float:
-    from . import _gauss_kernels as gk
-    letters = gk.sample_letters(t, 1, seed)[0]
+    letters = census_letters(t, "sampled", 1, seed)[0]
     start = time.perf_counter()
     expect_single_pauli(t, letters_to_pauli(letters), policy)
     return time.perf_counter() - start
@@ -507,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("expect", help="evaluate a Pauli or projector expectation")
     pe.add_argument("--t", type=int, required=True, help="T-count")
     operator = pe.add_mutually_exclusive_group()
-    operator.add_argument("--pauli", help="Pauli string, e.g. XYZI or -1:XX")
-    operator.add_argument("--projector", help="signed factors, e.g. '+ZZ,-XX'")
+    operator.add_argument("--pauli", help="Pauli string, e.g. XYZI or --pauli=-1:XX")
+    operator.add_argument("--projector", help="signed factors, e.g. --projector=-ZZ,+XX")
     pe.add_argument("--mode", choices=("exact", "sampled", "gauss"), default="gauss")
     pe.add_argument("--policy", default=_DEFAULT_POLICY)
     pe.add_argument("--epsilon", type=float, default=0.1)

@@ -12,13 +12,17 @@ Pauli cannot entangle tensored blocks.
 Kronecker-delta arguments and sum ranges are evaluated modulo two: a range
 [lo, hi] means {lo} when lo = hi (mod 2) and {0, 1} otherwise.  Every
 evaluator here is validated against the dense oracle in the test suite.
+
+``expect_block`` sums (value, multiplicity) pairs straight into the exact
+value and the non-zero count.  ``rank_census`` is the one census driver.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .catalog import DEFAULT_POLICY, block_cover
@@ -38,33 +42,27 @@ _TWO = ExactAmplitude(2)
 
 
 @dataclass(frozen=True)
-class GaussSumTerm:
-    """One evaluated Gauss sum: exact value times a power-of-two multiplicity."""
-
-    dimension: int
-    tag: tuple
-    value: ExactAmplitude
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class GaussSumReport:
     expectation: float
     unique_nonzero_sums: int
-    terms: tuple[GaussSumTerm, ...]
-    exact: ExactAmplitude = field(default=ZERO)
+    exact: ExactAmplitude
 
-    @staticmethod
-    def from_terms(k: int, terms: Sequence[GaussSumTerm]) -> "GaussSumReport":
-        total = ZERO
-        for t in terms:
-            total = total + t.value.scale_int(t.multiplicity)
-        exact = total * ExactAmplitude(1, 0, 0, 0, 2 * k)  # 1 / 2^k
-        if not exact.is_real():
-            raise ValueError(f"non-real Gauss-sum expectation {exact} at "
-                             f"k={k}: the terms must sum to a real value")
-        nonzero = sum(1 for t in terms if not t.value.is_zero())
-        return GaussSumReport(exact.real_float(), nonzero, tuple(terms), exact)
+
+def _sum_terms(k: int, terms: Iterable[tuple[ExactAmplitude, int]],
+               negate: bool) -> GaussSumReport:
+    """2^-k times the sum of value * multiplicity over ``terms``, negated for
+    a -1 phase; each non-zero term counts once towards the unique sums."""
+    total = ZERO
+    nonzero = 0
+    for value, multiplicity in terms:
+        if not value.is_zero():
+            total = total + value.scale_int(multiplicity)
+            nonzero += 1
+    exact = total * ExactAmplitude(-1 if negate else 1, 0, 0, 0, 2 * k)  # +-2^-k
+    if not exact.is_real():
+        raise ValueError(f"non-real Gauss-sum expectation {exact} at "
+                         f"k={k}: the terms must sum to a real value")
+    return GaussSumReport(exact.real_float(), nonzero, exact)
 
 
 def _mod2_range(lo: int, hi: int) -> tuple[int, ...]:
@@ -259,44 +257,33 @@ def expect_block(k: int, p: PauliOperator) -> GaussSumReport:
         groups = [_enumerate_group(g) for g in _group_blocks(blocks)]
         terms = []
         for combo in itertools.product(*groups):
-            tag = sum((c[0] for c in combo), ())
-            mult = 1 << sum(c[1] for c in combo)
             val = ONE
-            for c in combo:
-                val = val * c[2]
-            terms.append(GaussSumTerm(k, tag, val, mult))
+            for _, _, v in combo:
+                val = val * v
+            terms.append((val, 1 << sum(e for _, e, _ in combo)))
     else:
         raise ValueError(f"unsupported block size {k}")
-    if p.omega_exp == 2:
-        terms = [GaussSumTerm(t.dimension, t.tag, -t.value, t.multiplicity)
-                 for t in terms]
-    return GaussSumReport.from_terms(k, terms)
+    return _sum_terms(k, terms, p.omega_exp == 2)
 
 
-def _terms_k1(p: PauliOperator) -> list[GaussSumTerm]:
+def _terms_k1(p: PauliOperator) -> list[tuple[ExactAmplitude, int]]:
     (_, b, g, d) = p.site_bits(0)
     if (g + d) % 2 == 0:
-        vals = [ONE, i_power(2 * b)]
-        fam = "diag"
-    else:
-        vals = [eighth_root(1) * i_power(3 * d), eighth_root(7) * i_power(d)]
-        fam = "offdiag"
-    return [GaussSumTerm(1, ((0, fam, i, 0),), v, 1) for i, v in enumerate(vals)]
+        return [(ONE, 1), (i_power(2 * b), 1)]
+    return [(eighth_root(1) * i_power(3 * d), 1), (eighth_root(7) * i_power(d), 1)]
 
 
-def _terms_k2(p: PauliOperator) -> list[GaussSumTerm]:
+def _terms_k2(p: PauliOperator) -> list[tuple[ExactAmplitude, int]]:
     (_, b1, g1, d1) = p.site_bits(0)
     (_, b2, g2, d2) = p.site_bits(1)
     if (g1 + d1 + g2 + d2) % 2 == 0:
         v0 = i_power(d2 - g1) * _one_dim_even(b1 + b2 + g1 + d2)
         v1 = i_power(2 * (b1 + d1) + d1 + d2) * _one_dim_even(b1 + d1 + b2 + d2)
-        fam = "diag"
     else:
         v0 = (eighth_root(1) * i_power(2 * (b2 + g2) + d1 - g2 + 3)
               * _one_dim_odd(b2 + g2 + b1 + d1))
         v1 = eighth_root(7) * i_power(d1 + d2) * _one_dim_odd(b1 + b2 + d1 + d2)
-        fam = "offdiag"
-    return [GaussSumTerm(2, ((0, fam, i, 0),), v, 1) for i, v in enumerate((v0, v1))]
+    return [(v0, 1), (v1, 1)]
 
 
 def _one_dim_even(s: int) -> ExactAmplitude:
@@ -319,6 +306,8 @@ def expect_single_pauli(t: int, p: PauliOperator,
     """<T^t| P |T^t> by per-block factorization over a block cover of t."""
     if p.n != t:
         raise ValueError("Pauli size must equal the T-count")
+    if p.omega_exp % 2:
+        raise ValueError("expectation requires a Hermitian Pauli")
     blocks = block_cover(t, policy)
     for k in blocks:
         if k not in SUPPORTED_BLOCKS:
@@ -327,7 +316,6 @@ def expect_single_pauli(t: int, p: PauliOperator,
     unique = 1
     offset = 0
     expectation = 1.0
-    all_terms: list[GaussSumTerm] = []
     for k in blocks:
         sub = PauliOperator(
             k,
@@ -340,13 +328,24 @@ def expect_single_pauli(t: int, p: PauliOperator,
         expectation *= rep.expectation
         exact = exact * rep.exact
         unique *= rep.unique_nonzero_sums
-        all_terms.extend(rep.terms)
         offset += k
     if p.omega_exp == 2:
         expectation, exact = -expectation, -exact
-    elif p.omega_exp % 2:
-        raise ValueError("expectation requires a Hermitian Pauli")
-    return GaussSumReport(expectation, unique, tuple(all_terms), exact)
+    return GaussSumReport(expectation, unique, exact)
+
+
+def check_census(k: int, mode: str, samples: int, workers: int) -> None:
+    """Refuse a census that cannot run, naming the CLI option at fault."""
+    if k not in SUPPORTED_BLOCKS:
+        raise ValueError(f"census supports block sizes {SUPPORTED_BLOCKS}")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown census mode {mode!r}")
+    if mode == "exhaustive" and k > 6:
+        raise ValueError("exhaustive census is limited to k <= 6; use --mode sampled")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
 
 
 def census_letters(k: int, mode: str, samples: int, seed: int) -> np.ndarray:
@@ -357,26 +356,31 @@ def census_letters(k: int, mode: str, samples: int, seed: int) -> np.ndarray:
     return gk.sample_letters(k, samples, seed)
 
 
-def unique_sum_counts(k: int, rows: Iterable[Sequence[int]]) -> list[int]:
-    """Unique non-zero Gauss sums of ``expect_block`` for each letter row."""
-    return [expect_block(k, letters_to_pauli(row)).unique_nonzero_sums
-            for row in rows]
+def _census_chunk(task: tuple[int, np.ndarray]) -> Counter:
+    """Histogram of unique non-zero Gauss sums over one slice of rows."""
+    k, rows = task
+    return Counter(expect_block(k, letters_to_pauli(row)).unique_nonzero_sums
+                   for row in rows)
 
 
 def rank_census(k: int, mode: str = "exhaustive", samples: int = 100_000,
-                seed: int = 0) -> tuple[int, dict[int, int]]:
-    """Worst case and histogram of unique non-zero Gauss sums over Paulis.
-
-    ``mode='exhaustive'`` sweeps all 4^k Paulis (k <= 6 only);
-    ``mode='sampled'`` draws uniformly with a seeded generator.
+                seed: int = 0, workers: int = 1) -> tuple[int, dict[int, int]]:
+    """Worst case and histogram of unique non-zero Gauss sums over Paulis:
+    all 4^k (``mode='exhaustive'``, k <= 6) or ``samples`` seeded draws.
+    The rows are drawn once and split into min(workers, rows) slices, run
+    here or in a pool of min(slices, cores) processes.
     """
-    if k not in SUPPORTED_BLOCKS:
-        raise ValueError(f"unsupported block size {k}")
-    if mode == "exhaustive" and k > 6:
-        raise ValueError("exhaustive census is limited to block sizes <= 6")
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown census mode {mode!r}")
-    if mode == "sampled" and samples < 1:
-        raise ValueError(f"a sampled census needs at least 1 sample, got {samples}")
-    histogram = Counter(unique_sum_counts(k, census_letters(k, mode, samples, seed)))
+    check_census(k, mode, samples, workers)
+    rows = census_letters(k, mode, samples, seed)
+    parts = min(workers, len(rows))
+    tasks = [(k, rows[len(rows) * w // parts:len(rows) * (w + 1) // parts])
+             for w in range(parts)]
+    processes = min(parts, os.cpu_count() or 1)
+    if processes == 1:
+        chunks = [_census_chunk(t) for t in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            chunks = list(pool.map(_census_chunk, tasks))
+    histogram = sum(chunks, Counter())
     return max(histogram), dict(sorted(histogram.items()))

@@ -17,6 +17,7 @@ products.  ``kept_terms`` counts the terms a projector does not annihilate.
 dense amplitudes (``dense.dense_magic_state_exact``), the third engine the
 stabilizer-rank and Gauss-sum values are compared with.
 ``gauss_sum_eval`` sums a quadratic Gauss sum point by point,
+``gauss_block_terms`` lists the tagged terms ``gauss.expect_block`` sums,
 ``stabilizer_state_count`` is the closed form for |S(n)|, and ``all_paulis``
 enumerates the phase-free k-qubit Paulis for exhaustive checks.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-from tmagic import stabilizer
+from tmagic import gauss, stabilizer
 from tmagic.gf2 import parity, revbits
 from tmagic.pauli import PauliOperator, letters_to_pauli
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, i_power
@@ -274,6 +275,31 @@ def gauss_sum_eval(a_matrix: Sequence[Sequence[int]], v: Sequence[int],
                 q += a_matrix[i][j] * x[i] * x[j]
         total = total + eighth_root(step * q)
     return total
+
+
+def gauss_block_terms(k: int, p: PauliOperator
+                      ) -> list[tuple[tuple, ExactAmplitude, int]]:
+    """(tag, value, multiplicity) of every Gauss sum ``gauss.expect_block``
+    adds up for the phase-free part of P, before the sign and the 2^-k.
+
+    At k = 3, 6 and 12 a term is the product of one ``_enumerate_group``
+    item per chained group of ``_Block3``s, tagged with the items' per-block
+    (index, family, x, y); at k = 1 and 2 the two one-block terms are
+    untagged.
+    """
+    if k in (1, 2):
+        terms = gauss._terms_k1(p) if k == 1 else gauss._terms_k2(p)
+        return [((), v, m) for v, m in terms]
+    blocks = [gauss._Block3(p, 3 * i, i) for i in range(k // 3)]
+    groups = [gauss._enumerate_group(g) for g in gauss._group_blocks(blocks)]
+    out = []
+    for combo in itertools.product(*groups):
+        val = ONE
+        for _, _, v in combo:
+            val = val * v
+        out.append((sum((tag for tag, _, _ in combo), ()), val,
+                    1 << sum(e for _, e, _ in combo)))
+    return out
 
 
 def stabilizer_state_count(n: int) -> int:

@@ -76,6 +76,24 @@ class TestExpect:
         rec = json.loads(capsys.readouterr().out)
         assert rec["value"] == 0.0
 
+    @pytest.mark.parametrize("mode", ["gauss", "exact", "sampled"])
+    def test_x_on_padding_qubit_prints_zero_not_minus_zero(self, capsys, mode):
+        main(["expect", "--t", "1", "--pauli=-1:IX", "--mode", mode,
+              "--samples", "20"])
+        out = capsys.readouterr().out
+        assert '"value": 0.0}' in out and "-0.0" not in out
+
+    def test_equals_form_takes_a_leading_minus(self, capsys):
+        # argparse reads "--pauli -1:XY" as two options; the "=" forms
+        # shown in the help run
+        main(["expect", "--t", "2", "--pauli=-1:XY", "--mode", "gauss"])
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["pauli"] == "-1:XY" and rec["value"] == pytest.approx(-0.5)
+        main(["expect", "--t", "2", "--projector=-ZZ,+XX", "--mode", "exact"])
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["projector"] == "-ZZ +XX"
+        assert rec["value"] == pytest.approx(0.5)
+
     def test_exact_t18_projector_pinned(self, capsys):
         # a tensor-product decomposition (12 + 6), whose Gram pairs are
         # built per call and not cached
@@ -231,6 +249,10 @@ class TestBench:
     def test_rejects_empty_t(self):
         assert_rejected(["bench", "--mode", "exact", "--t", ""],
                         "--t must list at least one T-count")
+
+    def test_rejects_repeated_t_count(self):
+        assert_rejected(["bench", "--mode", "gauss", "--t", "6 6 12"],
+                        "--t lists the T-count 6 twice")
 
     def test_single_t_count_fits_no_exponent(self):
         proc = run_cli(["bench", "--mode", "gauss", "--t", "12"])
@@ -436,6 +458,30 @@ class TestDeterminism:
         assert a == b
 
 
+@pytest.fixture
+def recorder_pool(monkeypatch):
+    """A recorder stands in for the process pool and runs the chunks in this
+    process, so no process is started; it lists the pool sizes asked for."""
+    import concurrent.futures
+    made = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return made
+
+
 class TestCensusWorkers:
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_rejects_below_one(self, workers):
@@ -450,27 +496,9 @@ class TestCensusWorkers:
         (8, 400, None, None),  # core count unknown: taken as one
         (2, 1, 16, None),    # one non-empty chunk
     ])
-    def test_pool_size(self, monkeypatch, capsys, workers, samples, cpus,
-                       size):
-        # a recorder stands in for the pool and runs the chunks in this
-        # process, so no process is started
-        import concurrent.futures
-        made = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    def test_pool_size(self, monkeypatch, capsys, recorder_pool, workers,
+                       samples, cpus, size):
+        made = recorder_pool
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         base = ["census", "--k", "3", "--mode", "sampled", "--samples",
                 str(samples), "--seed", "11"]
@@ -480,20 +508,35 @@ class TestCensusWorkers:
         assert main(base + ["--workers", "1"]) == 0
         assert capsys.readouterr().out == out
 
+    def test_rows_drawn_once(self, monkeypatch, capsys, recorder_pool):
+        # four chunks share one draw of the rows
+        import tmagic._gauss_kernels as gk
+        draws = []
+        sample = gk.sample_letters
+
+        def recorded(*args):
+            draws.append(args)
+            return sample(*args)
+        monkeypatch.setattr(gk, "sample_letters", recorded)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert main(["census", "--k", "3", "--mode", "sampled", "--samples",
+                     "400", "--workers", "4"]) == 0
+        assert recorder_pool == [4]
+        assert draws == [(3, 400, 0)]
 
     def test_workers_far_above_the_rows(self, monkeypatch, capsys):
-        # k = 1 has 4 rows: 3 000 000 workers split them into 4 chunks, not
-        # 3 000 000 bounds, and print what one worker does
+        # k = 1 has 4 rows: 3 000 000 workers split them into 4 slices of
+        # one row, not 3 000 000 bounds, and print what one worker does
         import tracemalloc
-        import tmagic.cli
+        import tmagic.gauss
         monkeypatch.setattr(os, "cpu_count", lambda: 1)  # no pool
         chunks = []
-        run_chunk = tmagic.cli._census_chunk
+        run_chunk = tmagic.gauss._census_chunk
 
         def recorded(task):
-            chunks.append(task[-2:])
+            chunks.append(len(task[1]))
             return run_chunk(task)
-        monkeypatch.setattr(tmagic.cli, "_census_chunk", recorded)
+        monkeypatch.setattr(tmagic.gauss, "_census_chunk", recorded)
         assert main(["census", "--k", "1", "--workers", "1"]) == 0
         one = capsys.readouterr().out
         chunks.clear()
@@ -504,7 +547,7 @@ class TestCensusWorkers:
         finally:
             tracemalloc.stop()
         assert capsys.readouterr().out == one
-        assert chunks == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert chunks == [1, 1, 1, 1]
         assert peak < 1 << 20
 
 

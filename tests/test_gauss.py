@@ -10,9 +10,10 @@ from tmagic.gauss import (WORST_CASE_UNIQUE, _Block3, _enumerate_group,
                           _group_blocks, expect_block, expect_single_pauli,
                           rank_census)
 from tmagic.pauli import PauliOperator, letters_to_pauli, random_pauli
-from tmagic.phase_ring import ExactAmplitude, ONE
+from tmagic.phase_ring import ExactAmplitude, ONE, ZERO
 
-from reference_kernel import all_paulis, dense_pauli_expectation, gauss_sum_eval
+from reference_kernel import (all_paulis, dense_pauli_expectation,
+                              gauss_block_terms, gauss_sum_eval)
 
 
 class TestGaussSumEval:
@@ -132,8 +133,8 @@ class TestStructuralInvariants:
     def test_equal_magnitudes_k1_k2(self):
         for k in (1, 2):
             for p in all_paulis(k):
-                mags = {t.value * t.value.conj() for t in expect_block(k, p).terms
-                        if not t.value.is_zero()}
+                mags = {v * v.conj() for _, v, _ in gauss_block_terms(k, p)
+                        if not v.is_zero()}
                 assert len(mags) <= 1, str(p)
 
     def test_exactly_one_family_combination(self):
@@ -141,8 +142,8 @@ class TestStructuralInvariants:
         for k in (3, 6, 12):
             for _ in range(100):
                 p = random_pauli(k, rng)
-                fams = {tuple(entry[1] for entry in t.tag)
-                        for t in expect_block(k, p).terms}
+                fams = {tuple(entry[1] for entry in tag)
+                        for tag, _, _ in gauss_block_terms(k, p)}
                 assert len(fams) == 1, str(p)
 
     def test_multiplicity_conservation_full(self):
@@ -153,8 +154,8 @@ class TestStructuralInvariants:
         for k in (3, 6):
             for _ in range(150):
                 p = random_pauli(k, rng)
-                rep = expect_block(k, p)
-                assert sum(t.multiplicity for t in rep.terms) == 4 ** (k // 3), str(p)
+                terms = gauss_block_terms(k, p)
+                assert sum(m for _, _, m in terms) == 4 ** (k // 3), str(p)
 
     def test_multiplicity_conservation_per_value(self):
         # for every nonzero value V: reduced weight on V == unreduced weight
@@ -177,9 +178,9 @@ class TestStructuralInvariants:
                     if not val.is_zero():
                         unred[val] += w
                 red: dict = defaultdict(int)
-                for t in expect_block(k, p).terms:
-                    if not t.value.is_zero():
-                        red[t.value] += t.multiplicity
+                for _, v, m in gauss_block_terms(k, p):
+                    if not v.is_zero():
+                        red[v] += m
                 assert dict(red) == dict(unred), str(p)
 
     def test_reduced_counts_nine_and_fortynine(self):
@@ -205,8 +206,7 @@ class TestStructuralInvariants:
         assert total6 == 9
 
         p12 = PauliOperator.from_str("XYXXYX" * 2)
-        rep = expect_block(12, p12)
-        assert len(rep.terms) == 31
+        assert len(gauss_block_terms(12, p12)) == 31
         blocks = [_Block3(p12, 3 * i, i) for i in range(4)]
         group = _group_blocks(blocks)[0]
         total12 = 0
@@ -214,6 +214,28 @@ class TestStructuralInvariants:
             es = per_term_exponents(group, tag)
             total12 += 1 << (lg2 - (1 + es[0] * es[1]) - (1 + es[2] * es[3]))
         assert total12 == 49
+
+    def test_expect_block_sums_the_listed_terms(self):
+        # the terms read above are the ones expect_block adds up: its exact
+        # value and non-zero count match theirs, for both signs
+        def check(k, p, neg):
+            terms = gauss_block_terms(k, p)
+            total = ZERO
+            for _, v, m in terms:
+                total = total + v.scale_int(m)
+            want = total * ExactAmplitude(1, 0, 0, 0, 2 * k)
+            signed = PauliOperator(k, p.beta, p.gamma, p.delta, 2 * neg)
+            rep = expect_block(k, signed)
+            assert rep.exact == (-want if neg else want), str(signed)
+            assert rep.unique_nonzero_sums == sum(
+                1 for _, v, _ in terms if not v.is_zero()), str(signed)
+
+        for k in (1, 2, 3, 6):
+            for p in all_paulis(k):
+                check(k, p, 0)
+                check(k, p, 1)
+        for i, row in enumerate(sample_letters(12, 3000, 7)):
+            check(12, letters_to_pauli(row), i % 2)
 
     def test_worst_case_42_is_a_six_by_seven_set(self):
         # a B-carrying half (3 x 2 sums) tensored with a chained 7-half
@@ -251,6 +273,16 @@ class TestMultiBlock:
                     * expect_block(2, p2).unique_nonzero_sums)
             assert rep.unique_nonzero_sums == want
 
+    def test_non_hermitian_rejected_before_any_block(self, monkeypatch):
+        import tmagic.gauss
+        calls = []
+        block = tmagic.gauss.expect_block
+        monkeypatch.setattr(tmagic.gauss, "expect_block",
+                            lambda *args: calls.append(args) or block(*args))
+        with pytest.raises(ValueError, match="Hermitian"):
+            expect_single_pauli(14, PauliOperator.from_str("i:XYZXYZXYZXYZXY"))
+        assert calls == []
+
     def test_t24_worst_case_bound(self):
         assert WORST_CASE_UNIQUE[12] ** 2 == 1764  # tensor bound at t=24
 
@@ -283,7 +315,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_sampled_count_below_one_rejected(self, samples):
-        with pytest.raises(ValueError, match="at least 1 sample"):
+        with pytest.raises(ValueError, match="--samples must be at least 1"):
             rank_census(12, "sampled", samples=samples)
 
     def test_exhaustive_histograms(self):

@@ -281,7 +281,7 @@ def test_invariant_checks_survive_optimized_mode():
     """The state and kernel invariants raise ValueError under python -O."""
     code = """
 from tmagic.catalog import t1_decomposition
-from tmagic.gauss import GaussSumReport, GaussSumTerm, _Block3, _group_blocks
+from tmagic.gauss import _Block3, _group_blocks, _sum_terms
 from tmagic.phase_ring import ONE, eighth_root
 from tmagic.pauli import PauliOperator
 from tmagic import strong_sim
@@ -311,8 +311,7 @@ check("non-real-diagonal", lambda: strong_sim._hermitian_sum(
     dec, [apply_pauli_state(s, iz) for _, s in dec.terms]))
 check("non-hermitian-factor", lambda: projector_ket(
     zero, [(PauliOperator.from_str("i:Z"), 1)]))
-check("non-real-gauss", lambda: GaussSumReport.from_terms(
-    1, [GaussSumTerm(1, (), eighth_root(1), 1)]))
+check("non-real-gauss", lambda: _sum_terms(1, [(eighth_root(1), 1)], False))
 p9 = PauliOperator.from_str("XYZ" * 3)
 check("three-block-chain", lambda: _group_blocks(
     [_Block3(p9, 3 * i, i) for i in range(3)]))
