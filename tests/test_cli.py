@@ -68,6 +68,25 @@ class TestExpect:
         assert len(se) == 1
         assert float(se[0].split()[1]) > 0
 
+    @pytest.mark.parametrize("seed,value,se", [
+        (2**32 - 1, "0.44343145750507507", "0.239565"),
+        (2**32, "0.4234314575050755", "0.212538"),
+        (2**64 + 1, "0.6428427124746181", "0.303384"),
+        (2**100, "0.2868629150101518", "0.163882"),
+    ])
+    def test_sampled_multi_word_seed_pinned(self, seed, value, se):
+        """Seeds of one to four 32-bit words, each sample's seed words
+        followed by its index: the per-sample streams derive from
+        SeedSequence([seed, a]) whatever the seed's size."""
+        proc = run_cli(["expect", "--t", "2", "--mode", "sampled", "--pauli",
+                        "XY", "--samples", "25", "--seed", str(seed)])
+        assert proc.stdout == (
+            '{"command": "expect", "inner_products": 50, "mode": "sampled", '
+            f'"pauli": "XY", "samples_used": 25, "seed": {seed}, "t": 2, '
+            f'"terms": 2, "value": {value}}}\n')
+        assert [line for line in proc.stderr.splitlines()
+                if line.startswith("[se] ")] == [f"[se] {se}"]
+
     def test_padded_pauli(self, capsys):
         main(["expect", "--t", "1", "--pauli", "XZ", "--mode", "gauss"])
         rec = json.loads(capsys.readouterr().out)
