@@ -129,8 +129,6 @@ class PauliProjector:
     factors: tuple[tuple[PauliOperator, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if len(self.factors) > self.n:
-            raise ValueError("more projector factors than qubits")
         ops = [p for p, _ in self.factors]
         for p in ops:
             if p.n != self.n:

@@ -48,8 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+from . import gf2
 from .gf2 import eliminate, parity, reduce_column, revbits, solve_columns
 from .pauli import PauliOperator
 from .phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, sqrt2_root
@@ -566,56 +567,151 @@ def _dimension_weights(n: int) -> tuple[tuple[int, ...], int]:
     return weights, sum(weights)
 
 
-def _randbelow(rng: np.random.Generator, bound: int) -> int:
-    """Exact uniform integer in [0, bound) for arbitrary-size bounds."""
-    if bound <= (1 << 62):
-        return int(rng.integers(0, bound))
-    k = (bound - 1).bit_length()
-    nbytes = (k + 7) // 8
-    while True:
-        v = int.from_bytes(rng.bytes(nbytes), "little") & ((1 << k) - 1)
-        if v < bound:
-            return v
+class RawDraws:
+    """numpy's ``Generator.integers(0, bound)`` draws, decoded from the raw
+    64-bit words of a PCG64 bit generator.
 
-
-def _randbelow_run(rng: np.random.Generator, bound: int, count: int
-                   ) -> list[int]:
-    """``count`` successive ``_randbelow(rng, bound)`` draws.
-
-    numpy's Generator takes the same stream for one size-k ``integers``
-    call as for k scalar calls, so a run of two or more draws below 2^62
-    is one call; a single draw stays scalar (cheaper than size=1), and
-    larger bounds keep the byte path.
+    ``words(k)`` returns the next k raw words as a uint64 array.  numpy
+    takes a bound up to 2^32 by 32-bit Lemire on ``next_uint32``, which is
+    the low half of a fresh word, then the high half that PCG64 buffers
+    (``has_uint32``, ``uinteger``); a bound up to 2^62 by 64-bit Lemire on
+    whole words, which leave that buffer alone.  ``half`` is the buffered
+    half or None, and ``stale`` the last half buffered, which numpy keeps
+    after using it.
     """
-    if count > 1 and bound <= (1 << 62):
-        return rng.integers(0, bound, size=count).tolist()
-    return [_randbelow(rng, bound) for _ in range(count)]
+
+    __slots__ = ("words", "half", "stale")
+
+    def __init__(self, words: Callable[[int], np.ndarray],
+                 half: Optional[int] = None, stale: int = 0):
+        self.words = words
+        self.half = half
+        self.stale = stale
+
+    @classmethod
+    def reading(cls, rng: np.random.Generator) -> RawDraws:
+        """A decoder over the words of ``rng``'s bit generator, from its
+        buffered half on; any bit generator but PCG64 is refused, as its
+        stream would differ."""
+        import numpy as np
+        bg = rng.bit_generator
+        if not isinstance(bg, np.random.PCG64):
+            raise ValueError(f"draws are decoded from PCG64 words; the "
+                             f"Generator runs on {type(bg).__name__}")
+        st = bg.state
+        return cls(bg.random_raw, st["uinteger"] if st["has_uint32"] else None,
+                   st["uinteger"])
+
+    def write_back(self, rng: np.random.Generator) -> None:
+        """Leave ``rng``'s buffered half as numpy's own draws would have,
+        so that the generator goes on exactly as if numpy had made them."""
+        bg = rng.bit_generator
+        st = bg.state
+        buffered = (int(self.half is not None), self.stale)
+        if buffered != (st["has_uint32"], st["uinteger"]):
+            st["has_uint32"], st["uinteger"] = buffered
+            bg.state = st
+
+    def run(self, bits: int, count: int) -> list[int]:
+        """``count`` draws below 2^bits, in one batch of exact length: a
+        power-of-two bound never rejects.  Lemire keeps the top ``bits`` of
+        each half (bits <= 32) or word (bits <= 62); above, the byte path
+        keeps the low ``bits`` of ceil(bits / 8) bytes, taken from
+        little-endian halves as ``Generator.bytes`` takes them."""
+        if bits <= 32:
+            s = 32 - bits
+            out = []
+            if count and self.half is not None:
+                out.append(self.half >> s)
+                self.half = None
+                count -= 1
+            if count:
+                halves = self.words((count + 1) >> 1).astype(
+                    "<u8", copy=False).view("<u4")
+                self.stale = int(halves[-1])
+                if count & 1:
+                    self.half = self.stale
+                out += (halves[:count] >> s).tolist()
+            return out
+        if bits <= 62:
+            return (self.words(count) >> (64 - bits)).tolist()
+        per = (bits + 31) // 32   # halves in ceil(bits / 8) bytes
+        vals = self.run(32, count * per)
+        mask = (1 << bits) - 1
+        out = []
+        for i in range(0, len(vals), per):
+            v = 0
+            for j in range(per):
+                v |= vals[i + j] << (32 * j)
+            out.append(v & mask)
+        return out
+
+    def below(self, bound: int) -> int:
+        """One ``Generator.integers(0, bound)`` draw for bound <= 2^62; above,
+        the byte path: ``Generator.bytes``, masked to the bound's bit length,
+        until a value falls below the bound."""
+        if bound > 1 << 62:
+            bits = (bound - 1).bit_length()
+            while True:
+                v = self.run(bits, 1)[0]
+                if v < bound:
+                    return v
+        if bound == 1:
+            return 0
+        # Lemire: the high w bits of a w-bit draw times the bound, once its
+        # low w bits reach numpy's threshold 2^w mod bound
+        w = 32 if bound <= 1 << 32 else 64
+        mask = (1 << w) - 1
+        threshold = (mask + 1) % bound
+        while True:
+            m = bound * (self.run(32, 1)[0] if w == 32
+                         else int(self.words(1)[0]))
+            if m & mask >= threshold:
+                return m >> w
 
 
-def random_stabilizer_state(n: int, rng: np.random.Generator) -> StabilizerState:
+def random_stabilizer_state(n: int, rng: np.random.Generator | RawDraws
+                            ) -> StabilizerState:
     """Uniformly random n-qubit stabilizer state (up to global phase).
 
     Draws, in order: the support dimension m (weighted by state count), the
     m columns of each rank-rejection attempt, the shift, the m ``dvec``
-    entries and the m(m-1)/2 cross bits of B row by row.
+    entries and the m(m-1)/2 cross bits of B row by row, each as
+    ``Generator.integers(0, bound)`` gives it (the byte path above 2^62).
+
+    ``rng`` is a ``RawDraws`` or a numpy Generator over PCG64.  A Generator
+    is read through its bit generator's ``random_raw``, one exact-count
+    batch per run of draws, and its buffered half word is written back
+    (``RawDraws.reading``, ``RawDraws.write_back``), so it goes on exactly
+    as if numpy had made every draw.  The values rest on PCG64's raw stream
+    and numpy's bounded-integer algorithms, which ``tests/test_stabilizer.py``
+    pins against numpy.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
+    if isinstance(rng, RawDraws):
+        return _draw_state(n, rng)
+    draws = RawDraws.reading(rng)
+    s = _draw_state(n, draws)
+    draws.write_back(rng)
+    return s
+
+
+def _draw_state(n: int, draws: RawDraws) -> StabilizerState:
     weights, total = _dimension_weights(n)
-    r = _randbelow(rng, total)
+    r = draws.below(total)
     m = 0
     while r >= weights[m]:
         r -= weights[m]
         m += 1
     # uniform rank-m direction matrix by rejection
-    from .gf2 import rank_of
     while True:
-        cols = _randbelow_run(rng, 1 << n, m)
-        if rank_of(cols) == m:
+        cols = draws.run(n, m)
+        if gf2.rank_of(cols) == m:
             break
-    h = _randbelow(rng, 1 << n)
-    dvec = tuple(2 * x for x in _randbelow_run(rng, 4, m))
-    bits = iter(_randbelow_run(rng, 2, m * (m - 1) // 2))
+    h = draws.run(n, 1)[0]
+    dvec = tuple(2 * x for x in draws.run(2, m))
+    bits = iter(draws.run(1, m * (m - 1) // 2))
     brows = [0] * m
     for a in range(m):
         for b2 in range(a + 1, m):

@@ -43,7 +43,13 @@ for all L samples, so the kets of one class form one group with one
 ``GramPair``: a random state's columns are reduced once per group and each
 ket adds its shift and phases (``gram_entries``, one elimination plan per
 group and sample).  The overlaps' floats come from a per-call table, so
-the loop does no ring arithmetic.
+the loop does no ring arithmetic.  Sample a's random state is decoded from
+the raw words of the PCG64 stream that ``default_rng(SeedSequence([seed,
+a]))`` runs on, and the states of all L streams come from one vectorized
+port of ``SeedSequence``, so no numpy call is made per draw and no
+Generator is built per sample.  Sampled stdout therefore rests on PCG64's
+raw stream and on that port; ``tests/test_stabilizer.py`` pins both
+against numpy.
 
 Three engines take a decomposition built by the caller (``catalog``'s
 ``block_decomposition``, then ``extend_with_zeros`` for padding qubits):
@@ -56,14 +62,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .catalog import CATALOG_TERM_COUNTS, MagicDecomposition, catalog_entry
 from .pauli import PauliOperator, PauliProjector
 from .phase_ring import ExactAmplitude, ONE, ZERO, canonical, sqrt2_root
-from .stabilizer import (GramPair, StabilizerState, apply_pauli_state,
-                         gram_entries, pivot_table, projector_ket,
-                         random_stabilizer_state)
+from .stabilizer import (GramPair, RawDraws, StabilizerState,
+                         apply_pauli_state, gram_entries, pivot_table,
+                         projector_ket, random_stabilizer_state)
 
 
 @dataclass
@@ -289,10 +295,16 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     """Two-design estimate of <Psi| Pi |Psi> from L random stabilizer states.
 
     L is ``sample_count(epsilon, p_f)`` unless ``samples_override`` (at
-    least 1) replaces it.  Per-sample generators derive from (seed, a) so
-    the loop is order-free; accumulation happens in sample order for
-    reproducibility.  ``std_error`` is the empirical standard error of the
-    mean of the L per-sample terms 2^n |<psi_a|Phi>|^2.
+    least 1) replaces it.  Sample a draws psi_a from its own PCG64 stream,
+    the one ``default_rng(SeedSequence([seed, a]))`` would run on, so the
+    loop is order-free; accumulation happens in sample order for
+    reproducibility.  The states of all L streams come from one vectorized
+    pass (``_pcg64_streams``), and each psi_a is decoded from its stream's
+    raw words (``RawDraws``), so no SeedSequence or Generator is built per
+    sample.  The values on stdout rest on PCG64's raw stream and the ported
+    SeedSequence, both pinned against numpy in ``tests/test_stabilizer.py``.
+    ``std_error`` is the empirical standard error of the mean of the L
+    per-sample terms 2^n |<psi_a|Phi>|^2.
 
     The kets are 2^-r ``projector_ket``(phi_l) for the terms that Pi does
     not annihilate, in term order.  They are fixed for all L samples, so
@@ -307,6 +319,8 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     arithmetic.
     """
     import numpy as np
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     n = dec.n
     big_l = sample_count(epsilon, p_f)
     if samples_override is not None:
@@ -332,9 +346,10 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     dim = float(1 << n)
     total = 0.0
     squares = []
-    for a in range(big_l):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, a]))
-        psi = random_stabilizer_state(n, rng)
+    bg = np.random.PCG64(0)
+    for stream in _pcg64_streams(seed, big_l):
+        bg.state = stream
+        psi = random_stabilizer_state(n, RawDraws(bg.random_raw))
         overlap = overlaps.setdefault(psi.scale, {})
         for pair, ls in plan:
             entries = [(kets[l], psi) for l in ls]
@@ -356,6 +371,82 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
                             samples_used=big_l,
                             term_count=len(dec),
                             std_error=se)
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_SEED_BLOCK = 1 << 12
+
+
+def _uint32_words(x: int) -> list[int]:
+    """SeedSequence's entropy words of a non-negative int, low word first."""
+    words = [x & _M32]
+    while x > _M32:
+        x >>= 32
+        words.append(x & _M32)
+    return words
+
+
+def _pcg64_streams(seed: int, count: int) -> Iterator[dict]:
+    """The state of ``PCG64(SeedSequence([seed, a]))`` for a = 0..count-1
+    and a seed >= 0, as the dict ``PCG64.state`` takes.
+
+    A port of ``SeedSequence.generate_state(4, uint64)`` run on all a at
+    once: its hash constants do not depend on the entropy, so each hashing
+    step is one uint32 array operation over a block of sample indices.
+    The blocks divide 2^32, so every index in one has as many entropy words.
+    PCG64's seeding step follows per sample: inc = 2 s_1 + 1 and state =
+    (inc + s_0) M + inc mod 2^128, for the two 128-bit halves s_0, s_1 of
+    the four words, high word first in each.
+    """
+    import numpy as np
+
+    def hashmix(v):
+        nonlocal hash_const
+        v = v ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        v = v * hash_const
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        v = x * _MIX_L - y * _MIX_R
+        return v ^ (v >> 16)
+
+    head = _uint32_words(seed)
+    for lo in range(0, count, _SEED_BLOCK):
+        a = np.arange(lo, min(lo + _SEED_BLOCK, count), dtype=np.uint64)
+        entropy = [np.full(len(a), w, np.uint32) for w in head]
+        entropy += [(a >> (32 * j)).astype(np.uint32)
+                    for j in range(len(_uint32_words(lo)))]
+        hash_const = _INIT_A
+        pool = [hashmix(entropy[i] if i < len(entropy)
+                        else np.zeros(len(a), np.uint32)) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for e in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(e))
+        out = []
+        hash_const = _INIT_B
+        for i in range(8):
+            v = pool[i % 4] ^ hash_const
+            hash_const = hash_const * _MULT_B & _M32
+            v = v * hash_const
+            out.append((v ^ (v >> 16)).tolist())
+        for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*out):
+            init = w2 | w3 << 32 | w0 << 64 | w1 << 96
+            inc = (w6 << 1 | w7 << 33 | w4 << 65 | w5 << 97 | 1) & _M128
+            yield {"bit_generator": "PCG64",
+                   "state": {"state": ((inc + init) * _PCG_MULT + inc) & _M128,
+                             "inc": inc},
+                   "has_uint32": 0, "uinteger": 0}
 
 
 def _overlap_float(psi: StabilizerState, ket: StabilizerState,

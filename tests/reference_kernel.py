@@ -20,6 +20,10 @@ stabilizer-rank and Gauss-sum values are compared with.
 ``gauss_block_terms`` lists the tagged terms ``gauss.expect_block`` sums,
 ``stabilizer_state_count`` is the closed form for |S(n)|, and ``all_paulis``
 enumerates the phase-free k-qubit Paulis for exhaustive checks.
+
+``numpy_randbelow`` and ``numpy_random_stabilizer_state`` make every draw
+with a numpy ``Generator`` call, one at a time: the stream that
+``stabilizer.RawDraws`` decodes from raw PCG64 words must equal theirs.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import itertools
 from typing import Iterator, Optional, Sequence
 
 from tmagic import gauss, stabilizer
-from tmagic.gf2 import parity, revbits
+from tmagic.gf2 import parity, rank_of, revbits
 from tmagic.pauli import PauliOperator, letters_to_pauli
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, i_power
 from tmagic.stabilizer import StabilizerState, apply_pauli_state, projector_ket
@@ -314,3 +318,41 @@ def all_paulis(k: int) -> Iterator[PauliOperator]:
     """Every phase-free k-qubit Pauli, in base-4 letter order."""
     for letters in itertools.product(range(4), repeat=k):
         yield letters_to_pauli(letters)
+
+
+def numpy_randbelow(rng, bound: int) -> int:
+    """Uniform integer in [0, bound): ``Generator.integers`` up to 2^62;
+    above, ``Generator.bytes`` masked to the bound's bit length, rejected
+    at the bound."""
+    if bound <= (1 << 62):
+        return int(rng.integers(0, bound))
+    k = (bound - 1).bit_length()
+    while True:
+        v = int.from_bytes(rng.bytes((k + 7) // 8), "little") & ((1 << k) - 1)
+        if v < bound:
+            return v
+
+
+def numpy_random_stabilizer_state(n: int, rng) -> StabilizerState:
+    """``stabilizer.random_stabilizer_state`` with one numpy call per draw."""
+    weights, total = stabilizer._dimension_weights(n)
+    r = numpy_randbelow(rng, total)
+    m = 0
+    while r >= weights[m]:
+        r -= weights[m]
+        m += 1
+    while True:
+        cols = [numpy_randbelow(rng, 1 << n) for _ in range(m)]
+        if rank_of(cols) == m:
+            break
+    h = numpy_randbelow(rng, 1 << n)
+    dvec = tuple(2 * numpy_randbelow(rng, 4) for _ in range(m))
+    brows = [0] * m
+    for a in range(m):
+        for b in range(a + 1, m):
+            if numpy_randbelow(rng, 2):
+                brows[a] |= 1 << b
+                brows[b] |= 1 << a
+    return StabilizerState(n, tuple(cols), h, tuple(brows), dvec, 0,
+                           ExactAmplitude(1, 0, 0, 0, m))
+

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tmagic.dense import apply_pauli
+from tmagic.dense import apply_pauli, dense_projector_expect
 from tmagic.pauli import PauliOperator, PauliProjector, commute, random_pauli
 
 I2 = np.eye(2, dtype=complex)
@@ -148,10 +148,13 @@ class TestProjector:
             PauliProjector(2, ((PauliOperator.from_str("XI"), 1),
                                (PauliOperator.from_str("ZI"), 1)))
 
-    def test_rejects_too_many_factors(self):
+    def test_accepts_more_factors_than_qubits(self):
+        # a repeated factor is still one projector: ((I + Z)/2)^2 = (I + Z)/2
         p = PauliOperator.from_str("Z")
-        with pytest.raises(ValueError, match="more projector factors"):
-            PauliProjector(1, ((p, 1), (p, 1)))
+        proj = PauliProjector(1, ((p, 1), (p, 1)))
+        assert proj.factors == ((p, 1), (p, 1))
+        assert dense_projector_expect(np.array([1, 0], dtype=complex), proj) == 1
+        assert dense_projector_expect(np.array([0, 1], dtype=complex), proj) == 0
 
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError, match="signs"):

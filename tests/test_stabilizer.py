@@ -11,10 +11,11 @@ from tmagic.gf2 import from_str, parity, revbits
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
 from tmagic.phase_ring import (INV_SQRT2, ExactAmplitude, ONE, ZERO,
                                eighth_root, sqrt2_root)
-from tmagic.stabilizer import (StabilizerState, apply_pauli_state,
+from tmagic.stabilizer import (RawDraws, StabilizerState, apply_pauli_state,
                                exponential_sum, inner_product, plan_value,
                                projector_ket, random_stabilizer_state,
                                _dimension_weights)
+from tmagic.strong_sim import _pcg64_streams
 
 import reference_kernel
 
@@ -520,6 +521,86 @@ class TestRandomStabilizerState:
         for _ in range(100):
             s = random_stabilizer_state(int(rng.integers(1, 7)), rng)
             assert inner_product(s, s) == ONE
+
+    def test_refuses_other_bit_generators(self):
+        rng = np.random.Generator(np.random.MT19937(1))
+        with pytest.raises(ValueError, match="MT19937"):
+            random_stabilizer_state(2, rng)
+
+
+class TestNumpyStream:
+    """The decoded draws and the sampled estimator's stream states against
+    numpy itself, so that a numpy release that changes either fails here."""
+
+    BOUNDS = (2, 3, 4, 5, 64, 1000, 2 ** 31 + 11, 2 ** 32, 2 ** 32 + 1,
+              2 ** 40 - 3, 2 ** 62)
+    BYTE_BOUNDS = (2 ** 62 + 1, 2 ** 63, 2 ** 64 - 59, 2 ** 70)  # byte path
+    STATE_NS = (*range(1, 15), 24, 31, 32, 33, 48, 62, 63, 64, 70)
+
+    @staticmethod
+    def _decoded(rng, draw):
+        draws = RawDraws.reading(rng)
+        out = draw(draws)
+        draws.write_back(rng)
+        return out
+
+    def _step(self, kind, meta, ours, twin):
+        """One call on each generator: decoded on ``ours`` where numpy
+        makes it on ``twin``, or numpy's own on both."""
+        def pick(seq):
+            return seq[int(meta.integers(len(seq)))]
+
+        bound = pick(self.BOUNDS)
+        k = int(meta.integers(2, 9))
+        bits = bound.bit_length() - 1
+        if kind == "scalar":
+            return (self._decoded(ours, lambda d: d.below(bound)),
+                    int(twin.integers(0, bound)))
+        if kind == "size-k" and bound == 1 << bits:
+            # a power of two never rejects: one exact-count batch
+            return (self._decoded(ours, lambda d: d.run(bits, k)),
+                    twin.integers(0, bound, size=k).tolist())
+        if kind == "size-k":
+            return (self._decoded(ours, lambda d: [d.below(bound)
+                                                   for _ in range(k)]),
+                    twin.integers(0, bound, size=k).tolist())
+        if kind == "byte path":
+            bound = pick(self.BYTE_BOUNDS)
+            return (self._decoded(ours, lambda d: d.below(bound)),
+                    reference_kernel.numpy_randbelow(twin, bound))
+        if kind == "state":
+            n = pick(self.STATE_NS)
+            return (random_stabilizer_state(n, ours),
+                    reference_kernel.numpy_random_stabilizer_state(n, twin))
+        if kind == "numpy bytes":
+            length = int(meta.integers(1, 20))
+            return ours.bytes(length), twin.bytes(length)
+        return int(ours.integers(0, bound)), int(twin.integers(0, bound))
+
+    def test_draws_on_a_shared_generator(self):
+        meta = np.random.default_rng(20261019)
+        trials = [(3000, ("scalar", "size-k", "byte path", "numpy bytes",
+                          "numpy integers"), 4),
+                  (400, ("state", "numpy bytes", "numpy integers"), 6)]
+        for count, kinds, steps in trials:
+            for trial in range(count):
+                ours = np.random.default_rng(trial)
+                twin = np.random.default_rng(trial)
+                for step in range(steps):
+                    kind = kinds[int(meta.integers(len(kinds)))]
+                    got, want = self._step(kind, meta, ours, twin)
+                    assert got == want, (trial, step, kind)
+                    assert (ours.bit_generator.state
+                            == twin.bit_generator.state), (trial, step, kind)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 1,
+                                      2 ** 100])
+    def test_sample_stream_states(self, seed):
+        # 3329 is L at eps = 0.03, p_f = 0.05; 4096 starts the second block
+        streams = list(_pcg64_streams(seed, 4097))
+        for a in (0, 1, 2, 3328, 4095, 4096):
+            want = np.random.PCG64(np.random.SeedSequence([seed, a])).state
+            assert streams[a] == want, a
 
 
 class TestToDense:

@@ -379,6 +379,10 @@ class TestSampled:
         assert (repr(res.value), repr(res.std_error)) == (value, se)
         assert res.samples_used == 300 and res.inner_products_evaluated == 2100
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            sampled_expectation(block_decomposition(2), _proj("XY"), 0.1, 0.05, -1)
+
     def test_identity_projector_unbiased(self):
         dec = block_decomposition(2)
         vals = [sampled_expectation(dec, PauliProjector(2, ()), 0.2, 0.2,
@@ -472,6 +476,39 @@ class TestSampledEdgeCases:
                   "terms": terms}
         assert out == json.dumps(record, sort_keys=True) + "\n"
         assert f"[se] {se}" in err.splitlines()
+
+
+class TestMoreFactorsThanQubits:
+    """A projector may have more factors than qubits: repeated, dependent
+    and contradicting factors are all one projector's factors."""
+
+    @pytest.mark.parametrize("t, text, want", [
+        (1, "+Z,+Z", 0.5),
+        (1, "+Z,-Z", 0.0),
+        (2, "+ZI,+IZ,+ZZ", 0.25),
+        (2, "+ZI,+IZ,-ZZ", 0.0),
+        (3, "+XXI,+IXX,+XIX,-ZZZ", 0.3125),
+    ])
+    def test_exact_and_sampled_match_dense(self, t, text, want):
+        proj = PauliProjector(t, tuple(
+            (PauliOperator.from_str(f[1:]), 1 if f[0] == "+" else -1)
+            for f in text.split(",")))
+        dense = dense_projector_expect(dense_magic_state(t), proj)
+        assert dense == pytest.approx(want, abs=1e-12)
+        dec = block_decomposition(t)
+        assert exact_expectation(dec, proj).value == pytest.approx(want, abs=1e-12)
+        res = sampled_expectation(dec, proj, 0.05, 0.05, 1)
+        if want == 0:
+            assert res.value == 0 and res.inner_products_evaluated == 0
+        else:
+            assert abs(res.value - want) < 4 * res.std_error
+
+    def test_cli_exact(self, capsys):
+        import json
+        from tmagic.cli import main
+        assert main(["expect", "--t", "2", "--mode", "exact",
+                     "--projector=+ZI,+IZ,+ZZ"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(0.25)
 
 
 class TestRunTask:
