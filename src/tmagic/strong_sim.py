@@ -295,16 +295,14 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     """Two-design estimate of <Psi| Pi |Psi> from L random stabilizer states.
 
     L is ``sample_count(epsilon, p_f)`` unless ``samples_override`` (at
-    least 1) replaces it.  Sample a draws psi_a from its own PCG64 stream,
-    the one ``default_rng(SeedSequence([seed, a]))`` would run on, so the
+    least 1) replaces it.  Sample a decodes psi_a (``RawDraws``) from the
+    PCG64 stream of ``default_rng(SeedSequence([seed, a]))``, whose state
+    comes from one vectorized pass over all L (``_pcg64_streams``), so the
     loop is order-free; accumulation happens in sample order for
-    reproducibility.  The states of all L streams come from one vectorized
-    pass (``_pcg64_streams``), and each psi_a is decoded from its stream's
-    raw words (``RawDraws``), so no SeedSequence or Generator is built per
-    sample.  The values on stdout rest on PCG64's raw stream and the ported
-    SeedSequence, both pinned against numpy in ``tests/test_stabilizer.py``.
-    ``std_error`` is the empirical standard error of the mean of the L
-    per-sample terms 2^n |<psi_a|Phi>|^2.
+    reproducibility.  The value thus rests on PCG64's raw stream and the
+    SeedSequence port, which ``tests/test_stabilizer.py`` pins against
+    numpy.  ``std_error`` is the empirical standard error of the
+    mean of the L per-sample terms 2^n |<psi_a|Phi>|^2.
 
     The kets are 2^-r ``projector_ket``(phi_l) for the terms that Pi does
     not annihilate, in term order.  They are fixed for all L samples, so

@@ -355,4 +355,3 @@ def numpy_random_stabilizer_state(n: int, rng) -> StabilizerState:
                 brows[b] |= 1 << a
     return StabilizerState(n, tuple(cols), h, tuple(brows), dvec, 0,
                            ExactAmplitude(1, 0, 0, 0, m))
-
