@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, TextIO
 
 from .phase_ring import INV_SQRT2, SQRT2, ExactAmplitude, ZERO, eighth_root
 from .stabilizer import StabilizerState
-from .gf2 import to_str, from_str
+from .gf2 import from_str, rank_of, to_str
 
 DEFAULT_POLICY = (12, 6, 3, 2, 1)
 
@@ -302,7 +302,8 @@ def read_catalog_file(path: str) -> MagicDecomposition:
 
     Malformed input raises ``ValueError`` naming the file and the line: a
     missing, misnamed or unparsable field, a file that ends early or runs on
-    past its last term, a term whose ``n`` is not the file's ``k``, a ``J``
+    past its last term, a term whose ``n`` is not the file's ``k``, ``G``
+    columns that are dependent (a catalog state's are independent), a ``J``
     entry that is not 0 or 4 (mod 8), or a ``G``/``h``/``J``/``D`` length
     that does not match ``n`` and ``m``.
     """
@@ -349,6 +350,10 @@ def read_catalog_file(path: str) -> MagicDecomposition:
             basis = tuple(bits(col, n) for col in fields("G")[0].split())
             if len(basis) != m:
                 raise ValueError(f"G= holds {len(basis)} columns, expected m={m}")
+            rank = rank_of(basis)
+            if rank < m:
+                raise ValueError(f"G= columns are dependent: rank {rank}, "
+                                 f"expected m={m}")
             shift = bits(*fields("h"), n)
             jvals = int_list("J", m * (m - 1) // 2)
             if any(v % 4 for v in jvals):

@@ -311,11 +311,12 @@ def cmd_bench(args) -> int:
             samples = []
             for r in range(args.reps):
                 rng = np.random.default_rng(np.random.SeedSequence([args.seed, r]))
-                proj = PauliProjector.single(
-                    letters_to_pauli(rng.integers(0, 4, size=t)), 1)
+                p = letters_to_pauli(rng.integers(0, 4, size=t))
+                proj = PauliProjector.single(p, 1)
                 start = time.perf_counter()
                 if args.mode == "exact":
-                    exact_expectation(dec, proj)
+                    # the engine expect --pauli --mode exact runs
+                    exact_pauli_expectation(dec, p)
                 else:
                     sampled_expectation(dec, proj, args.epsilon, args.pf,
                                         args.seed + r, args.samples)
@@ -422,14 +423,17 @@ def _verify_kernel(report, trials: int, seed: int) -> None:
     import numpy as np
     from .dense import apply_projector
     from .pauli import random_pauli
-    from .stabilizer import (inner_product, projector_ket,
+    from .stabilizer import (RawDraws, inner_product, projector_ket,
                              random_stabilizer_state)
+    # the states come from their own PCG64 stream, the sizes, Paulis and
+    # signs from a Generator of their own
     rng = np.random.default_rng(seed)
+    draws = RawDraws(np.random.PCG64([seed, 1]).random_raw)
     bad_ip = bad_pk = 0
     for _ in range(trials):
         n = int(rng.integers(2, 7))
-        s1 = random_stabilizer_state(n, rng)
-        s2 = random_stabilizer_state(n, rng)
+        s1 = random_stabilizer_state(n, draws)
+        s2 = random_stabilizer_state(n, draws)
         ip = inner_product(s1, s2).to_float()
         want = complex(np.vdot(s1.to_dense(), s2.to_dense()))
         if abs(ip - want) > 1e-10:

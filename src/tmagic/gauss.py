@@ -315,7 +315,6 @@ def expect_single_pauli(t: int, p: PauliOperator,
     exact = ONE
     unique = 1
     offset = 0
-    expectation = 1.0
     for k in blocks:
         sub = PauliOperator(
             k,
@@ -325,13 +324,14 @@ def expect_single_pauli(t: int, p: PauliOperator,
             0,
         )
         rep = expect_block(k, sub)
-        expectation *= rep.expectation
         exact = exact * rep.exact
         unique *= rep.unique_nonzero_sums
         offset += k
     if p.omega_exp == 2:
-        expectation, exact = -expectation, -exact
-    return GaussSumReport(expectation, unique, exact)
+        exact = -exact
+    # the float of the exact product, as exact mode prints it: a product of
+    # block floats rounds differently and reads -0.0 for a negated zero
+    return GaussSumReport(exact.real_float(), unique, exact)
 
 
 def check_census(k: int, mode: str, samples: int, workers: int) -> None:

@@ -107,26 +107,20 @@ ONE = ExactAmplitude(1)
 SQRT2, INV_SQRT2 = ExactAmplitude(0, 1), ExactAmplitude(1, 0, 0, 0, 1)
 
 
+# zeta^p = (x + y*i) / sqrt2^e for p = 0..7, as (x, y, e)
+_ROOTS = ((1, 0, 0), (1, 1, 1), (0, 1, 0), (-1, 1, 1),
+          (-1, 0, 0), (-1, -1, 1), (0, -1, 0), (1, -1, 1))
+
+
 def eighth_root(k: int) -> ExactAmplitude:
     """exp(i*pi*k/4) as an ExactAmplitude."""
-    k %= 8
-    quarter = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
-    if k % 2 == 0:
-        re, im = quarter[(k // 2) % 4]
-        return ExactAmplitude(re, 0, im, 0, 0)
-    # odd k: (x + y i)/sqrt2 with x, y in {+-1}
-    re, im = {1: (1, 1), 3: (-1, 1), 5: (-1, -1), 7: (1, -1)}[k]
-    return ExactAmplitude(re, 0, im, 0, 1)
+    x, y, e = _ROOTS[k % 8]
+    return ExactAmplitude(x, 0, y, 0, e)
 
 
 def i_power(k: int) -> ExactAmplitude:
     """i**k exactly."""
     return eighth_root(2 * k)
-
-
-# zeta^p = (x + y*i) / sqrt2^e for p = 0..7, as (x, y, e)
-_ROOTS = ((1, 0, 0), (1, 1, 1), (0, 1, 0), (-1, 1, 1),
-          (-1, 0, 0), (-1, -1, 1), (0, -1, 0), (1, -1, 1))
 
 
 def sqrt2_root(k: int, p: int) -> ExactAmplitude:

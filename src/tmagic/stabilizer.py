@@ -569,48 +569,22 @@ def _dimension_weights(n: int) -> tuple[tuple[int, ...], int]:
 
 class RawDraws:
     """numpy's ``Generator.integers(0, bound)`` draws, decoded from the raw
-    64-bit words of a PCG64 bit generator.
+    64-bit words of a fresh PCG64 stream.
 
     ``words(k)`` returns the next k raw words as a uint64 array.  numpy
     takes a bound up to 2^32 by 32-bit Lemire on ``next_uint32``, which is
-    the low half of a fresh word, then the high half that PCG64 buffers
-    (``has_uint32``, ``uinteger``); a bound up to 2^62 by 64-bit Lemire on
-    whole words, which leave that buffer alone.  ``half`` is the buffered
-    half or None, and ``stale`` the last half buffered, which numpy keeps
-    after using it.
+    the low half of a fresh word, then the high half that PCG64 buffers; a
+    bound up to 2^62 by 64-bit Lemire on whole words, which leave that
+    buffer alone.  ``half`` is the buffered high half, or None.  A decoder
+    starts with none, as a fresh PCG64 does, so over a fresh stream its
+    draws are those of a numpy Generator on that stream.
     """
 
-    __slots__ = ("words", "half", "stale")
+    __slots__ = ("words", "half")
 
-    def __init__(self, words: Callable[[int], np.ndarray],
-                 half: Optional[int] = None, stale: int = 0):
+    def __init__(self, words: Callable[[int], np.ndarray]):
         self.words = words
-        self.half = half
-        self.stale = stale
-
-    @classmethod
-    def reading(cls, rng: np.random.Generator) -> RawDraws:
-        """A decoder over the words of ``rng``'s bit generator, from its
-        buffered half on; any bit generator but PCG64 is refused, as its
-        stream would differ."""
-        import numpy as np
-        bg = rng.bit_generator
-        if not isinstance(bg, np.random.PCG64):
-            raise ValueError(f"draws are decoded from PCG64 words; the "
-                             f"Generator runs on {type(bg).__name__}")
-        st = bg.state
-        return cls(bg.random_raw, st["uinteger"] if st["has_uint32"] else None,
-                   st["uinteger"])
-
-    def write_back(self, rng: np.random.Generator) -> None:
-        """Leave ``rng``'s buffered half as numpy's own draws would have,
-        so that the generator goes on exactly as if numpy had made them."""
-        bg = rng.bit_generator
-        st = bg.state
-        buffered = (int(self.half is not None), self.stale)
-        if buffered != (st["has_uint32"], st["uinteger"]):
-            st["has_uint32"], st["uinteger"] = buffered
-            bg.state = st
+        self.half: Optional[int] = None
 
     def run(self, bits: int, count: int) -> list[int]:
         """``count`` draws below 2^bits, in one batch of exact length: a
@@ -628,9 +602,8 @@ class RawDraws:
             if count:
                 halves = self.words((count + 1) >> 1).astype(
                     "<u8", copy=False).view("<u4")
-                self.stale = int(halves[-1])
                 if count & 1:
-                    self.half = self.stale
+                    self.half = int(halves[-1])
                 out += (halves[:count] >> s).tolist()
             return out
         if bits <= 62:
@@ -670,34 +643,31 @@ class RawDraws:
                 return m >> w
 
 
-def random_stabilizer_state(n: int, rng: np.random.Generator | RawDraws
+def random_stabilizer_state(n: int, draws: RawDraws | np.random.Generator
                             ) -> StabilizerState:
     """Uniformly random n-qubit stabilizer state (up to global phase).
 
-    Draws, in order: the support dimension m (weighted by state count), the
-    m columns of each rank-rejection attempt, the shift, the m ``dvec``
-    entries and the m(m-1)/2 cross bits of B row by row, each as
-    ``Generator.integers(0, bound)`` gives it (the byte path above 2^62).
+    Draws from ``draws``, in order: the support dimension m (weighted by
+    state count), the m columns of each rank-rejection attempt, the shift,
+    the m ``dvec`` entries and the m(m-1)/2 cross bits of B row by row, each
+    as ``Generator.integers(0, bound)`` gives it (the byte path above 2^62).
+    The values rest on PCG64's raw stream and numpy's bounded-integer
+    algorithms, which ``tests/test_stabilizer.py`` pins against numpy.
 
-    ``rng`` is a ``RawDraws`` or a numpy Generator over PCG64.  A Generator
-    is read through its bit generator's ``random_raw``, one exact-count
-    batch per run of draws, and its buffered half word is written back
-    (``RawDraws.reading``, ``RawDraws.write_back``), so it goes on exactly
-    as if numpy had made every draw.  The values rest on PCG64's raw stream
-    and numpy's bounded-integer algorithms, which ``tests/test_stabilizer.py``
-    pins against numpy.
+    A numpy Generator over PCG64, which perfbench's kernel-scaling probe
+    still passes, is read through a fresh ``RawDraws`` over its bit
+    generator: its buffered half word is neither used nor written back.
+    This adapter goes once the benchmark draws through ``RawDraws``.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
-    if isinstance(rng, RawDraws):
-        return _draw_state(n, rng)
-    draws = RawDraws.reading(rng)
-    s = _draw_state(n, draws)
-    draws.write_back(rng)
-    return s
-
-
-def _draw_state(n: int, draws: RawDraws) -> StabilizerState:
+    if not isinstance(draws, RawDraws):
+        import numpy as np
+        bg = draws.bit_generator
+        if not isinstance(bg, np.random.PCG64):
+            raise ValueError(f"draws are decoded from PCG64 words; the "
+                             f"Generator runs on {type(bg).__name__}")
+        draws = RawDraws(bg.random_raw)
     weights, total = _dimension_weights(n)
     r = draws.below(total)
     m = 0

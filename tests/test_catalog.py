@@ -14,7 +14,7 @@ from tmagic.catalog import (CATALOG_TERM_COUNTS, MagicDecomposition,
 from tmagic.dense import dense_magic_state, dense_magic_state_exact
 from tmagic.pauli import PauliProjector
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO
-from tmagic.stabilizer import (StabilizerState, inner_product,
+from tmagic.stabilizer import (RawDraws, StabilizerState, inner_product,
                                random_stabilizer_state)
 from tmagic.strong_sim import exact_expectation
 
@@ -185,8 +185,9 @@ class TestFileFormat:
         ints = st.integers(-50, 50)
         terms = []
         for _ in range(data.draw(st.integers(1, 4))):
-            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-            state = random_stabilizer_state(n, rng)
+            seed = data.draw(st.integers(0, 2 ** 32 - 1))
+            state = random_stabilizer_state(
+                n, RawDraws(np.random.PCG64(seed).random_raw))
             if data.draw(st.booleans()):
                 state = StabilizerState.computational(n, state.shift)
             coeff = ExactAmplitude(*(data.draw(ints) for _ in range(4)),
@@ -235,4 +236,18 @@ class TestFileErrors:
         no = lines.index("J=4,4,4")  # cut after the h= line of the last term
         path.write_text("\n".join(lines[:no]) + "\n")
         with pytest.raises(ValueError, match=rf"line {no}: file ends before J="):
+            read_catalog_file(str(path))
+
+    def test_rejects_dependent_columns(self, tmp_path):
+        # the first k=2 term on the columns 11, 11: a catalog state's
+        # columns are independent, so the G= line is refused
+        path = tmp_path / "t2.txt"
+        with open(path, "w") as fh:
+            write_catalog_file(t2_decomposition(), fh)
+        lines = path.read_text().splitlines()
+        no = lines.index("G=11") + 1
+        lines[no - 2:no + 3] = ["n=2 m=2", "G=11 11", lines[no], "J=0", "D=2,0"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"line {no}: G= columns are "
+                                             r"dependent: rank 1, expected m=2"):
             read_catalog_file(str(path))

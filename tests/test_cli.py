@@ -42,14 +42,22 @@ class TestExpect:
         assert rec["value"] == 1.0
 
     def test_modes_agree_on_seeded_random_pauli(self, capsys):
+        # both modes print the float of the same ring value, byte for byte;
+        # gauss mode once printed a product of block floats, which reads
+        # -0.0 for a negated zero and rounds apart at t = 13
         import numpy as np
         from tmagic.pauli import random_pauli
-        p = str(random_pauli(12, np.random.default_rng(7)))
-        main(["expect", "--t", "12", "--pauli", p, "--mode", "exact"])
-        exact = json.loads(capsys.readouterr().out)["value"]
-        main(["expect", "--t", "12", "--pauli", p, "--mode", "gauss"])
-        gauss = json.loads(capsys.readouterr().out)["value"]
-        assert exact == pytest.approx(gauss, abs=1e-9)
+        rng = np.random.default_rng(7)
+        cases = [(t, str(random_pauli(t, rng))) for t in (12, 14)]
+        for t, p in cases + [(13, "XIIIIIYIXYIIX")]:
+            for sign in ("", "-1:"):
+                values = []
+                for mode in ("exact", "gauss"):
+                    main(["expect", "--t", str(t), f"--pauli={sign}{p}",
+                          "--mode", mode])
+                    out = capsys.readouterr().out
+                    values.append(out[out.index('"value": '):])
+                assert values[0] == values[1], (t, sign + p)
 
     def test_projector_mode(self, capsys):
         main(["expect", "--t", "2", "--projector", "+ZI,-IZ", "--mode", "exact"])
@@ -101,6 +109,14 @@ class TestExpect:
               "--samples", "20"])
         out = capsys.readouterr().out
         assert '"value": 0.0}' in out and "-0.0" not in out
+        if mode == "sampled":
+            return
+        # negated zeros of the T-count itself, on one block and on two
+        for pauli in ("-1:IIZ", "-1:XXXXXXXXXXXXZ"):
+            main(["expect", "--t", str(len(pauli) - 3), f"--pauli={pauli}",
+                  "--mode", mode])
+            out = capsys.readouterr().out
+            assert '"value": 0.0}' in out and "-0.0" not in out, pauli
 
     def test_equals_form_takes_a_leading_minus(self, capsys):
         # argparse reads "--pauli -1:XY" as two options; the "=" forms
@@ -235,6 +251,21 @@ class TestCensus:
 
 
 class TestBench:
+    def test_exact_mode_times_the_pauli_engine(self, monkeypatch, capsys):
+        # the engine that expect --pauli --mode exact runs, not the
+        # one-factor projector's
+        import tmagic.cli
+        calls = {"exact_pauli_expectation": 0, "exact_expectation": 0}
+        for name in calls:
+            fn = getattr(tmagic.cli, name)
+
+            def counted(*args, fn=fn, name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(tmagic.cli, name, counted)
+        main(["bench", "--mode", "exact", "--t", "6", "--reps", "3"])
+        assert calls == {"exact_pauli_expectation": 3, "exact_expectation": 0}
+
     def test_rejects_sampled_count_below_one(self):
         assert_rejected(["bench", "--mode", "sampled", "--t", "2",
                          "--samples", "0"], "--samples must be at least 1, got 0")
@@ -367,6 +398,20 @@ class TestVerify:
                          "--catalog-file", str(path)],
                         f"invalid --catalog-file: {path}, line {no}: term "
                         "acts on n=3 qubits, expected the file's k=2")
+
+    def test_rejects_dependent_catalog_columns(self, tmp_path):
+        # this file once ran, printing FAIL catalog-file-k2 without naming
+        # the line at fault
+        from tmagic.catalog import catalog_entry
+        path = tmp_path / "t2.txt"
+        lines = self._write(path, catalog_entry(2))
+        no = lines.index("G=11") + 1
+        lines[no - 2:no + 3] = ["n=2 m=2", "G=11 11", lines[no], "J=0", "D=2,0"]
+        path.write_text("\n".join(lines) + "\n")
+        assert_rejected(["verify", "--scope", "decompositions",
+                         "--catalog-file", str(path)],
+                        f"invalid --catalog-file: {path}, line {no}: G= "
+                        "columns are dependent: rank 1, expected m=2")
 
     def test_rejects_catalog_above_dense_cap(self, tmp_path):
         # a k=15 file once ended in to_dense_exact's ValueError traceback

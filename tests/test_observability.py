@@ -4,6 +4,11 @@ The probe records a layer by rebinding a module-level name, so each of these
 names must be looked up at call time, once per unit of work it stands for.
 """
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,5 +135,20 @@ def test_sampled_op_kernel_calls(monkeypatch, capsys, operator, plans,
 
 def test_random_state_reaches_rank_of(monkeypatch):
     ranks = _record(monkeypatch, tmagic.gf2, "rank_of")
-    s = tmagic.stabilizer.random_stabilizer_state(6, np.random.default_rng(0))
+    draws = tmagic.stabilizer.RawDraws(np.random.PCG64(0).random_raw)
+    s = tmagic.stabilizer.random_stabilizer_state(6, draws)
     assert ranks and ranks[-1] == s.m
+
+
+def test_perfbench_trace_runs():
+    # one traced op of each workload: perfbench imports, rebinds and calls
+    # program internals (the Generator that kernel_scaling draws states
+    # from, stabilizer.solve_columns, tmagic._gauss_kernels), so a change
+    # under src that breaks any of them fails here
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
+                           "all", "--trace", "1", "--seed", "1"],
+                          cwd=root, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0

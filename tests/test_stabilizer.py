@@ -451,6 +451,11 @@ def _state_key(vec: np.ndarray) -> tuple:
     return tuple(np.round(normalized, 6))
 
 
+def _draws(seed) -> RawDraws:
+    """One decoder over the PCG64 stream of ``default_rng(seed)``."""
+    return RawDraws(np.random.default_rng(seed).bit_generator.random_raw)
+
+
 class TestRandomStabilizerState:
     def test_counts(self):
         count = reference_kernel.stabilizer_state_count
@@ -463,7 +468,7 @@ class TestRandomStabilizerState:
             assert sum(weights) == total == count(n)
 
     def test_single_qubit_uniform(self):
-        rng = np.random.default_rng(10)
+        rng = _draws(10)
         draws = 60_000
         counts: dict = {}
         for _ in range(draws):
@@ -476,7 +481,7 @@ class TestRandomStabilizerState:
             assert abs(v - expect) < 4 * sigma
 
     def test_two_qubit_coverage(self):
-        rng = np.random.default_rng(11)
+        rng = _draws(11)
         seen = set()
         for _ in range(100_000):
             seen.add(_state_key(random_stabilizer_state(2, rng).to_dense()))
@@ -485,17 +490,18 @@ class TestRandomStabilizerState:
         assert len(seen) == 60
 
     def test_deterministic_under_seed(self):
-        a = random_stabilizer_state(5, np.random.default_rng(123))
-        b = random_stabilizer_state(5, np.random.default_rng(123))
-        assert a == b
+        a = random_stabilizer_state(5, _draws(123))
+        assert random_stabilizer_state(5, _draws(123)) == a
+        # a Generator is read through a fresh decoder over its bit generator
+        assert random_stabilizer_state(5, np.random.default_rng(123)) == a
 
     def test_draws_pinned(self):
-        # states drawn in turn from one generator, as the sampled estimator
-        # and the kernel-scaling probe draw them: the same-bound runs of
-        # draws (columns, dvec, cross bits) go through one numpy call each,
-        # a single draw stays scalar and bounds above 2^62 (n = 63, 70) take
+        # states drawn in turn by one decoder: the same-bound runs of draws
+        # (columns, dvec, cross bits) are one batch of raw words each, a
+        # single draw stays scalar and bounds above 2^62 (n = 63, 70) take
         # the byte path; the stream must be what one draw at a time gives
         rng = np.random.default_rng(20261018)
+        draws = RawDraws(rng.bit_generator.random_raw)
         pinned = [(1, [1, 1, 1, 1], "f92e79342ab6bf9c"),
                   (2, [2, 1, 1, 1], "d0f9265046878a06"),
                   (6, [6, 4, 6, 5], "8e7b1e935ee4a3d1"),
@@ -504,16 +510,17 @@ class TestRandomStabilizerState:
                   (63, [63, 63, 63, 62], "28758605d1bddf11"),
                   (70, [70, 70, 68, 67], "bcbc797198f3cd22")]
         for n, dims, digest in pinned:
-            states = [random_stabilizer_state(n, rng) for _ in range(4)]
+            states = [random_stabilizer_state(n, draws) for _ in range(4)]
             text = "".join(repr((s.n, s.basis, s.shift, s.bmat, s.dvec, s.c,
                                  s.scale)) for s in states)
             assert [s.m for s in states] == dims, n
             assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, n
+        # a bound above 2^32 takes a whole word: the one after the states
         assert int(rng.integers(0, 2 ** 62)) == 473211817149858612
-        rng = np.random.default_rng(5)
-        assert random_stabilizer_state(2, rng) == StabilizerState(
+        draws = _draws(5)
+        assert random_stabilizer_state(2, draws) == StabilizerState(
             2, (3, 1), 2, (2, 1), (4, 2), 0, ExactAmplitude(1, 0, 0, 0, 2))
-        assert random_stabilizer_state(2, rng) == StabilizerState(
+        assert random_stabilizer_state(2, draws) == StabilizerState(
             2, (), 1, (), (), 0, ONE)
 
     def test_states_are_normalized(self):
@@ -537,16 +544,9 @@ class TestNumpyStream:
     BYTE_BOUNDS = (2 ** 62 + 1, 2 ** 63, 2 ** 64 - 59, 2 ** 70)  # byte path
     STATE_NS = (*range(1, 15), 24, 31, 32, 33, 48, 62, 63, 64, 70)
 
-    @staticmethod
-    def _decoded(rng, draw):
-        draws = RawDraws.reading(rng)
-        out = draw(draws)
-        draws.write_back(rng)
-        return out
-
-    def _step(self, kind, meta, ours, twin):
-        """One call on each generator: decoded on ``ours`` where numpy
-        makes it on ``twin``, or numpy's own on both."""
+    def _step(self, kind, meta, draws, twin):
+        """One call on each stream: decoded by ``draws`` where numpy makes
+        it on ``twin``."""
         def pick(seq):
             return seq[int(meta.integers(len(seq)))]
 
@@ -554,44 +554,41 @@ class TestNumpyStream:
         k = int(meta.integers(2, 9))
         bits = bound.bit_length() - 1
         if kind == "scalar":
-            return (self._decoded(ours, lambda d: d.below(bound)),
-                    int(twin.integers(0, bound)))
+            return draws.below(bound), int(twin.integers(0, bound))
         if kind == "size-k" and bound == 1 << bits:
             # a power of two never rejects: one exact-count batch
-            return (self._decoded(ours, lambda d: d.run(bits, k)),
+            return (draws.run(bits, k),
                     twin.integers(0, bound, size=k).tolist())
         if kind == "size-k":
-            return (self._decoded(ours, lambda d: [d.below(bound)
-                                                   for _ in range(k)]),
+            return ([draws.below(bound) for _ in range(k)],
                     twin.integers(0, bound, size=k).tolist())
         if kind == "byte path":
             bound = pick(self.BYTE_BOUNDS)
-            return (self._decoded(ours, lambda d: d.below(bound)),
+            return (draws.below(bound),
                     reference_kernel.numpy_randbelow(twin, bound))
-        if kind == "state":
-            n = pick(self.STATE_NS)
-            return (random_stabilizer_state(n, ours),
-                    reference_kernel.numpy_random_stabilizer_state(n, twin))
-        if kind == "numpy bytes":
-            length = int(meta.integers(1, 20))
-            return ours.bytes(length), twin.bytes(length)
-        return int(ours.integers(0, bound)), int(twin.integers(0, bound))
+        n = pick(self.STATE_NS)
+        return (random_stabilizer_state(n, draws),
+                reference_kernel.numpy_random_stabilizer_state(n, twin))
 
-    def test_draws_on_a_shared_generator(self):
+    def test_draws_against_a_twin_generator(self):
+        # after each step the decoder's stream must stand where numpy's
+        # does: the same LCG state and the same buffered half word
         meta = np.random.default_rng(20261019)
-        trials = [(3000, ("scalar", "size-k", "byte path", "numpy bytes",
-                          "numpy integers"), 4),
-                  (400, ("state", "numpy bytes", "numpy integers"), 6)]
+        trials = [(3000, ("scalar", "size-k", "byte path"), 4),
+                  (400, ("state",), 6)]
         for count, kinds, steps in trials:
             for trial in range(count):
-                ours = np.random.default_rng(trial)
+                bg = np.random.PCG64(trial)
+                draws = RawDraws(bg.random_raw)
                 twin = np.random.default_rng(trial)
                 for step in range(steps):
                     kind = kinds[int(meta.integers(len(kinds)))]
-                    got, want = self._step(kind, meta, ours, twin)
+                    got, want = self._step(kind, meta, draws, twin)
                     assert got == want, (trial, step, kind)
-                    assert (ours.bit_generator.state
-                            == twin.bit_generator.state), (trial, step, kind)
+                    st = twin.bit_generator.state
+                    assert bg.state["state"] == st["state"], (trial, step, kind)
+                    assert draws.half == (st["uinteger"] if st["has_uint32"]
+                                          else None), (trial, step, kind)
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 1,
                                       2 ** 100])
