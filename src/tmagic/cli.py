@@ -425,10 +425,11 @@ def _verify_kernel(report, trials: int, seed: int) -> None:
     from .pauli import random_pauli
     from .stabilizer import (RawDraws, inner_product, projector_ket,
                              random_stabilizer_state)
-    # the states come from their own PCG64 stream, the sizes, Paulis and
-    # signs from a Generator of their own
+    # the states come from their own PCG64 stream, which the decoder reads
+    # ahead, the sizes, Paulis and signs from a Generator of their own
     rng = np.random.default_rng(seed)
-    draws = RawDraws(np.random.PCG64([seed, 1]).random_raw)
+    words = np.random.PCG64([seed, 1]).random_raw
+    draws = RawDraws(lambda k: words(max(k, 64)))
     bad_ip = bad_pk = 0
     for _ in range(trials):
         n = int(rng.integers(2, 7))

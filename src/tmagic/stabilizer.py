@@ -28,10 +28,12 @@ Gram entries <a|P|b>: it keeps the part that depends on the two states'
 classes only (``GramPair``; a class is the columns, cross data and
 ``odd`` mask) and adds per call what the Pauli shift or the projector's
 extra columns contribute.  Its column step is shared by all entries of
-one pair of classes, which differ only in shifts and phases: the exact
-engine takes a class pair's block of Gram entries, and the sampled
-estimator a random state's overlaps with one class of projector kets, in
-one call.
+one pair of classes, which differ only in shifts and phases, and by the
+blocks of several bra classes on one set of columns with one ket class:
+the exact engine takes a class pair's block of Gram entries in one call,
+and the sampled estimator a random state's overlaps with every class of
+projector kets on one column set, walking the random state's share of
+the new null vectors' columns (``_extend_form``) once for all of them.
 
 That Gauss sum is always 0 or sqrt2^k zeta^p, and the forms of a block's
 entries differ only in their constant and in bit 2 of their linear terms,
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import compress
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import gf2
@@ -294,7 +297,7 @@ def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
     part, null = sol
     b: list[int] = []
     d: list[int] = []
-    _extend_form(sa, sb, null, b, d)
+    _extend_form(sa, sb, null, b, d, [])
     ks = _entry(sa, sb, part, exponential_sum(b, d, null))
     if ks is None:
         return ZERO
@@ -302,7 +305,8 @@ def inner_product(sa: StabilizerState, sb: StabilizerState) -> ExactAmplitude:
 
 
 def _extend_form(sa: StabilizerState, sb: StabilizerState, null: list[int],
-                 b: list[int], d: list[int]) -> None:
+                 b: list[int], d: list[int], half: list[tuple[int, int]]
+                 ) -> None:
     """Add the null vectors null[len(d):] as variables of the pulled-back
     form (b, d), whose variables so far are null[:len(d)]; in place.
 
@@ -313,18 +317,24 @@ def _extend_form(sa: StabilizerState, sb: StabilizerState, null: list[int],
       w_k w_k'  4 parity(v_k' & C_k), for every earlier k';
       w_k       2 |v_k & odd| + 2 e_k (from the squares w_k w_k = w_k).
 
-    These read only the two states' cross data and ``odd`` masks, not the
-    base point (``_gauss_sum`` adds that part).  No transpose of V is formed.
+    B is block diagonal, so C_k and |v_k & odd| + e_k are sa's share plus
+    sb's, and sb's share of the i-th added null vector reads only sb's
+    class and v_k.  ``half`` keeps those shares: a caller that extends
+    several forms by the same null vectors, against states of one class
+    as sb, passes them one list, and only the first form walks sb's side
+    (the blocks of one ``gram_entries`` call).  These read only the two
+    states' cross data and ``odd`` masks, not the base point (``_entry``
+    adds that part).  No transpose of V is formed.
     """
     ma = sa.m
     low = (1 << ma) - 1
     bmat_a, bmat_b = sa.bmat, sb.bmat
-    odd = sa.odd | (sb.odd << ma)
-    for k in range(len(d), len(null)):
+    first = len(d)
+    walked = bool(half)  # sb's shares are there for all or none
+    for k in range(first, len(null)):
         v = null[k]
         va = v & low
-        vb = v >> ma
-        ca = cb = e = 0  # B v_k per side; e = twice the edges inside v_k
+        ca = e = 0  # B_a v_k's sa part; e = twice its edges inside it
         w = va
         while w:
             bit = w & -w
@@ -332,15 +342,24 @@ def _extend_form(sa: StabilizerState, sb: StabilizerState, null: list[int],
             ca ^= row
             e += (row & va).bit_count()
             w ^= bit
-        w = vb
-        while w:
-            bit = w & -w
-            row = bmat_b[bit.bit_length() - 1]
-            cb ^= row
-            e += (row & vb).bit_count()
-            w ^= bit
-        vo = v & odd
-        ck = (ca | (cb << ma)) ^ vo  # B~ v_k
+        vo = va & sa.odd
+        if walked:
+            cb, eb = half[k - first]
+        else:  # sb's share, shifted into place
+            vb = v >> ma
+            cb = eb = 0
+            w = vb
+            while w:
+                bit = w & -w
+                row = bmat_b[bit.bit_length() - 1]
+                cb ^= row
+                eb += (row & vb).bit_count()
+                w ^= bit
+            vob = vb & sb.odd
+            cb = (cb ^ vob) << ma
+            eb += vob.bit_count()
+            half.append((cb, eb))
+        ck = (ca ^ vo) | cb  # B~ v_k
         kbit = 1 << k
         row = 0
         for k2 in range(k):
@@ -348,7 +367,7 @@ def _extend_form(sa: StabilizerState, sb: StabilizerState, null: list[int],
                 row |= 1 << k2
                 b[k2] |= kbit
         b.append(row)
-        d.append(2 * (vo.bit_count() + e) % 8)
+        d.append(2 * (vo.bit_count() + e + eb) % 8)
 
 
 def _entry(sa: StabilizerState, sb: StabilizerState, part: int, plan: Plan
@@ -415,79 +434,99 @@ class GramPair:
         """Reduce the extra columns, the variables after sb's, into the
         kept table: the column step of ``gram_entries``.
 
-        Returns the table (a copy when there are extra columns, the kept
+        Returns the table (a copy once an extra column joins it, the kept
         one otherwise; do not mutate it) and the null vectors that extra
         columns close.
         """
-        if not extra:
-            return self.vecs, self.masks, []
-        vecs, masks = list(self.vecs), list(self.masks)
+        vecs, masks = self.vecs, self.masks
         new = []
         first = self.ma + self.mb
         for i, x in enumerate(extra):
             v, mask = reduce_column(vecs, masks, x, 1 << (first + i))
-            if v:
-                top = v.bit_length() - 1
-                vecs[top] = v
-                masks[top] = mask
-            else:
+            if not v:
                 new.append(mask)
+                continue
+            if vecs is self.vecs:
+                vecs, masks = list(vecs), list(masks)
+            top = v.bit_length() - 1
+            vecs[top] = v
+            masks[top] = mask
         return vecs, masks, new
 
     def form(self) -> tuple[list[int], list[int]]:
         """(cross rows, linear base) of the form on ``null``; do not mutate."""
         if self._form is None:
+            sa, sb = self._states
             b: list[int] = []
             d: list[int] = []
-            _extend_form(*self._states, self.null, b, d)
+            _extend_form(sa, sb, self.null, b, d, [])
             self._form = (b, d)
         return self._form
 
-    def plan(self, sa: StabilizerState, sb: StabilizerState,
-             new: Sequence[int]) -> Plan:
-        """The ``exponential_sum`` plan of the form on ``null`` + new, for
-        states sa and sb of the block's classes: the kept one when new is
-        empty, else one built on an extended copy of the form."""
-        if not new:
+    def plan(self, sb: StabilizerState, null: list[int],
+             half: list[tuple[int, int]]) -> Plan:
+        """The ``exponential_sum`` plan of the form on null, which is
+        ``null`` and then the null vectors that the further columns of a
+        ket sb of the block's class close: the kept one when there are
+        none, else one built on an extended copy of the form, sharing
+        ``half`` (``_extend_form``) with the other blocks of the call."""
+        if len(null) == len(self.null):
             if self._plan is None:
-                self._plan = exponential_sum(*self.form(), self.null)
+                self._plan = exponential_sum(*self.form(), null)
             return self._plan
-        null = self.null + list(new)
-        b, d = (list(x) for x in self.form())
-        _extend_form(sa, sb, null, b, d)
+        b, d = self.form()
+        b, d = list(b), list(d)
+        _extend_form(self._states[0], sb, null, b, d, half)
         return exponential_sum(b, d, null)
 
 
-def gram_entries(entries: Sequence[tuple[StabilizerState, StabilizerState]],
-                 pair: GramPair) -> list[Optional[tuple[int, int]]]:
-    """<bra|ket> / (conj(bra.scale) ket.scale) for each (bra, ket) entry,
-    as (k, p), meaning sqrt2^k zeta^p, or None where it vanishes.
+Entry = tuple[StabilizerState, StabilizerState]
 
-    The entries, at least one, share one class pair: every bra has the
-    columns, cross data and ``odd`` mask of ``pair``'s first state, and
-    every ket those of one state that extends ``pair``'s second one, which
-    is that state shifted by a Pauli (``apply_pauli_state``) or extended
-    by the same projector factors (``projector_ket``), or, with mb = 0, any
-    one state.  Only shifts and phases differ between entries, and they
-    enter the pulled-back form only through its constant and bit 2 of its
-    linear terms.  So the column step, the kets' further columns reduced
-    into the cached table, and one elimination plan (``GramPair.plan``:
-    the kept one when the kets add no columns, as a Pauli's do) serve all
-    entries; each entry then costs its right-hand side bra.shift ^
-    ket.shift solved against the table and one ``plan_value`` (the
-    right-hand-side step).  No form is copied per entry.
+
+def gram_entries(blocks: Sequence[tuple[GramPair, Sequence[Entry]]]
+                 ) -> list[Optional[tuple[int, int]]]:
+    """<bra|ket> / (conj(bra.scale) ket.scale) for each (bra, ket) entry of
+    each (pair, entries) block, in order, as (k, p), meaning sqrt2^k
+    zeta^p, or None where it vanishes.
+
+    A block's entries, at least one, share one class pair: every bra has
+    the columns, cross data and ``odd`` mask of ``pair``'s first state,
+    and every ket those of one state that extends ``pair``'s second one,
+    which is that state shifted by a Pauli (``apply_pauli_state``) or
+    extended by the same projector factors (``projector_ket``), or, with
+    mb = 0, any one state.  Only shifts and phases differ between entries,
+    and they enter the pulled-back form only through its constant and bit
+    2 of its linear terms.  So the column step, the kets' further columns
+    reduced into the cached table, and one elimination plan
+    (``GramPair.plan``: the kept one when the kets add no columns, as a
+    Pauli's do) serve all of a block's entries; each entry then costs its
+    right-hand side bra.shift ^ ket.shift solved against the table and
+    one ``plan_value`` (the right-hand-side step).  No form is copied per
+    entry.
+
+    The blocks share more: their pairs one pivot table, and their kets
+    one class, as the sampled estimator's blocks of one random state and
+    of projector kets on one column set do.  So the column step is done
+    once per call, and so is the kets' share of the new null vectors'
+    columns (``_extend_form``); each block's plan adds only its bras'
+    share and the couplings.
     """
-    vecs, masks, new = pair.columns(entries[0][1].basis[pair.mb:])
-    plan = None
+    pair, entries = blocks[0]
+    ket = entries[0][1]
+    vecs, masks, new = pair.columns(ket.basis[pair.mb:])
+    null = pair.null + new if new else pair.null
+    half: list[tuple[int, int]] = []
     out: list[Optional[tuple[int, int]]] = []
-    for bra, ket in entries:
-        v, part = reduce_column(vecs, masks, bra.shift ^ ket.shift, 0)
-        if v:
-            out.append(None)
-            continue
-        if plan is None:  # built at the first consistent entry
-            plan = pair.plan(bra, ket, new)
-        out.append(_entry(bra, ket, part, plan))
+    for pair, entries in blocks:
+        plan = None
+        for bra, ket in entries:
+            v, part = reduce_column(vecs, masks, bra.shift ^ ket.shift, 0)
+            if v:
+                out.append(None)
+                continue
+            if plan is None:  # built at the block's first consistent entry
+                plan = pair.plan(ket, null, half)
+            out.append(_entry(bra, ket, part, plan))
     return out
 
 
@@ -567,31 +606,56 @@ def _dimension_weights(n: int) -> tuple[tuple[int, ...], int]:
     return weights, sum(weights)
 
 
+@cache
+def _cross_pairs(m: int) -> tuple[list[tuple[int, int]], ExactAmplitude]:
+    """The pairs a < b of m variables, in the order their cross bits are
+    drawn, and the scale 2^(-m/2) of a state on m variables."""
+    return ([(a, b) for a in range(m) for b in range(a + 1, m)],
+            ExactAmplitude(1, 0, 0, 0, m))
+
+
 class RawDraws:
     """numpy's ``Generator.integers(0, bound)`` draws, decoded from the raw
     64-bit words of a fresh PCG64 stream.
 
-    ``words(k)`` returns the next k raw words as a uint64 array.  numpy
-    takes a bound up to 2^32 by 32-bit Lemire on ``next_uint32``, which is
-    the low half of a fresh word, then the high half that PCG64 buffers; a
+    ``words(k)`` hands over the next raw words of the stream as a uint64
+    array, at least one; k is how many the decoder still needs.  The
+    source decides how far it reads: one over a Generator that is drawn
+    from again afterwards hands over exactly k, and one over a stream that
+    only this decoder reads, such as a sample's, may read ahead.  The words
+    not yet used wait as Python ints in one buffer, which the 32-bit
+    halves, the whole words and the byte path all take from.  numpy takes
+    a bound up to 2^32 by 32-bit Lemire on ``next_uint32``, which is the
+    low half of a fresh word, then the high half that PCG64 buffers; a
     bound up to 2^62 by 64-bit Lemire on whole words, which leave that
     buffer alone.  ``half`` is the buffered high half, or None.  A decoder
     starts with none, as a fresh PCG64 does, so over a fresh stream its
     draws are those of a numpy Generator on that stream.
     """
 
-    __slots__ = ("words", "half")
+    __slots__ = ("words", "half", "_buf", "_pos")
 
     def __init__(self, words: Callable[[int], np.ndarray]):
         self.words = words
         self.half: Optional[int] = None
+        self._buf: list[int] = []
+        self._pos = 0
+
+    def _take(self, k: int) -> list[int]:
+        """The next k words: the buffered ones, then the source's."""
+        buf, pos = self._buf, self._pos
+        while len(buf) - pos < k:
+            buf = buf[pos:] + self.words(k - len(buf) + pos).tolist()
+            pos = 0
+        self._buf, self._pos = buf, pos + k
+        return buf[pos:pos + k]
 
     def run(self, bits: int, count: int) -> list[int]:
-        """``count`` draws below 2^bits, in one batch of exact length: a
-        power-of-two bound never rejects.  Lemire keeps the top ``bits`` of
-        each half (bits <= 32) or word (bits <= 62); above, the byte path
-        keeps the low ``bits`` of ceil(bits / 8) bytes, taken from
-        little-endian halves as ``Generator.bytes`` takes them."""
+        """``count`` draws below 2^bits: a power-of-two bound never
+        rejects.  Lemire keeps the top ``bits`` of each half (bits <= 32)
+        or word (bits <= 62); above, the byte path keeps the low ``bits`` of
+        ceil(bits / 8) bytes, taken from little-endian halves as
+        ``Generator.bytes`` takes them."""
         if bits <= 32:
             s = 32 - bits
             out = []
@@ -600,14 +664,17 @@ class RawDraws:
                 self.half = None
                 count -= 1
             if count:
-                halves = self.words((count + 1) >> 1).astype(
-                    "<u8", copy=False).view("<u4")
+                s2 = 64 - bits
+                for w in self._take((count + 1) >> 1):
+                    out.append((w & 0xFFFFFFFF) >> s)
+                    out.append(w >> s2)
                 if count & 1:
-                    self.half = int(halves[-1])
-                out += (halves[:count] >> s).tolist()
+                    out.pop()
+                    self.half = w >> 32
             return out
         if bits <= 62:
-            return (self.words(count) >> (64 - bits)).tolist()
+            s = 64 - bits
+            return [w >> s for w in self._take(count)]
         per = (bits + 31) // 32   # halves in ceil(bits / 8) bytes
         vals = self.run(32, count * per)
         mask = (1 << bits) - 1
@@ -637,8 +704,7 @@ class RawDraws:
         mask = (1 << w) - 1
         threshold = (mask + 1) % bound
         while True:
-            m = bound * (self.run(32, 1)[0] if w == 32
-                         else int(self.words(1)[0]))
+            m = bound * (self.run(32, 1)[0] if w == 32 else self._take(1)[0])
             if m & mask >= threshold:
                 return m >> w
 
@@ -653,11 +719,14 @@ def random_stabilizer_state(n: int, draws: RawDraws | np.random.Generator
     as ``Generator.integers(0, bound)`` gives it (the byte path above 2^62).
     The values rest on PCG64's raw stream and numpy's bounded-integer
     algorithms, which ``tests/test_stabilizer.py`` pins against numpy.
+    How far ahead ``draws`` reads is up to its word source; the values do
+    not depend on it.
 
     A numpy Generator over PCG64, which perfbench's kernel-scaling probe
     still passes, is read through a fresh ``RawDraws`` over its bit
-    generator: its buffered half word is neither used nor written back.
-    This adapter goes once the benchmark draws through ``RawDraws``.
+    generator that reads exactly the words it decodes: its buffered half
+    word is neither used nor written back.  This adapter goes once the
+    benchmark draws through ``RawDraws``.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
@@ -680,13 +749,10 @@ def random_stabilizer_state(n: int, draws: RawDraws | np.random.Generator
         if gf2.rank_of(cols) == m:
             break
     h = draws.run(n, 1)[0]
-    dvec = tuple(2 * x for x in draws.run(2, m))
-    bits = iter(draws.run(1, m * (m - 1) // 2))
+    dvec = tuple([2 * x for x in draws.run(2, m)])
+    pairs, scale = _cross_pairs(m)
     brows = [0] * m
-    for a in range(m):
-        for b2 in range(a + 1, m):
-            if next(bits):
-                brows[a] |= 1 << b2
-                brows[b2] |= 1 << a
-    return StabilizerState(n, tuple(cols), h, tuple(brows), dvec, 0,
-                           ExactAmplitude(1, 0, 0, 0, m))
+    for a, b2 in compress(pairs, draws.run(1, len(pairs))):
+        brows[a] |= 1 << b2
+        brows[b2] |= 1 << a
+    return StabilizerState(n, tuple(cols), h, tuple(brows), dvec, 0, scale)

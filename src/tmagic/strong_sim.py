@@ -39,17 +39,20 @@ Its kets are the same projector kets as the exact path's: Pi|phi_l> =
 2^-r K_l, with 2^-r in K_l's ring scale, so no term is projected.  A term
 whose diagonal entry <phi_l|K_l> is zero is annihilated by Pi and dropped
 (``_diagonal``, the exact path's diagonal pass).  The kept kets are fixed
-for all L samples, so the kets of one class form one group with one
-``GramPair``: a random state's columns are reduced once per group and each
-ket adds its shift and phases (``gram_entries``, one elimination plan per
-group and sample).  The overlaps' floats come from a per-call table, so
-the loop does no ring arithmetic.  Sample a's random state is decoded from
-the raw words of the PCG64 stream that ``default_rng(SeedSequence([seed,
-a]))`` runs on, and the states of all L streams come from one vectorized
-port of ``SeedSequence``, so no numpy call is made per draw and no
-Generator is built per sample.  Sampled stdout therefore rests on PCG64's
-raw stream and on that port; ``tests/test_stabilizer.py`` pins both
-against numpy.
+for all L samples, so the kets of one class form one block with one
+``GramPair``, and the blocks of the classes on one column set share its
+pivot table.  One ``gram_entries`` call per column set and sample (3 at
+t = 6, 10 at t = 12, against 5 and 27 classes) reduces a random state's
+columns and walks its share of the new null vectors' columns; each block
+adds its kets' share and the couplings for one elimination plan, and each
+ket its shift and phases.  The overlaps' floats come from a per-call
+table, so the loop does no ring arithmetic.  Sample a's random state is
+decoded from the raw words of the PCG64 stream that
+``default_rng(SeedSequence([seed, a]))`` runs on, read ahead in one batch
+that is held as Python ints, and the states of all L streams come from
+one vectorized port of ``SeedSequence``, so no Generator is built per
+sample.  Sampled stdout therefore rests on PCG64's raw stream and on that
+port; ``tests/test_stabilizer.py`` pins both against numpy.
 
 Three engines take a decomposition built by the caller (``catalog``'s
 ``block_decomposition``, then ``extend_with_zeros`` for padding qubits):
@@ -162,8 +165,33 @@ def _diagonal(dec: MagicDecomposition, kets: Sequence[StabilizerState],
     2^r |Pi phi_j|^2, so None marks a term that Pi annihilates.
     """
     terms = dec.terms
-    return [gram_entries([(terms[j][1], kets[j]) for j in members], pair(a, a))
+    return [gram_entries([(pair(a, a),
+                           [(terms[j][1], kets[j]) for j in members])])
             for a, members in enumerate(classes)]
+
+
+def _ket_blocks(kets: Sequence[StabilizerState]
+                ) -> list[tuple[list[tuple[GramPair, list[StabilizerState]]],
+                                list[int]]]:
+    """The kets as ``gram_entries`` takes them against a random state, one
+    call per column set: for each set of columns among the kets, in order
+    of first appearance, the blocks of its classes (``_classes``), each a
+    ``GramPair`` of (the class's first ket, a state with no columns) and
+    the class's kets, and the indices of those kets in block order.  The
+    pairs of one column set share its pivot table, and any random state
+    is one class, so the blocks of a set share one column step."""
+    sets: dict = {}
+    for ls in _classes(kets):
+        sets.setdefault(kets[ls[0]].basis, []).append(ls)
+    out = []
+    for groups in sets.values():
+        first = kets[groups[0][0]]
+        empty = StabilizerState.computational(first.n)
+        table = pivot_table(first, empty)
+        out.append(([(GramPair(kets[ls[0]], empty, table),
+                      [kets[l] for l in ls]) for ls in groups],
+                    [l for ls in groups for l in ls]))
+    return out
 
 
 def _hermitian_sum(dec: MagicDecomposition, kets: Sequence[StabilizerState],
@@ -223,7 +251,8 @@ def _hermitian_sum(dec: MagicDecomposition, kets: Sequence[StabilizerState],
             if not block:
                 continue
             entries = [(terms[j][1], kets[l]) for j, l in block]
-            for (j, l), ks in zip(block, gram_entries(entries, pair(a, b))):
+            values = gram_entries([(pair(a, b), entries)])
+            for (j, l), ks in zip(block, values):
                 if ks is not None:  # most pairs of a Pauli op are zero
                     k, p = ks
                     x = rot[l][k & 1][p]
@@ -299,17 +328,20 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     PCG64 stream of ``default_rng(SeedSequence([seed, a]))``, whose state
     comes from one vectorized pass over all L (``_pcg64_streams``), so the
     loop is order-free; accumulation happens in sample order for
-    reproducibility.  The value thus rests on PCG64's raw stream and the
+    reproducibility.  No one else reads a sample's stream, so its decoder
+    reads ahead.  The value thus rests on PCG64's raw stream and the
     SeedSequence port, which ``tests/test_stabilizer.py`` pins against
-    numpy.  ``std_error`` is the empirical standard error of the
-    mean of the L per-sample terms 2^n |<psi_a|Phi>|^2.
+    numpy.  ``std_error`` is the empirical standard error of the mean of
+    the L per-sample terms 2^n |<psi_a|Phi>|^2, kept in one float64 array.
 
     The kets are 2^-r ``projector_ket``(phi_l) for the terms that Pi does
     not annihilate, in term order.  They are fixed for all L samples, so
-    they are grouped by class (``_classes``), and each group keeps one
-    ``GramPair`` of (ket, a state with no columns): a random state psi's
-    columns are reduced and its null vectors' form built and eliminated
-    once per group (``gram_entries``), and each ket adds only its
+    they are grouped by class (``_classes``), and each group is one block
+    over a ``GramPair`` of (ket, a state with no columns); the blocks of
+    the classes with one column set share its pivot table.  So one
+    ``gram_entries`` call per column set reduces a random state psi's
+    columns and walks psi's share of each new null vector's column, each
+    block builds and eliminates one form, and each ket adds only its
     right-hand side and one evaluation of that plan.  That gives
     <K_l|psi> = sqrt2^k zeta^p, so <psi|K_l> is (k, -p); its float,
     conj(psi.scale) scale_l sqrt2^k zeta^-p, is formed once per
@@ -336,22 +368,29 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     inv = ExactAmplitude(1, 0, 0, 0, 2 * len(proj.factors))
     coeffs = [terms[l][0].to_float() for l in kept]
     kets = [replace(kets[l], scale=kets[l].scale * inv) for l in kept]
-    empty = StabilizerState.computational(n)
-    plan = [(GramPair(kets[ls[0]], empty, pivot_table(kets[ls[0]], empty)),
-             ls) for ls in _classes(kets)]
+    steps = _ket_blocks(kets)
     overlaps: dict = {}  # psi.scale -> {(l, (k, p) or None): <psi|K_l>}
     x = [0j] * len(kets)
     dim = float(1 << n)
     total = 0.0
-    squares = []
+    squares = np.empty(big_l)
+    # each stream is read by its state's decoder alone, so one read ahead
+    # covers most states: those words would draw a full-support state in
+    # four rank-rejection attempts
     bg = np.random.PCG64(0)
-    for stream in _pcg64_streams(seed, big_l):
+    ahead = (n * (n + 9) + 4) // 4
+
+    def words(k: int) -> np.ndarray:
+        return bg.random_raw(max(k, ahead))
+
+    for a, stream in enumerate(_pcg64_streams(seed, big_l)):
         bg.state = stream
-        psi = random_stabilizer_state(n, RawDraws(bg.random_raw))
+        psi = random_stabilizer_state(n, RawDraws(words))
         overlap = overlaps.setdefault(psi.scale, {})
-        for pair, ls in plan:
-            entries = [(kets[l], psi) for l in ls]
-            for l, ks in zip(ls, gram_entries(entries, pair)):
+        for blocks, ls in steps:
+            values = gram_entries([(pair, [(ket, psi) for ket in group])
+                                   for pair, group in blocks])
+            for l, ks in zip(ls, values):
                 v = overlap.get((l, ks))
                 if v is None:
                     v = overlap[l, ks] = _overlap_float(psi, kets[l], ks)
@@ -360,7 +399,7 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
         for c, v in zip(coeffs, x):
             amp += c * v
         sq = abs(amp) ** 2
-        squares.append(sq)
+        squares[a] = sq
         total += sq
     se = (dim * float(np.std(squares, ddof=1)) / math.sqrt(big_l)
           if big_l > 1 else None)

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 import tmagic
 from tmagic import strong_sim
 from tmagic.catalog import block_decomposition, catalog_entry, t12_decomposition
-from tmagic.gf2 import solve_columns
-from tmagic.pauli import PauliProjector, random_pauli
-from tmagic.phase_ring import ZERO, sqrt2_root
+from tmagic.gf2 import rank_of, solve_columns
+from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
+from tmagic.phase_ring import ZERO, ExactAmplitude, sqrt2_root
 from tmagic import stabilizer
 from tmagic.stabilizer import (GramPair, RawDraws, StabilizerState,
                                apply_pauli_state, gram_entries, inner_product,
@@ -98,7 +98,7 @@ class TestGroupedOverlaps:
                 empty = StabilizerState.computational(n)
                 pair = GramPair(base, empty, pivot_table(base, empty))
                 empty_sides += base.m == 0 or psi.m == 0
-                got = gram_entries([(ket, psi) for ket in group], pair)
+                got = gram_entries([(pair, [(ket, psi) for ket in group])])
                 for ket, ks in zip(group, got):
                     want = inner_product(ket, psi)
                     assert want == reference_kernel.inner_product(ket, psi)
@@ -113,6 +113,61 @@ class TestGroupedOverlaps:
         assert entries >= 250
         assert consistent > entries // 2
         assert empty_sides >= 20
+
+
+class TestColumnSetBlocks:
+    """``gram_entries`` over the blocks of one column set, as the sampled
+    estimator calls it (``strong_sim._ket_blocks``): one column step, and
+    one walk of the random state's share of the new null vectors, for all
+    the ket classes on the set.  Each ket's (k, p) must be what one call
+    per class gives, and ring-equal to ``inner_product``."""
+
+    def test_matches_one_call_per_class_and_inner_product(self):
+        rng = np.random.default_rng(2034)
+        draws = RawDraws(np.random.PCG64(2035).random_raw)
+        shared = dependent = entries = consistent = 0
+        for n in range(1, 9):
+            # the catalog terms for t <= 6, and their tensor products above
+            terms = [s for _, s in block_decomposition(n).terms]
+            for m in range(n + 1):
+                psi = _state_of_dimension(n, m, draws)
+                assert psi.m == m
+                for nf in (1, 2, 3):
+                    # the first factor's column lies in one term's span
+                    cols = terms[int(rng.integers(len(terms)))].basis
+                    x = 0
+                    for col in cols:
+                        x ^= col * int(rng.integers(0, 2))
+                    paulis = [_pauli_with_x(n, x, rng)]
+                    paulis += [random_pauli(n, rng) for _ in range(nf - 1)]
+                    factors = [(p, 1 - 2 * int(rng.integers(0, 2)))
+                               for p in paulis]
+                    kets = [projector_ket(s, factors) for s in terms]
+                    dependent += sum(rank_of(k.basis) < k.m for k in kets)
+                    steps = strong_sim._ket_blocks(kets)
+                    assert sorted(l for _, ls in steps for l in ls) == list(
+                        range(len(kets)))
+                    for blocks, ls in steps:
+                        got = gram_entries([(pair, [(ket, psi) for ket in group])
+                                            for pair, group in blocks])
+                        alone = [ks for pair, group in blocks
+                                 for ks in gram_entries(
+                                     [(pair, [(ket, psi) for ket in group])])]
+                        assert got == alone, (n, m, nf)
+                        shared += len(blocks) > 1
+                        for l, ks in zip(ls, got):
+                            ket = kets[l]
+                            want = inner_product(ket, psi)
+                            entries += 1
+                            if ks is None:
+                                assert want == ZERO, (n, m, nf, l)
+                                continue
+                            consistent += 1
+                            k, p = ks
+                            assert (ket.scale.conj() * psi.scale
+                                    * sqrt2_root(k, p) == want), (n, m, nf, l)
+        assert shared >= 100 and dependent >= 100
+        assert consistent > entries // 2
 
 
 class TestClassBlocks:
@@ -132,7 +187,7 @@ class TestClassBlocks:
             for b, ls in enumerate(classes):
                 block = [(j, l) for j in js for l in ls]
                 out.update(zip(block, gram_entries(
-                    [(states[j], kets[l]) for j, l in block], pair(a, b))))
+                    [(pair(a, b), [(states[j], kets[l]) for j, l in block])])))
         return out
 
     @classmethod
@@ -239,6 +294,26 @@ def _factors(n, rng):
     """One to three random Hermitian projector factors with random signs."""
     return [(random_pauli(n, rng), 1 - 2 * int(rng.integers(0, 2)))
             for _ in range(int(rng.integers(1, 4)))]
+
+
+def _pauli_with_x(n, x, rng):
+    """A random Hermitian Pauli whose X and Y sites are those of x."""
+    y = x & int(rng.integers(0, 1 << n))
+    z = ~x & int(rng.integers(0, 1 << n))
+    return PauliOperator(n, beta=z, gamma=x & ~y, delta=y)
+
+
+def _state_of_dimension(n, m, draws):
+    """A seeded random state on m columns: a full-support draw restricted
+    to u_a = 0 on all but its first m columns, rescaled to norm 1."""
+    while True:
+        s = random_stabilizer_state(n, draws)
+        if s.m == n:
+            break
+    low = (1 << m) - 1
+    return StabilizerState(n, s.basis[:m], s.shift,
+                           tuple(row & low for row in s.bmat[:m]),
+                           s.dvec[:m], s.c, ExactAmplitude(1, 0, 0, 0, m))
 
 
 def _partners(s, rng):

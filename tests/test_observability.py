@@ -105,12 +105,14 @@ def test_sampled_op_kernel_calls(monkeypatch, capsys, operator, plans,
     # the kets are projector_kets, so nothing is projected and nothing
     # calls solve_columns: the diagonal pass, one gram_entries call and one
     # plan per class of the 7 terms (5), finds every term kept with 7
-    # evaluations; then one plan per (random state, ket group) block
-    # with a consistent entry, built on the block's extended form, 293 and
-    # 295 of the 60 x 5 blocks, and one evaluation per consistent (psi,
-    # ket) pair, 413 and 414; one random state per sample.  The cache
-    # starts cold: a diagonal block whose factor column closes no null
-    # vector uses, and keeps, the pair's own plan
+    # evaluations; then one gram_entries call, and so one column step, per
+    # (random state, column set of the kets), 3 sets for the 5 classes,
+    # one plan per (random state, ket class) block with a consistent
+    # entry, built on the block's extended form, 293 and 295 of the 60 x 5
+    # blocks, and one evaluation per consistent (psi, ket) pair, 413 and
+    # 414; one random state per sample.  The cache starts cold: a diagonal
+    # block whose factor column closes no null vector uses, and keeps, the
+    # pair's own plan
     monkeypatch.setattr(tmagic.strong_sim, "_GRAM_PAIRS", {})
     log = {name: _record(monkeypatch, owner, name) for owner, name in (
         (tmagic.stabilizer, "exponential_sum"),
@@ -122,7 +124,7 @@ def test_sampled_op_kernel_calls(monkeypatch, capsys, operator, plans,
     main(["expect", "--t", "6", "--mode", "sampled", "--seed", "11",
           "--samples", "60", *operator])
     assert '"inner_products": 420' in capsys.readouterr().out
-    assert len(log["gram_entries"]) == 5 + 60 * 5
+    assert len(log["gram_entries"]) == 5 + 60 * 3
     assert [len(ks) for ks in log["gram_entries"][:5]] == [2, 2, 1, 1, 1]
     assert not any(None in ks for ks in log["gram_entries"][:5])
     assert len(log["exponential_sum"]) == plans

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tmagic.dense import apply_pauli, apply_projector, dense_magic_state
+from tmagic import gf2
 from tmagic.gf2 import from_str, parity, revbits
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
 from tmagic.phase_ring import (INV_SQRT2, ExactAmplitude, ONE, ZERO,
@@ -589,6 +590,41 @@ class TestNumpyStream:
                     assert bg.state["state"] == st["state"], (trial, step, kind)
                     assert draws.half == (st["uinteger"] if st["has_uint32"]
                                           else None), (trial, step, kind)
+
+    @pytest.mark.parametrize("batch", [1, 7, 16, 64])
+    def test_read_ahead_sources(self, monkeypatch, batch):
+        # a source that hands over ``batch`` words whatever the decoder asks
+        # for, as a stream only the decoder reads may: the values must not
+        # depend on how far it reads.  Rank rejections, 32- and 64-bit
+        # Lemire rejections (about 1/2 and 1/16 of the draws at these
+        # bounds) and byte-path rejections spill past a batch
+        ranks = []
+        rank_of = gf2.rank_of
+        monkeypatch.setattr(gf2, "rank_of",
+                            lambda cols: ranks.append(1) or rank_of(cols))
+        meta = np.random.default_rng([20261020, batch])
+        bounds = (2 ** 31 + 11, 3 * 2 ** 60 + 1, 2 ** 62 + 1)
+        states = 0
+        for trial in range(40):
+            bg = np.random.PCG64(trial)
+            draws = RawDraws(lambda k: bg.random_raw(batch))
+            twin = np.random.default_rng(trial)
+            for step in range(8):
+                if step % 2:
+                    bound = bounds[int(meta.integers(len(bounds)))]
+                    got = draws.below(bound)
+                    want = reference_kernel.numpy_randbelow(twin, bound)
+                else:
+                    n = self.STATE_NS[int(meta.integers(len(self.STATE_NS)))]
+                    got = random_stabilizer_state(n, draws)
+                    want = reference_kernel.numpy_random_stabilizer_state(
+                        n, twin)
+                    states += 1
+                assert got == want, (trial, step)
+            if batch == 1:  # reads no word ahead: numpy's stream position
+                assert bg.state["state"] == twin.bit_generator.state["state"]
+        # the decoder's rank tests: one per attempt, so rejections happened
+        assert len(ranks) > 2 * states
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 1,
                                       2 ** 100])
