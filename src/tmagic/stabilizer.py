@@ -322,7 +322,8 @@ def _extend_form(sa: StabilizerState, sb: StabilizerState, null: list[int],
     class and v_k.  ``half`` keeps those shares: a caller that extends
     several forms by the same null vectors, against states of one class
     as sb, passes them one list, and only the first form walks sb's side
-    (the blocks of one ``gram_entries`` call).  These read only the two
+    (the blocks of one ket class in a ``gram_entries`` call; a new ket
+    class gets a new list).  These read only the two
     states' cross data and ``odd`` masks, not the base point (``_entry``
     adds that part).  No transpose of V is formed.
     """
@@ -469,7 +470,8 @@ class GramPair:
         ``null`` and then the null vectors that the further columns of a
         ket sb of the block's class close: the kept one when there are
         none, else one built on an extended copy of the form, sharing
-        ``half`` (``_extend_form``) with the other blocks of the call."""
+        ``half`` (``_extend_form``) with the call's other blocks of sb's
+        class."""
         if len(null) == len(self.null):
             if self._plan is None:
                 self._plan = exponential_sum(*self.form(), null)
@@ -504,20 +506,42 @@ def gram_entries(blocks: Sequence[tuple[GramPair, Sequence[Entry]]]
     one ``plan_value`` (the right-hand-side step).  No form is copied per
     entry.
 
-    The blocks share more: their pairs one pivot table, and their kets
-    one class, as the sampled estimator's blocks of one random state and
-    of projector kets on one column set do.  So the column step is done
-    once per call, and so is the kets' share of the new null vectors'
-    columns (``_extend_form``); each block's plan adds only its bras'
-    share and the couplings.
+    The blocks of one call share more: their pairs are built on one pair of
+    bases, so they share one pivot table, and their kets lie on one column
+    set.  So the column step is done once per call.  The kets of blocks
+    whose pairs share their second state must share one class, as the
+    exact engine's blocks of one ket class and the sampled estimator's
+    blocks of one random state do.  A run of such blocks walks the kets'
+    share of the new null vectors' columns (``_extend_form``) once, and
+    each block's plan adds only its bras' share and the couplings; the
+    share is walked afresh where the pair's second state changes, so
+    callers put the blocks of one ket class next to each other.  A block
+    whose pair is on other bases than the first block's, or whose first
+    ket is on another column set than the first block's, raises
+    ValueError.
     """
     pair, entries = blocks[0]
-    ket = entries[0][1]
-    vecs, masks, new = pair.columns(ket.basis[pair.mb:])
+    sa, sb = pair._states
+    basis_a, basis_b, kets = sa.basis, sb.basis, entries[0][1].basis
+    vecs, masks, new = pair.columns(kets[pair.mb:])
     null = pair.null + new if new else pair.null
-    half: list[tuple[int, int]] = []
+    second = None
     out: list[Optional[tuple[int, int]]] = []
     for pair, entries in blocks:
+        sa, sb = pair._states
+        if sb is not second:  # a new ket class: walk its share afresh
+            second = sb
+            half: list[tuple[int, int]] = []
+            if sb.basis is not basis_b and sb.basis != basis_b:
+                raise ValueError("gram_entries: a block's pair is on other "
+                                 "bases than the first block's")
+        if sa.basis is not basis_a and sa.basis != basis_a:
+            raise ValueError("gram_entries: a block's pair is on other bases "
+                             "than the first block's")
+        ket = entries[0][1]
+        if ket.basis is not kets and ket.basis != kets:
+            raise ValueError("gram_entries: a block's kets are on another "
+                             "column set than the first block's")
         plan = None
         for bra, ket in entries:
             v, part = reduce_column(vecs, masks, bra.shift ^ ket.shift, 0)

@@ -13,13 +13,18 @@ Pi = prod_i (I + s_i P_i)/2 is never applied to a state: <phi_j|Pi|phi_l>
 What does not depend on the operator, the pivot table, null basis and
 pulled-back form, depends only on the class of each raw state, its
 columns, cross data and ``odd`` mask (``_classes``).  So the entries of
-one pair of classes share one ``GramPair``, one column step and one
-elimination plan (``gram_entries``), and each entry adds only its
-right-hand side and a few parities read off the plan: the 1128 entries at
-t = 12 fall into 398 blocks, one per ordered pair of the 27 classes of its
-47 terms that has an entry.  A Pauli's kets add no columns, so its blocks
-use the plan kept with the pair, and a repeated Pauli op eliminates
-nothing; a projector's blocks build one plan each.  The upper triangle is
+one pair of classes share one ``GramPair`` and one elimination plan
+(``gram_entries``), and each entry adds only its right-hand side and a
+few parities read off the plan: the 1128 entries at t = 12 fall into 414
+blocks, 27 on the diagonal and 387 above it, one per ordered pair of the
+27 classes of its 47 terms that has an entry.  The classes lie on 10
+column sets (``_column_sets``), and the blocks of one pair of column sets
+share one ``gram_entries`` call, so one column step: 80 calls per
+operator, 10 on the diagonal and 70 above it.  A Pauli's kets add no
+columns, so its blocks use the plan kept with the pair, and a repeated
+Pauli op eliminates nothing; a projector's blocks build one plan each,
+and the blocks of one ket class in a call walk its kets' share of the new
+null vectors once.  The upper triangle is
 summed row by row as integer numerators over one power of sqrt2, so its
 entries cost no ring product.  The pairs of a catalog entry
 (``catalog_entry``) are cached for the life of the process, at most
@@ -154,43 +159,59 @@ def _gram_pairs(dec: MagicDecomposition, classes: list[list[int]]
     return lookup
 
 
+def _column_sets(states: Sequence[StabilizerState], classes: list[list[int]]
+                 ) -> list[list[int]]:
+    """The indices of ``classes`` (``_classes`` of ``states``) grouped by
+    their states' columns, in order of first appearance.  The classes of
+    one column set share its pivot tables, so their blocks can share one
+    ``gram_entries`` call."""
+    sets: dict = {}
+    for a, members in enumerate(classes):
+        sets.setdefault(states[members[0]].basis, []).append(a)
+    return list(sets.values())
+
+
 def _diagonal(dec: MagicDecomposition, kets: Sequence[StabilizerState],
               classes: list[list[int]], pair: Callable[[int, int], GramPair]
-              ) -> list[list[Optional[tuple[int, int]]]]:
+              ) -> list[Optional[tuple[int, int]]]:
     """<phi_j|k_j> for every term j, as ``gram_entries``' (k, p) or None,
-    per class of ``classes`` and in its order: one call per class, over
-    the pair (a, a) from ``_gram_pairs``.
+    in term order: one call per column set of dec's terms, with one block
+    per class a of the set, over the pair (a, a) from ``_gram_pairs``.
 
     For a projector ket k_j = ``projector_ket``(phi_j), the entry is
     2^r |Pi phi_j|^2, so None marks a term that Pi annihilates.
     """
     terms = dec.terms
-    return [gram_entries([(pair(a, a),
-                           [(terms[j][1], kets[j]) for j in members])])
-            for a, members in enumerate(classes)]
+    out: list[Optional[tuple[int, int]]] = [None] * len(terms)
+    for group in _column_sets([s for _, s in terms], classes):
+        values = gram_entries([(pair(a, a), [(terms[j][1], kets[j])
+                                             for j in classes[a]])
+                               for a in group])
+        for j, ks in zip([j for a in group for j in classes[a]], values):
+            out[j] = ks
+    return out
 
 
 def _ket_blocks(kets: Sequence[StabilizerState]
                 ) -> list[tuple[list[tuple[GramPair, list[StabilizerState]]],
                                 list[int]]]:
     """The kets as ``gram_entries`` takes them against a random state, one
-    call per column set: for each set of columns among the kets, in order
-    of first appearance, the blocks of its classes (``_classes``), each a
-    ``GramPair`` of (the class's first ket, a state with no columns) and
-    the class's kets, and the indices of those kets in block order.  The
-    pairs of one column set share its pivot table, and any random state
-    is one class, so the blocks of a set share one column step."""
-    sets: dict = {}
-    for ls in _classes(kets):
-        sets.setdefault(kets[ls[0]].basis, []).append(ls)
+    call per column set: for each set of columns among the kets
+    (``_column_sets``), the blocks of its classes, each a ``GramPair`` of
+    (the class's first ket, a state with no columns) and the class's
+    kets, and the indices of those kets in block order.  The pairs of one
+    column set share its pivot table and their second state, and any
+    random state is one class, so the blocks of a set share one column
+    step and one walk of the random state's share."""
+    classes = _classes(kets)
     out = []
-    for groups in sets.values():
-        first = kets[groups[0][0]]
+    for group in _column_sets(kets, classes):
+        first = kets[classes[group[0]][0]]
         empty = StabilizerState.computational(first.n)
         table = pivot_table(first, empty)
-        out.append(([(GramPair(kets[ls[0]], empty, table),
-                      [kets[l] for l in ls]) for ls in groups],
-                    [l for ls in groups for l in ls]))
+        out.append(([(GramPair(kets[classes[a][0]], empty, table),
+                      [kets[l] for l in classes[a]]) for a in group],
+                    [l for a in group for l in classes[a]]))
     return out
 
 
@@ -198,38 +219,43 @@ def _hermitian_sum(dec: MagicDecomposition, kets: Sequence[StabilizerState],
                    weight: ExactAmplitude = ONE, positive: bool = False
                    ) -> SimulationResult:
     """weight * sum_{j,l} conj(c_j) c_l <phi_j|k_l> over a Hermitian Gram
-    matrix, one ``gram_entries`` call per block of entries that share a
-    class pair.
+    matrix, one ``gram_entries`` call per pair of column sets.
 
     ``kets[l]`` is term l shifted by a Pauli or extended by projector
     factors, so it keeps the class of term l up to the factors' columns.
     The caller guarantees <phi_l|k_j> = conj(<phi_j|k_l>), so only the
     diagonal D and the upper triangle S are evaluated, chi(chi+1)/2
     entries in all, and the sum is D + S + conj(S).  The diagonal goes
-    class by class, and the upper triangle ordered class pair by ordered
-    class pair: each block does the column step once and the
-    right-hand-side step per entry.  Each diagonal entry must be real; one
-    that is not means the operator is not Hermitian.  With ``positive``
-    the Gram matrix is positive semidefinite (a projector's), so a zero
-    diagonal entry zeroes its row and column and only the kept terms'
-    pairs are evaluated and counted.  An upper-triangle entry does no ring
-    arithmetic: row j is sum_l coef_l sqrt2^k zeta^p with coef_l = weight
-    c_l scale(k_l), kept as four integers over one sqrt2^e, and an entry
-    adds ``_rotations``' coef_l sqrt2^(k mod 2) zeta^p shifted by k // 2.
-    Each row is made canonical and multiplied by conj(c_j scale(phi_j))
-    once; the diagonal keeps one ring product per entry.  The sum is
-    exact, so neither the block order nor the integer rows change a bit
-    of the value.
+    one call per column set (``_diagonal``), and the upper triangle one
+    call per ordered pair (bra column set, ket column set) that has an
+    entry, holding a block per (bra class, ket class) pair on the two
+    sets, grouped by ket class: the call does the column step once, each
+    ket class walks its kets' share of the new null vectors once, and
+    each entry does the right-hand-side step.  Each diagonal entry must
+    be real; one that is not means the operator is not Hermitian.  With
+    ``positive`` the Gram matrix is positive semidefinite (a
+    projector's), so a zero diagonal entry zeroes its row and column and
+    only the kept terms' pairs are evaluated and counted.  An
+    upper-triangle entry does no ring arithmetic: row j is sum_l coef_l
+    sqrt2^k zeta^p with coef_l = weight c_l scale(k_l), kept as four
+    integers over one sqrt2^e, and an entry adds ``_rotations``' coef_l
+    sqrt2^(k mod 2) zeta^p shifted by k // 2.  Each row is made canonical
+    and multiplied by conj(c_j scale(phi_j)) once; the diagonal keeps one
+    ring product per entry.  The sum is exact, so neither the block order
+    nor the integer rows change a bit of the value.
     """
     terms = dec.terms
-    classes = _classes([s for _, s in terms])
+    states = [s for _, s in terms]
+    classes = _classes(states)
     pair = _gram_pairs(dec, classes)
     coef = [weight * c * ket.scale for (c, _), ket in zip(terms, kets)]
     diag = ZERO
     kept = []  # per class, its kept terms in ascending order
-    for members, values in zip(classes, _diagonal(dec, kets, classes, pair)):
+    values = _diagonal(dec, kets, classes, pair)
+    for members in classes:
         kept_a = []
-        for j, ks in zip(members, values):
+        for j in members:
+            ks = values[j]
             if ks is not None:
                 cj, bra = terms[j]
                 g = (cj * bra.scale).conj() * (coef[j] * sqrt2_root(*ks))
@@ -245,14 +271,23 @@ def _hermitian_sum(dec: MagicDecomposition, kets: Sequence[StabilizerState],
     e = max(c.e for c in coef) + 1
     rot = [_rotations(c, e) for c in coef]
     rows = [[0, 0, 0, 0] for _ in terms]
-    for a, js in enumerate(kept):
-        for b, ls in enumerate(kept):
-            block = [(j, l) for j in js for l in ls[bisect_right(ls, j):]]
-            if not block:
+    sets = _column_sets(states, classes)
+    for bras in sets:
+        for ket_set in sets:
+            blocks = []
+            jls = []
+            for b in ket_set:
+                ls = kept[b]
+                for a in bras:
+                    block = [(j, l) for j in kept[a]
+                             for l in ls[bisect_right(ls, j):]]
+                    if block:
+                        blocks.append((pair(a, b), [(terms[j][1], kets[l])
+                                                    for j, l in block]))
+                        jls += block
+            if not blocks:
                 continue
-            entries = [(terms[j][1], kets[l]) for j, l in block]
-            values = gram_entries([(pair(a, b), entries)])
-            for (j, l), ks in zip(block, values):
+            for (j, l), ks in zip(jls, gram_entries(blocks)):
                 if ks is not None:  # most pairs of a Pauli op are zero
                     k, p = ks
                     x = rot[l][k & 1][p]
@@ -361,8 +396,7 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     classes = _classes([s for _, s in terms])
     kets = [projector_ket(s, proj.factors) for _, s in terms]
     diag = _diagonal(dec, kets, classes, _gram_pairs(dec, classes))
-    kept = sorted(j for members, values in zip(classes, diag)
-                  for j, ks in zip(members, values) if ks is not None)
+    kept = [j for j, ks in enumerate(diag) if ks is not None]
     # K_l 2^-r = Pi|phi_l>, with 2^-r in the ring scale, so each overlap's
     # float comes from one canonical ring value
     inv = ExactAmplitude(1, 0, 0, 0, 2 * len(proj.factors))

@@ -11,11 +11,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import tmagic
 from tmagic import strong_sim
-from tmagic.catalog import block_decomposition, catalog_entry, t12_decomposition
+from tmagic.catalog import (block_decomposition, catalog_entry,
+                            extend_with_zeros, read_catalog_file,
+                            t12_decomposition, write_catalog_file)
 from tmagic.gf2 import rank_of, solve_columns
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
 from tmagic.phase_ring import ZERO, ExactAmplitude, sqrt2_root
@@ -171,10 +174,11 @@ class TestColumnSetBlocks:
 
 
 class TestClassBlocks:
-    """``gram_entries`` as the exact engine uses it: one call per ordered
-    pair of term classes, over that pair's ``GramPair`` (cached for a
-    catalog entry, per call otherwise), ring-equal to ``inner_product``
-    on every (bra, ket) entry, not only the upper triangle."""
+    """``gram_entries`` with one block per call, one call per ordered pair
+    of term classes, over that pair's ``GramPair`` (cached for a catalog
+    entry, per call otherwise), ring-equal to ``inner_product`` on every
+    (bra, ket) entry, not only the upper triangle.  ``TestColumnSetPairCalls``
+    groups the blocks as the exact engine does."""
 
     @staticmethod
     def _block_values(dec, kets):
@@ -290,6 +294,110 @@ class TestClassBlocks:
         assert strong_sim._GRAM_PAIRS == {}
 
 
+class TestColumnSetPairCalls:
+    """``gram_entries`` as the exact engine calls it (``_diagonal``,
+    ``_hermitian_sum``): one call per ordered pair of column sets, with a
+    block per (bra class, ket class) pair on the two sets, grouped by ket
+    class, so the call shares one column step and each ket class one walk
+    of its kets' share.  Every entry's (k, p) must be what one call per
+    block gives, and ring-equal to ``inner_product``; here on every
+    (bra, ket) entry, not only the upper triangle."""
+
+    @staticmethod
+    def _check_calls(dec, kets):
+        states = [s for _, s in dec.terms]
+        classes = strong_sim._classes(states)
+        sets = strong_sim._column_sets(states, classes)
+        assert sorted(a for group in sets for a in group) == list(
+            range(len(classes)))
+        pair = strong_sim._gram_pairs(dec, classes)
+        grouped = nonzero = 0
+        for bras in sets:
+            for ket_set in sets:
+                blocks, jls = [], []
+                for b in ket_set:
+                    for a in bras:
+                        block = [(j, l) for j in classes[a] for l in classes[b]]
+                        blocks.append((pair(a, b), [(states[j], kets[l])
+                                                    for j, l in block]))
+                        jls += block
+                got = gram_entries(blocks)
+                alone = [ks for block in blocks for ks in gram_entries([block])]
+                assert got == alone
+                grouped += len(ket_set) > 1 and len(bras) > 1
+                for (j, l), ks in zip(jls, got):
+                    want = inner_product(states[j], kets[l])
+                    if ks is None:
+                        assert want == ZERO, (j, l)
+                        continue
+                    nonzero += 1
+                    k, p = ks
+                    assert (states[j].scale.conj() * kets[l].scale
+                            * sqrt2_root(k, p) == want), (j, l)
+        return grouped, nonzero
+
+    @pytest.mark.parametrize("t", [6, 12])
+    def test_catalog_terms_match_one_call_per_block(self, t, monkeypatch):
+        monkeypatch.setattr(strong_sim, "_GRAM_PAIRS", {})
+        rng = np.random.default_rng(2040 + t)
+        dec = catalog_entry(t)
+        states = [s for _, s in dec.terms]
+        grouped = nonzero = dependent = 0
+        ket_lists = [[apply_pauli_state(s, p) for s in states]
+                     for p in (random_pauli(t, rng), random_pauli(t, rng))]
+        for nf in (1, 2, 3):
+            for in_span in (False, True):
+                factors = []
+                if in_span:  # the first factor's column lies in span(G_j)
+                    x = 0
+                    for col in states[int(rng.integers(len(states)))].basis:
+                        x ^= col * int(rng.integers(0, 2))
+                    factors.append((_pauli_with_x(t, x, rng), 1))
+                while len(factors) < nf:
+                    factors.append((random_pauli(t, rng),
+                                    1 - 2 * int(rng.integers(0, 2))))
+                kets = [projector_ket(s, factors) for s in states]
+                dependent += sum(rank_of(k.basis) < k.m for k in kets)
+                ket_lists.append(kets)
+        for kets in ket_lists:
+            g, z = self._check_calls(dec, kets)
+            grouped += g
+            nonzero += z
+        assert grouped > 0 and nonzero > 0 and dependent > 0
+
+    @pytest.mark.parametrize("build", ["policy6_t12", "t3_padded_to_5", "t14",
+                                       "catalog_file"])
+    def test_uncached_exact_values_ring_equal(self, build, monkeypatch,
+                                              tmp_path):
+        # these decompositions are no catalog entry, so their pairs are
+        # built per call and never cached
+        monkeypatch.setattr(strong_sim, "_GRAM_PAIRS", {})
+        if build == "policy6_t12":
+            dec = block_decomposition(12, policy=(6,))
+        elif build == "t3_padded_to_5":
+            dec = extend_with_zeros(block_decomposition(3), 5)
+        elif build == "t14":
+            dec = block_decomposition(14)
+        else:
+            path = tmp_path / "t12.txt"
+            with open(path, "w") as fh:
+                write_catalog_file(catalog_entry(12), fh)
+            dec = read_catalog_file(str(path))
+            assert dec == catalog_entry(12) and dec is not catalog_entry(12)
+        rng = np.random.default_rng(2050)
+        n = dec.n
+        for nf in (0, 1, 2, 3):
+            if nf == 0:
+                p = random_pauli(n, rng)
+                assert (strong_sim.exact_pauli_expectation(dec, p).exact_value
+                        == reference_kernel.exact_pauli_expectation(dec, p))
+                continue
+            proj = TestClassBlocks._projector(n, nf, rng)
+            assert (strong_sim.exact_expectation(dec, proj).exact_value
+                    == reference_kernel.exact_expectation(dec, proj))
+        assert strong_sim._GRAM_PAIRS == {}
+
+
 def _factors(n, rng):
     """One to three random Hermitian projector factors with random signs."""
     return [(random_pauli(n, rng), 1 - 2 * int(rng.integers(0, 2)))
@@ -391,6 +499,17 @@ check("non-real-gauss", lambda: _sum_terms(1, [(eighth_root(1), 1)], False))
 p9 = PauliOperator.from_str("XYZ" * 3)
 check("three-block-chain", lambda: _group_blocks(
     [_Block3(p9, 3 * i, i) for i in range(3)]))
+from tmagic.catalog import catalog_entry
+from tmagic.stabilizer import GramPair, gram_entries, pivot_table
+s6 = [s for _, s in catalog_entry(6).terms]
+a = s6[0]
+b = next(s for s in s6 if s.basis != a.basis)
+aa = GramPair(a, a, pivot_table(a, a))
+check("block-bra-bases", lambda: gram_entries(
+    [(aa, [(a, a)]), (GramPair(b, a, pivot_table(b, a)), [(b, a)])]))
+check("block-ket-bases", lambda: gram_entries(
+    [(aa, [(a, a)]), (GramPair(a, b, pivot_table(a, b)), [(a, b)])]))
+check("block-kets", lambda: gram_entries([(aa, [(a, a)]), (aa, [(a, b)])]))
 """
     src = str(Path(tmagic.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -403,7 +522,8 @@ check("three-block-chain", lambda: _group_blocks(
     assert set(got) == {"odd-dvec", "short-bmat", "bmat-diagonal",
                         "factor-sign", "factor-qubits", "non-hermitian-pauli",
                         "non-real-diagonal", "non-hermitian-factor",
-                        "non-real-gauss", "three-block-chain"}
+                        "non-real-gauss", "three-block-chain",
+                        "block-bra-bases", "block-ket-bases", "block-kets"}
     for label, result in got.items():
         assert result.startswith("ValueError"), (label, result)
     assert "dvec" in got["odd-dvec"]
@@ -415,3 +535,6 @@ check("three-block-chain", lambda: _group_blocks(
     assert "must be Hermitian" in got["non-hermitian-factor"]
     assert "non-real" in got["non-real-gauss"]
     assert "got 3" in got["three-block-chain"]
+    assert "other bases" in got["block-bra-bases"]
+    assert "other bases" in got["block-ket-bases"]
+    assert "another column set" in got["block-kets"]

@@ -103,9 +103,10 @@ def test_repeated_t12_pauli_op_builds_no_plan(monkeypatch, capsys):
 def test_sampled_op_kernel_calls(monkeypatch, capsys, operator, plans,
                                  evaluated, zeros):
     # the kets are projector_kets, so nothing is projected and nothing
-    # calls solve_columns: the diagonal pass, one gram_entries call and one
-    # plan per class of the 7 terms (5), finds every term kept with 7
-    # evaluations; then one gram_entries call, and so one column step, per
+    # calls solve_columns: the diagonal pass, one gram_entries call per
+    # column set of the 7 terms (3, holding 2, 4 and 1 terms) and one plan
+    # per class (5), finds every term kept with 7 evaluations; then one
+    # gram_entries call, and so one column step, per
     # (random state, column set of the kets), 3 sets for the 5 classes,
     # one plan per (random state, ket class) block with a consistent
     # entry, built on the block's extended form, 293 and 295 of the 60 x 5
@@ -124,15 +125,44 @@ def test_sampled_op_kernel_calls(monkeypatch, capsys, operator, plans,
     main(["expect", "--t", "6", "--mode", "sampled", "--seed", "11",
           "--samples", "60", *operator])
     assert '"inner_products": 420' in capsys.readouterr().out
-    assert len(log["gram_entries"]) == 5 + 60 * 3
-    assert [len(ks) for ks in log["gram_entries"][:5]] == [2, 2, 1, 1, 1]
-    assert not any(None in ks for ks in log["gram_entries"][:5])
+    assert len(log["gram_entries"]) == 3 + 60 * 3
+    assert [len(ks) for ks in log["gram_entries"][:3]] == [2, 4, 1]
+    assert not any(None in ks for ks in log["gram_entries"][:3])
     assert len(log["exponential_sum"]) == plans
     assert len(log["plan_value"]) == evaluated
     assert log["plan_value"].count(None) == zeros
     assert len(log["random_stabilizer_state"]) == 60
     assert log["solve_columns"] == []
     assert len(log["rank_of"]) == 138
+
+
+@pytest.mark.parametrize("operator, plans", [
+    (["--pauli=-1:IIXYXIXIIYXI"], 255),
+    (["--projector=-ZIZXYXYXYYIY,+YXZIYIXZXXZX,+IIIYZZYXZXYZ"], 406),
+])
+def test_exact_t12_op_call_structure(monkeypatch, capsys, operator, plans):
+    # the 47 terms fall into 27 classes on 10 column sets, and this
+    # projector annihilates no term: the diagonal makes one gram_entries
+    # call per column set (10) and the upper triangle one per ordered pair
+    # of column sets with an entry (70), each with one column step, over
+    # the 27 + 387 class-pair blocks.  The plans, one per block with a
+    # consistent entry, are those of one call per block; the cache
+    # starts cold
+    monkeypatch.setattr(tmagic.strong_sim, "_GRAM_PAIRS", {})
+    calls = []
+    gram_entries = tmagic.strong_sim.gram_entries
+
+    def counted(blocks):
+        calls.append(len(blocks))
+        return gram_entries(blocks)
+    monkeypatch.setattr(tmagic.strong_sim, "gram_entries", counted)
+    columns = _record(monkeypatch, tmagic.stabilizer.GramPair, "columns")
+    built = _record(monkeypatch, tmagic.stabilizer, "exponential_sum")
+    main(["expect", "--t", "12", "--mode", "exact", *operator])
+    assert '"inner_products": 1128' in capsys.readouterr().out
+    assert len(calls) == 80 == len(columns)
+    assert sum(calls[:10]) == 27 and sum(calls) == 414
+    assert len(built) == plans
 
 
 def test_random_state_reaches_rank_of(monkeypatch):
