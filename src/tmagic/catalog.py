@@ -2,7 +2,8 @@
 
 The catalog holds the minimal known decompositions at T-counts 1, 2, 3, 6
 and 12 (2, 2, 3, 7 and 47 terms), plus tensor composition, zero-padding and
-a greedy block cover for arbitrary T-counts.  Coefficients and phase data
+the tensor over the greedy block cover (``tmagic.blocks``, which also holds
+the term-count table) for arbitrary T-counts.  Coefficients and phase data
 are pinned by one requirement: each entry must reconstruct its dense
 Kronecker target in exact ring arithmetic, which the test suite enforces
 amplitude by amplitude.
@@ -14,11 +15,10 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence, TextIO
 
+from .blocks import CATALOG_TERM_COUNTS, DEFAULT_POLICY, block_cover
 from .phase_ring import INV_SQRT2, SQRT2, ExactAmplitude, ZERO, eighth_root
 from .stabilizer import StabilizerState
 from .gf2 import from_str, rank_of, to_str
-
-DEFAULT_POLICY = (12, 6, 3, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,6 @@ def extend_with_zeros(dec: MagicDecomposition, n: int) -> MagicDecomposition:
 _CATALOG = {1: t1_decomposition, 2: t2_decomposition, 3: t3_decomposition,
             6: t6_decomposition, 12: t12_decomposition}
 
-CATALOG_TERM_COUNTS = {1: 2, 2: 2, 3: 3, 6: 7, 12: 47}
-
 
 @cache
 def catalog_entry(k: int) -> MagicDecomposition:
@@ -230,23 +228,6 @@ def catalog_entry(k: int) -> MagicDecomposition:
     if k not in _CATALOG:
         raise ValueError(f"no catalog entry for T-count {k}")
     return _CATALOG[k]()
-
-
-def block_cover(t: int, policy: Sequence[int] = DEFAULT_POLICY) -> list[int]:
-    """Greedy largest-block-first cover of t by catalog block sizes."""
-    sizes = sorted(set(policy), reverse=True)
-    for k in sizes:
-        if k not in _CATALOG:
-            raise ValueError(f"policy block size {k} not in catalog")
-    blocks = []
-    rest = t
-    for k in sizes:
-        while rest >= k:
-            blocks.append(k)
-            rest -= k
-    if rest:
-        raise ValueError(f"policy {list(policy)} cannot cover t={t}")
-    return blocks
 
 
 def block_decomposition(t: int, policy: Sequence[int] = DEFAULT_POLICY

@@ -13,20 +13,47 @@ import json
 import os
 import sys
 import time
-from typing import NoReturn, Optional, Sequence
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
-from .catalog import (CATALOG_TERM_COUNTS, DEFAULT_POLICY, MagicDecomposition,
-                      block_cover, block_decomposition, catalog_entry,
-                      extend_with_zeros, read_catalog_file, write_catalog_file)
-from .gauss import (SUPPORTED_BLOCKS, WORST_CASE_UNIQUE, census_letters,
-                    check_census, expect_block, expect_single_pauli,
-                    rank_census)
+from .blocks import CATALOG_TERM_COUNTS, DEFAULT_POLICY, block_cover
 from .pauli import PauliOperator, PauliProjector, letters_to_pauli
-from .strong_sim import (exact_expectation, exact_pauli_expectation,
-                         sample_count, sampled_expectation)
 
-_CHI = dict(CATALOG_TERM_COUNTS)
+if TYPE_CHECKING:
+    from .catalog import MagicDecomposition
+    from .gauss import GaussSumReport
+    from .strong_sim import SimulationResult
+
 _DEFAULT_POLICY = " ".join(map(str, DEFAULT_POLICY))  # the --policy default
+
+
+# ---------------------------------------------------------------------------
+# engines, imported on first call
+# ---------------------------------------------------------------------------
+# Each command imports only the engine it runs.  The four engine calls that
+# commands share go through these module globals, so one rebinding (a test's
+# monkeypatch, perfbench's spans) sees every command's calls.
+
+def block_decomposition(t: int, policy: Sequence[int]) -> MagicDecomposition:
+    from . import catalog
+    return catalog.block_decomposition(t, policy)
+
+
+def exact_pauli_expectation(dec: MagicDecomposition,
+                            p: PauliOperator) -> SimulationResult:
+    from . import strong_sim
+    return strong_sim.exact_pauli_expectation(dec, p)
+
+
+def exact_expectation(dec: MagicDecomposition,
+                      proj: PauliProjector) -> SimulationResult:
+    from . import strong_sim
+    return strong_sim.exact_expectation(dec, proj)
+
+
+def expect_single_pauli(t: int, p: PauliOperator,
+                        policy: Sequence[int]) -> GaussSumReport:
+    from . import gauss
+    return gauss.expect_single_pauli(t, p, policy)
 
 
 def _reject(message: str) -> NoReturn:
@@ -98,6 +125,7 @@ def _check_sampling(args) -> None:
         _reject(f"--epsilon must be positive, got {args.epsilon}")
     if not 0 < args.pf < 1:
         _reject(f"--pf must lie in (0, 1), got {args.pf}")
+    from .strong_sim import sample_count
     try:
         sample_count(args.epsilon, args.pf)
     except ValueError as exc:
@@ -124,6 +152,7 @@ def _check_out(path: str) -> None:
 def _read_catalog(path: str) -> MagicDecomposition:
     """verify --catalog-file, read and checked before any suite runs; its k
     must be within the dense oracle's qubit cap."""
+    from .catalog import read_catalog_file
     from .dense import MAX_DENSE_QUBITS
     try:
         catalog = read_catalog_file(path)
@@ -173,10 +202,12 @@ def cmd_expect(args) -> int:
         proj = _parse_projector(args.projector, args.t)
         if args.mode == "gauss":
             _reject("gauss mode evaluates single Paulis; use --pauli")
+        from .catalog import extend_with_zeros
         dec = extend_with_zeros(block_decomposition(args.t, policy), proj.n)
         if args.mode == "exact":
             res = exact_expectation(dec, proj)
         else:
+            from .strong_sim import sampled_expectation
             res = sampled_expectation(dec, proj, args.epsilon, args.pf,
                                       args.seed, args.samples)
             se = res.std_error
@@ -206,6 +237,7 @@ def cmd_expect(args) -> int:
                           inner_products=res.inner_products_evaluated,
                           terms=res.term_count)
         else:
+            from .strong_sim import sampled_expectation
             dec = block_decomposition(args.t, policy)
             res = sampled_expectation(dec, PauliProjector.single(magic, 1),
                                       args.epsilon, args.pf, args.seed,
@@ -238,6 +270,7 @@ def cmd_expect(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_census(args) -> int:
+    from .gauss import check_census, rank_census
     try:
         check_census(args.k, args.mode, args.samples, args.workers)
     except ValueError as exc:
@@ -275,6 +308,7 @@ def _fit_exponent(ts: Sequence[int], work: Sequence[int]) -> Optional[float]:
 
 
 def _bench_gauss_once(t: int, policy: tuple[int, ...], seed: int) -> float:
+    from .gauss import census_letters
     letters = census_letters(t, "sampled", 1, seed)[0]
     start = time.perf_counter()
     expect_single_pauli(t, letters_to_pauli(letters), policy)
@@ -295,13 +329,14 @@ def cmd_bench(args) -> int:
     for t in ts:
         blocks = block_cover(t, policy)
         if args.mode == "gauss":
+            from .gauss import WORST_CASE_UNIQUE
             work = 1
             for k in blocks:
                 work *= WORST_CASE_UNIQUE[k]
         else:
             work = 1
             for k in blocks:
-                work *= _CHI[k]
+                work *= CATALOG_TERM_COUNTS[k]
         work_by_t[t] = work
         if args.mode == "gauss":
             samples = [_bench_gauss_once(t, policy, args.seed + r)
@@ -318,6 +353,7 @@ def cmd_bench(args) -> int:
                     # the engine expect --pauli --mode exact runs
                     exact_pauli_expectation(dec, p)
                 else:
+                    from .strong_sim import sampled_expectation
                     sampled_expectation(dec, proj, args.epsilon, args.pf,
                                         args.seed + r, args.samples)
                 samples.append(time.perf_counter() - start)
@@ -352,6 +388,7 @@ def cmd_catalog(args) -> int:
     if args.k not in CATALOG_TERM_COUNTS:
         _reject(f"catalog supports T-counts {tuple(CATALOG_TERM_COUNTS)}, "
                 f"got --k {args.k}")
+    from .catalog import catalog_entry, write_catalog_file
     dec = catalog_entry(args.k)
     notes = [f"stabilizer decomposition of the {args.k}-fold T magic state",
              f"terms={len(dec)}"]
@@ -371,6 +408,7 @@ def cmd_catalog(args) -> int:
 
 def _verify_decompositions(report,
                            catalog: Optional[MagicDecomposition]) -> None:
+    from .catalog import catalog_entry
     from .dense import dense_magic_state_exact
     for k in (1, 2, 3, 6, 12):
         dec = catalog_entry(k)
@@ -402,6 +440,7 @@ def _verify_merges(report) -> None:
 
 def _verify_gauss(report, k: int, samples: int, seed: int) -> None:
     from .dense import dense_magic_state, dense_pauli_expect
+    from .gauss import WORST_CASE_UNIQUE, census_letters, expect_block
     vec = dense_magic_state(k)
     mode = "exhaustive" if k <= 6 else "sampled"
     paulis = [letters_to_pauli(r) for r in census_letters(k, mode, samples, seed)]
@@ -461,6 +500,7 @@ def cmd_verify(args) -> int:
         results.append({"name": name, "ok": bool(ok), "detail": detail})
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
+    from .gauss import SUPPORTED_BLOCKS
     scope = args.scope
     if scope in ("all", "decompositions"):
         _verify_decompositions(report, catalog)

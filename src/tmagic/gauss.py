@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .catalog import DEFAULT_POLICY, block_cover
+from .blocks import DEFAULT_POLICY, block_cover
 from .pauli import PauliOperator, letters_to_pauli
 from .phase_ring import SQRT2, ExactAmplitude, ONE, ZERO, eighth_root, i_power
 

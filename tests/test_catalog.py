@@ -10,7 +10,7 @@ from tmagic.catalog import (CATALOG_TERM_COUNTS, MagicDecomposition,
                             t1_decomposition, t2_decomposition,
                             t3_decomposition, t6_decomposition,
                             t12_decomposition, write_catalog_file,
-                            _t6_states, _t12_merge_states)
+                            _CATALOG, _t6_states, _t12_merge_states)
 from tmagic.dense import dense_magic_state, dense_magic_state_exact
 from tmagic.pauli import PauliProjector
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO
@@ -202,6 +202,15 @@ class TestFileFormat:
     def test_expected_term_counts_table(self):
         for k, want in CATALOG_TERM_COUNTS.items():
             assert len(catalog_entry(k)) == want
+
+    def test_term_count_table_names_every_built_t_count(self):
+        # block_cover accepts the table's sizes without building an entry,
+        # so every T-count the catalog builds must be a key of the table
+        assert sorted(_CATALOG) == sorted(CATALOG_TERM_COUNTS)
+        for k in range(2 * max(CATALOG_TERM_COUNTS) + 1):
+            if k not in CATALOG_TERM_COUNTS:
+                with pytest.raises(ValueError, match="no catalog entry"):
+                    catalog_entry(k)
 
 
 class TestFileErrors:

@@ -129,6 +129,35 @@ class TestExpect:
         assert rec["projector"] == "-ZZ +XX"
         assert rec["value"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("args, engine", [
+        (["--t", "12", "--pauli", "XYZIXYZIXYZI", "--mode", "exact"],
+         "exact_pauli_expectation"),
+        (["--t", "6", "--projector", "+ZZIIII,-IIXXII", "--mode", "exact"],
+         "exact_expectation"),
+        (["--t", "47", "--pauli", "XYZ" * 15 + "ZY", "--mode", "gauss"],
+         "expect_single_pauli"),
+    ], ids=["exact-pauli", "exact-projector", "gauss"])
+    def test_calls_its_engine_through_the_module_global(self, monkeypatch,
+                                                        capsys, args, engine):
+        # the engines are imported on first call, yet every command still
+        # looks them up as tmagic.cli globals, which perfbench's spans rebind
+        import tmagic.cli
+        main(["expect", *args])
+        want = capsys.readouterr().out
+        names = ("block_decomposition", "exact_pauli_expectation",
+                 "exact_expectation", "expect_single_pauli")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*a, fn=getattr(tmagic.cli, name), name=name):
+                calls[name] += 1
+                return fn(*a)
+            monkeypatch.setattr(tmagic.cli, name, counted)
+        main(["expect", *args])
+        assert capsys.readouterr().out == want
+        exact = engine != "expect_single_pauli"
+        assert calls == dict.fromkeys(names, 0) | {
+            "block_decomposition": int(exact), engine: 1}
+
     def test_exact_t18_projector_pinned(self, capsys):
         # a tensor-product decomposition (12 + 6), whose Gram pairs are
         # built per call and not cached
@@ -645,26 +674,38 @@ class TestCatalogExport:
 
 class TestStartup:
     """A command imports only the modules it runs, checked in a fresh
-    interpreter: the exact and Gauss-sum paths are pure integer code."""
+    interpreter: the exact and Gauss-sum paths are pure integer code, the
+    Gauss-sum path never loads the stabilizer-rank engine, and the exact
+    path never loads the Gauss-sum evaluator.  No arguments: a bare
+    ``import tmagic.cli``."""
 
     _PROBE = """
 import contextlib, io, sys
 import tmagic.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    rc = tmagic.cli.main(sys.argv[1:])
-print(rc, *[m for m in ("numpy", "concurrent.futures") if m in sys.modules])
+rc = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = tmagic.cli.main(sys.argv[1:])
+print(rc, *[m for m in ("numpy", "concurrent.futures", "tmagic.catalog",
+                        "tmagic.gauss", "tmagic.stabilizer",
+                        "tmagic.strong_sim") if m in sys.modules])
 """
+    _RANK_ENGINE = ("tmagic.catalog", "tmagic.stabilizer", "tmagic.strong_sim")
 
     @pytest.mark.parametrize("args, absent", [
         (["expect", "--t", "12", "--pauli", "XYZIXYZIXYZI", "--mode", "exact"],
-         ("numpy", "concurrent.futures")),
+         ("numpy", "concurrent.futures", "tmagic.gauss")),
         (["expect", "--t", "6", "--projector", "+ZZIIII,-IIXXII", "--mode", "exact"],
-         ("numpy", "concurrent.futures")),
+         ("numpy", "concurrent.futures", "tmagic.gauss")),
         (["expect", "--t", "47", "--pauli", "XYZ" * 15 + "ZY", "--mode", "gauss"],
-         ("numpy", "concurrent.futures")),
-        (["catalog", "--k", "6"], ("numpy", "concurrent.futures")),
-        (["census", "--k", "3", "--workers", "1"], ("concurrent.futures",)),
-    ], ids=["exact-pauli", "exact-projector", "gauss", "catalog", "census"])
+         ("numpy", "concurrent.futures", *_RANK_ENGINE)),
+        (["catalog", "--k", "6"],
+         ("numpy", "concurrent.futures", "tmagic.gauss", "tmagic.strong_sim")),
+        (["census", "--k", "3", "--workers", "1"],
+         ("concurrent.futures", *_RANK_ENGINE)),
+        ([], ("tmagic.gauss", *_RANK_ENGINE)),
+    ], ids=["exact-pauli", "exact-projector", "gauss", "catalog", "census",
+            "import"])
     def test_command_loads_only_what_it_runs(self, args, absent):
         proc = subprocess.run([sys.executable, "-c", self._PROBE, *args],
                               capture_output=True, text=True, env=_ENV,
