@@ -500,13 +500,12 @@ def cmd_verify(args) -> int:
         results.append({"name": name, "ok": bool(ok), "detail": detail})
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
-    from .gauss import SUPPORTED_BLOCKS
     scope = args.scope
     if scope in ("all", "decompositions"):
         _verify_decompositions(report, catalog)
     if scope in ("all", "merges"):
         _verify_merges(report)
-    for k in SUPPORTED_BLOCKS:
+    for k in CATALOG_TERM_COUNTS:  # the Gauss evaluator's block sizes too
         if scope in ("all", f"gauss-k{k}"):
             _verify_gauss(report, k, args.samples, args.seed)
     if scope in ("all", "kernel"):

@@ -703,7 +703,7 @@ print(rc, *[m for m in ("numpy", "concurrent.futures", "tmagic.catalog",
          ("numpy", "concurrent.futures", "tmagic.gauss", "tmagic.strong_sim")),
         (["census", "--k", "3", "--workers", "1"],
          ("concurrent.futures", *_RANK_ENGINE)),
-        ([], ("tmagic.gauss", *_RANK_ENGINE)),
+        ([], ("numpy", "concurrent.futures", "tmagic.gauss", *_RANK_ENGINE)),
     ], ids=["exact-pauli", "exact-projector", "gauss", "catalog", "census",
             "import"])
     def test_command_loads_only_what_it_runs(self, args, absent):
