@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence, TextIO
 
-from .blocks import CATALOG_TERM_COUNTS, DEFAULT_POLICY, block_cover
+from .blocks import DEFAULT_POLICY, block_cover
 from .phase_ring import INV_SQRT2, SQRT2, ExactAmplitude, ZERO, eighth_root
 from .stabilizer import StabilizerState
 from .gf2 import from_str, rank_of, to_str

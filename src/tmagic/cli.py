@@ -2,14 +2,15 @@
 and the scaling benchmark harness.
 
 Outputs are deterministic under a fixed seed: CSV/JSON data never contains
-wall-clock times unless --timing is given (timing goes to stderr instead),
-so repeated runs and different --workers counts produce identical bytes.
+wall-clock times (they go to stderr), so repeated runs and different
+--workers counts produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -100,7 +101,7 @@ def _parse_pauli(option: str, text: str) -> PauliOperator:
 def _parse_projector(text: str, t: int) -> PauliProjector:
     """Signed factors such as '+ZZ,-XX' on max(t, first factor) qubits."""
     factors = []
-    for part in text.split(","):
+    for i, part in enumerate(text.split(","), 1):
         part = part.strip()
         sign = 1
         if part.startswith("+"):
@@ -108,7 +109,10 @@ def _parse_projector(text: str, t: int) -> PauliProjector:
         elif part.startswith("-"):
             sign = -1
             part = part[1:]
-        factors.append((part, _parse_pauli("--projector", part), sign))
+        p = _parse_pauli("--projector", part)
+        if not p.n:
+            _reject(f"invalid --projector {text!r}: factor {i} is empty")
+        factors.append((part, p, sign))
     n = max(t, factors[0][1].n)
     for part, p, _ in factors:
         if p.n != n:
@@ -188,6 +192,29 @@ def _write_csv(path: Optional[str], header: list[str], rows: list[list]) -> str:
 # expect
 # ---------------------------------------------------------------------------
 
+def _pauli_expectation(args, p: PauliOperator, policy: Sequence[int],
+                       seed: int) -> tuple[dict, Optional[float]]:
+    """<T^t| p |T^t> for a Hermitian Pauli p on t = p.n qubits in
+    ``args.mode``: the record fields, and the standard error in sampled mode."""
+    if args.mode == "gauss":
+        rep = expect_single_pauli(p.n, p, policy)
+        return {"value": rep.expectation,
+                "unique_nonzero_sums": rep.unique_nonzero_sums}, None
+    dec = block_decomposition(p.n, policy)
+    if args.mode == "exact":
+        res = exact_pauli_expectation(dec, p)
+        return {"value": res.value, "inner_products": res.inner_products_evaluated,
+                "terms": res.term_count}, None
+    from .strong_sim import sampled_expectation
+    res = sampled_expectation(dec, PauliProjector.single(p, 1), args.epsilon,
+                              args.pf, seed, args.samples)
+    # <p> = 2 <Pi_+> - 1, so the standard error doubles too
+    se = None if res.std_error is None else 2 * res.std_error
+    return {"value": 2 * res.value - 1,
+            "inner_products": res.inner_products_evaluated,
+            "samples_used": res.samples_used, "terms": res.term_count}, se
+
+
 def cmd_expect(args) -> int:
     if args.t < 1:
         _reject(f"--t must be a T-count of at least 1, got {args.t}")
@@ -226,27 +253,8 @@ def cmd_expect(args) -> int:
         magic = PauliOperator(args.t, p.beta & ((1 << args.t) - 1),
                               p.gamma & ((1 << args.t) - 1),
                               p.delta & ((1 << args.t) - 1), p.omega_exp)
-        if args.mode == "gauss":
-            rep = expect_single_pauli(args.t, magic, policy)
-            record.update(pauli=str(p), value=rep.expectation,
-                          unique_nonzero_sums=rep.unique_nonzero_sums)
-        elif args.mode == "exact":
-            dec = block_decomposition(args.t, policy)
-            res = exact_pauli_expectation(dec, magic)
-            record.update(pauli=str(p), value=res.value,
-                          inner_products=res.inner_products_evaluated,
-                          terms=res.term_count)
-        else:
-            from .strong_sim import sampled_expectation
-            dec = block_decomposition(args.t, policy)
-            res = sampled_expectation(dec, PauliProjector.single(magic, 1),
-                                      args.epsilon, args.pf, args.seed,
-                                      args.samples)
-            record.update(pauli=str(p), value=2 * res.value - 1,
-                          inner_products=res.inner_products_evaluated,
-                          samples_used=res.samples_used, terms=res.term_count)
-            if res.std_error is not None:  # the value reported is 2 v - 1
-                se = 2 * res.std_error
+        fields, se = _pauli_expectation(args, magic, policy, args.seed)
+        record.update(fields, pauli=str(p))
         # qubits beyond the T-count hold |0>: X/Y there make the expectation
         # 0.0 (not -0.0), I/Z contribute a factor 1
         if p.x_mask >> args.t:
@@ -257,10 +265,7 @@ def cmd_expect(args) -> int:
         # stderr only: stdout stays byte-identical across runs
         print(f"[se] {'n/a' if se is None else format(se, '.6g')}",
               file=sys.stderr)
-    if args.timing:
-        record["wall_time"] = elapsed
-    else:
-        print(f"[time] {elapsed:.3f}s", file=sys.stderr)
+    print(f"[time] {elapsed:.3f}s", file=sys.stderr)
     _emit(record, args.out)
     return 0
 
@@ -307,14 +312,6 @@ def _fit_exponent(ts: Sequence[int], work: Sequence[int]) -> Optional[float]:
     return round(float(slope), 6)
 
 
-def _bench_gauss_once(t: int, policy: tuple[int, ...], seed: int) -> float:
-    from .gauss import census_letters
-    letters = census_letters(t, "sampled", 1, seed)[0]
-    start = time.perf_counter()
-    expect_single_pauli(t, letters_to_pauli(letters), policy)
-    return time.perf_counter() - start
-
-
 def cmd_bench(args) -> int:
     import numpy as np
     ts = _parse_t_counts(args.t)
@@ -323,57 +320,34 @@ def cmd_bench(args) -> int:
         _reject("need at least 3 repetitions")
     if args.mode == "sampled":
         _check_sampling(args)
+    if args.mode == "gauss":
+        from .gauss import WORST_CASE_UNIQUE as block_work
+    else:
+        block_work = CATALOG_TERM_COUNTS
     rows = []
+    works = []
     times_note = []
-    work_by_t = {}
     for t in ts:
         blocks = block_cover(t, policy)
-        if args.mode == "gauss":
-            from .gauss import WORST_CASE_UNIQUE
-            work = 1
-            for k in blocks:
-                work *= WORST_CASE_UNIQUE[k]
-        else:
-            work = 1
-            for k in blocks:
-                work *= CATALOG_TERM_COUNTS[k]
-        work_by_t[t] = work
-        if args.mode == "gauss":
-            samples = [_bench_gauss_once(t, policy, args.seed + r)
-                       for r in range(args.reps)]
-        else:
-            dec = block_decomposition(t, policy)
-            samples = []
-            for r in range(args.reps):
-                rng = np.random.default_rng(np.random.SeedSequence([args.seed, r]))
-                p = letters_to_pauli(rng.integers(0, 4, size=t))
-                proj = PauliProjector.single(p, 1)
-                start = time.perf_counter()
-                if args.mode == "exact":
-                    # the engine expect --pauli --mode exact runs
-                    exact_pauli_expectation(dec, p)
-                else:
-                    from .strong_sim import sampled_expectation
-                    sampled_expectation(dec, proj, args.epsilon, args.pf,
-                                        args.seed + r, args.samples)
-                samples.append(time.perf_counter() - start)
-        med = float(np.median(samples))
-        row = [t, "+".join(str(b) for b in blocks), args.mode, args.reps, work,
-               args.seed]
-        if args.timing:
-            row.append(f"{med:.6g}")
-        rows.append(row)
-        times_note.append(f"t={t} median={med:.6g}s")
-    header = ["t", "blocks", "mode", "reps", "work", "seed"]
-    if args.timing:
-        header.append("median_wall_time")
-    text = _write_csv(args.out, header, rows)
+        works.append(math.prod(block_work[k] for k in blocks))
+        samples = []
+        for r in range(args.reps):
+            rng = np.random.default_rng(np.random.SeedSequence([args.seed, r]))
+            p = letters_to_pauli(rng.integers(0, 4, size=t))
+            start = time.perf_counter()
+            # the call expect --pauli makes, decomposition lookup included
+            _pauli_expectation(args, p, policy, args.seed + r)
+            samples.append(time.perf_counter() - start)
+        rows.append([t, "+".join(str(b) for b in blocks), args.mode, args.reps,
+                     works[-1], args.seed])
+        times_note.append(f"t={t} median={float(np.median(samples)):.6g}s")
+    text = _write_csv(args.out, ["t", "blocks", "mode", "reps", "work", "seed"],
+                      rows)
     if not args.out:
         print(text, end="")
-    exponent = _fit_exponent(list(work_by_t), [work_by_t[t] for t in work_by_t])
-    print(json.dumps({"command": "bench", "mode": args.mode,
-                      "t": sorted(work_by_t), "policy": list(policy),
-                      "fitted_exponent": exponent,
+    print(json.dumps({"command": "bench", "mode": args.mode, "t": sorted(ts),
+                      "policy": list(policy),
+                      "fitted_exponent": _fit_exponent(ts, works),
                       "seed": args.seed}, sort_keys=True))
     for note in times_note:
         print(f"[time] {note}", file=sys.stderr)
@@ -410,7 +384,7 @@ def _verify_decompositions(report,
                            catalog: Optional[MagicDecomposition]) -> None:
     from .catalog import catalog_entry
     from .dense import dense_magic_state_exact
-    for k in (1, 2, 3, 6, 12):
+    for k in CATALOG_TERM_COUNTS:
         dec = catalog_entry(k)
         ok = len(dec) == CATALOG_TERM_COUNTS[k]
         ok = ok and dec.reconstruct_dense_exact() == dense_magic_state_exact(k)
@@ -539,8 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override the sample count L")
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--out", default=None)
-    pe.add_argument("--timing", action="store_true",
-                    help="include wall time in the JSON record")
     pe.set_defaults(fn=cmd_expect)
 
     pc = sub.add_parser("census", help="histogram of unique non-zero Gauss sums")
@@ -561,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--epsilon", type=float, default=0.1)
     pb.add_argument("--pf", type=float, default=0.05)
     pb.add_argument("--samples", type=int, default=None)
-    pb.add_argument("--timing", action="store_true",
-                    help="include wall-time medians in the CSV")
     pb.add_argument("--out", default=None)
     pb.set_defaults(fn=cmd_bench)
 

@@ -25,14 +25,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .blocks import DEFAULT_POLICY, block_cover
+from .blocks import CATALOG_TERM_COUNTS, DEFAULT_POLICY, block_cover
 from .pauli import PauliOperator, letters_to_pauli
 from .phase_ring import SQRT2, ExactAmplitude, ONE, ZERO, eighth_root, i_power
 
 if TYPE_CHECKING:
     import numpy as np
-
-SUPPORTED_BLOCKS = (1, 2, 3, 6, 12)
 
 #: worst-case number of unique non-zero Gauss sums per block size,
 #: reproduced exhaustively (k <= 6) / by sampling (k = 12) in rank_census
@@ -308,14 +306,10 @@ def expect_single_pauli(t: int, p: PauliOperator,
         raise ValueError("Pauli size must equal the T-count")
     if p.omega_exp % 2:
         raise ValueError("expectation requires a Hermitian Pauli")
-    blocks = block_cover(t, policy)
-    for k in blocks:
-        if k not in SUPPORTED_BLOCKS:
-            raise ValueError(f"block size {k} has no Gauss-sum evaluator")
     exact = ONE
     unique = 1
     offset = 0
-    for k in blocks:
+    for k in block_cover(t, policy):
         sub = PauliOperator(
             k,
             (p.beta >> offset) & ((1 << k) - 1),
@@ -336,8 +330,9 @@ def expect_single_pauli(t: int, p: PauliOperator,
 
 def check_census(k: int, mode: str, samples: int, workers: int) -> None:
     """Refuse a census that cannot run, naming the CLI option at fault."""
-    if k not in SUPPORTED_BLOCKS:
-        raise ValueError(f"census supports block sizes {SUPPORTED_BLOCKS}")
+    if k not in CATALOG_TERM_COUNTS:
+        raise ValueError(
+            f"census supports block sizes {tuple(CATALOG_TERM_COUNTS)}")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown census mode {mode!r}")
     if mode == "exhaustive" and k > 6:

@@ -48,9 +48,6 @@ class ExactAmplitude:
             a, b, c, d = 2 * b, a, 2 * d, c
         return canonical(x.a + a, x.b + b, x.c + c, x.d + d, x.e)
 
-    def __sub__(self, other: "ExactAmplitude") -> "ExactAmplitude":
-        return self + (-other)
-
     def __neg__(self) -> "ExactAmplitude":
         return ExactAmplitude(-self.a, -self.b, -self.c, -self.d, self.e)
 

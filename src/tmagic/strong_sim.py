@@ -72,7 +72,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
 
-from .catalog import CATALOG_TERM_COUNTS, MagicDecomposition, catalog_entry
+from .blocks import CATALOG_TERM_COUNTS
+from .catalog import MagicDecomposition, catalog_entry
 from .pauli import PauliOperator, PauliProjector
 from .phase_ring import ExactAmplitude, ONE, ZERO, canonical, sqrt2_root
 from .stabilizer import (GramPair, RawDraws, StabilizerState,

@@ -17,8 +17,9 @@ import pytest
 
 import tmagic
 from tmagic import _gauss_kernels as gk
-from tmagic.catalog import (CATALOG_TERM_COUNTS, block_decomposition,
-                            catalog_entry, _t6_states, _t12_merge_states)
+from tmagic.blocks import CATALOG_TERM_COUNTS
+from tmagic.catalog import (block_decomposition, catalog_entry, _t6_states,
+                            _t12_merge_states)
 from tmagic.dense import (apply_projector, dense_magic_state,
                           dense_magic_state_exact, dense_pauli_expect)
 from tmagic.gauss import WORST_CASE_UNIQUE, expect_block, rank_census

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmagic.catalog import (CATALOG_TERM_COUNTS, MagicDecomposition,
-                            block_cover, block_decomposition, catalog_entry,
-                            extend_with_zeros, read_catalog_file, tensor,
-                            t1_decomposition, t2_decomposition,
-                            t3_decomposition, t6_decomposition,
-                            t12_decomposition, write_catalog_file,
-                            _CATALOG, _t6_states, _t12_merge_states)
+from tmagic.blocks import CATALOG_TERM_COUNTS, block_cover
+from tmagic.catalog import (MagicDecomposition, block_decomposition,
+                            catalog_entry, extend_with_zeros,
+                            read_catalog_file, tensor, t1_decomposition,
+                            t2_decomposition, t3_decomposition,
+                            t6_decomposition, t12_decomposition,
+                            write_catalog_file, _CATALOG, _t6_states,
+                            _t12_merge_states)
 from tmagic.dense import dense_magic_state, dense_magic_state_exact
 from tmagic.pauli import PauliProjector
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO

@@ -197,6 +197,15 @@ class TestExpectRejectsBadInput:
         self._rejected(["--t", "1", "--projector", "+Q", "--mode", "exact"],
                        "invalid --projector 'Q': invalid Pauli letter 'Q' at position 0")
 
+    @pytest.mark.parametrize("projector, position", [
+        ("+ZZ,,+XX", 2), ("+ZZ,", 2), ("+", 1), (",+ZZ", 1), ("+ZZ,-XX,-", 3),
+        ("+ZZ, - ,+XX", 2), ("+ZZ,1:", 2),
+    ])
+    def test_empty_projector_factor(self, projector, position):
+        self._rejected(["--t", "2", f"--projector={projector}", "--mode", "exact"],
+                       f"invalid --projector {projector!r}: factor {position} "
+                       "is empty")
+
     def test_non_hermitian_projector_factor(self):
         self._rejected(["--t", "1", "--projector", "i:Z", "--mode", "exact"],
                        "invalid --projector 'i:Z': projector factors must be "
@@ -272,6 +281,10 @@ class TestCensus:
             main(["census", "--k", "12", "--mode", "exhaustive"])
         assert exc.value.code == 2
 
+    def test_rejects_k_outside_the_block_sizes(self):
+        assert_rejected(["census", "--k", "5"],
+                        "census supports block sizes (1, 2, 3, 6, 12)")
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_rejects_sampled_count_below_one(self, samples):
         assert_rejected(["census", "--k", "12", "--mode", "sampled",
@@ -280,20 +293,24 @@ class TestCensus:
 
 
 class TestBench:
-    def test_exact_mode_times_the_pauli_engine(self, monkeypatch, capsys):
-        # the engine that expect --pauli --mode exact runs, not the
+    @pytest.mark.parametrize("mode, engine", [
+        ("exact", "exact_pauli_expectation"),
+        ("gauss", "expect_single_pauli"),
+    ], ids=["exact", "gauss"])
+    def test_times_the_pauli_engine(self, monkeypatch, capsys, mode, engine):
+        # the engine that expect --pauli runs in the same mode, not the
         # one-factor projector's
         import tmagic.cli
-        calls = {"exact_pauli_expectation": 0, "exact_expectation": 0}
-        for name in calls:
-            fn = getattr(tmagic.cli, name)
-
-            def counted(*args, fn=fn, name=name):
+        names = ("exact_pauli_expectation", "exact_expectation",
+                 "expect_single_pauli")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, fn=getattr(tmagic.cli, name), name=name):
                 calls[name] += 1
                 return fn(*args)
             monkeypatch.setattr(tmagic.cli, name, counted)
-        main(["bench", "--mode", "exact", "--t", "6", "--reps", "3"])
-        assert calls == {"exact_pauli_expectation": 3, "exact_expectation": 0}
+        main(["bench", "--mode", mode, "--t", "6", "--reps", "3"])
+        assert calls == dict.fromkeys(names, 0) | {engine: 3}
 
     def test_rejects_sampled_count_below_one(self):
         assert_rejected(["bench", "--mode", "sampled", "--t", "2",
@@ -543,6 +560,16 @@ class TestDeterminism:
         b = run_cli(args).stdout
         assert a == b
 
+    @pytest.mark.parametrize("args", [
+        ["expect", "--t", "1", "--pauli", "X"],
+        ["bench", "--t", "6"],
+    ], ids=["expect", "bench"])
+    def test_no_switch_puts_wall_time_on_stdout(self, args):
+        proc = run_cli([*args, "--timing"], check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.strip().splitlines()[-1] == (
+            "tmagic: error: unrecognized arguments: --timing")
+
     def test_census_workers_byte_identical(self):
         base = ["census", "--k", "3", "--mode", "sampled", "--samples", "400",
                 "--seed", "11"]
@@ -703,9 +730,11 @@ print(rc, *[m for m in ("numpy", "concurrent.futures", "tmagic.catalog",
          ("numpy", "concurrent.futures", "tmagic.gauss", "tmagic.strong_sim")),
         (["census", "--k", "3", "--workers", "1"],
          ("concurrent.futures", *_RANK_ENGINE)),
+        (["bench", "--mode", "exact", "--t", "6", "--reps", "3"],
+         ("concurrent.futures", "tmagic.gauss")),
         ([], ("numpy", "concurrent.futures", "tmagic.gauss", *_RANK_ENGINE)),
     ], ids=["exact-pauli", "exact-projector", "gauss", "catalog", "census",
-            "import"])
+            "bench-exact", "import"])
     def test_command_loads_only_what_it_runs(self, args, absent):
         proc = subprocess.run([sys.executable, "-c", self._PROBE, *args],
                               capture_output=True, text=True, env=_ENV,
