@@ -15,9 +15,11 @@ the command that runs it, so ``expect --mode gauss`` and ``census`` never
 load the stabilizer-rank modules (``catalog``, ``stabilizer``,
 ``strong_sim``) and ``expect --mode exact`` never loads ``gauss``; the
 block cover both engines share lives in ``tmagic.blocks``.
-``expect --mode exact|gauss`` and ``catalog`` never import numpy, while
-the sampled estimator, ``census``, ``bench`` and ``verify`` import it
-inside the functions that build arrays or random generators.
+``expect --mode exact|gauss``, ``catalog`` and ``census`` never import
+numpy: the census draws its seeded letter rows from a pure-Python PCG64
+stream (``tmagic.draws``), as numpy's Generator would.  The sampled
+estimator, ``bench`` and ``verify`` import numpy inside the functions that
+build arrays or random generators.
 """
 
 __version__ = "0.1.0"

@@ -77,10 +77,11 @@ def t3_decomposition() -> MagicDecomposition:
     # psi1 = (|011> + i|100>)/sqrt2  (leftmost character = qubit 0)
     psi1 = StabilizerState(3, (0b111,), from_str("011"), (0,), (2,), 0, INV_SQRT2)
     scale8 = ExactAmplitude(1, 0, 0, 0, 3)
+    cube = (1, 2, 4)
     # psi2: i^(1 + x2 + x3) pattern on the full cube
-    psi2 = StabilizerState(3, (1, 2, 4), 0, (0, 0, 0), (0, 2, 2), 2, scale8)
+    psi2 = StabilizerState(3, cube, 0, (0, 0, 0), (0, 2, 2), 2, scale8)
     # psi3: full cube with all three (-1)^{x_a x_b} couplings
-    psi3 = StabilizerState(3, (1, 2, 4), 0, (0b110, 0b101, 0b011),
+    psi3 = StabilizerState(3, cube, 0, (0b110, 0b101, 0b011),
                            (0, 6, 6), 2, scale8)
     return MagicDecomposition(3, ((c1, psi1), (c2, psi2), (c3, psi3)))
 
@@ -107,17 +108,19 @@ _ZETA3 = eighth_root(3)
 
 def _t6_states() -> dict[str, StabilizerState]:
     """The seven states: two full-cube states, four half-cube quadratic-form
-    states on span{e0+e_i}, and one two-point cat-like state."""
+    states on span{e0+e_i}, and one two-point cat-like state.  The states
+    of one column set share one basis tuple, as every catalog entry's do."""
+    cube = tuple(1 << q for q in range(6))
     cols = tuple(1 | (1 << i) for i in range(1, 6))  # column i = e0 + e_i
     s32 = ExactAmplitude(1, 0, 0, 0, 5)              # 2^{-5/2}
     kgraph = _complete_graph(5)
     zero5 = (0,) * 5
     four5 = (4,) * 5
     return {
-        "b60": StabilizerState(6, tuple(1 << q for q in range(6)), 0,
-                               (0,) * 6, (0,) * 6, 0, ExactAmplitude(1, 0, 0, 0, 6)),
-        "b66": StabilizerState(6, tuple(1 << q for q in range(6)), 0,
-                               (0,) * 6, (4,) * 6, 4, ExactAmplitude(1, 0, 0, 0, 6)),
+        "b60": StabilizerState(6, cube, 0, (0,) * 6, (0,) * 6, 0,
+                               ExactAmplitude(1, 0, 0, 0, 6)),
+        "b66": StabilizerState(6, cube, 0, (0,) * 6, (4,) * 6, 4,
+                               ExactAmplitude(1, 0, 0, 0, 6)),
         "e6": StabilizerState(6, cols, 1, kgraph, zero5, 4, s32),
         "o6": StabilizerState(6, cols, 0, kgraph, four5, 4, s32),
         "k6": StabilizerState(6, (0b111111,), 0b111111, (0,), (2,), 6, INV_SQRT2),
@@ -152,9 +155,14 @@ def t6_decomposition() -> MagicDecomposition:
         (coeffs[name], states[name]) for name in _T6_ORDER))
 
 
-def _tensor_states(a: StabilizerState, b: StabilizerState) -> StabilizerState:
+def _tensor_states(a: StabilizerState, b: StabilizerState,
+                   bases: dict) -> StabilizerState:
+    """a (x) b, whose basis tuple is shared (through ``bases``) by every
+    product state built on the same columns, so that ``gram_entries``'
+    basis checks are identity hits."""
     na = a.n
     basis = a.basis + tuple(col << na for col in b.basis)
+    basis = bases.setdefault(basis, basis)
     ma = a.m
     bmat = a.bmat + tuple(row << ma for row in b.bmat)
     return StabilizerState(na + b.n, basis, a.shift | (b.shift << na),
@@ -163,7 +171,8 @@ def _tensor_states(a: StabilizerState, b: StabilizerState) -> StabilizerState:
 
 
 def tensor(a: MagicDecomposition, b: MagicDecomposition) -> MagicDecomposition:
-    terms = tuple((ca * cb, _tensor_states(sa, sb))
+    bases: dict = {}
+    terms = tuple((ca * cb, _tensor_states(sa, sb, bases))
                   for ca, sa in a.terms for cb, sb in b.terms)
     return MagicDecomposition(a.k + b.k, terms)
 
@@ -189,12 +198,13 @@ def t12_decomposition() -> MagicDecomposition:
     c_6 = SQRT2 * coeffs["e6"] * coeffs["o6"]
     names = _T6_ORDER
     drop = {("b60", "b66"), ("b66", "b60"), ("e6", "o6"), ("o6", "e6")}
+    bases: dict = {}
     terms = []
     for i, (ci, si) in enumerate(t6.terms):
         for j, (cj, sj) in enumerate(t6.terms):
             if (names[i], names[j]) in drop:
                 continue
-            terms.append((ci * cj, _tensor_states(si, sj)))
+            terms.append((ci * cj, _tensor_states(si, sj, bases)))
     terms.append((c_b, merged_b))
     terms.append((c_6, merged_eo))
     return MagicDecomposition(12, tuple(terms))
@@ -322,6 +332,7 @@ def read_catalog_file(path: str) -> MagicDecomposition:
     try:
         k, nterms = (int(v) for v in fields("k", "terms"))
         terms = []
+        bases: dict = {}  # one tuple per column set, as the catalog's
         for _ in range(nterms):
             coeff = _amp_parse(*fields("coeff"))
             n, m = (int(v) for v in fields("n", "m"))
@@ -335,6 +346,7 @@ def read_catalog_file(path: str) -> MagicDecomposition:
             if rank < m:
                 raise ValueError(f"G= columns are dependent: rank {rank}, "
                                  f"expected m={m}")
+            basis = bases.setdefault(basis, basis)
             shift = bits(*fields("h"), n)
             jvals = int_list("J", m * (m - 1) // 2)
             if any(v % 4 for v in jvals):

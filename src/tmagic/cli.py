@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
@@ -64,10 +65,24 @@ def _reject(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
+def _parse_ints(option: str, text: str) -> list[int]:
+    """The integers of a list such as '12 6 3' or '12,6,3'.  An empty item,
+    between two commas or at either end, is refused by its 1-based
+    position."""
+    items = re.split(r"\s*,\s*|\s+", text.strip()) if text.strip() else []
+    for i, item in enumerate(items, 1):
+        if not item:
+            _reject(f"invalid {option} {text!r}: item {i} is empty")
+    try:
+        return [int(v) for v in items]
+    except ValueError as exc:
+        _reject(f"invalid {option} {text!r}: {exc}")
+
+
 def _parse_policy(text: str, ts: Sequence[int]) -> tuple[int, ...]:
     """Catalog block sizes that cover every T-count in ts."""
+    sizes = tuple(_parse_ints("--policy", text))
     try:
-        sizes = tuple(int(p) for p in text.replace(",", " ").split())
         for t in ts:
             block_cover(t, sizes)
     except ValueError as exc:
@@ -77,10 +92,7 @@ def _parse_policy(text: str, ts: Sequence[int]) -> tuple[int, ...]:
 
 def _parse_t_counts(text: str) -> list[int]:
     """bench --t: one or more distinct T-counts of at least 1."""
-    try:
-        ts = [int(v) for v in text.replace(",", " ").split()]
-    except ValueError as exc:
-        _reject(f"invalid --t {text!r}: {exc}")
+    ts = _parse_ints("--t", text)
     if not ts:
         _reject("--t must list at least one T-count")
     for i, t in enumerate(ts):
@@ -99,24 +111,29 @@ def _parse_pauli(option: str, text: str) -> PauliOperator:
 
 
 def _parse_projector(text: str, t: int) -> PauliProjector:
-    """Signed factors such as '+ZZ,-XX' on max(t, first factor) qubits."""
+    """Signed factors such as '+ZZ,-XX' on max(t, first factor) qubits.  A
+    bad factor is named by its 1-based position, and a bad character by
+    its position in the factor."""
     factors = []
     for i, part in enumerate(text.split(","), 1):
         part = part.strip()
-        sign = 1
-        if part.startswith("+"):
-            part = part[1:]
-        elif part.startswith("-"):
-            sign = -1
-            part = part[1:]
-        p = _parse_pauli("--projector", part)
+        where = f"invalid --projector {text!r}: factor {i}"
+        skip = int(part[:1] in ("+", "-"))  # the sign
+        try:
+            p = PauliOperator.from_str(part[skip:], start=skip)
+        except ValueError as exc:
+            _reject(f"{where} {part!r}: {exc}")
         if not p.n:
-            _reject(f"invalid --projector {text!r}: factor {i} is empty")
-        factors.append((part, p, sign))
+            _reject(f"{where} is empty")
+        if p.omega_exp % 2:
+            _reject(f"{where} {part!r} is not Hermitian: its phase must be "
+                    "+1 or -1")
+        factors.append((part, p, -1 if part[:1] == "-" else 1))
     n = max(t, factors[0][1].n)
-    for part, p, _ in factors:
+    for i, (part, p, _) in enumerate(factors, 1):
         if p.n != n:
-            _reject(f"projector factor {part!r} acts on {p.n} qubits, expected {n}")
+            _reject(f"invalid --projector {text!r}: factor {i} {part!r} acts "
+                    f"on {p.n} qubits, expected {n}")
     try:
         return PauliProjector(n, tuple((p, sign) for _, p, sign in factors))
     except ValueError as exc:
@@ -124,18 +141,26 @@ def _parse_projector(text: str, t: int) -> PauliProjector:
 
 
 def _check_sampling(args) -> None:
-    """The sampled estimator's --epsilon, --pf and --samples."""
+    """The sampled estimator's --epsilon, --pf and --samples, and the sample
+    count L they set, before anything is allocated."""
     if not args.epsilon > 0:
         _reject(f"--epsilon must be positive, got {args.epsilon}")
     if not 0 < args.pf < 1:
         _reject(f"--pf must lie in (0, 1), got {args.pf}")
-    from .strong_sim import sample_count
+    from .strong_sim import MAX_SAMPLES, sample_count
     try:
-        sample_count(args.epsilon, args.pf)
+        big_l = sample_count(args.epsilon, args.pf)
     except ValueError as exc:
         _reject(f"invalid --epsilon/--pf: {exc}")
-    if args.samples is not None and args.samples < 1:
-        _reject(f"--samples must be at least 1, got {args.samples}")
+    if args.samples is not None:
+        if args.samples < 1:
+            _reject(f"--samples must be at least 1, got {args.samples}")
+        if args.samples > MAX_SAMPLES:
+            _reject(f"--samples {args.samples} exceeds the cap of "
+                    f"{MAX_SAMPLES} samples")
+    elif big_l > MAX_SAMPLES:
+        _reject(f"--epsilon {args.epsilon} and --pf {args.pf} need {big_l} "
+                f"samples, above the cap of {MAX_SAMPLES}")
 
 
 def _check_out(path: str) -> None:
@@ -436,7 +461,8 @@ def _verify_kernel(report, trials: int, seed: int) -> None:
     import numpy as np
     from .dense import apply_projector
     from .pauli import random_pauli
-    from .stabilizer import (RawDraws, inner_product, projector_ket,
+    from .draws import RawDraws
+    from .stabilizer import (inner_product, projector_ket,
                              random_stabilizer_state)
     # the states come from their own PCG64 stream, which the decoder reads
     # ahead, the sizes, Paulis and signs from a Generator of their own

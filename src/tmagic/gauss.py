@@ -23,14 +23,11 @@ import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .blocks import CATALOG_TERM_COUNTS, DEFAULT_POLICY, block_cover
 from .pauli import PauliOperator, letters_to_pauli
 from .phase_ring import SQRT2, ExactAmplitude, ONE, ZERO, eighth_root, i_power
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: worst-case number of unique non-zero Gauss sums per block size,
 #: reproduced exhaustively (k <= 6) / by sampling (k = 12) in rank_census
@@ -343,7 +340,8 @@ def check_census(k: int, mode: str, samples: int, workers: int) -> None:
         raise ValueError(f"--workers must be at least 1, got {workers}")
 
 
-def census_letters(k: int, mode: str, samples: int, seed: int) -> np.ndarray:
+def census_letters(k: int, mode: str, samples: int, seed: int
+                   ) -> list[list[int]]:
     """Letter rows of a census: all 4^k Paulis, or ``samples`` seeded draws."""
     from . import _gauss_kernels as gk
     if mode == "exhaustive":
@@ -351,7 +349,7 @@ def census_letters(k: int, mode: str, samples: int, seed: int) -> np.ndarray:
     return gk.sample_letters(k, samples, seed)
 
 
-def _census_chunk(task: tuple[int, np.ndarray]) -> Counter:
+def _census_chunk(task: tuple[int, list[list[int]]]) -> Counter:
     """Histogram of unique non-zero Gauss sums over one slice of rows."""
     k, rows = task
     return Counter(expect_block(k, letters_to_pauli(row)).unique_nonzero_sums

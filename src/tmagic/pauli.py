@@ -74,14 +74,18 @@ class PauliOperator:
         return body
 
     @staticmethod
-    def from_str(s: str) -> "PauliOperator":
+    def from_str(s: str, start: int = 0) -> "PauliOperator":
+        """'XYZI', or with a phase token '-1:XX'.  A ValueError names the
+        bad character's position in s plus ``start``, the position of s in
+        a text it was cut from."""
         omega = 0
         body = s
         if ":" in s:
             tok, body = s.split(":", 1)
             if tok not in _PHASE_TOKENS:
-                raise ValueError(f"unknown phase token {tok!r} at position 0")
+                raise ValueError(f"unknown phase token {tok!r} at position {start}")
             omega = _PHASE_TOKENS[tok]
+            start += len(tok) + 1
         beta = gamma = delta = 0
         for q, ch in enumerate(body):
             if ch == "Z":
@@ -91,7 +95,7 @@ class PauliOperator:
             elif ch == "Y":
                 delta |= 1 << q
             elif ch != "I":
-                raise ValueError(f"invalid Pauli letter {ch!r} at position {q}")
+                raise ValueError(f"invalid Pauli letter {ch!r} at position {start + q}")
         return PauliOperator(len(body), beta, gamma, delta, omega)
 
 

@@ -51,9 +51,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import gf2
+from .draws import RawDraws
 from .gf2 import eliminate, parity, reduce_column, revbits, solve_columns
 from .pauli import PauliOperator
 from .phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, sqrt2_root
@@ -555,8 +556,8 @@ def gram_entries(blocks: Sequence[tuple[GramPair, Sequence[Entry]]]
 
 
 def projector_ket(s: StabilizerState,
-                  factors: Sequence[tuple[PauliOperator, int]]
-                  ) -> StabilizerState:
+                  factors: Sequence[tuple[PauliOperator, int]],
+                  bases: Optional[dict] = None) -> StabilizerState:
     """sum_S prod_i (sign_i P_i)^S_i |s>, which is 2^r Pi|s> for the
     projector Pi = prod_i (I + sign_i P_i)/2, as one form on the columns
     of s plus one variable S_i per factor.
@@ -567,7 +568,9 @@ def projector_ket(s: StabilizerState,
     earlier S_i' (P_i sees the flips of the factors before it).  The
     columns may be dependent, and a factor may repeat or contradict
     another: the sum over S covers every case.  Each factor must be
-    Hermitian, with sign +1 or -1.
+    Hermitian, with sign +1 or -1.  The kets built with one ``bases`` dict
+    share one basis tuple per column set, so that ``gram_entries``' basis
+    checks are identity hits.
     """
     m = s.m
     basis = list(s.basis)
@@ -592,8 +595,11 @@ def projector_ket(s: StabilizerState,
         basis.append(p.x_mask)
         dvec.append((4 * (sign < 0) + 2 * p.omega_exp + 2 * p.delta.bit_count()
                      + 4 * parity(zm & s.shift)) % 8)
-    return StabilizerState(s.n, tuple(basis), s.shift, tuple(bmat),
-                           tuple(dvec), s.c, s.scale)
+    cols = tuple(basis)
+    if bases is not None:
+        cols = bases.setdefault(cols, cols)
+    return StabilizerState(s.n, cols, s.shift, tuple(bmat), tuple(dvec), s.c,
+                           s.scale)
 
 
 def apply_pauli_state(s: StabilizerState, p: PauliOperator) -> StabilizerState:
@@ -638,101 +644,6 @@ def _cross_pairs(m: int) -> tuple[list[tuple[int, int]], ExactAmplitude]:
             ExactAmplitude(1, 0, 0, 0, m))
 
 
-class RawDraws:
-    """numpy's ``Generator.integers(0, bound)`` draws, decoded from the raw
-    64-bit words of a fresh PCG64 stream.
-
-    ``words(k)`` hands over the next raw words of the stream as a uint64
-    array, at least one; k is how many the decoder still needs.  The
-    source decides how far it reads: one over a Generator that is drawn
-    from again afterwards hands over exactly k, and one over a stream that
-    only this decoder reads, such as a sample's, may read ahead.  The words
-    not yet used wait as Python ints in one buffer, which the 32-bit
-    halves, the whole words and the byte path all take from.  numpy takes
-    a bound up to 2^32 by 32-bit Lemire on ``next_uint32``, which is the
-    low half of a fresh word, then the high half that PCG64 buffers; a
-    bound up to 2^62 by 64-bit Lemire on whole words, which leave that
-    buffer alone.  ``half`` is the buffered high half, or None.  A decoder
-    starts with none, as a fresh PCG64 does, so over a fresh stream its
-    draws are those of a numpy Generator on that stream.
-    """
-
-    __slots__ = ("words", "half", "_buf", "_pos")
-
-    def __init__(self, words: Callable[[int], np.ndarray]):
-        self.words = words
-        self.half: Optional[int] = None
-        self._buf: list[int] = []
-        self._pos = 0
-
-    def _take(self, k: int) -> list[int]:
-        """The next k words: the buffered ones, then the source's."""
-        buf, pos = self._buf, self._pos
-        while len(buf) - pos < k:
-            buf = buf[pos:] + self.words(k - len(buf) + pos).tolist()
-            pos = 0
-        self._buf, self._pos = buf, pos + k
-        return buf[pos:pos + k]
-
-    def run(self, bits: int, count: int) -> list[int]:
-        """``count`` draws below 2^bits: a power-of-two bound never
-        rejects.  Lemire keeps the top ``bits`` of each half (bits <= 32)
-        or word (bits <= 62); above, the byte path keeps the low ``bits`` of
-        ceil(bits / 8) bytes, taken from little-endian halves as
-        ``Generator.bytes`` takes them."""
-        if bits <= 32:
-            s = 32 - bits
-            out = []
-            if count and self.half is not None:
-                out.append(self.half >> s)
-                self.half = None
-                count -= 1
-            if count:
-                s2 = 64 - bits
-                for w in self._take((count + 1) >> 1):
-                    out.append((w & 0xFFFFFFFF) >> s)
-                    out.append(w >> s2)
-                if count & 1:
-                    out.pop()
-                    self.half = w >> 32
-            return out
-        if bits <= 62:
-            s = 64 - bits
-            return [w >> s for w in self._take(count)]
-        per = (bits + 31) // 32   # halves in ceil(bits / 8) bytes
-        vals = self.run(32, count * per)
-        mask = (1 << bits) - 1
-        out = []
-        for i in range(0, len(vals), per):
-            v = 0
-            for j in range(per):
-                v |= vals[i + j] << (32 * j)
-            out.append(v & mask)
-        return out
-
-    def below(self, bound: int) -> int:
-        """One ``Generator.integers(0, bound)`` draw for bound <= 2^62; above,
-        the byte path: ``Generator.bytes``, masked to the bound's bit length,
-        until a value falls below the bound."""
-        if bound > 1 << 62:
-            bits = (bound - 1).bit_length()
-            while True:
-                v = self.run(bits, 1)[0]
-                if v < bound:
-                    return v
-        if bound == 1:
-            return 0
-        # Lemire: the high w bits of a w-bit draw times the bound, once its
-        # low w bits reach numpy's threshold 2^w mod bound
-        w = 32 if bound <= 1 << 32 else 64
-        mask = (1 << w) - 1
-        threshold = (mask + 1) % bound
-        while True:
-            m = bound * (self.run(32, 1)[0] if w == 32 else self._take(1)[0])
-            if m & mask >= threshold:
-                return m >> w
-
-
 def random_stabilizer_state(n: int, draws: RawDraws | np.random.Generator
                             ) -> StabilizerState:
     """Uniformly random n-qubit stabilizer state (up to global phase).
@@ -742,7 +653,8 @@ def random_stabilizer_state(n: int, draws: RawDraws | np.random.Generator
     the m ``dvec`` entries and the m(m-1)/2 cross bits of B row by row, each
     as ``Generator.integers(0, bound)`` gives it (the byte path above 2^62).
     The values rest on PCG64's raw stream and numpy's bounded-integer
-    algorithms, which ``tests/test_stabilizer.py`` pins against numpy.
+    algorithms, which ``tmagic.draws.RawDraws`` decodes and
+    ``tests/test_stabilizer.py`` pins against numpy.
     How far ahead ``draws`` reads is up to its word source; the values do
     not depend on it.
 

@@ -57,7 +57,8 @@ decoded from the raw words of the PCG64 stream that
 that is held as Python ints, and the states of all L streams come from
 one vectorized port of ``SeedSequence``, so no Generator is built per
 sample.  Sampled stdout therefore rests on PCG64's raw stream and on that
-port; ``tests/test_stabilizer.py`` pins both against numpy.
+port, which live in ``tmagic.draws`` (``RawDraws``, ``pcg64_streams``);
+``tests/test_stabilizer.py`` pins both against numpy.
 
 Three engines take a decomposition built by the caller (``catalog``'s
 ``block_decomposition``, then ``extend_with_zeros`` for padding qubits):
@@ -70,15 +71,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .blocks import CATALOG_TERM_COUNTS
 from .catalog import MagicDecomposition, catalog_entry
+from .draws import RawDraws, pcg64_streams
 from .pauli import PauliOperator, PauliProjector
 from .phase_ring import ExactAmplitude, ONE, ZERO, canonical, sqrt2_root
-from .stabilizer import (GramPair, RawDraws, StabilizerState,
-                         apply_pauli_state, gram_entries, pivot_table,
-                         projector_ket, random_stabilizer_state)
+from .stabilizer import (GramPair, StabilizerState, apply_pauli_state,
+                         gram_entries, pivot_table, projector_ket,
+                         random_stabilizer_state)
 
 
 @dataclass
@@ -89,6 +91,11 @@ class SimulationResult:
     term_count: int = 0
     exact_value: Optional[ExactAmplitude] = None  # exact paths only
     std_error: Optional[float] = None  # sampled path with L >= 2 only
+
+
+#: the most samples the estimator takes: it keeps one float64 per sample,
+#: so 10^8 samples hold 800 MB
+MAX_SAMPLES = 10 ** 8
 
 
 def sample_count(epsilon: float, p_f: float) -> int:
@@ -340,7 +347,8 @@ def exact_expectation(dec: MagicDecomposition, proj: PauliProjector
     projected first.  <phi_j|Pi|phi_j> = |Pi phi_j|^2, so a zero diagonal
     entry marks a term Pi annihilates.
     """
-    kets = [projector_ket(s, proj.factors) for _, s in dec.terms]
+    bases: dict = {}
+    kets = [projector_ket(s, proj.factors, bases) for _, s in dec.terms]
     return _hermitian_sum(dec, kets, ExactAmplitude(1, 0, 0, 0, 2 * len(proj.factors)),
                           positive=True)
 
@@ -360,9 +368,10 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     """Two-design estimate of <Psi| Pi |Psi> from L random stabilizer states.
 
     L is ``sample_count(epsilon, p_f)`` unless ``samples_override`` (at
-    least 1) replaces it.  Sample a decodes psi_a (``RawDraws``) from the
-    PCG64 stream of ``default_rng(SeedSequence([seed, a]))``, whose state
-    comes from one vectorized pass over all L (``_pcg64_streams``), so the
+    least 1) replaces it; above ``MAX_SAMPLES`` it is refused.  Sample a
+    decodes psi_a (``RawDraws``) from the PCG64 stream of
+    ``default_rng(SeedSequence([seed, a]))``, whose state
+    comes from one vectorized pass over all L (``pcg64_streams``), so the
     loop is order-free; accumulation happens in sample order for
     reproducibility.  No one else reads a sample's stream, so its decoder
     reads ahead.  The value thus rests on PCG64's raw stream and the
@@ -393,9 +402,12 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
         if samples_override < 1:
             raise ValueError(f"sample count must be at least 1, got {samples_override}")
         big_l = samples_override
+    if big_l > MAX_SAMPLES:
+        raise ValueError(f"{big_l} samples exceed the cap of {MAX_SAMPLES}")
     terms = dec.terms
     classes = _classes([s for _, s in terms])
-    kets = [projector_ket(s, proj.factors) for _, s in terms]
+    bases: dict = {}
+    kets = [projector_ket(s, proj.factors, bases) for _, s in terms]
     diag = _diagonal(dec, kets, classes, _gram_pairs(dec, classes))
     kept = [j for j, ks in enumerate(diag) if ks is not None]
     # K_l 2^-r = Pi|phi_l>, with 2^-r in the ring scale, so each overlap's
@@ -418,7 +430,7 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     def words(k: int) -> np.ndarray:
         return bg.random_raw(max(k, ahead))
 
-    for a, stream in enumerate(_pcg64_streams(seed, big_l)):
+    for a, stream in enumerate(pcg64_streams(seed, big_l)):
         bg.state = stream
         psi = random_stabilizer_state(n, RawDraws(words))
         overlap = overlaps.setdefault(psi.scale, {})
@@ -443,82 +455,6 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
                             samples_used=big_l,
                             term_count=len(dec),
                             std_error=se)
-
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
-_SEED_BLOCK = 1 << 12
-
-
-def _uint32_words(x: int) -> list[int]:
-    """SeedSequence's entropy words of a non-negative int, low word first."""
-    words = [x & _M32]
-    while x > _M32:
-        x >>= 32
-        words.append(x & _M32)
-    return words
-
-
-def _pcg64_streams(seed: int, count: int) -> Iterator[dict]:
-    """The state of ``PCG64(SeedSequence([seed, a]))`` for a = 0..count-1
-    and a seed >= 0, as the dict ``PCG64.state`` takes.
-
-    A port of ``SeedSequence.generate_state(4, uint64)`` run on all a at
-    once: its hash constants do not depend on the entropy, so each hashing
-    step is one uint32 array operation over a block of sample indices.
-    The blocks divide 2^32, so every index in one has as many entropy words.
-    PCG64's seeding step follows per sample: inc = 2 s_1 + 1 and state =
-    (inc + s_0) M + inc mod 2^128, for the two 128-bit halves s_0, s_1 of
-    the four words, high word first in each.
-    """
-    import numpy as np
-
-    def hashmix(v):
-        nonlocal hash_const
-        v = v ^ hash_const
-        hash_const = hash_const * _MULT_A & _M32
-        v = v * hash_const
-        return v ^ (v >> 16)
-
-    def mix(x, y):
-        v = x * _MIX_L - y * _MIX_R
-        return v ^ (v >> 16)
-
-    head = _uint32_words(seed)
-    for lo in range(0, count, _SEED_BLOCK):
-        a = np.arange(lo, min(lo + _SEED_BLOCK, count), dtype=np.uint64)
-        entropy = [np.full(len(a), w, np.uint32) for w in head]
-        entropy += [(a >> (32 * j)).astype(np.uint32)
-                    for j in range(len(_uint32_words(lo)))]
-        hash_const = _INIT_A
-        pool = [hashmix(entropy[i] if i < len(entropy)
-                        else np.zeros(len(a), np.uint32)) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for e in entropy[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(e))
-        out = []
-        hash_const = _INIT_B
-        for i in range(8):
-            v = pool[i % 4] ^ hash_const
-            hash_const = hash_const * _MULT_B & _M32
-            v = v * hash_const
-            out.append((v ^ (v >> 16)).tolist())
-        for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*out):
-            init = w2 | w3 << 32 | w0 << 64 | w1 << 96
-            inc = (w6 << 1 | w7 << 33 | w4 << 65 | w5 << 97 | 1) & _M128
-            yield {"bit_generator": "PCG64",
-                   "state": {"state": ((inc + init) * _PCG_MULT + inc) & _M128,
-                             "inc": inc},
-                   "has_uint32": 0, "uinteger": 0}
 
 
 def _overlap_float(psi: StabilizerState, ket: StabilizerState,

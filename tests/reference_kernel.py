@@ -23,7 +23,7 @@ enumerates the phase-free k-qubit Paulis for exhaustive checks.
 
 ``numpy_randbelow`` and ``numpy_random_stabilizer_state`` make every draw
 with a numpy ``Generator`` call, one at a time: the stream that
-``stabilizer.RawDraws`` decodes from raw PCG64 words must equal theirs.
+``draws.RawDraws`` decodes from raw PCG64 words must equal theirs.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ from tmagic.catalog import (MagicDecomposition, block_decomposition,
                             write_catalog_file, _CATALOG, _t6_states,
                             _t12_merge_states)
 from tmagic.dense import dense_magic_state, dense_magic_state_exact
+from tmagic.draws import RawDraws
 from tmagic.pauli import PauliProjector
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO
-from tmagic.stabilizer import (RawDraws, StabilizerState, inner_product,
+from tmagic.stabilizer import (StabilizerState, inner_product,
                                random_stabilizer_state)
 from tmagic.strong_sim import exact_expectation
 
@@ -124,6 +125,24 @@ class TestComposition:
                 assert got[idx] == want[idx // 4]
             else:
                 assert got[idx].is_zero()
+
+    def test_one_basis_tuple_per_column_set(self, tmp_path):
+        # gram_entries compares bases by identity first: the terms of one
+        # column set, built, tensored, padded or read back, share one tuple
+        def shared(dec):
+            ids = {}
+            for _, s in dec.terms:
+                ids.setdefault(s.basis, set()).add(id(s.basis))
+            return all(len(v) == 1 for v in ids.values()) and len(ids)
+        for k in CATALOG_TERM_COUNTS:
+            assert shared(catalog_entry(k))
+        assert shared(catalog_entry(12)) == 10
+        assert shared(block_decomposition(19))
+        assert shared(extend_with_zeros(catalog_entry(6), 8)) == 3
+        path = tmp_path / "t12.txt"
+        with open(path, "w") as fh:
+            write_catalog_file(catalog_entry(12), fh)
+        assert shared(read_catalog_file(str(path))) == 10
 
     def test_extend_rejects_shrinking(self):
         with pytest.raises(ValueError):

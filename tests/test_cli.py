@@ -195,7 +195,29 @@ class TestExpectRejectsBadInput:
 
     def test_unparsable_projector_letter(self):
         self._rejected(["--t", "1", "--projector", "+Q", "--mode", "exact"],
-                       "invalid --projector 'Q': invalid Pauli letter 'Q' at position 0")
+                       "invalid --projector '+Q': factor 1 '+Q': invalid Pauli "
+                       "letter 'Q' at position 1")
+
+    # each message names the factor by its 1-based position, and a bad
+    # character by its position in the factor as typed, sign included
+    @pytest.mark.parametrize("projector, message", [
+        ("+ZZ,+XQ", "factor 2 '+XQ': invalid Pauli letter 'Q' at position 2"),
+        ("++XX", "factor 1 '++XX': invalid Pauli letter '+' at position 1"),
+        ("+ZZ,-j:XX", "factor 2 '-j:XX': unknown phase token 'j' at position 1"),
+        ("+ZZ,-1:XQ", "factor 2 '-1:XQ': invalid Pauli letter 'Q' at position 4"),
+        ("+ZZ,-i:XX", "factor 2 '-i:XX' is not Hermitian: its phase must be "
+                      "+1 or -1"),
+        ("+ZZ,+XXX", "factor 2 '+XXX' acts on 3 qubits, expected 2"),
+    ])
+    def test_bad_projector_factor_is_named(self, projector, message):
+        self._rejected(["--t", "2", f"--projector={projector}", "--mode", "exact"],
+                       f"invalid --projector {projector!r}: {message}")
+
+    def test_unparsable_phase_prefixed_pauli_letter(self):
+        # the position counts the phase token too
+        self._rejected(["--t", "2", "--pauli=-1:XQ"],
+                       "invalid --pauli '-1:XQ': invalid Pauli letter 'Q' at "
+                       "position 4")
 
     @pytest.mark.parametrize("projector, position", [
         ("+ZZ,,+XX", 2), ("+ZZ,", 2), ("+", 1), (",+ZZ", 1), ("+ZZ,-XX,-", 3),
@@ -208,8 +230,8 @@ class TestExpectRejectsBadInput:
 
     def test_non_hermitian_projector_factor(self):
         self._rejected(["--t", "1", "--projector", "i:Z", "--mode", "exact"],
-                       "invalid --projector 'i:Z': projector factors must be "
-                       "Hermitian (phase +-1)")
+                       "invalid --projector 'i:Z': factor 1 'i:Z' is not "
+                       "Hermitian: its phase must be +1 or -1")
 
     def test_non_commuting_projector_factors(self):
         self._rejected(["--t", "2", "--projector", "+XZ,+ZZ", "--mode", "exact"],
@@ -239,6 +261,29 @@ class TestExpectRejectsBadInput:
         self._rejected(["--t", "2", "--pauli", "XY", "--mode", "sampled",
                         "--samples", "0"], "--samples must be at least 1, got 0")
 
+    # L = ceil(eps^-2 ln(1/pf)) = 6.9e12 would allocate 50 TiB
+    @pytest.mark.parametrize("args, message", [
+        (["--pf", "1e-300", "--epsilon", "1e-5"],
+         "--epsilon 1e-05 and --pf 1e-300 need 6907755278983 samples, above "
+         "the cap of 100000000"),
+        (["--epsilon", "1e-4"],
+         "--epsilon 0.0001 and --pf 0.05 need 299573228 samples, above the "
+         "cap of 100000000"),
+        (["--samples", "100000001"],
+         "--samples 100000001 exceeds the cap of 100000000 samples"),
+        (["--samples", "100000001", "--epsilon", "0.5"],
+         "--samples 100000001 exceeds the cap of 100000000 samples"),
+    ])
+    def test_sampled_sample_count_above_the_cap(self, args, message):
+        self._rejected(["--t", "2", "--pauli", "XX", "--mode", "sampled", *args],
+                       message)
+
+    def test_sampled_samples_below_the_cap_override_a_large_l(self, capsys):
+        # --samples replaces L, so only its own count meets the cap
+        assert main(["expect", "--t", "2", "--pauli", "XX", "--mode", "sampled",
+                     "--pf", "1e-300", "--epsilon", "1e-5", "--samples", "4"]) == 0
+        assert '"samples_used": 4' in capsys.readouterr().out
+
     def test_sampled_failure_probability_outside_unit_interval(self):
         self._rejected(["--t", "2", "--projector", "+XY", "--mode", "sampled",
                         "--pf", "1"], "--pf must lie in (0, 1), got 1.0")
@@ -267,6 +312,21 @@ class TestExpectRejectsBadInput:
     def test_policy_cannot_cover_t(self, policy, sizes):
         self._rejected(["--t", "2", "--pauli", "XY", "--policy", policy],
                        f"invalid --policy {policy!r}: policy {sizes} cannot cover t=2")
+
+    @pytest.mark.parametrize("policy, position", [
+        ("12,,6", 2), ("12,", 2), (",12", 1), ("12 6,,3", 3), ("12, ,6", 2),
+    ])
+    def test_policy_empty_item(self, policy, position):
+        self._rejected(["--t", "12", "--pauli", "X" * 12, "--policy", policy],
+                       f"invalid --policy {policy!r}: item {position} is empty")
+
+    def test_policy_separators(self, capsys):
+        outs = set()
+        for policy in ("12 6", "12,6", "12 , 6", " 12  6 "):
+            assert main(["expect", "--t", "18", "--pauli", "X" * 18,
+                         "--policy", policy]) == 0
+            outs.add(capsys.readouterr().out)
+        assert len(outs) == 1
 
 
 class TestCensus:
@@ -341,6 +401,15 @@ class TestBench:
     def test_rejects_unparsable_t(self):
         assert_rejected(["bench", "--mode", "exact", "--t", "6 x"],
                         "invalid --t '6 x': invalid literal for int() with base 10: 'x'")
+
+    def test_rejects_empty_t_item(self):
+        assert_rejected(["bench", "--mode", "exact", "--t", "6,,12"],
+                        "invalid --t '6,,12': item 2 is empty")
+
+    def test_rejects_sample_count_above_the_cap(self):
+        assert_rejected(["bench", "--mode", "sampled", "--t", "2",
+                         "--samples", "100000001"],
+                        "--samples 100000001 exceeds the cap of 100000000 samples")
 
     def test_rejects_empty_t(self):
         assert_rejected(["bench", "--mode", "exact", "--t", ""],
@@ -729,12 +798,14 @@ print(rc, *[m for m in ("numpy", "concurrent.futures", "tmagic.catalog",
         (["catalog", "--k", "6"],
          ("numpy", "concurrent.futures", "tmagic.gauss", "tmagic.strong_sim")),
         (["census", "--k", "3", "--workers", "1"],
-         ("concurrent.futures", *_RANK_ENGINE)),
+         ("numpy", "concurrent.futures", *_RANK_ENGINE)),
+        (["census", "--k", "12", "--mode", "sampled", "--samples", "50"],
+         ("numpy", "concurrent.futures", *_RANK_ENGINE)),
         (["bench", "--mode", "exact", "--t", "6", "--reps", "3"],
          ("concurrent.futures", "tmagic.gauss")),
         ([], ("numpy", "concurrent.futures", "tmagic.gauss", *_RANK_ENGINE)),
     ], ids=["exact-pauli", "exact-projector", "gauss", "catalog", "census",
-            "bench-exact", "import"])
+            "census-sampled", "bench-exact", "import"])
     def test_command_loads_only_what_it_runs(self, args, absent):
         proc = subprocess.run([sys.executable, "-c", self._PROBE, *args],
                               capture_output=True, text=True, env=_ENV,

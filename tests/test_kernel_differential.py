@@ -19,14 +19,14 @@ from tmagic import strong_sim
 from tmagic.catalog import (block_decomposition, catalog_entry,
                             extend_with_zeros, read_catalog_file,
                             t12_decomposition, write_catalog_file)
+from tmagic.draws import RawDraws
 from tmagic.gf2 import rank_of, solve_columns
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
 from tmagic.phase_ring import ZERO, ExactAmplitude, sqrt2_root
 from tmagic import stabilizer
-from tmagic.stabilizer import (GramPair, RawDraws, StabilizerState,
-                               apply_pauli_state, gram_entries, inner_product,
-                               pivot_table, projector_ket,
-                               random_stabilizer_state)
+from tmagic.stabilizer import (GramPair, StabilizerState, apply_pauli_state,
+                               gram_entries, inner_product, pivot_table,
+                               projector_ket, random_stabilizer_state)
 
 import reference_kernel
 

@@ -141,6 +141,15 @@ class TestText:
         with pytest.raises(ValueError, match="phase token"):
             PauliOperator.from_str("j:XX")
 
+    def test_positions_count_the_phase_token_and_start(self):
+        # a position is one in s, plus where s starts in a longer text
+        with pytest.raises(ValueError, match="'Q' at position 4$"):
+            PauliOperator.from_str("-1:XQ")
+        with pytest.raises(ValueError, match="'Q' at position 5$"):
+            PauliOperator.from_str("-1:XQ", start=1)
+        with pytest.raises(ValueError, match="'j' at position 3$"):
+            PauliOperator.from_str("j:XX", start=3)
+
 
 class TestProjector:
     def test_rejects_non_commuting(self):

@@ -7,21 +7,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tmagic.dense import apply_pauli, apply_projector, dense_magic_state
+from tmagic.draws import RawDraws, pcg64_streams
 from tmagic import gf2
 from tmagic.gf2 import from_str, parity, revbits
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
 from tmagic.phase_ring import (INV_SQRT2, ExactAmplitude, ONE, ZERO,
                                eighth_root, sqrt2_root)
-from tmagic.stabilizer import (RawDraws, StabilizerState, apply_pauli_state,
+from tmagic.stabilizer import (StabilizerState, apply_pauli_state,
                                exponential_sum, inner_product, plan_value,
                                projector_ket, random_stabilizer_state,
                                _dimension_weights)
-from tmagic.strong_sim import _pcg64_streams
 
 import reference_kernel
 
 
 PLUS1 = StabilizerState(1, (1,), 0, (0,), (0,), 0, INV_SQRT2)  # |+>
+PLUS1_2 = StabilizerState(2, (0b11,), 0, (0,), (0,), 0, INV_SQRT2)  # |00>+|11>
 HALF = ExactAmplitude(1, 0, 0, 0, 2)
 
 
@@ -413,6 +414,20 @@ class TestMeasurePauli:
             got = ket.to_dense() / 2 ** len(factors)
             assert np.allclose(got, want, atol=1e-12)
 
+    def test_kets_share_bases_through_one_dict(self):
+        # kets of states on one column set, built with one dict, share one
+        # basis tuple; without the dict each ket has its own
+        factors = [(PauliOperator.from_str("XZ"), 1), (PauliOperator.from_str("IY"), -1)]
+        cols = (0b01, 0b10)
+        states = [StabilizerState(2, cols, h, (0, 0), (0, 2 * h), 0, HALF)
+                  for h in range(2)] + [PLUS1_2]
+        bases: dict = {}
+        kets = [projector_ket(s, factors, bases) for s in states]
+        assert kets[0].basis is kets[1].basis
+        assert kets[2].basis is not kets[0].basis
+        assert kets == [projector_ket(s, factors) for s in states]
+        assert projector_ket(states[0], factors).basis is not kets[0].basis
+
     def test_rejects_non_hermitian_factor_and_bad_sign(self):
         s = StabilizerState.computational(1, 0)
         with pytest.raises(ValueError, match="must be Hermitian"):
@@ -630,7 +645,7 @@ class TestNumpyStream:
                                       2 ** 100])
     def test_sample_stream_states(self, seed):
         # 3329 is L at eps = 0.03, p_f = 0.05; 4096 starts the second block
-        streams = list(_pcg64_streams(seed, 4097))
+        streams = list(pcg64_streams(seed, 4097))
         for a in (0, 1, 2, 3328, 4095, 4096):
             want = np.random.PCG64(np.random.SeedSequence([seed, a])).state
             assert streams[a] == want, a

@@ -365,6 +365,14 @@ class TestSampled:
                 sample_count(eps, p_f)
         assert sample_count(1e-100, 0.05) == math.ceil(math.log(20) / 1e-200)
 
+    def test_sample_count_above_the_cap_is_refused(self):
+        # refused before the estimator allocates its float64 per sample
+        dec = catalog_entry(2)
+        proj = _proj("XX")
+        for eps, p_f, override in ((1e-5, 1e-300, None), (0.1, 0.05, 10 ** 8 + 1)):
+            with pytest.raises(ValueError, match="exceed the cap of 100000000"):
+                sampled_expectation(dec, proj, eps, p_f, 0, override)
+
     @pytest.mark.parametrize("proj, seed, value, se", [
         (_proj("XYZIXZ"), 11, "0.46597482267209916", "0.027603591672801787"),
         (PauliProjector(6, ((PauliOperator.from_str("XXIIZZ"), 1),
