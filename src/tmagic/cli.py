@@ -67,16 +67,19 @@ def _reject(message: str) -> NoReturn:
 
 def _parse_ints(option: str, text: str) -> list[int]:
     """The integers of a list such as '12 6 3' or '12,6,3'.  An empty item,
-    between two commas or at either end, is refused by its 1-based
-    position."""
+    between two commas or at either end, or one that is not an integer is
+    refused by its 1-based position."""
     items = re.split(r"\s*,\s*|\s+", text.strip()) if text.strip() else []
+    values = []
     for i, item in enumerate(items, 1):
         if not item:
             _reject(f"invalid {option} {text!r}: item {i} is empty")
-    try:
-        return [int(v) for v in items]
-    except ValueError as exc:
-        _reject(f"invalid {option} {text!r}: {exc}")
+        try:
+            values.append(int(item))
+        except ValueError:
+            _reject(f"invalid {option} {text!r}: item {i} {item!r} is not an "
+                    "integer")
+    return values
 
 
 def _parse_policy(text: str, ts: Sequence[int]) -> tuple[int, ...]:

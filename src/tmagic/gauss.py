@@ -13,8 +13,13 @@ Kronecker-delta arguments and sum ranges are evaluated modulo two: a range
 [lo, hi] means {lo} when lo = hi (mod 2) and {0, 1} otherwise.  Every
 evaluator here is validated against the dense oracle in the test suite.
 
-``expect_block`` sums (value, multiplicity) pairs straight into the exact
-value and the non-zero count.  ``rank_census`` is the one census driver.
+``expect_block`` multiplies one item of each chained group into every
+product term and sums the (value, multiplicity) pairs into the exact value;
+gauss mode, ``verify`` and the oracle checks run it.  ``rank_census`` is the
+one census driver, and it never multiplies or sums a product term: a product
+in Z[i, sqrt2] is zero only when a factor is, so ``count_nonzero_sums`` takes
+the product of each group's non-zero item count, the count ``expect_block``
+also reports.
 """
 
 from __future__ import annotations
@@ -44,20 +49,18 @@ class GaussSumReport:
 
 
 def _sum_terms(k: int, terms: Iterable[tuple[ExactAmplitude, int]],
-               negate: bool) -> GaussSumReport:
+               negate: bool) -> ExactAmplitude:
     """2^-k times the sum of value * multiplicity over ``terms``, negated for
-    a -1 phase; each non-zero term counts once towards the unique sums."""
+    a -1 phase."""
     total = ZERO
-    nonzero = 0
     for value, multiplicity in terms:
         if not value.is_zero():
             total = total + value.scale_int(multiplicity)
-            nonzero += 1
     exact = total * ExactAmplitude(-1 if negate else 1, 0, 0, 0, 2 * k)  # +-2^-k
     if not exact.is_real():
         raise ValueError(f"non-real Gauss-sum expectation {exact} at "
                          f"k={k}: the terms must sum to a real value")
-    return GaussSumReport(exact.real_float(), nonzero, exact)
+    return exact
 
 
 def _mod2_range(lo: int, hi: int) -> tuple[int, ...]:
@@ -237,28 +240,64 @@ def _enumerate_group(group: list[_Block3]
     return out
 
 
-def expect_block(k: int, p: PauliOperator) -> GaussSumReport:
-    """Gauss-sum expectation <T^k| P |T^k> for one supported block size."""
+def _check_block(k: int, p: PauliOperator) -> None:
     if p.n != k:
         raise ValueError(f"Pauli acts on {p.n} qubits, block expects {k}")
     if p.omega_exp % 2:
         raise ValueError("block expectation needs a Hermitian Pauli (omega = +-1)")
-    if k == 1:
-        terms = _terms_k1(p)
-    elif k == 2:
-        terms = _terms_k2(p)
-    elif k in (3, 6, 12):
-        blocks = [_Block3(p, 3 * i, i) for i in range(k // 3)]
-        groups = [_enumerate_group(g) for g in _group_blocks(blocks)]
+    if k not in CATALOG_TERM_COUNTS:
+        raise ValueError(f"unsupported block size {k}")
+
+
+def _groups(k: int, p: PauliOperator
+            ) -> list[list[tuple[tuple, int, ExactAmplitude]]]:
+    """The items of each chained group of a 3-, 6- or 12-qubit block."""
+    blocks = [_Block3(p, 3 * i, i) for i in range(k // 3)]
+    return [_enumerate_group(g) for g in _group_blocks(blocks)]
+
+
+def _count_nonzero(groups: list[list[tuple[tuple, int, ExactAmplitude]]]
+                   ) -> int:
+    """Non-zero product terms taking one item from each group: the product
+    of the groups' non-zero item counts, since Z[i, sqrt2] has no zero
+    divisors and a power-of-two multiplicity cannot zero a term."""
+    count = 1
+    for group in groups:
+        count *= sum([not v.is_zero() for _, _, v in group])
+    return count
+
+
+def count_nonzero_sums(k: int, p: PauliOperator) -> int:
+    """The unique non-zero Gauss sums of ``expect_block(k, p)``, counted per
+    chained group with no product term multiplied or summed."""
+    _check_block(k, p)
+    if k in (1, 2):
+        return sum([not v.is_zero() for v, _ in _small_terms(k, p)])
+    return _count_nonzero(_groups(k, p))
+
+
+def expect_block(k: int, p: PauliOperator) -> GaussSumReport:
+    """Gauss-sum expectation <T^k| P |T^k> for one supported block size."""
+    _check_block(k, p)
+    if k in (1, 2):
+        terms = _small_terms(k, p)
+        nonzero = sum([not v.is_zero() for v, _ in terms])
+    else:
+        groups = _groups(k, p)
         terms = []
         for combo in itertools.product(*groups):
             val = ONE
             for _, _, v in combo:
                 val = val * v
             terms.append((val, 1 << sum(e for _, e, _ in combo)))
-    else:
-        raise ValueError(f"unsupported block size {k}")
-    return _sum_terms(k, terms, p.omega_exp == 2)
+        nonzero = _count_nonzero(groups)
+    exact = _sum_terms(k, terms, p.omega_exp == 2)
+    return GaussSumReport(exact.real_float(), nonzero, exact)
+
+
+def _small_terms(k: int, p: PauliOperator) -> list[tuple[ExactAmplitude, int]]:
+    """The two (value, multiplicity) terms of a 1- or 2-qubit block."""
+    return _terms_k1(p) if k == 1 else _terms_k2(p)
 
 
 def _terms_k1(p: PauliOperator) -> list[tuple[ExactAmplitude, int]]:
@@ -350,10 +389,10 @@ def census_letters(k: int, mode: str, samples: int, seed: int
 
 
 def _census_chunk(task: tuple[int, list[list[int]]]) -> Counter:
-    """Histogram of unique non-zero Gauss sums over one slice of rows."""
+    """Histogram of unique non-zero Gauss sums over one slice of rows, each
+    counted from its chained groups without summing a product term."""
     k, rows = task
-    return Counter(expect_block(k, letters_to_pauli(row)).unique_nonzero_sums
-                   for row in rows)
+    return Counter(count_nonzero_sums(k, letters_to_pauli(row)) for row in rows)
 
 
 def rank_census(k: int, mode: str = "exhaustive", samples: int = 100_000,

@@ -142,7 +142,8 @@ class PauliProjector:
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
                 if not commute(ops[i], ops[j]):
-                    raise ValueError(f"projector factors {i} and {j} do not commute")
+                    raise ValueError(f"projector factors {i + 1} and {j + 1} "
+                                     "do not commute")
         for _, s in self.factors:
             if s not in (1, -1):
                 raise ValueError("projector signs must be +1 or -1")

@@ -1,5 +1,7 @@
 """CLI behaviour: values, formats, and byte-level determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tmagic
 from tmagic.cli import main
@@ -235,7 +238,7 @@ class TestExpectRejectsBadInput:
 
     def test_non_commuting_projector_factors(self):
         self._rejected(["--t", "2", "--projector", "+XZ,+ZZ", "--mode", "exact"],
-                       "invalid --projector '+XZ,+ZZ': projector factors 0 and 1 "
+                       "invalid --projector '+XZ,+ZZ': projector factors 1 and 2 "
                        "do not commute")
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
@@ -320,6 +323,10 @@ class TestExpectRejectsBadInput:
         self._rejected(["--t", "12", "--pauli", "X" * 12, "--policy", policy],
                        f"invalid --policy {policy!r}: item {position} is empty")
 
+    def test_policy_item_not_an_integer(self):
+        self._rejected(["--t", "12", "--pauli", "X" * 12, "--policy", "12 x"],
+                       "invalid --policy '12 x': item 2 'x' is not an integer")
+
     def test_policy_separators(self, capsys):
         outs = set()
         for policy in ("12 6", "12,6", "12 , 6", " 12  6 "):
@@ -400,7 +407,7 @@ class TestBench:
 
     def test_rejects_unparsable_t(self):
         assert_rejected(["bench", "--mode", "exact", "--t", "6 x"],
-                        "invalid --t '6 x': invalid literal for int() with base 10: 'x'")
+                        "invalid --t '6 x': item 2 'x' is not an integer")
 
     def test_rejects_empty_t_item(self):
         assert_rejected(["bench", "--mode", "exact", "--t", "6,,12"],
@@ -814,3 +821,70 @@ print(rc, *[m for m in ("numpy", "concurrent.futures", "tmagic.catalog",
         rc, *loaded = proc.stdout.split()
         assert rc == "0"
         assert not set(loaded) & set(absent), loaded
+
+
+# generated option text: Pauli-like characters, separators and now and then
+# any character at all; integer items stay at or below 3 so every accepted
+# call runs a T-count of at most 3
+_PAULI_TEXT = st.text(st.one_of(st.sampled_from("IXYZixyz+-1:j "),
+                                st.characters()), max_size=6)
+_ITEM = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["", "x", "+1", "1.0", "٣"]),
+                  st.text(max_size=3))
+_SEPARATOR = st.sampled_from([" ", ",", " , ", ",,", "\t", ", "])
+
+
+@st.composite
+def _item_list(draw, items):
+    values = draw(st.lists(items, max_size=4))
+    out = ""
+    for i, value in enumerate(values):
+        out += (draw(_SEPARATOR) if i else "") + value
+    return draw(st.sampled_from(["", " "])) + out
+
+
+class TestParserProperties:
+    """Generated text through ``main``: every call exits 0 with one JSON
+    record on stdout, or exits 2 with one stderr line and no stdout.  A
+    traceback or exit 1 fails."""
+
+    @staticmethod
+    def _clean(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        if code == 0:
+            records = [json.loads(line) for line in out.getvalue().splitlines()
+                       if line.startswith("{")]
+            assert [r["command"] for r in records] == [argv[0]], out.getvalue()
+        else:
+            assert code == 2, (argv, code, err.getvalue())
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(t=st.integers(1, 3), mode=st.sampled_from(["gauss", "exact"]),
+           text=_PAULI_TEXT)
+    def test_pauli(self, t, mode, text):
+        self._clean(["expect", f"--t={t}", f"--pauli={text}", f"--mode={mode}"])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(t=st.integers(1, 3), mode=st.sampled_from(["gauss", "exact"]),
+           factors=st.lists(_PAULI_TEXT, min_size=1, max_size=3))
+    def test_projector(self, t, mode, factors):
+        self._clean(["expect", f"--t={t}", f"--projector={','.join(factors)}",
+                     f"--mode={mode}"])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(t=st.integers(1, 3),
+           policy=_item_list(st.one_of(_ITEM, st.sampled_from(["6", "12"]))))
+    def test_policy(self, t, policy):
+        self._clean(["expect", f"--t={t}", "--pauli=" + "X" * t,
+                     f"--policy={policy}"])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ts=_item_list(_ITEM))
+    def test_bench_t(self, ts):
+        self._clean(["bench", "--mode=gauss", f"--t={ts}"])

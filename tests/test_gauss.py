@@ -6,9 +6,10 @@ import pytest
 from tmagic._gauss_kernels import sample_letters
 from tmagic.dense import (dense_magic_state, dense_magic_state_exact,
                           dense_pauli_expect)
+from tmagic import gauss
 from tmagic.gauss import (WORST_CASE_UNIQUE, _Block3, _enumerate_group,
-                          _group_blocks, expect_block, expect_single_pauli,
-                          rank_census)
+                          _group_blocks, count_nonzero_sums, expect_block,
+                          expect_single_pauli, rank_census)
 from tmagic.pauli import PauliOperator, letters_to_pauli, random_pauli
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO
 
@@ -242,6 +243,37 @@ class TestStructuralInvariants:
         p = PauliOperator.from_str("XYXXIZ" + "XYXXYX")
         rep = expect_block(12, p)
         assert rep.unique_nonzero_sums == 42
+        # groups A, B and the chained pair AA, counted one by one
+        blocks = [_Block3(p, 3 * i, i) for i in range(4)]
+        groups = _group_blocks(blocks)
+        assert [[b.line for b in g] for g in groups] == [["A"], ["B"], ["A", "A"]]
+        assert [sum(1 for _, _, v in _enumerate_group(g) if not v.is_zero())
+                for g in groups] == [3, 2, 7]
+        assert count_nonzero_sums(12, p) == 42
+
+    def test_count_matches_expect_block(self):
+        # the per-group count equals the count over summed product terms,
+        # on every Pauli through k = 6 with both signs and 3000 at k = 12
+        def check(k, p, neg):
+            signed = PauliOperator(k, p.beta, p.gamma, p.delta, 2 * neg)
+            assert (count_nonzero_sums(k, signed)
+                    == expect_block(k, signed).unique_nonzero_sums), str(signed)
+
+        for k in (1, 2, 3, 6):
+            for p in all_paulis(k):
+                check(k, p, 0)
+                check(k, p, 1)
+        for i, row in enumerate(sample_letters(12, 3000, 7)):
+            check(12, letters_to_pauli(row), i % 2)
+
+    @pytest.mark.parametrize("k, p", [(4, PauliOperator(4)),
+                                      (3, PauliOperator(2)),
+                                      (1, PauliOperator.from_str("+i:X"))])
+    def test_count_refuses_what_expect_block_refuses(self, k, p):
+        with pytest.raises(ValueError):
+            expect_block(k, p)
+        with pytest.raises(ValueError):
+            count_nonzero_sums(k, p)
 
 
 class TestMultiBlock:
@@ -325,6 +357,19 @@ class TestCensus:
         assert rank_census(3, "exhaustive") == (3, {0: 14, 1: 8, 2: 30, 3: 12})
         assert rank_census(6, "exhaustive") == (
             7, {0: 1596, 1: 64, 2: 544, 3: 192, 4: 1028, 6: 528, 7: 144})
+
+    def test_census_never_sums_a_product_term(self, monkeypatch):
+        # the census counts from the chained groups: it neither reaches
+        # expect_block nor adds two ring values
+        def refuse(*args):
+            raise AssertionError("census summed a Gauss-sum term")
+
+        monkeypatch.setattr(gauss, "expect_block", refuse)
+        monkeypatch.setattr(ExactAmplitude, "__add__", refuse)
+        assert rank_census(6, "exhaustive") == (
+            7, {0: 1596, 1: 64, 2: 544, 3: 192, 4: 1028, 6: 528, 7: 144})
+        mx, hist = rank_census(12, "sampled", samples=500, seed=0)
+        assert mx <= 42 and sum(hist.values()) == 500
 
     def test_sample_letters_deterministic(self):
         a = sample_letters(12, 100, 5)
