@@ -11,7 +11,6 @@ amplitude by amplitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence, TextIO
 
@@ -21,12 +20,29 @@ from .stabilizer import StabilizerState
 from .gf2 import from_str, rank_of, to_str
 
 
-@dataclass(frozen=True)
 class MagicDecomposition:
-    """|T>^{otimes k} = sum_j coeff_j |state_j> with exact coefficients."""
+    """|T>^{otimes k} = sum_j coeff_j |state_j> with exact coefficients.
 
-    k: int
-    terms: tuple[tuple[ExactAmplitude, StabilizerState], ...]
+    Treated as immutable and compared by value."""
+
+    __slots__ = ("k", "terms")
+
+    def __init__(self, k: int,
+                 terms: tuple[tuple[ExactAmplitude, StabilizerState], ...]
+                 ) -> None:
+        self.k = k
+        self.terms = terms
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not MagicDecomposition:
+            return NotImplemented
+        return (self.k, self.terms) == (other.k, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.terms))
+
+    def __repr__(self) -> str:
+        return f"MagicDecomposition(k={self.k!r}, terms={self.terms!r})"
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -293,10 +309,10 @@ def read_catalog_file(path: str) -> MagicDecomposition:
 
     Malformed input raises ``ValueError`` naming the file and the line: a
     missing, misnamed or unparsable field, a file that ends early or runs on
-    past its last term, a term whose ``n`` is not the file's ``k``, ``G``
-    columns that are dependent (a catalog state's are independent), a ``J``
-    entry that is not 0 or 4 (mod 8), or a ``G``/``h``/``J``/``D`` length
-    that does not match ``n`` and ``m``.
+    past its last term, a ``k`` below 1, a term whose ``n`` is not the
+    file's ``k``, ``G`` columns that are dependent (a catalog state's are
+    independent), a ``J`` entry that is not 0 or 4 (mod 8), or a
+    ``G``/``h``/``J``/``D`` length that does not match ``n`` and ``m``.
     """
     with open(path) as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
@@ -331,6 +347,8 @@ def read_catalog_file(path: str) -> MagicDecomposition:
 
     try:
         k, nterms = (int(v) for v in fields("k", "terms"))
+        if k < 1:
+            raise ValueError(f"k= must be a T-count of at least 1, got {k}")
         terms = []
         bases: dict = {}  # one tuple per column set, as the catalog's
         for _ in range(nterms):

@@ -65,6 +65,17 @@ def _reject(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
+def _integer(text: str) -> int:
+    """An optional sign and ASCII digits, the one integer form every option
+    takes; ``int`` alone would also take '1_2', ' 3' or '٣'."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+
+
 def _parse_ints(option: str, text: str) -> list[int]:
     """The integers of a list such as '12 6 3' or '12,6,3'.  An empty item,
     between two commas or at either end, or one that is not an integer is
@@ -75,8 +86,8 @@ def _parse_ints(option: str, text: str) -> list[int]:
         if not item:
             _reject(f"invalid {option} {text!r}: item {i} is empty")
         try:
-            values.append(int(item))
-        except ValueError:
+            values.append(_integer(item))
+        except argparse.ArgumentTypeError:
             _reject(f"invalid {option} {text!r}: item {i} {item!r} is not an "
                     "integer")
     return values
@@ -530,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     pe = sub.add_parser("expect", help="evaluate a Pauli or projector expectation")
-    pe.add_argument("--t", type=int, required=True, help="T-count")
+    pe.add_argument("--t", type=_integer, required=True, help="T-count")
     operator = pe.add_mutually_exclusive_group()
     operator.add_argument("--pauli", help="Pauli string, e.g. XYZI or --pauli=-1:XX")
     operator.add_argument("--projector", help="signed factors, e.g. --projector=-ZZ,+XX")
@@ -538,18 +549,18 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--policy", default=_DEFAULT_POLICY)
     pe.add_argument("--epsilon", type=float, default=0.1)
     pe.add_argument("--pf", type=float, default=0.05)
-    pe.add_argument("--samples", type=int, default=None,
+    pe.add_argument("--samples", type=_integer, default=None,
                     help="override the sample count L")
-    pe.add_argument("--seed", type=int, default=0)
+    pe.add_argument("--seed", type=_integer, default=0)
     pe.add_argument("--out", default=None)
     pe.set_defaults(fn=cmd_expect)
 
     pc = sub.add_parser("census", help="histogram of unique non-zero Gauss sums")
-    pc.add_argument("--k", type=int, required=True)
+    pc.add_argument("--k", type=_integer, required=True)
     pc.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    pc.add_argument("--samples", type=int, default=100_000)
-    pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--workers", type=int, default=1)
+    pc.add_argument("--samples", type=_integer, default=100_000)
+    pc.add_argument("--seed", type=_integer, default=0)
+    pc.add_argument("--workers", type=_integer, default=1)
     pc.add_argument("--out", default=None)
     pc.set_defaults(fn=cmd_census)
 
@@ -557,27 +568,27 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--mode", choices=("gauss", "exact", "sampled"), default="gauss")
     pb.add_argument("--t", required=True, help="T-counts, e.g. '6 12 18'")
     pb.add_argument("--policy", default=_DEFAULT_POLICY)
-    pb.add_argument("--reps", type=int, default=3)
-    pb.add_argument("--seed", type=int, default=0)
+    pb.add_argument("--reps", type=_integer, default=3)
+    pb.add_argument("--seed", type=_integer, default=0)
     pb.add_argument("--epsilon", type=float, default=0.1)
     pb.add_argument("--pf", type=float, default=0.05)
-    pb.add_argument("--samples", type=int, default=None)
+    pb.add_argument("--samples", type=_integer, default=None)
     pb.add_argument("--out", default=None)
     pb.set_defaults(fn=cmd_bench)
 
     pk = sub.add_parser("catalog", help="export a decomposition text file")
-    pk.add_argument("--k", type=int, required=True)
+    pk.add_argument("--k", type=_integer, required=True)
     pk.add_argument("--out", default=None)
     pk.set_defaults(fn=cmd_catalog)
 
     pv = sub.add_parser("verify", help="dense-oracle equivalence suites")
     pv.add_argument("--scope", default="all",
                     help="all | decompositions | merges | kernel | gauss-k<K>")
-    pv.add_argument("--samples", type=int, default=2000,
+    pv.add_argument("--samples", type=_integer, default=2000,
                     help="random Paulis for the k=12 oracle check")
-    pv.add_argument("--trials", type=int, default=200,
+    pv.add_argument("--trials", type=_integer, default=200,
                     help="random states for the kernel check")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=_integer, default=0)
     pv.add_argument("--catalog-file", default=None)
     pv.set_defaults(fn=cmd_verify)
     return ap

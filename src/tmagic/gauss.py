@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .blocks import CATALOG_TERM_COUNTS, DEFAULT_POLICY, block_cover
@@ -41,11 +40,17 @@ WORST_CASE_UNIQUE = {1: 2, 2: 2, 3: 3, 6: 7, 12: 42}
 _TWO = ExactAmplitude(2)
 
 
-@dataclass(frozen=True)
 class GaussSumReport:
-    expectation: float
-    unique_nonzero_sums: int
-    exact: ExactAmplitude
+    """One Gauss-sum evaluation: the expectation, its exact ring value and
+    the number of unique non-zero sums behind it."""
+
+    __slots__ = ("expectation", "unique_nonzero_sums", "exact")
+
+    def __init__(self, expectation: float, unique_nonzero_sums: int,
+                 exact: ExactAmplitude) -> None:
+        self.expectation = expectation
+        self.unique_nonzero_sums = unique_nonzero_sums
+        self.exact = exact
 
 
 def _sum_terms(k: int, terms: Iterable[tuple[ExactAmplitude, int]],

@@ -7,7 +7,6 @@ the beta/gamma/delta masks (beta: Z sites, gamma: X sites, delta: Y sites).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .gf2 import parity
@@ -19,23 +18,41 @@ _PHASE_TOKENS = {"+1": 0, "1": 0, "+i": 1, "i": 1, "-1": 2, "-i": 3}
 _PHASE_STRS = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
 
 
-@dataclass(frozen=True)
 class PauliOperator:
-    """n-qubit Pauli: omega * prod_q {I,Z,X,Y}_q with omega = i**omega_exp."""
+    """n-qubit Pauli: omega * prod_q {I,Z,X,Y}_q with omega = i**omega_exp.
 
-    n: int
-    beta: int = 0
-    gamma: int = 0
-    delta: int = 0
-    omega_exp: int = 0
+    Treated as immutable and compared by value; ``omega_exp`` is stored
+    mod 4."""
 
-    def __post_init__(self) -> None:
-        mask = (1 << self.n) - 1
-        if (self.beta | self.gamma | self.delta) & ~mask:
+    __slots__ = ("n", "beta", "gamma", "delta", "omega_exp")
+
+    def __init__(self, n: int, beta: int = 0, gamma: int = 0, delta: int = 0,
+                 omega_exp: int = 0) -> None:
+        mask = (1 << n) - 1
+        if (beta | gamma | delta) & ~mask:
             raise ValueError("site mask exceeds qubit count")
-        if (self.beta & self.gamma) or (self.beta & self.delta) or (self.gamma & self.delta):
+        if (beta & gamma) or (beta & delta) or (gamma & delta):
             raise ValueError("each qubit must carry exactly one of I, Z, X, Y")
-        object.__setattr__(self, "omega_exp", self.omega_exp % 4)
+        self.n = n
+        self.beta = beta
+        self.gamma = gamma
+        self.delta = delta
+        self.omega_exp = omega_exp % 4
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PauliOperator:
+            return NotImplemented
+        return ((self.n, self.beta, self.gamma, self.delta, self.omega_exp)
+                == (other.n, other.beta, other.gamma, other.delta,
+                    other.omega_exp))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.beta, self.gamma, self.delta, self.omega_exp))
+
+    def __repr__(self) -> str:
+        return (f"PauliOperator(n={self.n!r}, beta={self.beta!r}, "
+                f"gamma={self.gamma!r}, delta={self.delta!r}, "
+                f"omega_exp={self.omega_exp!r})")
 
     # -- site queries ---------------------------------------------------
 
@@ -125,17 +142,18 @@ def commute(p: PauliOperator, q: PauliOperator) -> bool:
     return parity(p.x_mask & q.z_mask) == parity(p.z_mask & q.x_mask)
 
 
-@dataclass(frozen=True)
 class PauliProjector:
-    """Product of commuting projector factors (I + sign_i * P_i)/2."""
+    """Product of commuting projector factors (I + sign_i * P_i)/2.
 
-    n: int
-    factors: tuple[tuple[PauliOperator, int], ...] = field(default_factory=tuple)
+    Treated as immutable and compared by value."""
 
-    def __post_init__(self) -> None:
-        ops = [p for p, _ in self.factors]
+    __slots__ = ("n", "factors")
+
+    def __init__(self, n: int,
+                 factors: tuple[tuple[PauliOperator, int], ...] = ()) -> None:
+        ops = [p for p, _ in factors]
         for p in ops:
-            if p.n != self.n:
+            if p.n != n:
                 raise ValueError("factor qubit count mismatch")
             if p.omega_exp % 2:
                 raise ValueError("projector factors must be Hermitian (phase +-1)")
@@ -144,9 +162,22 @@ class PauliProjector:
                 if not commute(ops[i], ops[j]):
                     raise ValueError(f"projector factors {i + 1} and {j + 1} "
                                      "do not commute")
-        for _, s in self.factors:
+        for _, s in factors:
             if s not in (1, -1):
                 raise ValueError("projector signs must be +1 or -1")
+        self.n = n
+        self.factors = factors
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PauliProjector:
+            return NotImplemented
+        return (self.n, self.factors) == (other.n, other.factors)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.factors))
+
+    def __repr__(self) -> str:
+        return f"PauliProjector(n={self.n!r}, factors={self.factors!r})"
 
     @staticmethod
     def single(p: PauliOperator, sign: int = 1) -> "PauliProjector":

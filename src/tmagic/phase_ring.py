@@ -13,28 +13,42 @@ integer comparison instead of a floating-point tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
 class ExactAmplitude:
     """Element of Z[i, sqrt2] / sqrt2^e in canonical (minimal e) form.
 
     Value represented: ``(a + b*sqrt2 + (c + d*sqrt2)*1j) / sqrt2**e``.
-    Instances are immutable; arithmetic returns new canonical values.
+    Instances are treated as immutable (nothing assigns to their slots, and
+    they are hashed by value); arithmetic returns new canonical values.
     """
 
-    a: int = 0
-    b: int = 0
-    c: int = 0
-    d: int = 0
-    e: int = 0
+    __slots__ = ("a", "b", "c", "d", "e")
 
-    def __post_init__(self) -> None:
-        if self.e < 0:
+    def __init__(self, a: int = 0, b: int = 0, c: int = 0, d: int = 0,
+                 e: int = 0) -> None:
+        if e < 0:
             raise ValueError("denominator exponent must be non-negative")
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+        self.e = e
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ExactAmplitude:
+            return NotImplemented
+        return ((self.a, self.b, self.c, self.d, self.e)
+                == (other.a, other.b, other.c, other.d, other.e))
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d, self.e))
+
+    def __repr__(self) -> str:
+        return (f"ExactAmplitude(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
+                f"d={self.d!r}, e={self.e!r})")
 
     # -- ring operations ----------------------------------------------
 

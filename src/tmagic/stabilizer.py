@@ -48,13 +48,11 @@ in the two scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import gf2
-from .draws import RawDraws
 from .gf2 import eliminate, parity, reduce_column, revbits, solve_columns
 from .pauli import PauliOperator
 from .phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, sqrt2_root
@@ -62,35 +60,60 @@ from .phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, sqrt2_root
 if TYPE_CHECKING:
     import numpy as np
 
+    from .draws import RawDraws
 
-@dataclass(frozen=True)
+
 class StabilizerState:
-    n: int
-    basis: tuple[int, ...]
-    shift: int
-    bmat: tuple[int, ...]  # symmetric GF(2) cross data, bit b of bmat[a] = B_ab
-    dvec: tuple[int, ...]  # linear phase data, even entries mod 8
-    c: int                 # constant phase exponent, mod 8
-    scale: ExactAmplitude
-    # masks of the a with bit 1 / bit 2 of dvec[a] set, for inner_product
-    odd: int = field(init=False, repr=False, compare=False)
-    d4: int = field(init=False, repr=False, compare=False)
+    """scale * sum_u zeta^phi(u) |G u + h> (see the module docstring).
 
-    def __post_init__(self) -> None:
-        m = len(self.basis)
-        if len(self.bmat) != m or len(self.dvec) != m:
+    Treated as immutable.  ``odd`` and ``d4`` are derived from ``dvec`` and
+    take no part in equality, hashing or the repr."""
+
+    __slots__ = ("n", "basis", "shift", "bmat", "dvec", "c", "scale",
+                 "odd", "d4")
+
+    def __init__(self, n: int, basis: tuple[int, ...], shift: int,
+                 bmat: tuple[int, ...], dvec: tuple[int, ...], c: int,
+                 scale: ExactAmplitude) -> None:
+        m = len(basis)
+        if len(bmat) != m or len(dvec) != m:
             raise ValueError(f"bmat and dvec need one entry per basis column "
-                             f"({m}), got {len(self.bmat)} and {len(self.dvec)}")
-        if any(d % 2 for d in self.dvec):
-            raise ValueError(f"dvec entries must be even, got {self.dvec}")
-        if any((row >> a) & 1 for a, row in enumerate(self.bmat)):
-            raise ValueError(f"bmat must have a zero diagonal, got {self.bmat}")
+                             f"({m}), got {len(bmat)} and {len(dvec)}")
+        if any(d % 2 for d in dvec):
+            raise ValueError(f"dvec entries must be even, got {dvec}")
+        if any((row >> a) & 1 for a, row in enumerate(bmat)):
+            raise ValueError(f"bmat must have a zero diagonal, got {bmat}")
         odd = d4 = 0
-        for a, d in enumerate(self.dvec):
+        for a, d in enumerate(dvec):
             odd |= ((d >> 1) & 1) << a
             d4 |= ((d >> 2) & 1) << a
-        object.__setattr__(self, "odd", odd)
-        object.__setattr__(self, "d4", d4)
+        self.n = n
+        self.basis = basis
+        self.shift = shift
+        self.bmat = bmat  # symmetric GF(2) cross data, bit b of bmat[a] = B_ab
+        self.dvec = dvec  # linear phase data, even entries mod 8
+        self.c = c        # constant phase exponent, mod 8
+        self.scale = scale
+        # masks of the a with bit 1 / bit 2 of dvec[a] set, for inner_product
+        self.odd = odd
+        self.d4 = d4
+
+    def _key(self) -> tuple:
+        return (self.n, self.basis, self.shift, self.bmat, self.dvec, self.c,
+                self.scale)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not StabilizerState:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"StabilizerState(n={self.n!r}, basis={self.basis!r}, "
+                f"shift={self.shift!r}, bmat={self.bmat!r}, "
+                f"dvec={self.dvec!r}, c={self.c!r}, scale={self.scale!r})")
 
     @property
     def m(self) -> int:
@@ -666,9 +689,10 @@ def random_stabilizer_state(n: int, draws: RawDraws | np.random.Generator
     """
     if n < 1:
         raise ValueError("need at least one qubit")
-    if not isinstance(draws, RawDraws):
+    bg = getattr(draws, "bit_generator", None)
+    if bg is not None:  # a numpy Generator, not a RawDraws
         import numpy as np
-        bg = draws.bit_generator
+        from .draws import RawDraws
         if not isinstance(bg, np.random.PCG64):
             raise ValueError(f"draws are decoded from PCG64 words; the "
                              f"Generator runs on {type(bg).__name__}")

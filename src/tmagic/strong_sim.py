@@ -70,12 +70,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .blocks import CATALOG_TERM_COUNTS
 from .catalog import MagicDecomposition, catalog_entry
-from .draws import RawDraws, pcg64_streams
 from .pauli import PauliOperator, PauliProjector
 from .phase_ring import ExactAmplitude, ONE, ZERO, canonical, sqrt2_root
 from .stabilizer import (GramPair, StabilizerState, apply_pauli_state,
@@ -83,14 +81,24 @@ from .stabilizer import (GramPair, StabilizerState, apply_pauli_state,
                          random_stabilizer_state)
 
 
-@dataclass
 class SimulationResult:
-    value: float
-    inner_products_evaluated: int = 0
-    samples_used: int = 0
-    term_count: int = 0
-    exact_value: Optional[ExactAmplitude] = None  # exact paths only
-    std_error: Optional[float] = None  # sampled path with L >= 2 only
+    """One expectation: its float value, the work counts behind it, the
+    exact ring value (exact paths only) and the standard error (sampled
+    path with L >= 2 only)."""
+
+    __slots__ = ("value", "inner_products_evaluated", "samples_used",
+                 "term_count", "exact_value", "std_error")
+
+    def __init__(self, value: float, inner_products_evaluated: int = 0,
+                 samples_used: int = 0, term_count: int = 0,
+                 exact_value: Optional[ExactAmplitude] = None,
+                 std_error: Optional[float] = None) -> None:
+        self.value = value
+        self.inner_products_evaluated = inner_products_evaluated
+        self.samples_used = samples_used
+        self.term_count = term_count
+        self.exact_value = exact_value
+        self.std_error = std_error
 
 
 #: the most samples the estimator takes: it keeps one float64 per sample,
@@ -394,6 +402,7 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     arithmetic.
     """
     import numpy as np
+    from .draws import RawDraws, pcg64_streams
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     n = dec.n
@@ -414,7 +423,9 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     # float comes from one canonical ring value
     inv = ExactAmplitude(1, 0, 0, 0, 2 * len(proj.factors))
     coeffs = [terms[l][0].to_float() for l in kept]
-    kets = [replace(kets[l], scale=kets[l].scale * inv) for l in kept]
+    kets = [kets[l] for l in kept]
+    kets = [StabilizerState(ket.n, ket.basis, ket.shift, ket.bmat, ket.dvec,
+                            ket.c, ket.scale * inv) for ket in kets]
     steps = _ket_blocks(kets)
     overlaps: dict = {}  # psi.scale -> {(l, (k, p) or None): <psi|K_l>}
     x = [0j] * len(kets)

@@ -219,6 +219,16 @@ class TestFileFormat:
             write_catalog_file(dec, fh, notes=["random"])
         assert read_catalog_file(str(path)) == dec
 
+    def test_equal_fields_equal_values_and_hashes(self):
+        a = catalog_entry(3)
+        b = MagicDecomposition(3, tuple(a.terms))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert len({a, b, t3_decomposition()}) == 1
+        assert a != MagicDecomposition(4, a.terms)
+        assert a != MagicDecomposition(3, a.terms[:2])
+        assert a != (3, a.terms)
+        assert repr(a) == f"MagicDecomposition(k=3, terms={a.terms!r})"
+
     def test_expected_term_counts_table(self):
         for k, want in CATALOG_TERM_COUNTS.items():
             assert len(catalog_entry(k)) == want
@@ -258,6 +268,16 @@ class TestFileErrors:
         lines[no - 1] = "J=4,4"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"line {no}: J= holds 2 values, expected 3"):
+            read_catalog_file(str(path))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_t_count_below_one(self, tmp_path, k):
+        # k=-1 with no terms once reached the dense check, whose 1 << -1
+        # raised outside the reader's ValueError contract
+        path = tmp_path / "k.txt"
+        path.write_text(f"# no terms\nk={k} terms=0\n")
+        with pytest.raises(ValueError, match=rf"line 2: k= must be a T-count "
+                                             rf"of at least 1, got {k}$"):
             read_catalog_file(str(path))
 
     def test_rejects_truncated_file(self, tmp_path):

@@ -1,17 +1,21 @@
 """CLI behaviour: values, formats, and byte-level determinism."""
 
 import contextlib
+import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tmagic
+import tmagic.cli
 from tmagic.cli import main
 
 _ENV = dict(os.environ, PYTHONPATH=str(Path(tmagic.__file__).resolve().parent.parent))
@@ -327,11 +331,62 @@ class TestExpectRejectsBadInput:
         self._rejected(["--t", "12", "--pauli", "X" * 12, "--policy", "12 x"],
                        "invalid --policy '12 x': item 2 'x' is not an integer")
 
+    @pytest.mark.parametrize("policy, position, item", [
+        ("1_2", 1, "1_2"), ("12,٣", 2, "٣"), ("6 ６", 2, "６"),
+    ])
+    def test_policy_item_only_int_takes(self, policy, position, item):
+        # forms Python's int() accepts but the CLI does not
+        self._rejected(["--t", "12", "--pauli", "X" * 12, "--policy", policy],
+                       f"invalid --policy {policy!r}: item {position} "
+                       f"{item!r} is not an integer")
+
     def test_policy_separators(self, capsys):
         outs = set()
         for policy in ("12 6", "12,6", "12 , 6", " 12  6 "):
             assert main(["expect", "--t", "18", "--pauli", "X" * 18,
                          "--policy", policy]) == 0
+            outs.add(capsys.readouterr().out)
+        assert len(outs) == 1
+
+
+class TestIntegerOptions:
+    """Every integer option and list item is an optional sign and ASCII
+    digits; the other forms ``int`` takes are refused."""
+
+    @pytest.mark.parametrize("args, option", [
+        (["expect", "--pauli", "XX"], "--t"),
+        (["expect", "--t", "2", "--pauli", "XX", "--mode", "sampled"],
+         "--samples"),
+        (["expect", "--t", "2", "--pauli", "XX"], "--seed"),
+        (["census"], "--k"),
+        (["census", "--k", "3"], "--samples"),
+        (["census", "--k", "3"], "--seed"),
+        (["census", "--k", "3"], "--workers"),
+        (["bench", "--t", "2"], "--reps"),
+        (["bench", "--t", "2"], "--seed"),
+        (["bench", "--t", "2", "--mode", "sampled"], "--samples"),
+        (["catalog"], "--k"),
+        (["verify"], "--samples"),
+        (["verify"], "--trials"),
+        (["verify"], "--seed"),
+    ])
+    @pytest.mark.parametrize("value", ["1_2", "٣", " 3", "3 "])
+    def test_refuses_what_int_alone_would_take(self, capsys, args, option,
+                                               value):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, f"{option}={value}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (f"tmagic {args[0]}: error: argument "
+                                        f"{option}: {value!r} is not an "
+                                        "integer")
+
+    def test_sign_and_leading_zeros(self, capsys):
+        outs = set()
+        for t, policy in (("3", "3 1"), ("+3", "+3,+1"), ("003", "03 01")):
+            assert main(["expect", "--t", t, "--pauli", "XYZ", "--policy",
+                         policy, "--seed", "+0"]) == 0
             outs.add(capsys.readouterr().out)
         assert len(outs) == 1
 
@@ -408,6 +463,14 @@ class TestBench:
     def test_rejects_unparsable_t(self):
         assert_rejected(["bench", "--mode", "exact", "--t", "6 x"],
                         "invalid --t '6 x': item 2 'x' is not an integer")
+
+    @pytest.mark.parametrize("ts, position, item", [
+        ("٣", 1, "٣"), ("6,1_2", 2, "1_2"),
+    ])
+    def test_rejects_t_item_only_int_takes(self, ts, position, item):
+        assert_rejected(["bench", "--mode", "exact", "--t", ts],
+                        f"invalid --t {ts!r}: item {position} {item!r} is "
+                        "not an integer")
 
     def test_rejects_empty_t_item(self):
         assert_rejected(["bench", "--mode", "exact", "--t", "6,,12"],
@@ -534,6 +597,14 @@ class TestVerify:
                          "--catalog-file", str(path)],
                         f"invalid --catalog-file: {path}, line {no}: G= "
                         "columns are dependent: rank 1, expected m=2")
+
+    def test_rejects_catalog_below_one_qubit(self, tmp_path):
+        path = tmp_path / "k-1.txt"
+        path.write_text("k=-1 terms=0\n")
+        assert_rejected(["verify", "--scope", "decompositions",
+                         "--catalog-file", str(path)],
+                        f"invalid --catalog-file: {path}, line 1: k= must be "
+                        "a T-count of at least 1, got -1")
 
     def test_rejects_catalog_above_dense_cap(self, tmp_path):
         # a k=15 file once ended in to_dense_exact's ValueError traceback
@@ -778,8 +849,9 @@ class TestCatalogExport:
 class TestStartup:
     """A command imports only the modules it runs, checked in a fresh
     interpreter: the exact and Gauss-sum paths are pure integer code, the
-    Gauss-sum path never loads the stabilizer-rank engine, and the exact
-    path never loads the Gauss-sum evaluator.  No arguments: a bare
+    Gauss-sum path never loads the stabilizer-rank engine, the exact path
+    never loads the Gauss-sum evaluator or the numpy-compatible draws, and
+    no command loads ``dataclasses``.  No arguments: a bare
     ``import tmagic.cli``."""
 
     _PROBE = """
@@ -789,28 +861,33 @@ rc = 0
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = tmagic.cli.main(sys.argv[1:])
-print(rc, *[m for m in ("numpy", "concurrent.futures", "tmagic.catalog",
-                        "tmagic.gauss", "tmagic.stabilizer",
-                        "tmagic.strong_sim") if m in sys.modules])
+print(rc, *[m for m in ("numpy", "concurrent.futures", "dataclasses",
+                        "tmagic.catalog", "tmagic.draws", "tmagic.gauss",
+                        "tmagic.stabilizer", "tmagic.strong_sim")
+            if m in sys.modules])
 """
     _RANK_ENGINE = ("tmagic.catalog", "tmagic.stabilizer", "tmagic.strong_sim")
 
     @pytest.mark.parametrize("args, absent", [
         (["expect", "--t", "12", "--pauli", "XYZIXYZIXYZI", "--mode", "exact"],
-         ("numpy", "concurrent.futures", "tmagic.gauss")),
+         ("numpy", "concurrent.futures", "dataclasses", "tmagic.draws",
+          "tmagic.gauss")),
         (["expect", "--t", "6", "--projector", "+ZZIIII,-IIXXII", "--mode", "exact"],
-         ("numpy", "concurrent.futures", "tmagic.gauss")),
+         ("numpy", "concurrent.futures", "dataclasses", "tmagic.draws",
+          "tmagic.gauss")),
         (["expect", "--t", "47", "--pauli", "XYZ" * 15 + "ZY", "--mode", "gauss"],
-         ("numpy", "concurrent.futures", *_RANK_ENGINE)),
+         ("numpy", "concurrent.futures", "dataclasses", *_RANK_ENGINE)),
         (["catalog", "--k", "6"],
-         ("numpy", "concurrent.futures", "tmagic.gauss", "tmagic.strong_sim")),
+         ("numpy", "concurrent.futures", "dataclasses", "tmagic.gauss",
+          "tmagic.strong_sim")),
         (["census", "--k", "3", "--workers", "1"],
-         ("numpy", "concurrent.futures", *_RANK_ENGINE)),
+         ("numpy", "concurrent.futures", "dataclasses", *_RANK_ENGINE)),
         (["census", "--k", "12", "--mode", "sampled", "--samples", "50"],
-         ("numpy", "concurrent.futures", *_RANK_ENGINE)),
+         ("numpy", "concurrent.futures", "dataclasses", *_RANK_ENGINE)),
         (["bench", "--mode", "exact", "--t", "6", "--reps", "3"],
-         ("concurrent.futures", "tmagic.gauss")),
-        ([], ("numpy", "concurrent.futures", "tmagic.gauss", *_RANK_ENGINE)),
+         ("concurrent.futures", "dataclasses", "tmagic.gauss")),
+        ([], ("numpy", "concurrent.futures", "dataclasses", "tmagic.gauss",
+              *_RANK_ENGINE)),
     ], ids=["exact-pauli", "exact-projector", "gauss", "catalog", "census",
             "census-sampled", "bench-exact", "import"])
     def test_command_loads_only_what_it_runs(self, args, absent):
@@ -851,10 +928,47 @@ def _item_list(draw, items):
     return draw(st.sampled_from(["", " "])) + out
 
 
+# the sampled estimator's arguments: every accepted call runs L <= 50, since
+# an epsilon of at least 4 takes L <= ln(1/5e-324)/16 < 47 at any --pf, an
+# infinite one L = 1, and the small ones need more than the cap of 10^8
+# samples at --pf <= 0.95 unless --samples (at most 50) sets L
+_EPSILON = st.one_of(st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf,
+                                      -math.inf, 1e-5, 1e-300]),
+                     st.floats(4, 1e6))
+_PF = st.one_of(st.sampled_from([0.0, 1.0, -0.5, 2.0, math.nan, math.inf,
+                                 5e-324, 1e-300]),
+                st.floats(0.05, 0.95))
+_SAMPLES = st.one_of(st.none(), st.integers(1, 50),
+                     st.sampled_from([0, -1, 10 ** 8 + 1, 10 ** 30]))
+
+
+@functools.cache
+def _catalog_k3() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["catalog", "--k", "3"]) == 0
+    return out.getvalue()
+
+
+@st.composite
+def _mutated_catalog(draw):
+    """``catalog --k 3`` with one to three spans of up to three characters
+    replaced by up to three others: catalog-file characters, line breaks,
+    or any character at all."""
+    text = _catalog_k3()
+    chars = st.one_of(st.sampled_from("0123456789-+,()= \nkmntGhJDc#"),
+                      st.characters(exclude_categories=("Cs",)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + draw(st.text(chars, max_size=3)) + text[j:]
+    return text
+
+
 class TestParserProperties:
-    """Generated text through ``main``: every call exits 0 with one JSON
-    record on stdout, or exits 2 with one stderr line and no stdout.  A
-    traceback or exit 1 fails."""
+    """Generated arguments through ``main``: every call exits 0 (or 1, for
+    verify) with one JSON record on stdout, or exits 2 with one stderr line
+    and no stdout.  A traceback fails."""
 
     @staticmethod
     def _clean(argv):
@@ -864,14 +978,16 @@ class TestParserProperties:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-        if code == 0:
+        if code == 0 or (code == 1 and argv[0] == "verify"):
             records = [json.loads(line) for line in out.getvalue().splitlines()
                        if line.startswith("{")]
             assert [r["command"] for r in records] == [argv[0]], out.getvalue()
-        else:
-            assert code == 2, (argv, code, err.getvalue())
-            assert out.getvalue() == ""
-            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert records[0].get("ok", True) == (code == 0)
+            return records[0]
+        assert code == 2, (argv, code, err.getvalue())
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        return None
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(t=st.integers(1, 3), mode=st.sampled_from(["gauss", "exact"]),
@@ -897,3 +1013,29 @@ class TestParserProperties:
     @given(ts=_item_list(_ITEM))
     def test_bench_t(self, ts):
         self._clean(["bench", "--mode=gauss", f"--t={ts}"])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(letters=st.text("IXYZ", min_size=1, max_size=3),
+           projector=st.booleans(), epsilon=_EPSILON, pf=_PF,
+           samples=_SAMPLES, seed=st.integers(0, 2 ** 70))
+    def test_sampling_arguments(self, letters, projector, epsilon, pf,
+                                samples, seed):
+        operator = f"--projector=+{letters}" if projector else f"--pauli={letters}"
+        argv = ["expect", f"--t={len(letters)}", operator, "--mode=sampled",
+                f"--epsilon={epsilon!r}", f"--pf={pf!r}", f"--seed={seed}"]
+        if samples is not None:
+            argv.append(f"--samples={samples}")
+        record = self._clean(argv)
+        if record is not None:
+            assert 1 <= record["samples_used"] <= 50, argv
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(text=_mutated_catalog())
+    def test_mutated_catalog_file(self, tmp_path_factory, text):
+        # only the file's own check runs: the five catalog entries' checks
+        # take half a second per call and do not read the file
+        path = tmp_path_factory.getbasetemp() / "mutated-k3.txt"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(tmagic.cli, "CATALOG_TERM_COUNTS", {}):
+            self._clean(["verify", "--scope=decompositions",
+                         f"--catalog-file={path}"])

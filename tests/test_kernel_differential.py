@@ -462,12 +462,13 @@ def test_inner_product_matches_exact_dense(n, seed, cuts_a, cuts_b):
 
 
 def test_invariant_checks_survive_optimized_mode():
-    """The state and kernel invariants raise ValueError under python -O."""
+    """The state and kernel invariants, and every value class's constructor
+    check, raise ValueError under python -O."""
     code = """
 from tmagic.catalog import t1_decomposition
 from tmagic.gauss import _Block3, _group_blocks, _sum_terms
-from tmagic.phase_ring import ONE, eighth_root
-from tmagic.pauli import PauliOperator
+from tmagic.phase_ring import ONE, ExactAmplitude, eighth_root
+from tmagic.pauli import PauliOperator, PauliProjector
 from tmagic import strong_sim
 from tmagic.stabilizer import StabilizerState, apply_pauli_state, projector_ket
 from tmagic.strong_sim import exact_pauli_expectation
@@ -482,6 +483,16 @@ def check(label, fn):
 check("odd-dvec", lambda: StabilizerState(2, (1,), 0, (0,), (3,), 0, ONE))
 check("short-bmat", lambda: StabilizerState(2, (1,), 0, (), (0,), 0, ONE))
 check("bmat-diagonal", lambda: StabilizerState(2, (1,), 0, (1,), (0,), 0, ONE))
+check("negative-exponent", lambda: ExactAmplitude(1, 0, 0, 0, -1))
+check("site-mask", lambda: PauliOperator(1, 2))
+check("two-letters", lambda: PauliOperator(2, 1, 1))
+z = PauliOperator.from_str("Z")
+check("projector-qubits", lambda: PauliProjector(2, ((z, 1),)))
+check("projector-phase", lambda: PauliProjector(
+    1, ((PauliOperator.from_str("i:Z"), 1),)))
+check("projector-commute", lambda: PauliProjector(
+    1, ((z, 1), (PauliOperator.from_str("X"), 1))))
+check("projector-sign", lambda: PauliProjector(1, ((z, 0),)))
 zero = StabilizerState.computational(1)
 check("factor-sign", lambda: projector_ket(
     zero, [(PauliOperator.from_str("X"), 0)]))
@@ -520,14 +531,32 @@ check("block-kets", lambda: gram_entries([(aa, [(a, a)]), (aa, [(a, b)])]))
     assert lines[0] == "debug False"
     got = dict(line.split(" ", 1) for line in lines[1:])
     assert set(got) == {"odd-dvec", "short-bmat", "bmat-diagonal",
-                        "factor-sign", "factor-qubits", "non-hermitian-pauli",
+                        "negative-exponent", "site-mask", "two-letters",
+                        "projector-qubits", "projector-phase",
+                        "projector-commute", "projector-sign", "factor-sign", "factor-qubits", "non-hermitian-pauli",
                         "non-real-diagonal", "non-hermitian-factor",
                         "non-real-gauss", "three-block-chain",
                         "block-bra-bases", "block-ket-bases", "block-kets"}
     for label, result in got.items():
         assert result.startswith("ValueError"), (label, result)
-    assert "dvec" in got["odd-dvec"]
-    assert "bmat" in got["short-bmat"] and "bmat" in got["bmat-diagonal"]
+    # the value classes' constructor checks, message for message
+    assert got["odd-dvec"] == "ValueError dvec entries must be even, got (3,)"
+    assert got["short-bmat"] == ("ValueError bmat and dvec need one entry per "
+                                 "basis column (1), got 0 and 1")
+    assert got["bmat-diagonal"] == ("ValueError bmat must have a zero "
+                                    "diagonal, got (1,)")
+    assert got["negative-exponent"] == ("ValueError denominator exponent "
+                                        "must be non-negative")
+    assert got["site-mask"] == "ValueError site mask exceeds qubit count"
+    assert got["two-letters"] == ("ValueError each qubit must carry exactly "
+                                  "one of I, Z, X, Y")
+    assert got["projector-qubits"] == "ValueError factor qubit count mismatch"
+    assert got["projector-phase"] == ("ValueError projector factors must be "
+                                      "Hermitian (phase +-1)")
+    assert got["projector-commute"] == ("ValueError projector factors 1 and "
+                                        "2 do not commute")
+    assert got["projector-sign"] == ("ValueError projector signs must be +1 "
+                                     "or -1")
     assert "sign must be +1 or -1" in got["factor-sign"]
     assert "qubit count" in got["factor-qubits"]
     assert "not Hermitian" in got["non-hermitian-pauli"]

@@ -151,6 +151,53 @@ class TestText:
             PauliOperator.from_str("j:XX", start=3)
 
 
+class TestValues:
+    def test_phase_stored_mod_4(self):
+        assert PauliOperator(1, omega_exp=6).omega_exp == 2
+        assert PauliOperator(1, omega_exp=-1).omega_exp == 3
+        assert PauliOperator(1, omega_exp=6) == PauliOperator(1, omega_exp=2)
+
+    def test_equal_fields_equal_values_and_hashes(self):
+        a = PauliOperator(3, 1, 2, 4, 2)
+        b = PauliOperator.from_str("-1:ZXY")
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert repr(a) == ("PauliOperator(n=3, beta=1, gamma=2, delta=4, "
+                           "omega_exp=2)")
+        assert a != PauliOperator(3, 1, 2, 4, 0)
+        assert a != PauliOperator(4, 1, 2, 4, 2)
+        assert a != (3, 1, 2, 4, 2)
+        pa = PauliProjector(3, ((a, 1),))
+        pb = PauliProjector.single(b)
+        assert pa == pb and hash(pa) == hash(pb) and len({pa, pb}) == 1
+        assert pa != PauliProjector.single(b, -1)
+        assert repr(pa) == f"PauliProjector(n=3, factors=(({a!r}, 1),))"
+        assert PauliProjector(2) == PauliProjector(2, ())
+
+    @pytest.mark.parametrize("args, message", [
+        ((1, 2), "site mask exceeds qubit count"),
+        ((2, 1, 1), "each qubit must carry exactly one of I, Z, X, Y"),
+        ((2, 0, 2, 2), "each qubit must carry exactly one of I, Z, X, Y"),
+    ])
+    def test_operator_checks(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PauliOperator(*args)
+
+    def test_projector_checks(self):
+        z1, z2 = PauliOperator.from_str("Z"), PauliOperator.from_str("ZI")
+        with pytest.raises(ValueError, match="^factor qubit count mismatch$"):
+            PauliProjector(1, ((z2, 1),))
+        with pytest.raises(ValueError, match=r"^projector factors must be "
+                           r"Hermitian \(phase \+-1\)$"):
+            PauliProjector(1, ((PauliOperator.from_str("i:Z"), 1),))
+        with pytest.raises(ValueError, match="^projector factors 1 and 3 do "
+                           "not commute$"):
+            PauliProjector(2, ((z2, 1), (z2, -1),
+                               (PauliOperator.from_str("XI"), 1)))
+        with pytest.raises(ValueError,
+                           match=r"^projector signs must be \+1 or -1$"):
+            PauliProjector(1, ((z1, 0),))
+
+
 class TestProjector:
     def test_rejects_non_commuting(self):
         with pytest.raises(ValueError, match="do not commute"):

@@ -1,4 +1,4 @@
-"""Exact ring arithmetic: frozen values, canonical form, ring laws."""
+"""Exact ring arithmetic: values, canonical form, ring laws."""
 
 import math
 
@@ -67,6 +67,32 @@ class TestCanonicalForm:
     def test_equality_is_fieldwise(self, x):
         same = canonical(x.a, x.b, x.c, x.d, x.e)
         assert same == x and hash(same) == hash(x)
+        assert same is not x
+        assert len({x, same}) == 1
+        assert repr(same) == (f"ExactAmplitude(a={x.a}, b={x.b}, c={x.c}, "
+                              f"d={x.d}, e={x.e})")
+
+    def test_never_equals_a_tuple_or_an_int(self):
+        for x in (ONE, ZERO, ExactAmplitude(3, 1, 4, 1, 5)):
+            fields = (x.a, x.b, x.c, x.d, x.e)
+            assert x != fields and fields != x
+            # hashed as the fields' tuple, so sets iterate as they did
+            # when the class was a frozen dataclass; a dict tells them apart
+            assert hash(x) == hash(fields)
+            assert len({x: 0, fields: 1}) == 2
+        assert ONE != 1 and 1 != ONE and ZERO != 0
+
+    def test_fields_differ_values_differ(self):
+        x = ExactAmplitude(1, 2, 3, 4, 5)
+        for i in range(5):
+            fields = [1, 2, 3, 4, 5]
+            fields[i] += 1
+            assert ExactAmplitude(*fields) != x
+
+    def test_negative_exponent_refused(self):
+        with pytest.raises(ValueError,
+                           match="^denominator exponent must be non-negative$"):
+            ExactAmplitude(1, 0, 0, 0, -1)
 
 
 @settings(max_examples=300)

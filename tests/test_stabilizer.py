@@ -26,6 +26,48 @@ PLUS1_2 = StabilizerState(2, (0b11,), 0, (0,), (0,), 0, INV_SQRT2)  # |00>+|11>
 HALF = ExactAmplitude(1, 0, 0, 0, 2)
 
 
+class TestValues:
+    def test_equal_fields_equal_values_and_hashes(self):
+        a = StabilizerState(3, (0b011, 0b100), 5, (2, 1), (2, 6), 3, HALF)
+        b = StabilizerState(3, (0b011, 0b100), 5, (2, 1), (2, 6), 3,
+                            ExactAmplitude(1, 0, 0, 0, 2))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert hash(a) == hash((3, (3, 4), 5, (2, 1), (2, 6), 3, HALF))
+        assert (a.odd, a.d4) == (0b11, 0b10)
+        assert repr(a) == ("StabilizerState(n=3, basis=(3, 4), shift=5, "
+                           "bmat=(2, 1), dvec=(2, 6), c=3, scale="
+                           "ExactAmplitude(a=1, b=0, c=0, d=0, e=2))")
+        for other in (StabilizerState(3, (3, 4), 4, (2, 1), (2, 6), 3, HALF),
+                      StabilizerState(3, (3, 4), 5, (2, 1), (2, 6), 5, HALF),
+                      StabilizerState(3, (3, 4), 5, (2, 1), (2, 2), 3, HALF),
+                      StabilizerState(3, (3, 4), 5, (2, 1), (2, 6), 3, ONE)):
+            assert a != other
+        assert a != (3, (3, 4), 5, (2, 1), (2, 6), 3, HALF)
+
+    def test_equality_ignores_the_derived_masks(self):
+        # odd and d4 are recomputed from dvec, so only dvec takes part
+        a = StabilizerState(2, (1, 2), 0, (0, 0), (2, 4), 0, ONE)
+        b = StabilizerState(2, (1, 2), 0, (0, 0), (2, 4), 0, ONE)
+        b.odd, b.d4 = 0, 0
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "odd" not in repr(a) and "d4" not in repr(a)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, (1,), 0, (), (0,), 0, ONE),
+         "bmat and dvec need one entry per basis column (1), got 0 and 1"),
+        ((2, (1,), 0, (0,), (), 0, ONE),
+         "bmat and dvec need one entry per basis column (1), got 1 and 0"),
+        ((2, (1,), 0, (0,), (3,), 0, ONE),
+         "dvec entries must be even, got (3,)"),
+        ((2, (1, 2), 0, (2, 2), (0, 0), 0, ONE),
+         "bmat must have a zero diagonal, got (2, 2)"),
+    ])
+    def test_constructor_checks(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            StabilizerState(*args)
+        assert str(exc.value) == message
+
+
 def project(s: StabilizerState, p: PauliOperator, sign: int) -> StabilizerState:
     """((I + sign P)/2)|s> as 2^-1 ``projector_ket``: s's columns plus P's
     flip, with a variable for the factor."""
