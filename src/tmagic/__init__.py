@@ -14,13 +14,14 @@ Each command loads only what it runs: the CLI imports an engine inside
 the command that runs it, so ``expect --mode gauss`` and ``census`` never
 load the stabilizer-rank modules (``catalog``, ``stabilizer``,
 ``strong_sim``) and ``expect --mode exact`` never loads ``gauss``; the
-block cover both engines share lives in ``tmagic.blocks``.  Only the
-sampled estimator loads ``tmagic.draws``.
+block cover both engines share lives in ``tmagic.blocks``.  On the
+stabilizer-rank path only the sampled estimator loads ``tmagic.draws``.
 The value classes (``ExactAmplitude``, ``PauliOperator``,
 ``PauliProjector``, ``StabilizerState``, ``MagicDecomposition``,
 ``GaussSumReport``, ``SimulationResult``) are plain slotted classes whose
 ``__init__`` runs their checks; they are treated as immutable, and no
-module here imports ``dataclasses``.
+module here imports the standard library's data-class module (it would
+pull in ``inspect`` at every start).
 ``expect --mode exact|gauss``, ``catalog`` and ``census`` never import
 numpy: the census draws its seeded letter rows from a pure-Python PCG64
 stream (``tmagic.draws``), as numpy's Generator would.  The sampled

@@ -533,7 +533,8 @@ check("block-kets", lambda: gram_entries([(aa, [(a, a)]), (aa, [(a, b)])]))
     assert set(got) == {"odd-dvec", "short-bmat", "bmat-diagonal",
                         "negative-exponent", "site-mask", "two-letters",
                         "projector-qubits", "projector-phase",
-                        "projector-commute", "projector-sign", "factor-sign", "factor-qubits", "non-hermitian-pauli",
+                        "projector-commute", "projector-sign", "factor-sign",
+                        "factor-qubits", "non-hermitian-pauli",
                         "non-real-diagonal", "non-hermitian-factor",
                         "non-real-gauss", "three-block-chain",
                         "block-bra-bases", "block-ket-bases", "block-kets"}
