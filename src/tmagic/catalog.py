@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, TextIO
 from .blocks import DEFAULT_POLICY, block_cover
 from .phase_ring import INV_SQRT2, SQRT2, ExactAmplitude, ZERO, eighth_root
 from .stabilizer import StabilizerState
-from .gf2 import from_str, rank_of, to_str
+from .gf2 import from_str, int_from_str, rank_of, to_str
 
 
 class MagicDecomposition:
@@ -280,7 +280,7 @@ def _amp_parse(s: str) -> ExactAmplitude:
     parts = s.strip().lstrip("(").rstrip(")").split(",")
     if len(parts) != 5:
         raise ValueError(f"malformed amplitude {s!r}")
-    return ExactAmplitude(*(int(p) for p in parts))
+    return ExactAmplitude(*(int_from_str(p) for p in parts))
 
 
 def write_catalog_file(dec: MagicDecomposition, out: TextIO,
@@ -308,11 +308,12 @@ def read_catalog_file(path: str) -> MagicDecomposition:
     """Read a ``write_catalog_file`` export.
 
     Malformed input raises ``ValueError`` naming the file and the line: a
-    missing, misnamed or unparsable field, a file that ends early or runs on
-    past its last term, a ``k`` below 1, a term whose ``n`` is not the
-    file's ``k``, ``G`` columns that are dependent (a catalog state's are
-    independent), a ``J`` entry that is not 0 or 4 (mod 8), or a
-    ``G``/``h``/``J``/``D`` length that does not match ``n`` and ``m``.
+    missing, misnamed or unparsable field (integers are ``int_from_str``'s),
+    a file that ends early or runs on past its last term, a ``k`` below 1,
+    a term whose ``n`` is not the file's ``k``, ``G`` columns that are
+    dependent (a catalog state's are independent), a ``J`` entry that is
+    not 0 or 4 (mod 8), or a ``G``/``h``/``J``/``D`` length that does not
+    match ``n`` and ``m``.
     """
     with open(path) as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
@@ -335,7 +336,7 @@ def read_catalog_file(path: str) -> MagicDecomposition:
 
     def int_list(key: str, count: int) -> list[int]:
         (text,) = fields(key)
-        values = [int(v) for v in text.split(",")] if text else []
+        values = [int_from_str(v) for v in text.split(",")] if text else []
         if len(values) != count:
             raise ValueError(f"{key}= holds {len(values)} values, expected {count}")
         return values
@@ -346,14 +347,14 @@ def read_catalog_file(path: str) -> MagicDecomposition:
         return from_str(text)
 
     try:
-        k, nterms = (int(v) for v in fields("k", "terms"))
+        k, nterms = (int_from_str(v) for v in fields("k", "terms"))
         if k < 1:
             raise ValueError(f"k= must be a T-count of at least 1, got {k}")
         terms = []
         bases: dict = {}  # one tuple per column set, as the catalog's
         for _ in range(nterms):
             coeff = _amp_parse(*fields("coeff"))
-            n, m = (int(v) for v in fields("n", "m"))
+            n, m = (int_from_str(v) for v in fields("n", "m"))
             if n != k:
                 raise ValueError(f"term acts on n={n} qubits, expected the "
                                  f"file's k={k}")
@@ -377,7 +378,7 @@ def read_catalog_file(path: str) -> MagicDecomposition:
                         bmat[a] |= 1 << b
                         bmat[b] |= 1 << a
             dvec = tuple(int_list("D", m))
-            c = int(*fields("c"))
+            c = int_from_str(*fields("c"))
             scale = _amp_parse(*fields("global"))
             terms.append((coeff, StabilizerState(n, basis, shift, tuple(bmat),
                                                  dvec, c, scale)))

@@ -18,6 +18,7 @@ import time
 from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from .blocks import CATALOG_TERM_COUNTS, DEFAULT_POLICY, block_cover
+from .gf2 import int_from_str
 from .pauli import PauliOperator, PauliProjector, letters_to_pauli
 
 if TYPE_CHECKING:
@@ -66,14 +67,12 @@ def _reject(message: str) -> NoReturn:
 
 
 def _integer(text: str) -> int:
-    """An optional sign and ASCII digits, the one integer form every option
-    takes; ``int`` alone would also take '1_2', ' 3' or '٣'."""
-    if re.fullmatch(r"[+-]?[0-9]+", text):
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    """``int_from_str``, the one integer form every option takes, as an
+    argparse type."""
+    try:
+        return int_from_str(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_ints(option: str, text: str) -> list[int]:
@@ -503,8 +502,11 @@ def _verify_kernel(report, trials: int, seed: int) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        _reject(f"--samples must be at least 1, got {args.samples}")
+    from .gauss import check_samples
+    try:
+        check_samples(args.samples)
+    except ValueError as exc:
+        _reject(str(exc))
     if args.trials < 1:
         _reject(f"--trials must be at least 1, got {args.trials}")
     catalog = _read_catalog(args.catalog_file) if args.catalog_file else None

@@ -13,31 +13,28 @@ Kronecker-delta arguments and sum ranges are evaluated modulo two: a range
 [lo, hi] means {lo} when lo = hi (mod 2) and {0, 1} otherwise.  Every
 evaluator here is validated against the dense oracle in the test suite.
 
-``expect_block`` multiplies one item of each chained group into every
-product term and sums the (value, multiplicity) pairs into the exact value;
-gauss mode, ``verify`` and the oracle checks run it.  ``rank_census`` is the
-one census driver, and it never multiplies or sums a product term: a product
-in Z[i, sqrt2] is zero only when a factor is, so ``count_nonzero_sums`` takes
-the product of each group's non-zero item count, the count ``expect_block``
-also reports.
+Every Gauss sum is zero or sqrt2^r * zeta^q, zeta = exp(i pi/4), so a term
+is ``(r, q)`` or ``None``, as the stabilizer kernel's exponential sums are,
+and a product of terms adds exponents.  ``expect_block`` sums integer
+multiplicities per ``(r, q mod 8)`` and builds one ring value per bucket.
+``rank_census``, the one census driver, does no ring arithmetic:
+``count_nonzero_sums`` multiplies the groups' non-``None`` item counts, the
+count ``expect_block`` also reports.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from .blocks import CATALOG_TERM_COUNTS, DEFAULT_POLICY, block_cover
 from .pauli import PauliOperator, letters_to_pauli
-from .phase_ring import SQRT2, ExactAmplitude, ONE, ZERO, eighth_root, i_power
+from .phase_ring import ExactAmplitude, ONE, ZERO, sqrt2_root
 
 #: worst-case number of unique non-zero Gauss sums per block size,
 #: reproduced exhaustively (k <= 6) / by sampling (k = 12) in rank_census
 WORST_CASE_UNIQUE = {1: 2, 2: 2, 3: 3, 6: 7, 12: 42}
-
-_TWO = ExactAmplitude(2)
 
 
 class GaussSumReport:
@@ -53,14 +50,13 @@ class GaussSumReport:
         self.exact = exact
 
 
-def _sum_terms(k: int, terms: Iterable[tuple[ExactAmplitude, int]],
+def _sum_terms(k: int, terms: Iterable[tuple[tuple[int, int], int]],
                negate: bool) -> ExactAmplitude:
-    """2^-k times the sum of value * multiplicity over ``terms``, negated for
-    a -1 phase."""
+    """2^-k times the sum of multiplicity * sqrt2^r * zeta^q over the
+    ((r, q), multiplicity) pairs of ``terms``, negated for a -1 phase."""
     total = ZERO
-    for value, multiplicity in terms:
-        if not value.is_zero():
-            total = total + value.scale_int(multiplicity)
+    for (r, q), multiplicity in terms:
+        total = total + sqrt2_root(r, q).scale_int(multiplicity)
     exact = total * ExactAmplitude(-1 if negate else 1, 0, 0, 0, 2 * k)  # +-2^-k
     if not exact.is_real():
         raise ValueError(f"non-real Gauss-sum expectation {exact} at "
@@ -81,12 +77,9 @@ class _Block3:
 
     def __init__(self, p: PauliOperator, offset: int, index: int):
         self.index = index
-        (a1, b1, g1, d1) = p.site_bits(offset)
-        (a2, b2, g2, d2) = p.site_bits(offset + 1)
-        (a3, b3, g3, d3) = p.site_bits(offset + 2)
-        self.p1 = (a1, b1, g1, d1)
-        self.p2 = (a2, b2, g2, d2)
-        self.p3 = (a3, b3, g3, d3)
+        self.p1 = (_, _, g1, d1) = p.site_bits(offset)
+        self.p2 = (_, _, g2, d2) = p.site_bits(offset + 1)
+        self.p3 = (_, _, g3, d3) = p.site_bits(offset + 2)
         cls = (g1 + d1 + g2 + d2) & 1
         q3 = (g3 + d3) & 1
         if cls == 0:
@@ -97,9 +90,9 @@ class _Block3:
             self.family = "G4" if q3 else "G3"
         self.reducible = self.line in ("A", "C")
 
-    # term tuples: (x, y, exponent_bit, link_bit, value)
+    # term tuples: (x, y, exponent_bit, link_bit, (r, q) or None)
 
-    def terms(self, seed: int) -> list[tuple[int, int, int, int, ExactAmplitude]]:
+    def terms(self, seed: int) -> list[tuple[int, int, int, int, Optional[tuple]]]:
         if self.line == "A":
             return self._terms_a(seed)
         if self.line == "B":
@@ -125,13 +118,12 @@ class _Block3:
                     out.append((x, y, 0, x, self._value_a(x, y)))
             else:
                 gate = c1 if y else c0
-                val = ZERO if gate else self._value_a(0, y)
+                val = None if gate else self._value_a(0, y)
                 out.append((0, y, 1, 0, val))
         return out
 
     def _terms_b(self):
-        (_, b3, g3, d3) = self.p3
-        a3 = 1 - b3 - g3 - d3
+        (a3, b3, _, _) = self.p3
         out = []
         for x in _mod2_range(0, 1 + b3):
             for y in _mod2_range(0, 1 + a3):
@@ -150,7 +142,7 @@ class _Block3:
                 out.append((x, y, e, y, self._value_g4(x, y)))
         return out
 
-    # -- family value functions (exact eighth-root arithmetic) --------------
+    # -- family values: (r, q) for sqrt2^r * zeta^q, or None for zero ------
 
     def _phase_a(self, x: int, y: int) -> int:
         (_, b1, g1, d1) = self.p1
@@ -159,35 +151,30 @@ class _Block3:
         return ((d2 - g1) * yy + 2 * (b1 + b2 + g1 + d2) * x * yy
                 + 2 * (d1 + d2 + b1 + b2) * x * y + (2 * b1 + 3 * d1 + d2) * y)
 
-    def _value_a(self, x: int, y: int) -> ExactAmplitude:
-        (_, b3, g3, d3) = self.p3
+    def _value_a(self, x: int, y: int) -> Optional[tuple[int, int]]:
         if self.family == "G1":
             # i^E * (1 + (-1)^{b3})
-            if b3:
-                return ZERO
-            return i_power(self._phase_a(x, y)).scale_int(2)
+            return None if self.p3[1] else (2, 2 * self._phase_a(x, y))
         # G2: i^E * sqrt(-i) * (1 + i) = sqrt2 * i^E  (active when g3+d3 = 1)
-        return i_power(self._phase_a(x, y)) * SQRT2
+        return (1, 2 * self._phase_a(x, y))
 
-    def _value_g3(self, x: int, y: int) -> ExactAmplitude:
+    def _value_g3(self, x: int, y: int) -> tuple[int, int]:
         (_, b1, g1, d1) = self.p1
         (_, b2, g2, d2) = self.p2
         (_, b3, g3, d3) = self.p3
         e3 = 2 * b3 * y + (x + 1) * (x + 1) * (d1 + g2 + 2 * b2) + x * (d1 + d2)
         v3 = (b1 + b2 + d1 + (x + 1) * g2 + x * d2) & 1
-        one_dim = ExactAmplitude(1, 0, -1 if v3 else 1, 0, 0)  # 1 +- i
-        return eighth_root(7) * i_power(e3) * one_dim
+        # zeta^7 * i^e3 * (1 +- i), and 1 +- i = sqrt2 * zeta^(+-1)
+        return (1, 7 + 2 * e3 + (-1 if v3 else 1))
 
-    def _value_g4(self, x: int, y: int) -> ExactAmplitude:
+    def _value_g4(self, x: int, y: int) -> Optional[tuple[int, int]]:
         (_, b1, g1, d1) = self.p1
         (_, b2, g2, d2) = self.p2
         (_, b3, g3, d3) = self.p3
         e4 = (y * (d1 + d2) + (y + 1) * (y + 1) * (d1 + g2 + 2 * b2) + x * x
               + 2 * (b1 + b2 + d1 + g2 * (y + 1) + d2 * y) * x)
         v4 = (g3 + d3 + b1 + b2 + d1 + g2 * (y + 1) + d2 * y + x) & 1
-        if v4:
-            return ZERO
-        return (eighth_root(6) * i_power(e4)).scale_int(2)
+        return None if v4 else (2, 6 + 2 * e4)  # 2 * zeta^6 * i^e4
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +201,15 @@ def _group_blocks(blocks: list[_Block3]) -> list[list[_Block3]]:
 
 
 def _enumerate_group(group: list[_Block3]
-                     ) -> list[tuple[tuple, int, ExactAmplitude]]:
-    """All (tag, log2-multiplicity, value) items of one chained group.
+                     ) -> list[tuple[tuple, int, Optional[tuple[int, int]]]]:
+    """All (tag, log2-multiplicity, (r, q) or None) items of one chained group.
 
     A chain of r reducible blocks carries prefactor 2^(r-1) and a
     multiplicity exponent equal to the product of the per-block exponent
     bits; each block's ranges are seeded by the parity of the preceding
     link variables.  A singleton B block carries a constant prefactor 2.
+    A chain item's value is its blocks' product: the exponents add, and a
+    zero factor makes it zero.
     """
     if group[0].line == "B":
         blk = group[0]
@@ -228,10 +217,10 @@ def _enumerate_group(group: list[_Block3]
                 for (x, y, _, _, v) in blk.terms(0)]
 
     prefactor = len(group) - 1  # log2: one factor of 2 per chain link
-    out: list[tuple[tuple, int, ExactAmplitude]] = []
+    out: list[tuple[tuple, int, Optional[tuple[int, int]]]] = []
 
     def rec(i: int, seed: int, tag: tuple, eprod: Optional[int],
-            val: ExactAmplitude) -> None:
+            val: Optional[tuple[int, int]]) -> None:
         if i == len(group):
             out.append((tag, prefactor + (eprod or 0), val))
             return
@@ -239,9 +228,11 @@ def _enumerate_group(group: list[_Block3]
         for (x, y, e, link, v) in blk.terms(seed):
             ne = e if eprod is None else eprod * e
             rec(i + 1, (seed + link) & 1,
-                tag + ((blk.index, blk.family, x, y),), ne, val * v)
+                tag + ((blk.index, blk.family, x, y),), ne,
+                None if val is None or v is None
+                else (val[0] + v[0], val[1] + v[1]))
 
-    rec(0, 0, (), None, ONE)
+    rec(0, 0, (), None, (0, 0))
     return out
 
 
@@ -255,84 +246,73 @@ def _check_block(k: int, p: PauliOperator) -> None:
 
 
 def _groups(k: int, p: PauliOperator
-            ) -> list[list[tuple[tuple, int, ExactAmplitude]]]:
-    """The items of each chained group of a 3-, 6- or 12-qubit block."""
+            ) -> list[list[tuple[tuple, int, Optional[tuple[int, int]]]]]:
+    """The items of each chained group of a block; a 1- or 2-qubit block is
+    one group of two untagged items of multiplicity 1."""
+    if k < 3:
+        return [[((), 0, v) for v in (_terms_k1(p) if k == 1 else _terms_k2(p))]]
     blocks = [_Block3(p, 3 * i, i) for i in range(k // 3)]
     return [_enumerate_group(g) for g in _group_blocks(blocks)]
 
 
-def _count_nonzero(groups: list[list[tuple[tuple, int, ExactAmplitude]]]
+def _count_nonzero(groups: list[list[tuple[tuple, int, Optional[tuple]]]]
                    ) -> int:
     """Non-zero product terms taking one item from each group: the product
-    of the groups' non-zero item counts, since Z[i, sqrt2] has no zero
-    divisors and a power-of-two multiplicity cannot zero a term."""
+    of the groups' non-zero item counts, since a product of powers of sqrt2
+    and zeta, times a power-of-two multiplicity, is never zero."""
     count = 1
     for group in groups:
-        count *= sum([not v.is_zero() for _, _, v in group])
+        count *= sum([v is not None for _, _, v in group])
     return count
 
 
 def count_nonzero_sums(k: int, p: PauliOperator) -> int:
     """The unique non-zero Gauss sums of ``expect_block(k, p)``, counted per
-    chained group with no product term multiplied or summed."""
+    chained group with no product term formed."""
     _check_block(k, p)
-    if k in (1, 2):
-        return sum([not v.is_zero() for v, _ in _small_terms(k, p)])
     return _count_nonzero(_groups(k, p))
 
 
 def expect_block(k: int, p: PauliOperator) -> GaussSumReport:
-    """Gauss-sum expectation <T^k| P |T^k> for one supported block size."""
+    """Gauss-sum expectation <T^k| P |T^k> for one supported block size.
+
+    The product terms are summed one group at a time into integer
+    multiplicities per (r, q mod 8); zero items drop out."""
     _check_block(k, p)
-    if k in (1, 2):
-        terms = _small_terms(k, p)
-        nonzero = sum([not v.is_zero() for v, _ in terms])
-    else:
-        groups = _groups(k, p)
-        terms = []
-        for combo in itertools.product(*groups):
-            val = ONE
-            for _, _, v in combo:
-                val = val * v
-            terms.append((val, 1 << sum(e for _, e, _ in combo)))
-        nonzero = _count_nonzero(groups)
-    exact = _sum_terms(k, terms, p.omega_exp == 2)
-    return GaussSumReport(exact.real_float(), nonzero, exact)
+    groups = _groups(k, p)
+    sums = {(0, 0): 1}
+    for group in groups:
+        step: dict[tuple[int, int], int] = {}
+        for (r, q), m in sums.items():
+            for _, e, v in group:
+                if v is not None:
+                    key = (r + v[0], (q + v[1]) & 7)
+                    step[key] = step.get(key, 0) + (m << e)
+        sums = step
+    exact = _sum_terms(k, sums.items(), p.omega_exp == 2)
+    return GaussSumReport(exact.real_float(), _count_nonzero(groups), exact)
 
 
-def _small_terms(k: int, p: PauliOperator) -> list[tuple[ExactAmplitude, int]]:
-    """The two (value, multiplicity) terms of a 1- or 2-qubit block."""
-    return _terms_k1(p) if k == 1 else _terms_k2(p)
-
-
-def _terms_k1(p: PauliOperator) -> list[tuple[ExactAmplitude, int]]:
+def _terms_k1(p: PauliOperator) -> list[tuple[int, int]]:
     (_, b, g, d) = p.site_bits(0)
     if (g + d) % 2 == 0:
-        return [(ONE, 1), (i_power(2 * b), 1)]
-    return [(eighth_root(1) * i_power(3 * d), 1), (eighth_root(7) * i_power(d), 1)]
+        return [(0, 0), (0, 4 * b)]  # 1, i^(2b)
+    return [(0, 1 + 6 * d), (0, 7 + 2 * d)]  # zeta * i^(3d), zeta^7 * i^d
 
 
-def _terms_k2(p: PauliOperator) -> list[tuple[ExactAmplitude, int]]:
+def _terms_k2(p: PauliOperator) -> list[Optional[tuple[int, int]]]:
     (_, b1, g1, d1) = p.site_bits(0)
     (_, b2, g2, d2) = p.site_bits(1)
     if (g1 + d1 + g2 + d2) % 2 == 0:
-        v0 = i_power(d2 - g1) * _one_dim_even(b1 + b2 + g1 + d2)
-        v1 = i_power(2 * (b1 + d1) + d1 + d2) * _one_dim_even(b1 + d1 + b2 + d2)
-    else:
-        v0 = (eighth_root(1) * i_power(2 * (b2 + g2) + d1 - g2 + 3)
-              * _one_dim_odd(b2 + g2 + b1 + d1))
-        v1 = eighth_root(7) * i_power(d1 + d2) * _one_dim_odd(b1 + b2 + d1 + d2)
-    return [(v0, 1), (v1, 1)]
-
-
-def _one_dim_even(s: int) -> ExactAmplitude:
-    """G_1(2s) = 1 + (-1)^s."""
-    return _TWO if s % 2 == 0 else ZERO
-
-
-def _one_dim_odd(v: int) -> ExactAmplitude:
-    """G_1(1, v) = 1 + i (-1)^v."""
-    return ExactAmplitude(1, 0, -1 if v % 2 else 1, 0, 0)
+        # i^E * G_1(2s), where G_1(2s) = 1 + (-1)^s is 2 or 0
+        return [None if (b1 + b2 + g1 + d2) % 2 else (2, 2 * (d2 - g1)),
+                None if (b1 + d1 + b2 + d2) % 2
+                else (2, 2 * (2 * (b1 + d1) + d1 + d2))]
+    # zeta^(+-1) * i^E * G_1(1, v), and G_1(1, v) = 1 + i (-1)^v = sqrt2 * zeta^(+-1)
+    pm0 = -1 if (b2 + g2 + b1 + d1) % 2 else 1
+    pm1 = -1 if (b1 + b2 + d1 + d2) % 2 else 1
+    return [(1, 1 + 2 * (2 * (b2 + g2) + d1 - g2 + 3) + pm0),
+            (1, 7 + 2 * (d1 + d2) + pm1)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +331,10 @@ def expect_single_pauli(t: int, p: PauliOperator,
     unique = 1
     offset = 0
     for k in block_cover(t, policy):
-        sub = PauliOperator(
-            k,
-            (p.beta >> offset) & ((1 << k) - 1),
-            (p.gamma >> offset) & ((1 << k) - 1),
-            (p.delta >> offset) & ((1 << k) - 1),
-            0,
-        )
-        rep = expect_block(k, sub)
+        mask = (1 << k) - 1
+        rep = expect_block(k, PauliOperator(k, p.beta >> offset & mask,
+                                            p.gamma >> offset & mask,
+                                            p.delta >> offset & mask))
         exact = exact * rep.exact
         unique *= rep.unique_nonzero_sums
         offset += k
@@ -367,6 +343,20 @@ def expect_single_pauli(t: int, p: PauliOperator,
     # the float of the exact product, as exact mode prints it: a product of
     # block floats rounds differently and reads -0.0 for a negated zero
     return GaussSumReport(exact.real_float(), unique, exact)
+
+
+#: most rows one sampled census or k = 12 oracle check draws: a k = 12 row
+#: holds about 419 B at peak, so the cap keeps the rows near 0.4 GB
+MAX_CENSUS_ROWS = 10 ** 6
+
+
+def check_samples(samples: int) -> None:
+    """Refuse a --samples row count below 1 or above ``MAX_CENSUS_ROWS``."""
+    if samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
+    if samples > MAX_CENSUS_ROWS:
+        raise ValueError(f"--samples {samples} exceeds the cap of "
+                         f"{MAX_CENSUS_ROWS} census rows")
 
 
 def check_census(k: int, mode: str, samples: int, workers: int) -> None:
@@ -378,8 +368,8 @@ def check_census(k: int, mode: str, samples: int, workers: int) -> None:
         raise ValueError(f"unknown census mode {mode!r}")
     if mode == "exhaustive" and k > 6:
         raise ValueError("exhaustive census is limited to k <= 6; use --mode sampled")
-    if mode == "sampled" and samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {samples}")
+    if mode == "sampled":
+        check_samples(samples)
     if workers < 1:
         raise ValueError(f"--workers must be at least 1, got {workers}")
 

@@ -1,9 +1,9 @@
 """Bit-packed linear algebra over Z/2Z.
 
 Vectors are stored as Python ints with coordinate ``i`` in bit ``i`` (LSB).
-``to_str``/``from_str`` render coordinate 0 as the leftmost character, which
-is the order used by the decomposition file format and the dense oracle's
-amplitude indexing (see :func:`revbits`).
+``to_str``/``from_str`` render coordinate 0 as the leftmost character, the
+order of the decomposition file format (whose integers ``int_from_str``
+reads) and of the dense oracle's amplitude indexing (see :func:`revbits`).
 
 All elimination goes through one routine, :func:`eliminate`: each column is
 reduced against a table indexed by leading (highest) bit that holds a
@@ -45,6 +45,18 @@ def from_str(s: str) -> int:
         elif ch != "0":
             raise ValueError(f"invalid bit character {ch!r}")
     return x
+
+
+def int_from_str(s: str) -> int:
+    """An optional sign and ASCII digits, nothing else: ``int`` alone would
+    also take '1_2', ' 3' or '٣'."""
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(s)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValueError(f"{s!r} is not an integer")
 
 
 def eliminate(columns: Sequence[int], n: int

@@ -129,11 +129,6 @@ def eighth_root(k: int) -> ExactAmplitude:
     return ExactAmplitude(x, 0, y, 0, e)
 
 
-def i_power(k: int) -> ExactAmplitude:
-    """i**k exactly."""
-    return eighth_root(2 * k)
-
-
 def sqrt2_root(k: int, p: int) -> ExactAmplitude:
     """sqrt(2)**k * exp(i*pi*p/4) in canonical form, for k >= 0.
 

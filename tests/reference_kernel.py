@@ -17,7 +17,8 @@ products.  ``kept_terms`` counts the terms a projector does not annihilate.
 dense amplitudes (``dense.dense_magic_state_exact``), the third engine the
 stabilizer-rank and Gauss-sum values are compared with.
 ``gauss_sum_eval`` sums a quadratic Gauss sum point by point,
-``gauss_block_terms`` lists the tagged terms ``gauss.expect_block`` sums,
+``gauss_block_terms`` lists, as ring values (``ring_value``), the tagged
+terms ``gauss.expect_block`` sums,
 ``stabilizer_state_count`` is the closed form for |S(n)|, and ``all_paulis``
 enumerates the phase-free k-qubit Paulis for exhaustive checks.
 
@@ -34,7 +35,7 @@ from typing import Iterator, Optional, Sequence
 from tmagic import gauss, stabilizer
 from tmagic.gf2 import parity, rank_of, revbits
 from tmagic.pauli import PauliOperator, letters_to_pauli
-from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, i_power
+from tmagic.phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, sqrt2_root
 from tmagic.stabilizer import StabilizerState, apply_pauli_state, projector_ket
 
 
@@ -176,7 +177,7 @@ def exponential_sum(s: StabilizerState) -> ExactAmplitude:
         if d4[a] % 2 == 0:
             acc = acc.scale_int(2)
             if d4[a] == 2:
-                acc = acc * i_power(d4[bv])
+                acc = acc * eighth_root(2 * d4[bv])
                 for z in _bits(b[bv] & act_mask & ~(1 << a) & ~(1 << bv)):
                     d4[z] = (d4[z] + 2) % 4
             active.remove(a)
@@ -252,7 +253,7 @@ def dense_pauli_expectation(amps: Sequence[ExactAmplitude], p: PauliOperator
     total = ZERO
     for x, amp in enumerate(amps):
         k = p.omega_exp + p.delta.bit_count() + 2 * (x & zm).bit_count()
-        total = total + amps[x ^ xm].conj() * i_power(k) * amp
+        total = total + amps[x ^ xm].conj() * eighth_root(2 * k) * amp
     return total
 
 
@@ -281,26 +282,32 @@ def gauss_sum_eval(a_matrix: Sequence[Sequence[int]], v: Sequence[int],
     return total
 
 
+def ring_value(item: Optional[tuple[int, int]]) -> ExactAmplitude:
+    """The ring value of a Gauss-sum item: sqrt2^r * zeta^q, or ZERO."""
+    return ZERO if item is None else sqrt2_root(*item)
+
+
 def gauss_block_terms(k: int, p: PauliOperator
                       ) -> list[tuple[tuple, ExactAmplitude, int]]:
     """(tag, value, multiplicity) of every Gauss sum ``gauss.expect_block``
     adds up for the phase-free part of P, before the sign and the 2^-k.
 
-    At k = 3, 6 and 12 a term is the product of one ``_enumerate_group``
-    item per chained group of ``_Block3``s, tagged with the items' per-block
-    (index, family, x, y); at k = 1 and 2 the two one-block terms are
-    untagged.
+    Each item's (r, q) or None becomes the ring value sqrt2^r * zeta^q or
+    ZERO, and the items multiply in the ring.  At k = 3, 6 and 12 a term is
+    the product of one ``_enumerate_group`` item per chained group of
+    ``_Block3``s, tagged with the items' per-block (index, family, x, y); at
+    k = 1 and 2 the two one-block terms are untagged.
     """
     if k in (1, 2):
-        terms = gauss._terms_k1(p) if k == 1 else gauss._terms_k2(p)
-        return [((), v, m) for v, m in terms]
+        items = gauss._terms_k1(p) if k == 1 else gauss._terms_k2(p)
+        return [((), ring_value(v), 1) for v in items]
     blocks = [gauss._Block3(p, 3 * i, i) for i in range(k // 3)]
     groups = [gauss._enumerate_group(g) for g in gauss._group_blocks(blocks)]
     out = []
     for combo in itertools.product(*groups):
         val = ONE
         for _, _, v in combo:
-            val = val * v
+            val = val * ring_value(v)
         out.append((sum((tag for tag, _, _ in combo), ()), val,
                     1 << sum(e for _, e, _ in combo)))
     return out

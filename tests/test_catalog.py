@@ -280,6 +280,29 @@ class TestFileErrors:
                                              rf"of at least 1, got {k}$"):
             read_catalog_file(str(path))
 
+    @pytest.mark.parametrize("old, new, bad", [
+        ("k=3 terms=3", "k=0_3 terms=3", "0_3"),  # underscore
+        ("k=3 terms=3", "k=3 terms=\u0663", "\u0663"),  # Arabic-Indic three
+        ("coeff=(1,0,-1,1,3)", "coeff=(1, 0,-1,1,3)", " 0"),  # inner space
+    ], ids=["underscore", "non-ascii-digit", "inner-space"])
+    def test_rejects_integer_only_int_takes(self, tmp_path, capsys, old, new,
+                                            bad):
+        # int() read each of these as the exported integer, and verify
+        # printed PASS for the file
+        from tmagic.cli import main
+        path, lines = self._t3_lines(tmp_path)
+        no = lines.index(old) + 1
+        lines[no - 1] = new
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--scope", "decompositions", "--catalog-file",
+                  str(path)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"invalid --catalog-file: {path}, line "
+                                    f"{no}: {bad!r} is not an integer"]
+
     def test_rejects_truncated_file(self, tmp_path):
         path, lines = self._t3_lines(tmp_path)
         no = lines.index("J=4,4,4")  # cut after the h= line of the last term

@@ -413,6 +413,28 @@ class TestCensus:
                          "--samples", samples],
                         f"--samples must be at least 1, got {samples}")
 
+    @pytest.mark.parametrize("args", [
+        ["census", "--k", "12", "--mode", "sampled"],
+        ["verify", "--scope", "gauss-k12"],
+    ], ids=["census", "verify"])
+    def test_rejects_row_count_above_the_cap(self, monkeypatch, capsys, args):
+        # refused before a row is drawn: 10^7 rows would hold about 4 GB
+        import tmagic._gauss_kernels
+        from tmagic.gauss import check_census
+
+        def refuse(*a):
+            raise AssertionError("rows drawn above the cap")
+
+        monkeypatch.setattr(tmagic._gauss_kernels, "sample_letters", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--samples", "1000001"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["--samples 1000001 exceeds the cap of "
+                                    "1000000 census rows"]
+        check_census(12, "sampled", 10 ** 6, 1)  # the cap itself is accepted
+
 
 class TestBench:
     @pytest.mark.parametrize("mode, engine", [

@@ -14,7 +14,7 @@ from tmagic.pauli import PauliOperator, letters_to_pauli, random_pauli
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO
 
 from reference_kernel import (all_paulis, dense_pauli_expectation,
-                              gauss_block_terms, gauss_sum_eval)
+                              gauss_block_terms, gauss_sum_eval, ring_value)
 
 
 class TestGaussSumEval:
@@ -169,7 +169,7 @@ class TestStructuralInvariants:
                 blocks = [_Block3(p, 3 * i, i) for i in range(k // 3)]
                 unred: dict = defaultdict(int)
                 # a B term stands for 2 naive-tensor terms, an A/C term for 2^e
-                per_block = [[(v, 2 if b.line == "B" else 1 << e)
+                per_block = [[(ring_value(v), 2 if b.line == "B" else 1 << e)
                               for (_, _, e, _, v) in b.terms(0)]
                              for b in blocks]
                 for combo in itertools.product(*per_block):
@@ -247,7 +247,7 @@ class TestStructuralInvariants:
         blocks = [_Block3(p, 3 * i, i) for i in range(4)]
         groups = _group_blocks(blocks)
         assert [[b.line for b in g] for g in groups] == [["A"], ["B"], ["A", "A"]]
-        assert [sum(1 for _, _, v in _enumerate_group(g) if not v.is_zero())
+        assert [sum(1 for _, _, v in _enumerate_group(g) if v is not None)
                 for g in groups] == [3, 2, 7]
         assert count_nonzero_sums(12, p) == 42
 
@@ -360,12 +360,13 @@ class TestCensus:
 
     def test_census_never_sums_a_product_term(self, monkeypatch):
         # the census counts from the chained groups: it neither reaches
-        # expect_block nor adds two ring values
+        # expect_block nor adds or multiplies two ring values
         def refuse(*args):
-            raise AssertionError("census summed a Gauss-sum term")
+            raise AssertionError("census did ring arithmetic on a Gauss sum")
 
         monkeypatch.setattr(gauss, "expect_block", refuse)
         monkeypatch.setattr(ExactAmplitude, "__add__", refuse)
+        monkeypatch.setattr(ExactAmplitude, "__mul__", refuse)
         assert rank_census(6, "exhaustive") == (
             7, {0: 1596, 1: 64, 2: 544, 3: 192, 4: 1028, 6: 528, 7: 144})
         mx, hist = rank_census(12, "sampled", samples=500, seed=0)

@@ -467,7 +467,7 @@ def test_invariant_checks_survive_optimized_mode():
     code = """
 from tmagic.catalog import t1_decomposition
 from tmagic.gauss import _Block3, _group_blocks, _sum_terms
-from tmagic.phase_ring import ONE, ExactAmplitude, eighth_root
+from tmagic.phase_ring import ONE, ExactAmplitude
 from tmagic.pauli import PauliOperator, PauliProjector
 from tmagic import strong_sim
 from tmagic.stabilizer import StabilizerState, apply_pauli_state, projector_ket
@@ -506,7 +506,7 @@ check("non-real-diagonal", lambda: strong_sim._hermitian_sum(
     dec, [apply_pauli_state(s, iz) for _, s in dec.terms]))
 check("non-hermitian-factor", lambda: projector_ket(
     zero, [(PauliOperator.from_str("i:Z"), 1)]))
-check("non-real-gauss", lambda: _sum_terms(1, [(eighth_root(1), 1)], False))
+check("non-real-gauss", lambda: _sum_terms(1, [((0, 1), 1)], False))
 p9 = PauliOperator.from_str("XYZ" * 3)
 check("three-block-chain", lambda: _group_blocks(
     [_Block3(p9, 3 * i, i) for i in range(3)]))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmagic.phase_ring import (ExactAmplitude, ONE, SQRT2, ZERO, canonical,
-                               eighth_root, i_power, sqrt2_root)
+                               eighth_root, sqrt2_root)
 
 ints = st.integers(min_value=-(2 ** 30), max_value=2 ** 30)
 amps = st.builds(ExactAmplitude, ints, ints, ints, ints,
@@ -142,12 +142,6 @@ def test_eighth_root_phase_type():
         assert eight == ONE
         assert eighth_root(k + 8) == emb == eighth_root(k - 8)
     assert eighth_root(3) * eighth_root(7) == eighth_root(2)
-
-
-def test_i_power():
-    assert i_power(1) == ExactAmplitude(0, 0, 1, 0)
-    assert i_power(-1) == ExactAmplitude(0, 0, -1, 0)
-    assert i_power(6) == ExactAmplitude(-1)
 
 
 def test_sqrt2_root_equals_ring_product():
