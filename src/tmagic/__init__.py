@@ -19,9 +19,11 @@ stabilizer-rank path only the sampled estimator loads ``tmagic.draws``.
 The value classes (``ExactAmplitude``, ``PauliOperator``,
 ``PauliProjector``, ``StabilizerState``, ``MagicDecomposition``,
 ``GaussSumReport``, ``SimulationResult``) are plain slotted classes whose
-``__init__`` runs their checks; they are treated as immutable, and no
-module here imports the standard library's data-class module (it would
-pull in ``inspect`` at every start).
+``__init__`` runs their checks; they are treated as immutable.  The five
+compared by value share ``tmagic.value.Value``, which writes equality,
+hashing and the repr once from each class's ``_fields``.  No module here
+imports the standard library's data-class module (it would pull in
+``inspect`` at every start).
 ``expect --mode exact|gauss``, ``catalog`` and ``census`` never import
 numpy: the census draws its seeded letter rows from a pure-Python PCG64
 stream (``tmagic.draws``), as numpy's Generator would.  The sampled

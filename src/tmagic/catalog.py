@@ -18,31 +18,21 @@ from .blocks import DEFAULT_POLICY, block_cover
 from .phase_ring import INV_SQRT2, SQRT2, ExactAmplitude, ZERO, eighth_root
 from .stabilizer import StabilizerState
 from .gf2 import from_str, int_from_str, rank_of, to_str
+from .value import Value
 
 
-class MagicDecomposition:
+class MagicDecomposition(Value):
     """|T>^{otimes k} = sum_j coeff_j |state_j> with exact coefficients.
 
     Treated as immutable and compared by value."""
 
-    __slots__ = ("k", "terms")
+    __slots__ = _fields = ("k", "terms")
 
     def __init__(self, k: int,
                  terms: tuple[tuple[ExactAmplitude, StabilizerState], ...]
                  ) -> None:
         self.k = k
         self.terms = terms
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not MagicDecomposition:
-            return NotImplemented
-        return (self.k, self.terms) == (other.k, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.terms))
-
-    def __repr__(self) -> str:
-        return f"MagicDecomposition(k={self.k!r}, terms={self.terms!r})"
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -277,9 +267,10 @@ def _amp_str(a: ExactAmplitude) -> str:
 
 
 def _amp_parse(s: str) -> ExactAmplitude:
-    parts = s.strip().lstrip("(").rstrip(")").split(",")
-    if len(parts) != 5:
-        raise ValueError(f"malformed amplitude {s!r}")
+    """``_amp_str``'s form: five integers in one pair of parentheses."""
+    parts = s[1:-1].split(",")
+    if s[:1] != "(" or s[-1:] != ")" or len(parts) != 5:
+        raise ValueError(f"malformed amplitude {s!r}, expected (a,b,c,d,e)")
     return ExactAmplitude(*(int_from_str(p) for p in parts))
 
 

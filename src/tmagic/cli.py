@@ -474,14 +474,13 @@ def _verify_kernel(report, trials: int, seed: int) -> None:
     import numpy as np
     from .dense import apply_projector
     from .pauli import random_pauli
-    from .draws import RawDraws
+    from .draws import PCG64Words, RawDraws
     from .stabilizer import (inner_product, projector_ket,
                              random_stabilizer_state)
-    # the states come from their own PCG64 stream, which the decoder reads
-    # ahead, the sizes, Paulis and signs from a Generator of their own
+    # the states come from the PCG64 stream of SeedSequence([seed, 1]), the
+    # sizes, Paulis and signs from a Generator of their own
     rng = np.random.default_rng(seed)
-    words = np.random.PCG64([seed, 1]).random_raw
-    draws = RawDraws(lambda k: words(max(k, 64)))
+    draws = RawDraws(PCG64Words(seed, 1))
     bad_ip = bad_pk = 0
     for _ in range(trials):
         n = int(rng.integers(2, 7))

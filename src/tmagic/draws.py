@@ -24,10 +24,7 @@ sampled estimator keeps numpy's C PCG64 for its words.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Iterator, Optional
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
 # PCG64's 128-bit LCG multiplier
@@ -161,8 +158,9 @@ class RawDraws:
     64-bit words of a fresh PCG64 stream.
 
     ``words(k)`` hands over the next raw words of the stream, at least
-    one, as a list of ints (``PCG64Words``) or a uint64 array (a numpy
-    ``PCG64.random_raw``); k is how many the decoder still needs.  The
+    one, as a list of ints (``PCG64Words``, or a numpy
+    ``PCG64.random_raw(k).tolist()``); k is how many the decoder still
+    needs.  The
     source decides how far it reads: one over a Generator that is drawn
     from again afterwards hands over exactly k, and one over a stream that
     only this decoder reads, such as a sample's, may read ahead.  The words
@@ -178,7 +176,7 @@ class RawDraws:
 
     __slots__ = ("words", "half", "_buf", "_pos")
 
-    def __init__(self, words: Callable[[int], Union[list[int], np.ndarray]]):
+    def __init__(self, words: Callable[[int], list[int]]):
         self.words = words
         self.half: Optional[int] = None
         self._buf: list[int] = []
@@ -188,8 +186,7 @@ class RawDraws:
         """The next k words: the buffered ones, then the source's."""
         buf, pos = self._buf, self._pos
         while len(buf) - pos < k:
-            new = self.words(k - len(buf) + pos)
-            buf = buf[pos:] + (new if isinstance(new, list) else new.tolist())
+            buf = buf[pos:] + self.words(k - len(buf) + pos)
             pos = 0
         self._buf, self._pos = buf, pos + k
         return buf[pos:pos + k]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from .gf2 import parity
+from .value import Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -18,13 +19,13 @@ _PHASE_TOKENS = {"+1": 0, "1": 0, "+i": 1, "i": 1, "-1": 2, "-i": 3}
 _PHASE_STRS = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
 
 
-class PauliOperator:
+class PauliOperator(Value):
     """n-qubit Pauli: omega * prod_q {I,Z,X,Y}_q with omega = i**omega_exp.
 
     Treated as immutable and compared by value; ``omega_exp`` is stored
     mod 4."""
 
-    __slots__ = ("n", "beta", "gamma", "delta", "omega_exp")
+    __slots__ = _fields = ("n", "beta", "gamma", "delta", "omega_exp")
 
     def __init__(self, n: int, beta: int = 0, gamma: int = 0, delta: int = 0,
                  omega_exp: int = 0) -> None:
@@ -38,21 +39,6 @@ class PauliOperator:
         self.gamma = gamma
         self.delta = delta
         self.omega_exp = omega_exp % 4
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not PauliOperator:
-            return NotImplemented
-        return ((self.n, self.beta, self.gamma, self.delta, self.omega_exp)
-                == (other.n, other.beta, other.gamma, other.delta,
-                    other.omega_exp))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.beta, self.gamma, self.delta, self.omega_exp))
-
-    def __repr__(self) -> str:
-        return (f"PauliOperator(n={self.n!r}, beta={self.beta!r}, "
-                f"gamma={self.gamma!r}, delta={self.delta!r}, "
-                f"omega_exp={self.omega_exp!r})")
 
     # -- site queries ---------------------------------------------------
 
@@ -142,12 +128,12 @@ def commute(p: PauliOperator, q: PauliOperator) -> bool:
     return parity(p.x_mask & q.z_mask) == parity(p.z_mask & q.x_mask)
 
 
-class PauliProjector:
+class PauliProjector(Value):
     """Product of commuting projector factors (I + sign_i * P_i)/2.
 
     Treated as immutable and compared by value."""
 
-    __slots__ = ("n", "factors")
+    __slots__ = _fields = ("n", "factors")
 
     def __init__(self, n: int,
                  factors: tuple[tuple[PauliOperator, int], ...] = ()) -> None:
@@ -167,17 +153,6 @@ class PauliProjector:
                 raise ValueError("projector signs must be +1 or -1")
         self.n = n
         self.factors = factors
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not PauliProjector:
-            return NotImplemented
-        return (self.n, self.factors) == (other.n, other.factors)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.factors))
-
-    def __repr__(self) -> str:
-        return f"PauliProjector(n={self.n!r}, factors={self.factors!r})"
 
     @staticmethod
     def single(p: PauliOperator, sign: int = 1) -> "PauliProjector":

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 
+from .value import Value
+
 _SQRT2 = math.sqrt(2.0)
 
 
-class ExactAmplitude:
+class ExactAmplitude(Value):
     """Element of Z[i, sqrt2] / sqrt2^e in canonical (minimal e) form.
 
     Value represented: ``(a + b*sqrt2 + (c + d*sqrt2)*1j) / sqrt2**e``.
@@ -25,7 +27,7 @@ class ExactAmplitude:
     they are hashed by value); arithmetic returns new canonical values.
     """
 
-    __slots__ = ("a", "b", "c", "d", "e")
+    __slots__ = _fields = ("a", "b", "c", "d", "e")
 
     def __init__(self, a: int = 0, b: int = 0, c: int = 0, d: int = 0,
                  e: int = 0) -> None:
@@ -36,19 +38,6 @@ class ExactAmplitude:
         self.c = c
         self.d = d
         self.e = e
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ExactAmplitude:
-            return NotImplemented
-        return ((self.a, self.b, self.c, self.d, self.e)
-                == (other.a, other.b, other.c, other.d, other.e))
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d, self.e))
-
-    def __repr__(self) -> str:
-        return (f"ExactAmplitude(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
-                f"d={self.d!r}, e={self.e!r})")
 
     # -- ring operations ----------------------------------------------
 

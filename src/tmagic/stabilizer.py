@@ -56,6 +56,7 @@ from . import gf2
 from .gf2 import eliminate, parity, reduce_column, revbits, solve_columns
 from .pauli import PauliOperator
 from .phase_ring import ExactAmplitude, ONE, ZERO, eighth_root, sqrt2_root
+from .value import Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,14 +64,14 @@ if TYPE_CHECKING:
     from .draws import RawDraws
 
 
-class StabilizerState:
+class StabilizerState(Value):
     """scale * sum_u zeta^phi(u) |G u + h> (see the module docstring).
 
     Treated as immutable.  ``odd`` and ``d4`` are derived from ``dvec`` and
     take no part in equality, hashing or the repr."""
 
-    __slots__ = ("n", "basis", "shift", "bmat", "dvec", "c", "scale",
-                 "odd", "d4")
+    _fields = ("n", "basis", "shift", "bmat", "dvec", "c", "scale")
+    __slots__ = _fields + ("odd", "d4")
 
     def __init__(self, n: int, basis: tuple[int, ...], shift: int,
                  bmat: tuple[int, ...], dvec: tuple[int, ...], c: int,
@@ -97,23 +98,6 @@ class StabilizerState:
         # masks of the a with bit 1 / bit 2 of dvec[a] set, for inner_product
         self.odd = odd
         self.d4 = d4
-
-    def _key(self) -> tuple:
-        return (self.n, self.basis, self.shift, self.bmat, self.dvec, self.c,
-                self.scale)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not StabilizerState:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"StabilizerState(n={self.n!r}, basis={self.basis!r}, "
-                f"shift={self.shift!r}, bmat={self.bmat!r}, "
-                f"dvec={self.dvec!r}, c={self.c!r}, scale={self.scale!r})")
 
     @property
     def m(self) -> int:
@@ -696,7 +680,7 @@ def random_stabilizer_state(n: int, draws: RawDraws | np.random.Generator
         if not isinstance(bg, np.random.PCG64):
             raise ValueError(f"draws are decoded from PCG64 words; the "
                              f"Generator runs on {type(bg).__name__}")
-        draws = RawDraws(bg.random_raw)
+        draws = RawDraws(lambda k: bg.random_raw(k).tolist())
     weights, total = _dimension_weights(n)
     r = draws.below(total)
     m = 0

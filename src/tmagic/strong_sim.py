@@ -438,8 +438,8 @@ def sampled_expectation(dec: MagicDecomposition, proj: PauliProjector,
     bg = np.random.PCG64(0)
     ahead = (n * (n + 9) + 4) // 4
 
-    def words(k: int) -> np.ndarray:
-        return bg.random_raw(max(k, ahead))
+    def words(k: int) -> list[int]:
+        return bg.random_raw(max(k, ahead)).tolist()
 
     for a, stream in enumerate(pcg64_streams(seed, big_l)):
         bg.state = stream

@@ -13,7 +13,7 @@ from tmagic.catalog import (MagicDecomposition, block_decomposition,
                             write_catalog_file, _CATALOG, _t6_states,
                             _t12_merge_states)
 from tmagic.dense import dense_magic_state, dense_magic_state_exact
-from tmagic.draws import RawDraws
+from tmagic.draws import PCG64Words, RawDraws
 from tmagic.pauli import PauliProjector
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO
 from tmagic.stabilizer import (StabilizerState, inner_product,
@@ -207,7 +207,7 @@ class TestFileFormat:
         for _ in range(data.draw(st.integers(1, 4))):
             seed = data.draw(st.integers(0, 2 ** 32 - 1))
             state = random_stabilizer_state(
-                n, RawDraws(np.random.PCG64(seed).random_raw))
+                n, RawDraws(PCG64Words(seed)))
             if data.draw(st.booleans()):
                 state = StabilizerState.computational(n, state.shift)
             coeff = ExactAmplitude(*(data.draw(ints) for _ in range(4)),
@@ -302,6 +302,29 @@ class TestFileErrors:
         assert out == ""
         assert err.splitlines() == [f"invalid --catalog-file: {path}, line "
                                     f"{no}: {bad!r} is not an integer"]
+
+    @pytest.mark.parametrize("old, new, why", [
+        ("coeff=(1,0,-1,1,3)", "coeff=((1,0,-1,1,3))",
+         "'(1' is not an integer"),
+        ("global=(1,0,0,0,1)", "global=1,0,0,0,1",
+         "malformed amplitude '1,0,0,0,1', expected (a,b,c,d,e)"),
+    ], ids=["two-pairs", "no-pair"])
+    def test_rejects_amplitude_not_in_one_pair_of_parentheses(
+            self, tmp_path, capsys, old, new, why):
+        # both once read as the exported amplitude, and verify printed PASS
+        from tmagic.cli import main
+        path, lines = self._t3_lines(tmp_path)
+        no = lines.index(old) + 1
+        lines[no - 1] = new
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--scope", "decompositions", "--catalog-file",
+                  str(path)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"invalid --catalog-file: {path}, line "
+                                    f"{no}: {why}"]
 
     def test_rejects_truncated_file(self, tmp_path):
         path, lines = self._t3_lines(tmp_path)

@@ -19,7 +19,7 @@ from tmagic import strong_sim
 from tmagic.catalog import (block_decomposition, catalog_entry,
                             extend_with_zeros, read_catalog_file,
                             t12_decomposition, write_catalog_file)
-from tmagic.draws import RawDraws
+from tmagic.draws import PCG64Words, RawDraws
 from tmagic.gf2 import rank_of, solve_columns
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
 from tmagic.phase_ring import ZERO, ExactAmplitude, sqrt2_root
@@ -33,7 +33,7 @@ import reference_kernel
 
 class TestAgainstReference:
     def test_random_pairs_n1_to_24(self):
-        draws = RawDraws(np.random.PCG64(2024).random_raw)
+        draws = RawDraws(PCG64Words(2024))
         for n in range(1, 25):
             for _ in range(40 if n <= 12 else 6):
                 a = random_stabilizer_state(n, draws)
@@ -127,7 +127,7 @@ class TestColumnSetBlocks:
 
     def test_matches_one_call_per_class_and_inner_product(self):
         rng = np.random.default_rng(2034)
-        draws = RawDraws(np.random.PCG64(2035).random_raw)
+        draws = RawDraws(PCG64Words(2035))
         shared = dependent = entries = consistent = 0
         for n in range(1, 9):
             # the catalog terms for t <= 6, and their tensor products above

@@ -9,7 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import tmagic.gf2
@@ -17,7 +16,7 @@ import tmagic.stabilizer
 import tmagic.strong_sim
 from tmagic.catalog import catalog_entry
 from tmagic.cli import main
-from tmagic.draws import RawDraws
+from tmagic.draws import PCG64Words, RawDraws
 from tmagic.gf2 import solve_columns
 from tmagic.pauli import PauliOperator
 from tmagic.phase_ring import ZERO
@@ -168,7 +167,7 @@ def test_exact_t12_op_call_structure(monkeypatch, capsys, operator, plans):
 
 def test_random_state_reaches_rank_of(monkeypatch):
     ranks = _record(monkeypatch, tmagic.gf2, "rank_of")
-    draws = RawDraws(np.random.PCG64(0).random_raw)
+    draws = RawDraws(PCG64Words(0))
     s = tmagic.stabilizer.random_stabilizer_state(6, draws)
     assert ranks and ranks[-1] == s.m
 

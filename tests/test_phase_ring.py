@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tmagic.catalog import MagicDecomposition
+from tmagic.pauli import PauliOperator, PauliProjector
 from tmagic.phase_ring import (ExactAmplitude, ONE, SQRT2, ZERO, canonical,
                                eighth_root, sqrt2_root)
+from tmagic.stabilizer import StabilizerState
 
 ints = st.integers(min_value=-(2 ** 30), max_value=2 ** 30)
 amps = st.builds(ExactAmplitude, ints, ints, ints, ints,
@@ -73,14 +76,20 @@ class TestCanonicalForm:
                               f"d={x.d}, e={x.e})")
 
     def test_never_equals_a_tuple_or_an_int(self):
-        for x in (ONE, ZERO, ExactAmplitude(3, 1, 4, 1, 5)):
-            fields = (x.a, x.b, x.c, x.d, x.e)
+        z = PauliOperator(1, beta=1)
+        values = [(x, (x.a, x.b, x.c, x.d, x.e))
+                  for x in (ONE, ZERO, ExactAmplitude(3, 1, 4, 1, 5))]
+        values += [(z, (1, 1, 0, 0, 0)),
+                   (PauliProjector(1, ((z, 1),)), (1, ((z, 1),))),
+                   (StabilizerState.computational(1), (1, (), 0, (), (), 0, ONE)),
+                   (MagicDecomposition(1, ()), (1, ()))]
+        for x, fields in values:
             assert x != fields and fields != x
             # hashed as the fields' tuple, so sets iterate as they did
             # when the class was a frozen dataclass; a dict tells them apart
             assert hash(x) == hash(fields)
             assert len({x: 0, fields: 1}) == 2
-        assert ONE != 1 and 1 != ONE and ZERO != 0
+            assert x != 1 and 1 != x and x != 0
 
     def test_fields_differ_values_differ(self):
         x = ExactAmplitude(1, 2, 3, 4, 5)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tmagic.dense import apply_pauli, apply_projector, dense_magic_state
-from tmagic.draws import RawDraws, pcg64_streams
+from tmagic.draws import PCG64Words, RawDraws, pcg64_streams
 from tmagic import gf2
 from tmagic.gf2 import from_str, parity, revbits
 from tmagic.pauli import PauliOperator, PauliProjector, random_pauli
@@ -511,7 +511,7 @@ def _state_key(vec: np.ndarray) -> tuple:
 
 def _draws(seed) -> RawDraws:
     """One decoder over the PCG64 stream of ``default_rng(seed)``."""
-    return RawDraws(np.random.default_rng(seed).bit_generator.random_raw)
+    return RawDraws(PCG64Words(seed))
 
 
 class TestRandomStabilizerState:
@@ -559,7 +559,7 @@ class TestRandomStabilizerState:
         # single draw stays scalar and bounds above 2^62 (n = 63, 70) take
         # the byte path; the stream must be what one draw at a time gives
         rng = np.random.default_rng(20261018)
-        draws = RawDraws(rng.bit_generator.random_raw)
+        draws = RawDraws(lambda k: rng.bit_generator.random_raw(k).tolist())
         pinned = [(1, [1, 1, 1, 1], "f92e79342ab6bf9c"),
                   (2, [2, 1, 1, 1], "d0f9265046878a06"),
                   (6, [6, 4, 6, 5], "8e7b1e935ee4a3d1"),
@@ -637,7 +637,7 @@ class TestNumpyStream:
         for count, kinds, steps in trials:
             for trial in range(count):
                 bg = np.random.PCG64(trial)
-                draws = RawDraws(bg.random_raw)
+                draws = RawDraws(lambda k: bg.random_raw(k).tolist())
                 twin = np.random.default_rng(trial)
                 for step in range(steps):
                     kind = kinds[int(meta.integers(len(kinds)))]
@@ -664,7 +664,7 @@ class TestNumpyStream:
         states = 0
         for trial in range(40):
             bg = np.random.PCG64(trial)
-            draws = RawDraws(lambda k: bg.random_raw(batch))
+            draws = RawDraws(lambda k: bg.random_raw(batch).tolist())
             twin = np.random.default_rng(trial)
             for step in range(8):
                 if step % 2:
