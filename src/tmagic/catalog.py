@@ -12,11 +12,12 @@ amplitude by amplitude.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Sequence, TextIO
+from itertools import compress
+from typing import Sequence, TextIO
 
 from .blocks import DEFAULT_POLICY, block_cover
 from .phase_ring import INV_SQRT2, SQRT2, ExactAmplitude, ZERO, eighth_root
-from .stabilizer import StabilizerState
+from .stabilizer import StabilizerState, cross_pairs, cross_rows
 from .gf2 import from_str, int_from_str, rank_of, to_str
 from .value import Value
 
@@ -96,19 +97,6 @@ def t3_decomposition() -> MagicDecomposition:
 # six- and twelve-qubit entries
 # ---------------------------------------------------------------------------
 
-def _complete_graph(m: int) -> tuple[int, ...]:
-    full = (1 << m) - 1
-    return tuple(full & ~(1 << a) for a in range(m))
-
-
-def _pairs_to_bmat(m: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    rows = [0] * m
-    for a, b in pairs:
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    return tuple(rows)
-
-
 _ZETA3 = eighth_root(3)
 
 
@@ -119,7 +107,7 @@ def _t6_states() -> dict[str, StabilizerState]:
     cube = tuple(1 << q for q in range(6))
     cols = tuple(1 | (1 << i) for i in range(1, 6))  # column i = e0 + e_i
     s32 = ExactAmplitude(1, 0, 0, 0, 5)              # 2^{-5/2}
-    kgraph = _complete_graph(5)
+    kgraph = cross_rows(5, cross_pairs(5))
     zero5 = (0,) * 5
     four5 = (4,) * 5
     return {
@@ -130,9 +118,9 @@ def _t6_states() -> dict[str, StabilizerState]:
         "e6": StabilizerState(6, cols, 1, kgraph, zero5, 4, s32),
         "o6": StabilizerState(6, cols, 0, kgraph, four5, 4, s32),
         "k6": StabilizerState(6, (0b111111,), 0b111111, (0,), (2,), 6, INV_SQRT2),
-        "phi1": StabilizerState(6, cols, 1, _pairs_to_bmat(
+        "phi1": StabilizerState(6, cols, 1, cross_rows(
             5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]), zero5, 0, s32),
-        "phi2": StabilizerState(6, cols, 1, _pairs_to_bmat(
+        "phi2": StabilizerState(6, cols, 1, cross_rows(
             5, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]), zero5, 0, s32),
     }
 
@@ -190,7 +178,7 @@ def _t12_merge_states() -> tuple[StabilizerState, StabilizerState]:
     scale = ExactAmplitude(1, 0, 0, 0, 11)  # 2^{-11/2}
     dvec = tuple(0 if i < 5 else 4 for i in range(11))
     merged_b = StabilizerState(12, cols, 0, (0,) * 11, dvec, 4, scale)
-    merged_eo = StabilizerState(12, cols, 1, _complete_graph(11),
+    merged_eo = StabilizerState(12, cols, 1, cross_rows(11, cross_pairs(11)),
                                 (0,) * 11, 0, scale)
     return merged_b, merged_eo
 
@@ -285,11 +273,8 @@ def write_catalog_file(dec: MagicDecomposition, out: TextIO,
         out.write(f"n={s.n} m={s.m}\n")
         out.write("G=" + " ".join(to_str(col, s.n) for col in s.basis) + "\n")
         out.write("h=" + to_str(s.shift, s.n) + "\n")
-        upper = []
-        for a in range(s.m):
-            for b in range(a + 1, s.m):
-                upper.append(str(4 * ((s.bmat[a] >> b) & 1)))
-        out.write("J=" + ",".join(upper) + "\n")
+        out.write("J=" + ",".join(str(4 * (s.bmat[a] >> b & 1))
+                                  for a, b in cross_pairs(s.m)) + "\n")
         out.write("D=" + ",".join(str(d) for d in s.dvec) + "\n")
         out.write(f"c={s.c}\n")
         out.write(f"global={_amp_str(s.scale)}\n")
@@ -361,17 +346,12 @@ def read_catalog_file(path: str) -> MagicDecomposition:
             jvals = int_list("J", m * (m - 1) // 2)
             if any(v % 4 for v in jvals):
                 raise ValueError(f"J= entries must be 0 or 4 (mod 8), got {jvals}")
-            bmat = [0] * m
-            it = iter(jvals)
-            for a in range(m):
-                for b in range(a + 1, m):
-                    if next(it) % 8 == 4:
-                        bmat[a] |= 1 << b
-                        bmat[b] |= 1 << a
+            bmat = cross_rows(m, compress(cross_pairs(m),
+                                          [v % 8 == 4 for v in jvals]))
             dvec = tuple(int_list("D", m))
             c = int_from_str(*fields("c"))
             scale = _amp_parse(*fields("global"))
-            terms.append((coeff, StabilizerState(n, basis, shift, tuple(bmat),
+            terms.append((coeff, StabilizerState(n, basis, shift, bmat,
                                                  dvec, c, scale)))
         if pos < len(lines):
             line_no = lines[pos][0]

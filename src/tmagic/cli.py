@@ -470,7 +470,9 @@ def _verify_gauss(report, k: int, samples: int, seed: int) -> None:
 
 
 def _verify_kernel(report, trials: int, seed: int) -> None:
-    """inner_product and 2^-1 projector_ket against the dense oracle."""
+    """inner_product and 2^-1 projector_ket against the dense oracle; the
+    first line's detail ends in a digest of the drawn states."""
+    import hashlib
     import numpy as np
     from .dense import apply_projector
     from .pauli import random_pauli
@@ -482,10 +484,12 @@ def _verify_kernel(report, trials: int, seed: int) -> None:
     rng = np.random.default_rng(seed)
     draws = RawDraws(PCG64Words(seed, 1))
     bad_ip = bad_pk = 0
+    states = hashlib.sha256()
     for _ in range(trials):
         n = int(rng.integers(2, 7))
         s1 = random_stabilizer_state(n, draws)
         s2 = random_stabilizer_state(n, draws)
+        states.update(repr((s1, s2)).encode())
         ip = inner_product(s1, s2).to_float()
         want = complex(np.vdot(s1.to_dense(), s2.to_dense()))
         if abs(ip - want) > 1e-10:
@@ -496,7 +500,8 @@ def _verify_kernel(report, trials: int, seed: int) -> None:
         wantv = apply_projector(s1.to_dense(), PauliProjector.single(p, sign))
         if not np.allclose(got, wantv, atol=1e-10):
             bad_pk += 1
-    report("kernel-inner-product", bad_ip == 0, f"trials={trials} bad={bad_ip}")
+    report("kernel-inner-product", bad_ip == 0, f"trials={trials} bad={bad_ip} "
+           f"states={states.hexdigest()[:16]}")
     report("kernel-projector-ket", bad_pk == 0, f"trials={trials} bad={bad_pk}")
 
 

@@ -14,18 +14,20 @@ Kronecker-delta arguments and sum ranges are evaluated modulo two: a range
 evaluator here is validated against the dense oracle in the test suite.
 
 Every Gauss sum is zero or sqrt2^r * zeta^q, zeta = exp(i pi/4), so a term
-is ``(r, q)`` or ``None``, as the stabilizer kernel's exponential sums are,
-and a product of terms adds exponents.  ``expect_block`` sums integer
-multiplicities per ``(r, q mod 8)`` and builds one ring value per bucket.
-``rank_census``, the one census driver, does no ring arithmetic:
-``count_nonzero_sums`` multiplies the groups' non-``None`` item counts, the
-count ``expect_block`` also reports.
+is ``(r, q)`` or ``None`` and a product of terms adds exponents.  A 3-qubit
+block depends only on its letters: ``_triple`` builds each of the 64 letter
+triples' items once per process, and one walk per chained group gives the
+group's non-zero item count and its multiplicities per ``(r, q mod 8)``.
+``expect_block`` sums the groups' products into one ring value per bucket;
+``count_nonzero_sums``, which the census counts with, multiplies the counts.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
+from functools import cache
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .blocks import CATALOG_TERM_COUNTS, DEFAULT_POLICY, block_cover
@@ -72,14 +74,19 @@ def _mod2_range(lo: int, hi: int) -> tuple[int, ...]:
 # per-block term enumeration
 # ---------------------------------------------------------------------------
 
-class _Block3:
-    """One 3-qubit block of P: active family, term ranges, values, chaining."""
+#: (alpha, beta, gamma, delta) indicator bits of the letters I, Z, X, Y
+_SITE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
-    def __init__(self, p: PauliOperator, offset: int, index: int):
-        self.index = index
-        self.p1 = (_, _, g1, d1) = p.site_bits(offset)
-        self.p2 = (_, _, g2, d2) = p.site_bits(offset + 1)
-        self.p3 = (_, _, g3, d3) = p.site_bits(offset + 2)
+
+class _Block3:
+    """One 3-qubit block of P, from its letter code l0 + 4 l1 + 16 l2
+    (0 = I, 1 = Z, 2 = X, 3 = Y): active family, term ranges, values,
+    chaining."""
+
+    def __init__(self, code: int):
+        self.p1 = (_, _, g1, d1) = _SITE[code & 3]
+        self.p2 = (_, _, g2, d2) = _SITE[code >> 2 & 3]
+        self.p3 = (_, _, g3, d3) = _SITE[code >> 4]
         cls = (g1 + d1 + g2 + d2) & 1
         q3 = (g3 + d3) & 1
         if cls == 0:
@@ -123,11 +130,12 @@ class _Block3:
         return out
 
     def _terms_b(self):
+        # never chained: the exponent bit is its constant prefactor 2
         (a3, b3, _, _) = self.p3
         out = []
         for x in _mod2_range(0, 1 + b3):
             for y in _mod2_range(0, 1 + a3):
-                out.append((x, y, 0, 0, self._value_g3(x, y)))
+                out.append((x, y, 1, 0, self._value_g3(x, y)))
         return out
 
     def _terms_c(self, seed):
@@ -181,59 +189,58 @@ class _Block3:
 # block-group composition (the reduction chains)
 # ---------------------------------------------------------------------------
 
-def _group_blocks(blocks: list[_Block3]) -> list[list[_Block3]]:
+@cache
+def _triple(code: int) -> tuple[bool, tuple, tuple]:
+    """A letter triple's closed forms, built once per process: (reducible,
+    items at seed 0, items at seed 1), each item (exponent bit, link bit,
+    (r, q) or None).  The only place a ``_Block3`` is built."""
+    blk = _Block3(code)
+    return (blk.reducible,
+            *(tuple((e, link, v) for _, _, e, link, v in blk.terms(seed))
+              for seed in (0, 1)))
+
+
+def _codes(k: int, p: PauliOperator) -> list[int]:
+    """The letter code of each 3-qubit block of P, in qubit order."""
+    spread = (0, 1, 4, 5, 16, 17, 20, 21)  # a 3-bit site mask's code digits
+    return [spread[p.beta >> o & 7] + 2 * spread[p.gamma >> o & 7]
+            + 3 * spread[p.delta >> o & 7] for o in range(0, k, 3)]
+
+
+def _group_blocks(codes: list[int]) -> list[list[int]]:
     """Chain groups: pairs fuse when both halves are reducible; at four
     blocks two fused pairs fuse again into one chain of four."""
-    r = len(blocks)
-    if r == 1:
-        return [[blocks[0]]]
-    if r == 2:
-        if blocks[0].reducible and blocks[1].reducible:
-            return [[blocks[0], blocks[1]]]
-        return [[blocks[0]], [blocks[1]]]
-    if r != 4:
+    if len(codes) not in (1, 2, 4):
         raise ValueError(f"block chains group 1, 2 or 4 three-qubit blocks, "
-                         f"got {r}")
-    halves = [_group_blocks(blocks[:2]), _group_blocks(blocks[2:])]
-    if all(len(h) == 1 and len(h[0]) == 2 for h in halves):
-        return [[*halves[0][0], *halves[1][0]]]
-    return [*halves[0], *halves[1]]
+                         f"got {len(codes)}")
+    if all(_triple(c)[0] for c in codes):
+        return [codes]
+    if len(codes) == 4:
+        return _group_blocks(codes[:2]) + _group_blocks(codes[2:])
+    return [[c] for c in codes]
 
 
-def _enumerate_group(group: list[_Block3]
-                     ) -> list[tuple[tuple, int, Optional[tuple[int, int]]]]:
-    """All (tag, log2-multiplicity, (r, q) or None) items of one chained group.
-
-    A chain of r reducible blocks carries prefactor 2^(r-1) and a
-    multiplicity exponent equal to the product of the per-block exponent
-    bits; each block's ranges are seeded by the parity of the preceding
-    link variables.  A singleton B block carries a constant prefactor 2.
-    A chain item's value is its blocks' product: the exponents add, and a
-    zero factor makes it zero.
+def _walk(tables: list[tuple]) -> tuple[int, dict[tuple[int, int], int]]:
+    """One chained group's non-zero items: (their count, their summed
+    multiplicities per (r, q mod 8)), walked block by block with one path
+    count per (seed, exponent product, r, q mod 8).  An item of a chain of
+    r blocks has multiplicity 2^(r-1) times 2^(product of its exponent
+    bits); each block's ranges are seeded by the parity of the preceding
+    link bits, and a zero factor makes the item zero, so the walk drops it.
     """
-    if group[0].line == "B":
-        blk = group[0]
-        return [(((blk.index, blk.family, x, y),), 1, v)
-                for (x, y, _, _, v) in blk.terms(0)]
-
-    prefactor = len(group) - 1  # log2: one factor of 2 per chain link
-    out: list[tuple[tuple, int, Optional[tuple[int, int]]]] = []
-
-    def rec(i: int, seed: int, tag: tuple, eprod: Optional[int],
-            val: Optional[tuple[int, int]]) -> None:
-        if i == len(group):
-            out.append((tag, prefactor + (eprod or 0), val))
-            return
-        blk = group[i]
-        for (x, y, e, link, v) in blk.terms(seed):
-            ne = e if eprod is None else eprod * e
-            rec(i + 1, (seed + link) & 1,
-                tag + ((blk.index, blk.family, x, y),), ne,
-                None if val is None or v is None
-                else (val[0] + v[0], val[1] + v[1]))
-
-    rec(0, 0, (), None, (0, 0))
-    return out
+    paths = {(0, 1, 0, 0): 1}
+    for table in tables:
+        step: dict[tuple[int, int, int, int], int] = {}
+        for (seed, e, r, q), n in paths.items():
+            for be, link, v in table[1 + seed]:
+                if v is not None:
+                    key = (seed ^ link, e & be, r + v[0], (q + v[1]) & 7)
+                    step[key] = step.get(key, 0) + n
+        paths = step
+    sums: dict[tuple[int, int], int] = {}
+    for (_, e, r, q), n in paths.items():
+        sums[r, q] = sums.get((r, q), 0) + (n << (len(tables) - 1 + e))
+    return sum(paths.values()), sums
 
 
 def _check_block(k: int, p: PauliOperator) -> None:
@@ -246,31 +253,23 @@ def _check_block(k: int, p: PauliOperator) -> None:
 
 
 def _groups(k: int, p: PauliOperator
-            ) -> list[list[tuple[tuple, int, Optional[tuple[int, int]]]]]:
-    """The items of each chained group of a block; a 1- or 2-qubit block is
-    one group of two untagged items of multiplicity 1."""
+            ) -> list[tuple[int, dict[tuple[int, int], int]]]:
+    """``_walk`` of each chained group of a block; a 1- or 2-qubit block is
+    one group of two items of multiplicity 1."""
     if k < 3:
-        return [[((), 0, v) for v in (_terms_k1(p) if k == 1 else _terms_k2(p))]]
-    blocks = [_Block3(p, 3 * i, i) for i in range(k // 3)]
-    return [_enumerate_group(g) for g in _group_blocks(blocks)]
-
-
-def _count_nonzero(groups: list[list[tuple[tuple, int, Optional[tuple]]]]
-                   ) -> int:
-    """Non-zero product terms taking one item from each group: the product
-    of the groups' non-zero item counts, since a product of powers of sqrt2
-    and zeta, times a power-of-two multiplicity, is never zero."""
-    count = 1
-    for group in groups:
-        count *= sum([v is not None for _, _, v in group])
-    return count
+        items = tuple((0, 0, v) for v in (_terms_k1(p) if k == 1
+                                          else _terms_k2(p)))
+        return [_walk([(False, items, items)])]
+    return [_walk([_triple(c) for c in g])
+            for g in _group_blocks(_codes(k, p))]
 
 
 def count_nonzero_sums(k: int, p: PauliOperator) -> int:
-    """The unique non-zero Gauss sums of ``expect_block(k, p)``, counted per
-    chained group with no product term formed."""
+    """The unique non-zero Gauss sums of ``expect_block(k, p)``: the product
+    of the chained groups' non-zero item counts, with no product term
+    formed, since a product of powers of sqrt2 and zeta is never zero."""
     _check_block(k, p)
-    return _count_nonzero(_groups(k, p))
+    return prod(n for n, _ in _groups(k, p))
 
 
 def expect_block(k: int, p: PauliOperator) -> GaussSumReport:
@@ -281,16 +280,16 @@ def expect_block(k: int, p: PauliOperator) -> GaussSumReport:
     _check_block(k, p)
     groups = _groups(k, p)
     sums = {(0, 0): 1}
-    for group in groups:
+    for _, group in groups:
         step: dict[tuple[int, int], int] = {}
         for (r, q), m in sums.items():
-            for _, e, v in group:
-                if v is not None:
-                    key = (r + v[0], (q + v[1]) & 7)
-                    step[key] = step.get(key, 0) + (m << e)
+            for (r2, q2), w in group.items():
+                key = (r + r2, (q + q2) & 7)
+                step[key] = step.get(key, 0) + m * w
         sums = step
     exact = _sum_terms(k, sums.items(), p.omega_exp == 2)
-    return GaussSumReport(exact.real_float(), _count_nonzero(groups), exact)
+    return GaussSumReport(exact.real_float(), prod(n for n, _ in groups),
+                          exact)
 
 
 def _terms_k1(p: PauliOperator) -> list[tuple[int, int]]:

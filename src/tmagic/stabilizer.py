@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import compress
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import gf2
 from .gf2 import eliminate, parity, reduce_column, revbits, solve_columns
@@ -644,11 +644,20 @@ def _dimension_weights(n: int) -> tuple[tuple[int, ...], int]:
 
 
 @cache
-def _cross_pairs(m: int) -> tuple[list[tuple[int, int]], ExactAmplitude]:
-    """The pairs a < b of m variables, in the order their cross bits are
-    drawn, and the scale 2^(-m/2) of a state on m variables."""
-    return ([(a, b) for a in range(m) for b in range(a + 1, m)],
-            ExactAmplitude(1, 0, 0, 0, m))
+def cross_pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """The pairs a < b of m variables, row by row: the order in which B's
+    cross bits are drawn, and written to and read from catalog files."""
+    return tuple((a, b) for a in range(m) for b in range(a + 1, m))
+
+
+def cross_rows(m: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The m symmetric zero-diagonal rows of B with bits (a, b) and (b, a)
+    set for each of ``pairs``."""
+    rows = [0] * m
+    for a, b in pairs:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return tuple(rows)
 
 
 def random_stabilizer_state(n: int, draws: RawDraws | np.random.Generator
@@ -694,9 +703,7 @@ def random_stabilizer_state(n: int, draws: RawDraws | np.random.Generator
             break
     h = draws.run(n, 1)[0]
     dvec = tuple([2 * x for x in draws.run(2, m)])
-    pairs, scale = _cross_pairs(m)
-    brows = [0] * m
-    for a, b2 in compress(pairs, draws.run(1, len(pairs))):
-        brows[a] |= 1 << b2
-        brows[b2] |= 1 << a
-    return StabilizerState(n, tuple(cols), h, tuple(brows), dvec, 0, scale)
+    pairs = cross_pairs(m)
+    brows = cross_rows(m, compress(pairs, draws.run(1, len(pairs))))
+    return StabilizerState(n, tuple(cols), h, brows, dvec, 0,
+                           ExactAmplitude(1, 0, 0, 0, m))

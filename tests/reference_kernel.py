@@ -18,7 +18,8 @@ dense amplitudes (``dense.dense_magic_state_exact``), the third engine the
 stabilizer-rank and Gauss-sum values are compared with.
 ``gauss_sum_eval`` sums a quadratic Gauss sum point by point,
 ``gauss_block_terms`` lists, as ring values (``ring_value``), the tagged
-terms ``gauss.expect_block`` sums,
+terms ``gauss.expect_block`` sums, enumerated on their own from each
+block's ``gauss._Block3(code)`` (``block_codes``, ``gauss_groups``),
 ``stabilizer_state_count`` is the closed form for |S(n)|, and ``all_paulis``
 enumerates the phase-free k-qubit Paulis for exhaustive checks.
 
@@ -287,6 +288,46 @@ def ring_value(item: Optional[tuple[int, int]]) -> ExactAmplitude:
     return ZERO if item is None else sqrt2_root(*item)
 
 
+def block_codes(k: int, p: PauliOperator) -> list[int]:
+    """The letter code l0 + 4 l1 + 16 l2 (0 = I, 1 = Z, 2 = X, 3 = Y) of
+    each 3-qubit block of P, read letter by letter."""
+    return [sum("IZXY".index(p.letter(3 * i + j)) << 2 * j for j in range(3))
+            for i in range(k // 3)]
+
+
+def gauss_groups(k: int, p: PauliOperator
+                 ) -> list[list[tuple[tuple, int, ExactAmplitude]]]:
+    """The (tag, log2-multiplicity, value) items of each chained group of
+    a k = 3, 6 or 12 block, tagged with their per-block (index, family,
+    x, y), by recursion over ``gauss._Block3(code).terms(seed)``.
+
+    A pair of blocks chains when both are reducible, and a four-block
+    block is one chain when both its pairs are.  A chain of r blocks
+    carries 2^(r-1) times 2^(product of its exponent bits), each block's
+    ranges seeded by the parity of the preceding link bits; a lone B
+    block's exponent bit is its prefactor 2.
+    """
+    blocks = [(i, gauss._Block3(code)) for i, code in enumerate(block_codes(k, p))]
+
+    def chains(run):
+        if all(blk.reducible for _, blk in run):
+            return [run]
+        if len(run) == 4:
+            return chains(run[:2]) + chains(run[2:])
+        return [[b] for b in run]
+
+    def items(chain, i=0, seed=0, tag=(), eprod=1, val=ONE):
+        if i == len(chain):
+            return [(tag, len(chain) - 1 + eprod, val)]
+        index, blk = chain[i]
+        return [item for x, y, e, link, v in blk.terms(seed)
+                for item in items(chain, i + 1, seed ^ link,
+                                  tag + ((index, blk.family, x, y),),
+                                  eprod * e, val * ring_value(v))]
+
+    return [items(chain) for chain in chains(blocks)]
+
+
 def gauss_block_terms(k: int, p: PauliOperator
                       ) -> list[tuple[tuple, ExactAmplitude, int]]:
     """(tag, value, multiplicity) of every Gauss sum ``gauss.expect_block``
@@ -294,20 +335,17 @@ def gauss_block_terms(k: int, p: PauliOperator
 
     Each item's (r, q) or None becomes the ring value sqrt2^r * zeta^q or
     ZERO, and the items multiply in the ring.  At k = 3, 6 and 12 a term is
-    the product of one ``_enumerate_group`` item per chained group of
-    ``_Block3``s, tagged with the items' per-block (index, family, x, y); at
-    k = 1 and 2 the two one-block terms are untagged.
+    the product of one ``gauss_groups`` item per chained group, tagged with
+    its items' tags; at k = 1 and 2 the two one-block terms are untagged.
     """
     if k in (1, 2):
         items = gauss._terms_k1(p) if k == 1 else gauss._terms_k2(p)
         return [((), ring_value(v), 1) for v in items]
-    blocks = [gauss._Block3(p, 3 * i, i) for i in range(k // 3)]
-    groups = [gauss._enumerate_group(g) for g in gauss._group_blocks(blocks)]
     out = []
-    for combo in itertools.product(*groups):
+    for combo in itertools.product(*gauss_groups(k, p)):
         val = ONE
         for _, _, v in combo:
-            val = val * ring_value(v)
+            val = val * v
         out.append((sum((tag for tag, _, _ in combo), ()), val,
                     1 << sum(e for _, e, _ in combo)))
     return out

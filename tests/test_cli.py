@@ -534,6 +534,16 @@ class TestVerify:
         assert rc == 0
         assert out.count("PASS") == 5
 
+    def test_scope_kernel_prints_the_states_digest(self, capsys):
+        # the digest of the drawn states pins the stream, so that a cmp of
+        # this output shows whether a change kept it
+        assert main(["verify", "--scope", "kernel", "--trials", "40",
+                     "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "PASS kernel-inner-product: trials=40 bad=0 states=e584de3cbb165a1b",
+            "PASS kernel-projector-ket: trials=40 bad=0"]
+
     def test_rejects_missing_catalog_file(self, tmp_path):
         path = tmp_path / "absent.txt"
         assert_rejected(["verify", "--scope", "decompositions",

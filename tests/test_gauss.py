@@ -1,5 +1,8 @@
 """Gauss-sum evaluators against the dense oracle, plus structural invariants."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,14 +10,15 @@ from tmagic._gauss_kernels import sample_letters
 from tmagic.dense import (dense_magic_state, dense_magic_state_exact,
                           dense_pauli_expect)
 from tmagic import gauss
-from tmagic.gauss import (WORST_CASE_UNIQUE, _Block3, _enumerate_group,
-                          _group_blocks, count_nonzero_sums, expect_block,
+from tmagic.gauss import (WORST_CASE_UNIQUE, _Block3, _group_blocks,
+                          count_nonzero_sums, expect_block,
                           expect_single_pauli, rank_census)
 from tmagic.pauli import PauliOperator, letters_to_pauli, random_pauli
 from tmagic.phase_ring import ExactAmplitude, ONE, ZERO
 
-from reference_kernel import (all_paulis, dense_pauli_expectation,
-                              gauss_block_terms, gauss_sum_eval, ring_value)
+from reference_kernel import (all_paulis, block_codes,
+                              dense_pauli_expectation, gauss_block_terms,
+                              gauss_groups, gauss_sum_eval, ring_value)
 
 
 class TestGaussSumEval:
@@ -166,10 +170,10 @@ class TestStructuralInvariants:
         for k in (3, 6, 12):
             for _ in range(40):
                 p = random_pauli(k, rng)
-                blocks = [_Block3(p, 3 * i, i) for i in range(k // 3)]
+                blocks = [_Block3(code) for code in block_codes(k, p)]
                 unred: dict = defaultdict(int)
-                # a B term stands for 2 naive-tensor terms, an A/C term for 2^e
-                per_block = [[(ring_value(v), 2 if b.line == "B" else 1 << e)
+                # a term stands for 2^e naive-tensor terms: a B term for 2
+                per_block = [[(ring_value(v), 1 << e)
                               for (_, _, e, _, v) in b.terms(0)]
                              for b in blocks]
                 for combo in itertools.product(*per_block):
@@ -200,18 +204,18 @@ class TestStructuralInvariants:
 
         p6 = PauliOperator.from_str("XYXXYX")
         assert expect_block(6, p6).unique_nonzero_sums == 7
-        blocks = [_Block3(p6, 3 * i, i) for i in range(2)]
-        group = _group_blocks(blocks)[0]
+        group = [_Block3(code) for code in block_codes(6, p6)]
+        [items] = gauss_groups(6, p6)
         total6 = sum(1 << (lg2 - sum(per_term_exponents(group, tag)))
-                     for tag, lg2, _ in _enumerate_group(group))
+                     for tag, lg2, _ in items)
         assert total6 == 9
 
         p12 = PauliOperator.from_str("XYXXYX" * 2)
         assert len(gauss_block_terms(12, p12)) == 31
-        blocks = [_Block3(p12, 3 * i, i) for i in range(4)]
-        group = _group_blocks(blocks)[0]
+        group = [_Block3(code) for code in block_codes(12, p12)]
+        [items] = gauss_groups(12, p12)
         total12 = 0
-        for tag, lg2, _ in _enumerate_group(group):
+        for tag, lg2, _ in items:
             es = per_term_exponents(group, tag)
             total12 += 1 << (lg2 - (1 + es[0] * es[1]) - (1 + es[2] * es[3]))
         assert total12 == 49
@@ -244,11 +248,11 @@ class TestStructuralInvariants:
         rep = expect_block(12, p)
         assert rep.unique_nonzero_sums == 42
         # groups A, B and the chained pair AA, counted one by one
-        blocks = [_Block3(p, 3 * i, i) for i in range(4)]
-        groups = _group_blocks(blocks)
-        assert [[b.line for b in g] for g in groups] == [["A"], ["B"], ["A", "A"]]
-        assert [sum(1 for _, _, v in _enumerate_group(g) if v is not None)
-                for g in groups] == [3, 2, 7]
+        groups = _group_blocks(block_codes(12, p))
+        assert [[_Block3(c).line for c in g] for g in groups] == [
+            ["A"], ["B"], ["A", "A"]]
+        assert [sum(1 for _, _, v in g if not v.is_zero())
+                for g in gauss_groups(12, p)] == [3, 2, 7]
         assert count_nonzero_sums(12, p) == 42
 
     def test_count_matches_expect_block(self):
@@ -274,6 +278,49 @@ class TestStructuralInvariants:
             expect_block(k, p)
         with pytest.raises(ValueError):
             count_nonzero_sums(k, p)
+
+
+class TestTripleTable:
+    """A block's closed forms are built once per letter triple, not per row."""
+
+    def test_census_builds_at_most_64_blocks(self, monkeypatch):
+        built = []
+
+        class Counted(_Block3):
+            def __init__(self, code):
+                built.append(code)
+                super().__init__(code)
+
+        monkeypatch.setattr(gauss, "_Block3", Counted)
+        gauss._triple.cache_clear()
+        try:
+            rank_census(12, "sampled", samples=2000, seed=0)
+        finally:
+            gauss._triple.cache_clear()
+        assert 0 < len(built) <= 64
+        assert len(set(built)) == len(built)
+
+    def test_only_the_cached_builder_builds_blocks(self):
+        # every _Block3(...) call in src sits in gauss._triple, behind cache
+        src = Path(gauss.__file__).resolve().parent
+        found = []
+
+        def visit(node, fn, path):
+            for child in ast.iter_child_nodes(node):
+                func = getattr(child, "func", None)
+                if isinstance(child, ast.Call) and "_Block3" in (
+                        getattr(func, "id", None), getattr(func, "attr", None)):
+                    found.append((path.stem, fn))
+                inner = isinstance(child, (ast.FunctionDef, ast.Lambda))
+                visit(child, child if inner else fn, path)
+
+        for path in sorted(src.glob("*.py")):
+            visit(ast.parse(path.read_text(), str(path)), None, path)
+        assert found
+        for module, fn in found:
+            assert module == "gauss" and isinstance(fn, ast.FunctionDef) \
+                and fn.name == "_triple", (module, getattr(fn, "name", fn))
+            assert [d.id for d in fn.decorator_list] == ["cache"]
 
 
 class TestMultiBlock:

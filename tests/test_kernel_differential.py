@@ -466,7 +466,7 @@ def test_invariant_checks_survive_optimized_mode():
     check, raise ValueError under python -O."""
     code = """
 from tmagic.catalog import t1_decomposition
-from tmagic.gauss import _Block3, _group_blocks, _sum_terms
+from tmagic.gauss import _group_blocks, _sum_terms
 from tmagic.phase_ring import ONE, ExactAmplitude
 from tmagic.pauli import PauliOperator, PauliProjector
 from tmagic import strong_sim
@@ -507,9 +507,8 @@ check("non-real-diagonal", lambda: strong_sim._hermitian_sum(
 check("non-hermitian-factor", lambda: projector_ket(
     zero, [(PauliOperator.from_str("i:Z"), 1)]))
 check("non-real-gauss", lambda: _sum_terms(1, [((0, 1), 1)], False))
-p9 = PauliOperator.from_str("XYZ" * 3)
-check("three-block-chain", lambda: _group_blocks(
-    [_Block3(p9, 3 * i, i) for i in range(3)]))
+xyz = 2 + 4 * 3 + 16 * 1  # the letter code of the block XYZ
+check("three-block-chain", lambda: _group_blocks([xyz] * 3))
 from tmagic.catalog import catalog_entry
 from tmagic.stabilizer import GramPair, gram_entries, pivot_table
 s6 = [s for _, s in catalog_entry(6).terms]
